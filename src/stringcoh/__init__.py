@@ -29,9 +29,17 @@ from .presentation import (
     validate,
 )
 from .quiver import CompositionError, CyclicQuiverError, Path, Quiver, compose, occurrences
-from .resolution import ApElement, Resolution, ap_op_sets, ap_sets, resolution_check
+from .resolution import (
+    ApConstructionError,
+    ApElement,
+    Resolution,
+    ap_op_sets,
+    ap_sets,
+    resolution_check,
+)
 
 __all__ = [
+    "ApConstructionError",
     "ApElement",
     "Cochain",
     "CochainComplex",

@@ -29,6 +29,26 @@ class CheckResult:
     detail: str = ""
 
 
+def ap_duality_witnesses(res: Resolution) -> list[str]:
+    """Every degree and support where the forward and the mirrored AP
+    runs differ, in degree order; empty when they agree."""
+    dual = res.op_ap_sets()
+    fmt = res.pres.format_path
+    out = []
+    for n in range(max(len(res.ap), len(dual))):
+        fwd = {e.support: e for e in res.ap[n]} if n < len(res.ap) else {}
+        mir = {e.support: e for e in dual[n]} if n < len(dual) else {}
+        for support in sorted(fwd.keys() | mir.keys(), key=lambda p: p.sort_key):
+            a, b = fwd.get(support), mir.get(support)
+            if b is None:
+                out.append(f"degree {n} {fmt(support)}: forward run only")
+            elif a is None:
+                out.append(f"degree {n} {fmt(support)}: mirrored run only")
+            elif (a.chain, a.op_chain) != (b.chain, b.op_chain):
+                out.append(f"degree {n} {fmt(support)}: chains differ")
+    return out
+
+
 class Auditor:
     """Builds the full tower over one presentation and runs every audit."""
 
@@ -72,21 +92,8 @@ class Auditor:
     # -- resolution-level checks -----------------------------------------
 
     def check_ap_duality(self) -> CheckResult:
-        ops = self.res.op_ap_sets()
-        if len(ops) != len(self.res.ap):
-            return CheckResult("ap-duality", False,
-                               f"{len(self.res.ap) - 1} vs {len(ops) - 1} degrees")
-        for n in range(2, len(ops)):
-            a = {e.support for e in self.res.ap[n]}
-            b = {e.support for e in ops[n]}
-            if a != b:
-                return CheckResult("ap-duality", False, f"degree {n} differs")
-            chains = {e.support: (e.chain, e.op_chain) for e in self.res.ap[n]}
-            for e in ops[n]:
-                if chains[e.support] != (e.chain, e.op_chain):
-                    return CheckResult("ap-duality", False,
-                                       f"degree {n} chains differ")
-        return CheckResult("ap-duality", True)
+        witnesses = ap_duality_witnesses(self.res)
+        return CheckResult("ap-duality", not witnesses, "; ".join(witnesses))
 
     def check_sub_cardinality(self) -> CheckResult:
         for n in range(2, self.res.top + 1):

@@ -15,7 +15,7 @@ from . import checks, generate, report
 from .cup import cup_table
 from .hochschild import CochainComplex
 from .presentation import ParseError, basis_P, parse_file, validate
-from .resolution import Resolution
+from .resolution import ApConstructionError, Resolution
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -31,6 +31,9 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except ApConstructionError as exc:
+        print(f"AP construction failed: {exc}", file=sys.stderr)
+        return EXIT_VIOLATION
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -167,11 +170,8 @@ def cmd_ap(args) -> int:
         _print_validation_failures(vreport)
         return EXIT_INVALID
     basis, res, cx = _build_tower(pres, args.max_degree)
-    dual = res.op_ap_sets()
-    match = len(dual) == len(res.ap) and all(
-        {e.support for e in res.ap[n]} == {e.support for e in dual[n]}
-        for n in range(len(res.ap))
-    )
+    witnesses = checks.ap_duality_witnesses(res)
+    match = not witnesses
     payload = {
         "presentation": report.presentation_section(pres, basis),
         "validation": report.validation_section(vreport),
@@ -191,6 +191,8 @@ def cmd_ap(args) -> int:
                     line += f"  chain[{chain}]  dual[{op}]"
                 print(line)
         print(f"dual construction matches: {match}")
+    for w in witnesses:
+        print(f"witness: {w}", file=sys.stderr)
     _emit(args, payload, started)
     return EXIT_OK if match else EXIT_VIOLATION
 

@@ -210,6 +210,9 @@ class PathBasis:
 
     def __init__(self, pres: Presentation):
         q = pres.quiver
+        ending_with: dict[int, list[Path]] = {}
+        for r in pres.relations:
+            ending_with.setdefault(r.arrows[-1], []).append(r)
         paths: list[Path] = []
         frontier = [q.trivial_path(v) for v in range(q.num_vertices)]
         while frontier:
@@ -220,7 +223,7 @@ class PathBasis:
                     ext = compose(p, q.arrow_path(a))
                     # p is already ideal-free, so only a relation ending at
                     # the new last arrow can kill the extension.
-                    if not _dies_at_end(ext, pres.relations):
+                    if not _dies_at_end(ext, ending_with.get(a, ())):
                         nxt.append(ext)
             nxt.sort(key=lambda p: p.sort_key)
             frontier = nxt

@@ -252,29 +252,6 @@ class Quiver:
             raise CyclicQuiverError("topological order needs an acyclic quiver")
         return order
 
-    def maximal_paths(self) -> list[Path]:
-        """All directed paths that extend neither left nor right.
-
-        These run from in-degree-0 vertices to out-degree-0 vertices; an
-        isolated vertex contributes its trivial path.
-        """
-        if not self.is_acyclic():
-            raise CyclicQuiverError("maximal paths need an acyclic quiver")
-        sources = [v for v in range(self.num_vertices) if not self._in[v]]
-        out = []
-
-        def walk(p: Path):
-            outs = self._out[p.target]
-            if not outs:
-                out.append(p)
-                return
-            for a in sorted(outs):
-                walk(compose(p, self.arrow_path(a)))
-
-        for v in sources:
-            walk(self.trivial_path(v))
-        return out
-
     def format_path(self, p: Path) -> str:
         if p.is_trivial:
             return f"e_{self.vertex_labels[p.source]}"

@@ -3,13 +3,28 @@
 Degree n of the resolution is A (x) kAP_n (x) A over the vertex
 subalgebra, where AP_0 is the trivial paths, AP_1 the arrows, and AP_n
 for n >= 2 the supports of chains of n-1 relations overlapping greedily
-along a directed path.  Both the left-greedy and the dual right-greedy
-construction are implemented; they must produce the same supports in
-every degree, which the test suite checks.
+along a directed path.
 
-Along a fixed directed path a minimal generating set is totally ordered:
-two relations sharing a source (or target) would divide one another.  The
-construction leans on this repeatedly, and asserts it.
+AP_n is built from AP_{n-1} by Bardzell's overlap recursion on words of
+arrow ids, starting from AP_2 = the relations.  A chain (p_1, ...,
+p_{n-1}) with support S extends by each relation r such that S[s:] is a
+proper prefix of r for a start s in the greedy window, (start p_1,
+end p_1) at the first step and [end p_{n-2}, end p_{n-1}) after it,
+unless a relation occurs inside S[:s] + r at a smaller start of that
+window: on every path through the extension the greedy rule takes that
+one instead.  A window lies inside the last relation, so each element is
+extended with at most one prefix-index lookup per arrow of that relation.
+The cost is linear in the total length of the supports and chains
+produced, with a factor bounded by the longest relation; no path of the
+quiver is walked.
+
+The dual, right-greedy construction is the same recursion run on the
+reversed relation words: reversal maps its window (start q_j,
+start q_{j-1}] onto [end p_{j-1}, end p_j) and its maximal-end pick onto
+the minimal-start one.  Each support takes its chain from the forward run
+and its dual chain from the mirrored run.  A support found by only one
+run, a support reached with two different chains, and a generating set
+in which one relation contains another raise ApConstructionError.
 """
 
 from __future__ import annotations
@@ -69,84 +84,64 @@ class BimoduleTerm:
     right: Path
 
 
-def _relations_on(t: Path, relations) -> list[tuple[int, int, Path]]:
-    """Relations occurring in t, as (start, end, relation), sorted by start.
+class ApConstructionError(ValueError):
+    """The AP construction met a configuration the theory rules out.
 
-    Positions are indices along t; in an acyclic quiver each relation
-    occurs at most once.  Starts and ends are strictly increasing: along a
-    fixed path, two members of a minimal generating set cannot share a
-    source or a target without one dividing the other.
+    ``support`` is the path where it happened: a relation that contains
+    another relation, or a support on which the two greedy runs disagree.
     """
-    occ = []
-    for r in relations:
-        k = len(r)
-        for i in range(len(t) - k + 1):
-            if t.arrows[i : i + k] == r.arrows:
-                occ.append((i, i + k, r))
-                break
-    occ.sort()
-    for (s1, e1, _), (s2, e2, _) in zip(occ, occ[1:]):
-        assert s1 < s2 and e1 < e2, "generating set is not minimal on a path"
-    return occ
+
+    def __init__(self, reason: str, support: Path, label: str):
+        super().__init__(f"{reason} (support {label})")
+        self.support = support
 
 
-def _forward_prefix_spans(occ, k: int, max_len: int | None):
-    """Greedy chain from occ[k]: yield (chain indices, end) per prefix.
+Word = tuple[int, ...]
 
-    Step 1 admits relations starting strictly inside p_1; later steps
-    admit starts in [end(p_{j-1}), end(p_j)).  The minimal-start pick is
-    unique because starts are strictly increasing.
+
+def _greedy_chains(relations: list[Word], cap: int) -> list[list[tuple[Word, Word]]]:
+    """Left-greedy chains over relation words, one list per degree 2..cap.
+
+    Each list holds (support, chain) pairs: the support is a word of arrow
+    ids and the chain lists the indices into ``relations`` of p_1, ...,
+    p_{n-1}, left to right.  A state also keeps the lower end of its next
+    greedy window; the upper end is always the support's length, the end
+    of p_{n-1}.  Step 1 admits starts strictly inside p_1, so the first
+    lower end is 1; after that each extension's lower end is the length of
+    the support it extends, the end of p_{n-2}.
+
+    A relation r extends a support at start s of the window when
+    support[s:] is a proper prefix of r.  The extension is kept unless a
+    relation occurs inside support[:s] + r at a smaller start of the
+    window, because the greedy rule takes that one on every path through
+    the extension.  Minimality of the generating set is assumed: it makes
+    every relation met at a window start reach past the support, so the
+    prefix index finds them all.
     """
-    starts = [s for s, _, _ in occ]
-    chain = [k]
-    yield chain, occ[k][1]
-    while max_len is None or len(chain) < max_len:
-        if len(chain) == 1:
-            lo = occ[k][0] + 1
-        else:
-            lo = occ[chain[-2]][1]
-        hi = occ[chain[-1]][1]
-        nxt = None
-        for i in range(chain[-1] + 1, len(occ)):
-            if lo <= starts[i] < hi:
-                nxt = i
-                break
-            if starts[i] >= hi:
-                break
-        if nxt is None:
-            return
-        chain.append(nxt)
-        yield chain, occ[nxt][1]
-
-
-def _op_prefix_spans(occ, k: int, max_len: int | None):
-    """Dual greedy chain from occ[k], walking left; yields (chain, start).
-
-    Step 1 admits relations ending strictly inside q_1; later steps admit
-    ends in (start(q_j), start(q_{j-1})].  The maximal-end pick is unique
-    because ends are strictly increasing.
-    """
-    ends = [e for _, e, _ in occ]
-    chain = [k]
-    yield chain, occ[k][0]
-    while max_len is None or len(chain) < max_len:
-        if len(chain) == 1:
-            lo = occ[k][0]
-            hi = occ[k][1]  # exclusive
-        else:
-            lo = occ[chain[-1]][0]
-            hi = occ[chain[-2]][0] + 1  # inclusive of start(q_{j-1})
-        nxt = None
-        for i in range(chain[-1] - 1, -1, -1):
-            if lo < ends[i] < hi:
-                nxt = i
-                break
-            if ends[i] <= lo:
-                break
-        if nxt is None:
-            return
-        chain.append(nxt)
-        yield chain, occ[nxt][0]
+    extends: dict[Word, list[int]] = {}
+    for j, r in enumerate(relations):
+        for i in range(1, len(r)):
+            extends.setdefault(r[:i], []).append(j)
+    layers = []
+    states = [(r, (j,), 1) for j, r in enumerate(relations)]
+    for degree in range(2, cap + 1):
+        if not states:
+            break
+        layers.append([(support, chain) for support, chain, _ in states])
+        if degree == cap:
+            break
+        nxt = []
+        for support, chain, lo in states:
+            hi = len(support)
+            candidates = [(s, relations[j], j) for s in range(lo, hi)
+                          for j in extends.get(support[s:], ())]
+            for s, r, j in candidates:
+                ext = support[:s] + r
+                if not any(t < s and ext[t : t + len(o)] == o
+                           for t, o, _ in candidates):
+                    nxt.append((ext, chain + (j,), hi))
+        states = nxt
+    return layers
 
 
 class Resolution:
@@ -161,7 +156,7 @@ class Resolution:
         if max_degree is not None:
             cap = min(cap, max_degree)
         self.cap = cap
-        self.ap: list[list[ApElement]] = self._build_ap(cap)
+        self.ap, self._op_ap = self._build_ap(cap)
         self.by_support: list[dict[Path, ApElement]] = [
             {e.support: e for e in layer} for layer in self.ap
         ]
@@ -181,113 +176,97 @@ class Resolution:
     def degrees(self) -> range:
         return range(len(self.ap))
 
-    def _build_ap(self, cap: int) -> list[list[ApElement]]:
+    def _build_ap(self, cap: int) -> tuple[list[list[ApElement]], list[list[ApElement]]]:
+        """The forward and the mirrored AP layers, each joined by support
+        with the other run's chains."""
         q = self.quiver
-        layers: list[list[ApElement]] = [
+        base: list[list[ApElement]] = [
             [ApElement(0, q.trivial_path(v), (), ()) for v in range(q.num_vertices)]
         ]
-        if cap >= 1:
+        if cap >= 1 and q.num_arrows:
             arrows = sorted(
                 (q.arrow_path(a) for a in range(q.num_arrows)),
                 key=lambda p: p.sort_key,
             )
-            if arrows:
-                layers.append([ApElement(1, p, (), ()) for p in arrows])
-        found: dict[int, dict[Path, tuple[Path, ...]]] = {}
-        for t in q.maximal_paths():
-            occ = _relations_on(t, self.pres.relations)
-            for k in range(len(occ)):
-                start = occ[k][0]
-                for chain, end in _forward_prefix_spans(occ, k, cap - 1 if cap else 0):
-                    degree = len(chain) + 1
-                    if degree > cap:
-                        break
-                    support = t.subpath(start, end)
-                    rels = tuple(occ[i][2] for i in chain)
-                    prev = found.setdefault(degree, {})
-                    if support in prev:
-                        assert prev[support] == rels, (
-                            "one support, two different chains"
-                        )
-                    else:
-                        prev[support] = rels
-        for degree in range(2, cap + 1):
-            if degree not in found:
-                break
+            base.append([ApElement(1, p, (), ()) for p in arrows])
+        self._check_minimal()
+        forward = self._chain_run(cap, mirrored=False)
+        mirror = self._chain_run(cap, mirrored=True)
+        return (base + self._join(forward, forward, mirror),
+                base + self._join(mirror, forward, mirror))
+
+    def _error(self, reason: str, support: Path) -> ApConstructionError:
+        return ApConstructionError(reason, support, self.quiver.format_path(support))
+
+    def _check_minimal(self):
+        """No relation may be a factor of another.  The greedy recursion
+        relies on it: along a path a minimal generating set is totally
+        ordered, two relations sharing a source or a target would divide
+        one another."""
+        words = {r.arrows for r in self.pres.relations}
+        lengths = {len(w) for w in words}
+        for r in self.pres.relations:
+            n = len(r)
+            for i in range(n):
+                for k in lengths:
+                    if k < n and i + k <= n and r.arrows[i : i + k] in words:
+                        raise self._error("generating set is not minimal on a path", r)
+
+    def _chain_run(self, cap: int, mirrored: bool) -> list[dict[Word, tuple[Path, ...]]]:
+        """One greedy run: per degree from 2, support word -> chain.
+
+        The mirrored run feeds the reversed relation words to the same
+        recursion.  Reversal turns the dual windows into the forward ones
+        and the maximal-end pick into the minimal-start one, so read back
+        right to left its chains are the dual chains (q^1, ..., q^{n-1}).
+        """
+        rels = self.pres.relations
+        step = -1 if mirrored else 1
+        out = []
+        for states in _greedy_chains([r.arrows[::step] for r in rels], cap):
+            layer: dict[Word, tuple[Path, ...]] = {}
+            for word, chain in states:
+                support = word[::step]
+                found = tuple(map(rels.__getitem__, chain[::step]))
+                if layer.setdefault(support, found) != found:
+                    raise self._error("one support, two different chains",
+                                      self._path(support))
+            out.append(layer)
+        return out
+
+    def _path(self, word: Word) -> Path:
+        q = self.quiver
+        targets = tuple(map(q.arrow_target.__getitem__, word))
+        return Path((q.arrow_source[word[0]],) + targets, word)
+
+    def _join(self, supports, forward, mirror) -> list[list[ApElement]]:
+        """AP layers from degree 2 over the supports of one run, in
+        canonical order, with the chain of each from the forward run and
+        the dual chain from the mirrored run."""
+        layers = []
+        for i, words in enumerate(supports):
+            fwd = forward[i] if i < len(forward) else {}
+            mir = mirror[i] if i < len(mirror) else {}
             layer = []
-            for support in sorted(found[degree], key=lambda p: p.sort_key):
-                chain = found[degree][support]
-                op_chain = self._op_chain_of(support, degree)
-                layer.append(ApElement(degree, support, chain, op_chain))
+            # (length, arrows) is Path.sort_key on nonempty paths
+            for word in sorted(words, key=lambda w: (len(w), w)):
+                if word not in mir:
+                    raise self._error("forward support with no mirrored chain",
+                                      self._path(word))
+                if word not in fwd:
+                    raise self._error("mirrored support with no forward chain",
+                                      self._path(word))
+                layer.append(ApElement(i + 2, self._path(word), fwd[word], mir[word]))
             layers.append(layer)
         return layers
-
-    def _op_chain_of(self, support: Path, degree: int) -> tuple[Path, ...]:
-        """Recover the dual chain of a support by running the right-greedy
-        construction on the support itself.  The last relation of both
-        chains coincides (targets are distinct along a path), and the dual
-        walk must reach the source in exactly degree-1 steps."""
-        occ = _relations_on(support, self.pres.relations)
-        k = next((i for i in range(len(occ)) if occ[i][1] == len(support)), None)
-        assert k is not None, "support does not end in a relation"
-        last = None
-        for chain, start in _op_prefix_spans(occ, k, degree - 1):
-            last = (chain, start)
-        assert last is not None
-        chain, start = last
-        assert len(chain) == degree - 1 and start == 0, (
-            "dual chain does not span the support"
-        )
-        return tuple(occ[i][2] for i in reversed(chain))
 
     def op_ap_sets(self) -> list[list[ApElement]]:
-        """AP sets built with the dual construction only (for cross-checks).
+        """AP sets in the order of the mirrored run, for cross-checks.
 
-        Elements carry the dual chain as found and the left-greedy chain
-        recovered from the support.
+        Elements carry the dual chain from the mirrored run and the
+        left-greedy chain of the same support from the forward run.
         """
-        q = self.quiver
-        layers: list[list[ApElement]] = [list(self.ap[0])]
-        if len(self.ap) > 1:
-            layers.append(list(self.ap[1]))
-        found: dict[int, dict[Path, tuple[Path, ...]]] = {}
-        cap = self.cap
-        for t in q.maximal_paths():
-            occ = _relations_on(t, self.pres.relations)
-            for k in range(len(occ)):
-                end = occ[k][1]
-                for chain, start in _op_prefix_spans(occ, k, cap - 1 if cap else 0):
-                    degree = len(chain) + 1
-                    if degree > cap:
-                        break
-                    support = t.subpath(start, end)
-                    rels = tuple(occ[i][2] for i in reversed(chain))
-                    prev = found.setdefault(degree, {})
-                    if support in prev:
-                        assert prev[support] == rels
-                    else:
-                        prev[support] = rels
-        for degree in range(2, cap + 1):
-            if degree not in found:
-                break
-            layer = []
-            for support in sorted(found[degree], key=lambda p: p.sort_key):
-                op_chain = found[degree][support]
-                chain = self._forward_chain_of(support, degree)
-                layer.append(ApElement(degree, support, chain, op_chain))
-            layers.append(layer)
-        return layers
-
-    def _forward_chain_of(self, support: Path, degree: int) -> tuple[Path, ...]:
-        occ = _relations_on(support, self.pres.relations)
-        assert occ and occ[0][0] == 0, "support does not start in a relation"
-        last = None
-        for chain, end in _forward_prefix_spans(occ, 0, degree - 1):
-            last = (chain, end)
-        assert last is not None
-        chain, end = last
-        assert len(chain) == degree - 1 and end == len(support)
-        return tuple(occ[i][2] for i in chain)
+        return [list(layer) for layer in self._op_ap]
 
     # -- divisors and the unique splitting --------------------------------
 

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import stringcoh
 from conftest import a_n_text
+from stringcoh import Resolution, checks, parse
 from stringcoh.cli import main
 from stringcoh.generate import generate_dsl
 
@@ -75,6 +80,60 @@ def test_ap_no_relations(a_file, capsys):
     out = capsys.readouterr().out
     assert "degree 1: 2 element(s)" in out
     assert "degree 2" not in out
+
+
+def test_ap_json_same_under_optimize(tmp_path, capsys):
+    """``python -O`` strips asserts; the AP layer must compute the same
+    sets, chains and verdict without them."""
+    src = os.path.dirname(os.path.dirname(stringcoh.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    for seed in (19, 77, 88):
+        path = tmp_path / f"seed{seed}.quiver"
+        path.write_text(generate_dsl(seed))
+        assert main(["ap", str(path), "--json"]) == 0
+        expected = json.loads(capsys.readouterr().out)
+        run = subprocess.run(
+            [sys.executable, "-O", "-m", "stringcoh", "ap", str(path), "--json"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert run.returncode == 0, run.stderr
+        got = json.loads(run.stdout)
+        del expected["elapsed_ms"], got["elapsed_ms"]
+        assert got == expected
+
+
+def test_ap_and_check_name_every_dual_witness(a_file, monkeypatch, capsys):
+    real = Resolution.op_ap_sets
+
+    def skewed(self):
+        layers = real(self)
+        layers[2] = layers[2][1:]
+        layers[3] = layers[3][:1]
+        return layers
+
+    monkeypatch.setattr(Resolution, "op_ap_sets", skewed)
+    expected = ["degree 2 a1*a2: forward run only",
+                "degree 3 b1*b2*b3: forward run only"]
+    assert main(["ap", a_file(3)]) == 3
+    captured = capsys.readouterr()
+    assert "dual construction matches: False" in captured.out
+    assert [line for line in captured.err.splitlines()
+            if line.startswith("witness: ")] == [f"witness: {w}" for w in expected]
+    result = checks.Auditor(parse(a_n_text(3))).check_ap_duality()
+    assert not result.passed
+    assert result.detail == "; ".join(expected)
+
+
+def test_ap_construction_error_exit_code(a_file, monkeypatch, capsys):
+    real = Resolution._chain_run
+
+    def no_mirror(self, cap, mirrored):
+        return [] if mirrored else real(self, cap, mirrored)
+
+    monkeypatch.setattr(Resolution, "_chain_run", no_mirror)
+    assert main(["hh", a_file(3)]) == 3
+    assert "forward support with no mirrored chain" in capsys.readouterr().err
 
 
 def test_cup_three_steps(a_file, capsys):

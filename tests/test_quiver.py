@@ -121,13 +121,6 @@ def test_acyclic_rejects_two_cycle():
     assert not q.is_acyclic()
 
 
-def test_maximal_paths_two_lane():
-    q = two_lane(2)
-    maximal = q.maximal_paths()
-    assert len(maximal) == 4
-    assert all(len(p) == 2 for p in maximal)
-
-
 def test_compose_associative(q3):
     paths = q3.enumerate_paths()
     for p in paths:

@@ -1,9 +1,23 @@
-from stringcoh import parse
+import pytest
+
+from conftest import a_n_text
+from stringcoh import ApConstructionError, Resolution, ap_sets, basis_P, parse
+from stringcoh import resolution
 from stringcoh.quiver import compose
 
 
 def fmt(pres, p):
     return pres.format_path(p)
+
+
+def line_text(n, rel_len, starts):
+    """A line of n arrows a0..a{n-1} with one relation of length rel_len
+    at each start."""
+    return ("vertex " + " ".join(str(i) for i in range(n + 1)) + "\n"
+            + "".join(f"arrow a{i} {i} {i + 1}\n" for i in range(n))
+            + "".join("relation "
+                      + " ".join(f"a{j}" for j in range(s, s + rel_len)) + "\n"
+                      for s in starts))
 
 
 def supports(res, n):
@@ -37,41 +51,92 @@ def test_ap_supports_longer_than_degree(corpus):
                 assert len(e.support) >= n
 
 
-def brute_force_ap_supports(pres):
-    """Oracle: run the greedy overlap rule along every directed path of
-    the quiver, not just the maximal ones, with an independent scan."""
-    q = pres.quiver
+def _relations_along(t, pres):
+    """(start, end, relation) for every relation occurring in t."""
+    by_word = {r.arrows: r for r in pres.relations}
+    lengths = {len(r) for r in pres.relations}
+    return [(i, i + k, by_word[t.arrows[i : i + k]])
+            for i in range(len(t)) for k in lengths
+            if i + k <= len(t) and t.arrows[i : i + k] in by_word]
+
+
+def brute_force_ap(pres):
+    """Oracle: a directed path t is a support exactly when the greedy
+    overlap rule, run along t from the relation at its start, ends flush
+    with t.  Tries every directed path of the quiver, with an independent
+    scan.  Returns degree -> {support: chain}."""
     found = {}
-    for t in q.enumerate_paths():
-        occ = []
-        for r in pres.relations:
-            for i in range(len(t) - len(r) + 1):
-                if t.arrows[i : i + len(r)] == r.arrows:
-                    occ.append((i, i + len(r)))
-        occ.sort()
-        for first in occ:
-            chain = [first]
-            while True:
-                degree = len(chain) + 1
-                support = t.subpath(chain[0][0], chain[-1][1])
-                found.setdefault(degree, set()).add(support)
-                if len(chain) == 1:
-                    window = [o for o in occ
-                              if chain[0][0] < o[0] < chain[0][1]]
-                else:
-                    window = [o for o in occ
-                              if chain[-2][1] <= o[0] < chain[-1][1]]
-                if not window:
-                    break
-                chain.append(min(window))
+    for t in pres.quiver.enumerate_paths():
+        occ = _relations_along(t, pres)
+        chain = [o for o in occ if o[0] == 0]
+        while chain and chain[-1][1] < len(t):
+            if len(chain) == 1:
+                window = [o for o in occ if chain[0][0] < o[0] < chain[0][1]]
+            else:
+                window = [o for o in occ if chain[-2][1] <= o[0] < chain[-1][1]]
+            if not window:
+                break
+            chain.append(min(window, key=lambda o: o[0]))
+        if chain and chain[-1][1] == len(t):
+            found.setdefault(len(chain) + 1, {})[t] = tuple(o[2] for o in chain)
     return found
 
 
+def brute_force_op_ap(pres):
+    """The dual oracle: the right-greedy rule, walking left along t from
+    the relation at its end, must end flush with the start of t.  Returns
+    degree -> {support: dual chain, left to right}."""
+    found = {}
+    for t in pres.quiver.enumerate_paths():
+        occ = _relations_along(t, pres)
+        chain = [o for o in occ if o[1] == len(t)]  # right to left
+        while chain and chain[-1][0] > 0:
+            if len(chain) == 1:
+                window = [o for o in occ if chain[0][0] < o[1] < chain[0][1]]
+            else:
+                window = [o for o in occ if chain[-1][0] < o[1] <= chain[-2][0]]
+            if not window:
+                break
+            chain.append(max(window, key=lambda o: o[1]))
+        if chain and chain[-1][0] == 0:
+            found.setdefault(len(chain) + 1, {})[t] = tuple(
+                o[2] for o in reversed(chain))
+    return found
+
+
+def assert_matches_oracles(pres, basis, res):
+    """Supports, chains and dual chains of both AP runs equal the
+    oracles' in every degree, uncapped and under a degree cap."""
+    forward, dual = brute_force_ap(pres), brute_force_op_ap(pres)
+    for built in (res, Resolution(pres, basis, max_degree=3)):
+        for layers in (built.ap, built.op_ap_sets()):
+            for n in range(2, built.cap + 1):
+                layer = layers[n] if n < len(layers) else []
+                assert {e.support: e.chain for e in layer} == forward.get(n, {}), n
+                assert {e.support: e.op_chain for e in layer} == dual.get(n, {}), n
+
+
 def test_ap_against_all_paths_oracle(corpus):
-    for _, pres, _, res, _ in corpus[:30]:
-        oracle = brute_force_ap_supports(pres)
-        for n in range(2, max(len(res.ap), max(oracle, default=0) + 1)):
-            assert supports(res, n) == oracle.get(n, set()), f"degree {n}"
+    for _, pres, basis, res, _ in corpus:
+        assert_matches_oracles(pres, basis, res)
+
+
+def test_ap_two_lane_against_oracles():
+    for n in range(1, 13):
+        pres = parse(a_n_text(n))
+        basis = basis_P(pres)
+        assert_matches_oracles(pres, basis, Resolution(pres, basis))
+
+
+@pytest.mark.parametrize("n, rel_len, step", [
+    (12, 3, 1), (16, 4, 1), (14, 5, 2), (18, 6, 4),
+])
+def test_ap_dense_lines_against_oracles(n, rel_len, step):
+    """Monomial lines where several relations start inside one window, so
+    the greedy rule has to reject all but the leftmost."""
+    pres = parse(line_text(n, rel_len, range(0, n - rel_len + 1, step)))
+    basis = basis_P(pres)
+    assert_matches_oracles(pres, basis, Resolution(pres, basis))
 
 
 def test_op_sets_match_everywhere(a_n, corpus):
@@ -190,14 +255,7 @@ def test_wide_divisor_sets():
     """Even-degree elements can have many divisors (here five): the
     multi-term differential and both dimension routes must still agree."""
     n, rel_len, step = 13, 5, 2
-    text = ("vertex " + " ".join(str(i) for i in range(n + 1)) + "\n"
-            + "".join(f"arrow a{i} {i} {i + 1}\n" for i in range(n))
-            + "".join(
-                "relation " + " ".join(f"a{j}" for j in range(i, i + rel_len))
-                + "\n"
-                for i in range(0, n - rel_len + 1, step)
-            ))
-    pres = parse(text)
+    pres = parse(line_text(n, rel_len, range(0, n - rel_len + 1, step)))
     from stringcoh import CochainComplex, Resolution, basis_P
     basis = basis_P(pres)
     res = Resolution(pres, basis)
@@ -221,3 +279,70 @@ def test_degree_cap():
     assert full.top == 5
     assert capped.top == 2
     assert supports(capped, 2) == supports(full, 2)
+
+
+@pytest.mark.parametrize("n", [40, 80])
+def test_ap_two_lane_closed_form(n):
+    """|AP_k(a_n)| = 2(n - k + 1) for 2 <= k <= n: one chain per lane
+    and start."""
+    layers = ap_sets(parse(a_n_text(n)))
+    assert [len(layer) for layer in layers] == (
+        [n + 1, 2 * n] + [2 * (n - k + 1) for k in range(2, n + 1)])
+    if n == 80:
+        assert sum(len(layer) for layer in layers) == 6561
+
+
+def test_ap_deep_line():
+    """A line of 1218 arrows: 58 blocks of ten length-3 relations, each
+    overlapping the next in one arrow.  Inside a block the chains run to
+    the block's end and never cross into the next block."""
+    blocks, per_block = 58, 10
+    n = blocks * (2 * per_block + 1)
+    starts = [b * (2 * per_block + 1) + 2 * i
+              for b in range(blocks) for i in range(per_block)]
+    layers = ap_sets(parse(line_text(n, 3, starts)))
+    assert [len(layer) for layer in layers] == (
+        [n + 1, n] + [blocks * (per_block - d + 2)
+                      for d in range(2, per_block + 2)])
+
+
+def test_ap_rejects_non_minimal_generators():
+    text = ("vertex 0 1 2 3\narrow a 0 1\narrow b 1 2\narrow c 2 3\n"
+            "relation a b\nrelation a b c\n")
+    pres = parse(text)
+    with pytest.raises(ApConstructionError, match="not minimal") as err:
+        Resolution(pres, basis_P(pres))
+    assert pres.format_path(err.value.support) == "a*b*c"
+
+
+@pytest.mark.parametrize("drop_mirrored, message", [
+    (True, "forward support with no mirrored chain"),
+    (False, "mirrored support with no forward chain"),
+])
+def test_ap_runs_that_disagree_raise(a_n, monkeypatch, drop_mirrored, message):
+    pres, basis, _, _ = a_n[3]
+    real = Resolution._chain_run
+
+    def drop_top(self, cap, mirrored):
+        layers = real(self, cap, mirrored)
+        return layers[:-1] if mirrored == drop_mirrored else layers
+
+    monkeypatch.setattr(Resolution, "_chain_run", drop_top)
+    with pytest.raises(ApConstructionError, match=message) as err:
+        Resolution(pres, basis)
+    assert pres.format_path(err.value.support) == "a1*a2*a3"
+
+
+def test_ap_support_with_two_chains_raises(a_n, monkeypatch):
+    pres, basis, _, _ = a_n[3]
+    real = resolution._greedy_chains
+
+    def doubled(relations, cap):
+        layers = real(relations, cap)
+        support, chain = layers[-1][0]
+        layers[-1].append((support, chain[::-1]))
+        return layers
+
+    monkeypatch.setattr(resolution, "_greedy_chains", doubled)
+    with pytest.raises(ApConstructionError, match="two different chains"):
+        Resolution(pres, basis)
