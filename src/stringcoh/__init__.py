@@ -8,6 +8,7 @@ cup product as a coboundary.
 """
 
 from .cup import (
+    CertificateError,
     Cochain,
     chain_map_audit,
     cup,
@@ -41,6 +42,7 @@ from .resolution import (
 __all__ = [
     "ApConstructionError",
     "ApElement",
+    "CertificateError",
     "Cochain",
     "CochainComplex",
     "CompositionError",

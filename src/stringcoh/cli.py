@@ -12,7 +12,7 @@ import sys
 import time
 
 from . import checks, generate, report
-from .cup import cup_table
+from .cup import CertificateError, cup_table
 from .hochschild import CochainComplex
 from .presentation import ParseError, basis_P, parse_file, validate
 from .resolution import ApConstructionError, Resolution
@@ -33,6 +33,9 @@ def main(argv=None) -> int:
         return EXIT_PARSE
     except ApConstructionError as exc:
         print(f"AP construction failed: {exc}", file=sys.stderr)
+        return EXIT_VIOLATION
+    except CertificateError as exc:
+        print(f"certificate failed: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
 
 

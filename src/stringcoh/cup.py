@@ -16,11 +16,16 @@ of the interior arrows; it is a chain map by the proof in
 docs/comparison-lift.md.  formula_audit still audits the displayed
 formula, which check reports as a documented deviation.
 
+Lifts are audited and solved on the generators 1 (x) w (x) 1 of the
+resolution, never on the realized A (x) kAP (x) A bases: every map
+involved is a bimodule map, so its values on generators determine it.
+
 Products are certified zero in cohomology by exact membership in the
 image of the previous cochain map, both for the normalized
 representatives used by the vanishing argument and for the raw ones.
 Where the displayed formula is not a chain map, the product is also
-recomputed through an independently solved lift.
+recomputed through an independently solved lift.  A certificate the
+theory guarantees raises CertificateError when it fails.
 """
 
 from __future__ import annotations
@@ -31,7 +36,14 @@ from fractions import Fraction
 from .hochschild import CochainComplex, ParallelPair
 from .linalg import RationalMatrix
 from .quiver import Path, compose, occurrences
-from .resolution import ApElement
+from .resolution import ApElement, full_path
+
+
+class CertificateError(RuntimeError):
+    """A property the theory guarantees failed while certifying cup
+    products: a lift that does not factor through the augmentation, a
+    commuting square with no solution, or a product of cocycles that is
+    not a cocycle.  Raised, never asserted, so it holds under python -O."""
 
 
 @dataclass
@@ -101,17 +113,6 @@ def _require_cocycle(cx: CochainComplex, f: Cochain):
         raise ValueError("expected a cocycle; the chain-map property needs it")
 
 
-def _divisors(cx: CochainComplex, n: int, target: Path):
-    """Every occurrence L * psi * R of an element psi of AP_n inside
-    target whose left cofactor L survives in the algebra."""
-    out = []
-    for psi in cx.res.ap[n]:
-        for left, right in occurrences(psi.support, target):
-            if cx.basis.reduce(left) is not None:
-                out.append((left, psi, right))
-    return out
-
-
 def comparison_terms(cx: CochainComplex, f: Cochain, n: int,
                      w: ApElement) -> list[ComparisonTerm]:
     """The displayed (paper's) formula for the degree-n lift of the
@@ -137,7 +138,7 @@ def comparison_terms(cx: CochainComplex, f: Cochain, n: int,
     if not vals:
         return []
     out = []
-    for left, psi, right in _divisors(cx, n, compose(head.support, u)):
+    for left, psi, right in cx.divisors(n, compose(head.support, u)):
         for c, gamma in vals:
             rg = cx.basis.mult(right, gamma)
             if rg is not None:
@@ -170,7 +171,7 @@ def lift_terms(cx: CochainComplex, f: Cochain, n: int,
               for j in range(1, len(sup) - 1) if sup.arrows[j] in valued}
     if not values:
         return out
-    for left, psi, _ in _divisors(cx, n, sup.strip_last()):
+    for left, psi, _ in cx.divisors(n, sup.strip_last()):
         start = len(left) + len(psi.support)
         for j in range(start, len(sup) - 1):
             for c, gamma in values.get(j, ()):
@@ -192,8 +193,9 @@ def division_positions(cx: CochainComplex, n: int, w: ApElement) -> int:
 def comparison_matrix(cx: CochainComplex, f: Cochain, n: int,
                       terms) -> RationalMatrix:
     """The degree-n lift realized on the bimodule bases, from its values
-    on generators: terms is lift_terms (the chain-map lift) or
-    comparison_terms (the displayed formula)."""
+    on generators: terms(cx, f, n, w) is lift_terms (the chain-map lift),
+    comparison_terms (the displayed formula), or the generator values of
+    solved_lift."""
     res = cx.res
     m = f.degree
     rows, row_index = res.bimodule_space(n)
@@ -215,41 +217,83 @@ def comparison_matrix(cx: CochainComplex, f: Cochain, n: int,
     return mat
 
 
-def cocycle_as_map(cx: CochainComplex, f: Cochain) -> RationalMatrix:
-    """f as a bimodule map from degree m of the resolution to the algebra."""
+def _apply(basis, terms, images) -> dict:
+    """The bimodule map with generator values images applied to the
+    element sum c (L (x) psi (x) R) over terms: the sum of
+    c L images[psi] R, keyed by (left, middle, right) with zero entries
+    dropped.  Terms and values are ComparisonTerm or BimoduleTerm."""
+    out: dict = {}
+    mul = basis.mult
+    for t in terms:
+        for s in images[t.middle]:
+            left = mul(t.left, s.left)
+            if left is None:
+                continue
+            right = mul(s.right, t.right)
+            if right is None:
+                continue
+            key = (left, s.middle, right)
+            v = out.get(key, 0) + t.coeff * s.coeff
+            if v:
+                out[key] = v
+            else:
+                del out[key]
+    return out
+
+
+def _augments_to(cx: CochainComplex, f: Cochain, w: ApElement, terms) -> bool:
+    """Whether the augmentation mu(L (x) e (x) R) = L R sends the
+    degree-0 lift terms of w to f(w)."""
+    out: dict[Path, Fraction] = {}
+    for t in terms:
+        prod = cx.basis.mult(t.left, t.right)
+        if prod is not None:
+            out[prod] = out.get(prod, 0) + t.coeff
+    return ({p: c for p, c in out.items() if c}
+            == {gamma: c for c, gamma in f.terms_at(cx, w.support)})
+
+
+def _lift_values(cx: CochainComplex, f: Cochain, terms, repair):
+    """The generator values F_n(1 (x) w (x) 1) = terms(cx, f, n, w) of a
+    lift of f, one dict per degree n with n + m <= top, each checked on
+    generators: mu F_0 (1 (x) w (x) 1) = f(w) for w in AP_m, and
+    d_n F_n (1 (x) w (x) 1) = F_{n-1} d_{n+m} (1 (x) w (x) 1) for w in
+    AP_{n+m}.  Where a square fails, repair(n, rhs) returns values that
+    solve it, or None to give up.  None if the augmentation or an
+    unrepaired square fails.
+
+    Both sides of each square are bimodule maps, which are determined by
+    their values on the generators, so this decides the same as comparing
+    the realized matrices (docs/comparison-lift.md).
+    """
+    _require_cocycle(cx, f)
+    m = f.degree
     res = cx.res
-    cols, _ = res.bimodule_space(f.degree)
-    mat = RationalMatrix(cx.basis.dim, len(cols))
-    for j, (l, w, r) in enumerate(cols):
-        for c, gamma in f.terms_at(cx, w.support):
-            prod = cx.basis.mult3(l, gamma, r)
-            if prod is not None:
-                mat.add_at(cx.basis.index[prod], j, c)
-    return mat
+    values = [{w: terms(cx, f, 0, w)
+               for w in (res.ap[m] if m <= res.top else ())}]
+    if not all(_augments_to(cx, f, w, val) for w, val in values[0].items()):
+        return None
+    for n in range(1, res.top - m + 1):
+        d_n, d_nm = res.differential(n), res.differential(n + m)
+        cur = {}
+        for w in res.ap[n + m]:
+            rhs = _apply(cx.basis, d_nm[w], values[-1])
+            val = terms(cx, f, n, w)
+            if _apply(cx.basis, val, d_n) != rhs:
+                val = repair(n, rhs)
+                if val is None:
+                    return None
+            cur[w] = val
+        values.append(cur)
+    return values
 
 
 def _audit(cx: CochainComplex, f: Cochain, terms) -> bool:
     """Whether the lift given by terms is a chain map over the resolution:
-    the cocycle factors through the augmentation, and the lifts commute
-    with the differentials in every degree that carries anything."""
-    _require_cocycle(cx, f)
-    m = f.degree
-    res = cx.res
-    if m > res.top:
-        return True
-    prev = comparison_matrix(cx, f, 0, terms)
-    if res.mu_matrix() @ prev != cocycle_as_map(cx, f):
-        return False
-    n = 1
-    while n + m <= res.top:
-        cur = comparison_matrix(cx, f, n, terms)
-        lhs = res.d_matrix(n) @ cur
-        rhs = prev @ res.d_matrix(n + m)
-        if lhs != rhs:
-            return False
-        prev = cur
-        n += 1
-    return True
+    it factors f through the augmentation and commutes with the
+    differentials in every degree that carries anything, checked on
+    generators (_lift_values)."""
+    return _lift_values(cx, f, terms, lambda n, rhs: None) is not None
 
 
 def chain_map_audit(cx: CochainComplex, f: Cochain) -> bool:
@@ -296,7 +340,8 @@ def cup(cx: CochainComplex, g: Cochain, f: Cochain) -> Cochain:
                     del acc[prod]
         for path, v in acc.items():
             out.coeffs[index[(w.support, path)]] = v
-    assert is_cocycle(cx, out), "a product of cocycles must be a cocycle"
+    if not is_cocycle(cx, out):
+        raise CertificateError("a product of cocycles must be a cocycle")
     return out
 
 
@@ -475,29 +520,54 @@ def solved_lift(cx: CochainComplex, f: Cochain) -> list[RationalMatrix]:
     """A chain-map lift of f found independently of lift_terms, degree by
     degree, as a cross-check of cup.
 
-    Each degree first tries the displayed formula (comparison_terms); when
-    that fails the commuting square (which happens for degree-1 cocycles
-    with a value strictly inside a relation of length >= 3), the square is
-    solved exactly instead.  Exactness of the resolution guarantees a
-    solution, so the returned matrices always form a chain map.
+    Each generator 1 (x) w (x) 1 first tries the displayed formula
+    (comparison_terms).  Where that fails its commuting square (which
+    happens for degree-1 cocycles with a value strictly inside a relation
+    of length >= 3), the square d_n x = F_{n-1} d_{n+m} (1 (x) w (x) 1)
+    is solved exactly, one block of the resolution at a time
+    (_solve_in_blocks).  Exactness of the resolution guarantees a
+    solution.  The returned matrices are realized from the generator
+    values, so they are bimodule maps and form a chain map.
     """
-    _require_cocycle(cx, f)
-    m = f.degree
+    values = _lift_values(cx, f, comparison_terms,
+                          lambda n, rhs: _solve_in_blocks(cx, n, rhs))
+    if values is None:
+        raise CertificateError("the degree-0 lift does not augment to f")
+    return [comparison_matrix(cx, f, n, lambda _cx, _f, k, w: values[k][w])
+            for n in range(len(values))]
+
+
+def _solve_in_blocks(cx: CochainComplex, n: int,
+                     rhs: dict) -> list[ComparisonTerm]:
+    """Some x with d_n x = rhs, for rhs an element of degree n-1 of the
+    resolution keyed by (left, middle, right).
+
+    d_n preserves the full path l * psi * r of every triple, so the
+    system splits into one small system per full path that rhs touches,
+    on the columns and rows of that path's block (Resolution.block).
+    """
     res = cx.res
-    mats = [comparison_matrix(cx, f, 0, comparison_terms)]
-    assert res.mu_matrix() @ mats[0] == cocycle_as_map(cx, f)
-    n = 1
-    while n + m <= res.top:
-        rhs = mats[-1] @ res.d_matrix(n + m)
-        candidate = comparison_matrix(cx, f, n, comparison_terms)
-        if res.d_matrix(n) @ candidate == rhs:
-            mats.append(candidate)
-        else:
-            solved = res.d_matrix(n).solve_matrix(rhs)
-            assert solved is not None, "exactness guarantees a lift"
-            mats.append(solved)
-        n += 1
-    return mats
+    cols_all, _ = res.bimodule_space(n)
+    _, row_index = res.bimodule_space(n - 1)
+    d = res.d_matrix(n)
+    parts: dict[Path, dict[int, Fraction]] = {}
+    for triple, c in rhs.items():
+        parts.setdefault(full_path(triple), {})[row_index[triple]] = c
+    out = []
+    for full, part in parts.items():
+        rows, cols = res.block(n - 1, full), res.block(n, full)
+        block = RationalMatrix(len(rows), len(cols))
+        for k, i in enumerate(rows):
+            for j, col in enumerate(cols):
+                block.add_at(k, j, d.get(i, col))
+        b = RationalMatrix.from_rows([[part.get(i, 0)] for i in rows])
+        x = block.solve_matrix(b)
+        if x is None:
+            raise CertificateError("exactness guarantees a lift")
+        for j, _, c in x.items():
+            l, psi, r = cols_all[cols[j]]
+            out.append(ComparisonTerm(c, l, psi, r))
+    return out
 
 
 def cup_with_lift(cx: CochainComplex, g: Cochain,
@@ -536,7 +606,8 @@ def cup_with_lift(cx: CochainComplex, g: Cochain,
                     del acc[prod]
         for path, v in acc.items():
             out.coeffs[index[(w.support, path)]] = v
-    assert is_cocycle(cx, out)
+    if not is_cocycle(cx, out):
+        raise CertificateError("a product of cocycles must be a cocycle")
     return out
 
 
@@ -590,10 +661,12 @@ def cup_table(cx: CochainComplex) -> CupReport:
     Products are evaluated by cup, on the chain-map lift, for normalized
     representatives and for the raw ones; both must land in the image of
     the previous cochain map.  Representatives on which the displayed
-    formula fails the commuting squares (formula_audit) additionally get
-    the product recomputed through solved_lift, as a cross-check that does
+    formula fails a commuting square on some generator (formula_audit)
+    additionally get the product recomputed through solved_lift, a
+    bimodule chain map solved block by block, as a cross-check that does
     not rest on lift_terms.  Also verifies that each normalization stayed
-    in the original class.
+    in the original class.  A certificate the theory guarantees raises
+    CertificateError instead of returning a verdict.
     """
     reps: dict[int, list[Cochain]] = {}
     class_dims: dict[int, int] = {}

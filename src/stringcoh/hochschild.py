@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .linalg import RationalMatrix
 from .presentation import PathBasis
-from .quiver import Path
+from .quiver import Path, occurrences
 from .resolution import ApElement, Resolution
 
 
@@ -178,6 +178,7 @@ class CochainComplex:
         self._index: dict[int, dict[tuple[Path, Path], int]] = {}
         self._matrices: dict[int, RationalMatrix] = {}
         self._ranks: dict[int, int] = {}
+        self._divisors: dict[tuple[int, Path], list[tuple[Path, ApElement, Path]]] = {}
 
     # -- bases -----------------------------------------------------------
 
@@ -204,6 +205,22 @@ class CochainComplex:
     def pair_index(self, n: int) -> dict[tuple[Path, Path], int]:
         self.pairs(n)
         return self._index[n]
+
+    def divisors(self, n: int, target: Path) -> list[tuple[Path, ApElement, Path]]:
+        """Every occurrence L * psi * R of an element psi of AP_n inside
+        target whose left cofactor L survives in the algebra, as
+        (L, psi, R).  Cached: comparison lifts ask for the same targets
+        for every cocycle."""
+        key = (n, target)
+        hit = self._divisors.get(key)
+        if hit is None:
+            hit = self._divisors[key] = [
+                (left, psi, right)
+                for psi in self.res.ap[n]
+                for left, right in occurrences(psi.support, target)
+                if self.basis.reduce(left) is not None
+            ]
+        return hit
 
     def class_counts(self, n: int) -> dict[str, int]:
         counts = {k: 0 for k in COUNT_KEYS}

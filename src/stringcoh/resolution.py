@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 from .linalg import RationalMatrix
 from .presentation import PathBasis, Presentation
-from .quiver import Path, occurrences
+from .quiver import Path, compose, occurrences
 
 
 @dataclass(frozen=True)
@@ -163,6 +163,9 @@ class Resolution:
         self._sub_cache: dict[tuple[int, Path], list[SubDivisor]] = {}
         self._diff_cache: dict[int, dict[ApElement, list[BimoduleTerm]]] = {}
         self._space_cache: dict[int, tuple[list, dict]] = {}
+        self._block_cache: dict[int, dict[Path, list[int]]] = {}
+        self._decompose_cache: dict[tuple[Path, int, int],
+                                    tuple[ApElement, Path, ApElement]] = {}
         self._dmat_cache: dict[int, RationalMatrix] = {}
         self._mu_cache: RationalMatrix | None = None
 
@@ -299,7 +302,11 @@ class Resolution:
     def decompose(self, w: ApElement, n: int, m: int) -> tuple[ApElement, Path, ApElement]:
         """The unique splitting support = head * u * tail with head of
         degree n (a chain prefix), tail of degree m (a dual-chain suffix),
-        and u a basis path."""
+        and u a basis path.  Cached: it does not depend on any cochain."""
+        key = (w.support, n, m)
+        hit = self._decompose_cache.get(key)
+        if hit is not None:
+            return hit
         assert n >= 0 and m >= 0 and n + m == w.degree and n + m >= 2
         sup = w.support
         if n == 0:
@@ -325,7 +332,8 @@ class Resolution:
         assert i <= j, "head and tail overlap"
         u = sup.subpath(i, j)
         assert u in self.basis, "middle of the splitting is not a basis path"
-        return head, u, tail
+        hit = self._decompose_cache[key] = (head, u, tail)
+        return hit
 
     # -- differentials ----------------------------------------------------
 
@@ -384,6 +392,18 @@ class Resolution:
         index = {trip: i for i, trip in enumerate(basis)}
         self._space_cache[n] = (basis, index)
         return basis, index
+
+    def block(self, n: int, path: Path) -> list[int]:
+        """Positions in bimodule_space(n) of the triples (l, w, r) whose
+        full path l * w * r is path.  The differentials and the
+        augmentation preserve the full path, so each block maps into the
+        block of the same path one degree down."""
+        blocks = self._block_cache.get(n)
+        if blocks is None:
+            blocks = self._block_cache[n] = {}
+            for j, triple in enumerate(self.bimodule_space(n)[0]):
+                blocks.setdefault(full_path(triple), []).append(j)
+        return blocks.get(path, [])
 
     def d_matrix(self, n: int) -> RationalMatrix:
         """The degree-n differential on the realized bases."""
@@ -446,6 +466,14 @@ class Resolution:
 
     def is_exact(self) -> bool:
         return all(h == 0 for h in self.homology_dims())
+
+
+def full_path(triple) -> Path:
+    """The path l * w * r of the quiver for a basis triple (l, w, r) of
+    A (x) kAP (x) A, before reduction modulo the ideal: the block of
+    Resolution.block that the triple lies in."""
+    l, w, r = triple
+    return compose(compose(l, w.support), r)
 
 
 def ap_sets(pres: Presentation, max_degree: int | None = None):

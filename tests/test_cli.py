@@ -7,7 +7,7 @@ import pytest
 
 import stringcoh
 from conftest import a_n_text
-from stringcoh import Resolution, checks, parse
+from stringcoh import CertificateError, Resolution, checks, parse
 from stringcoh.cli import main
 from stringcoh.generate import generate_dsl
 
@@ -101,6 +101,36 @@ def test_ap_json_same_under_optimize(tmp_path, capsys):
         got = json.loads(run.stdout)
         del expected["elapsed_ms"], got["elapsed_ms"]
         assert got == expected
+
+
+def test_check_json_same_under_optimize(tmp_path, capsys):
+    """``python -O`` strips asserts; the cup certificates, solved lifts
+    included (seed 88 engages them), must give the same report."""
+    src = os.path.dirname(os.path.dirname(stringcoh.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    path = tmp_path / "seed88.quiver"
+    path.write_text(generate_dsl(88))
+    code = main(["check", str(path), "--json"])
+    expected = json.loads(capsys.readouterr().out)
+    assert expected["cup"]["solved_lifts"]
+    run = subprocess.run(
+        [sys.executable, "-O", "-m", "stringcoh", "check", str(path), "--json"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert run.returncode == code, run.stderr
+    got = json.loads(run.stdout)
+    del expected["elapsed_ms"], got["elapsed_ms"]
+    assert got == expected
+
+
+def test_failed_certificate_exits_3(a_file, monkeypatch, capsys):
+    def broken(cx):
+        raise CertificateError("exactness guarantees a lift")
+
+    monkeypatch.setattr(checks, "cup_table", broken)
+    assert main(["check", a_file(3), "--json"]) == 3
+    assert "certificate failed: exactness guarantees a lift" in capsys.readouterr().err
 
 
 def test_ap_and_check_name_every_dual_witness(a_file, monkeypatch, capsys):

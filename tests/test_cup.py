@@ -23,6 +23,7 @@ from stringcoh.cup import (
 )
 from conftest import build_tower
 from stringcoh.generate import generate
+from tests_support import bimodule_extension, global_lift_audit
 
 
 def basis_cochain(cx, degree, rho_label, gamma_label):
@@ -155,6 +156,54 @@ def test_lift_equals_formula_where_formula_is_chain_map(corpus):
                     assert (comparison_matrix(cx, f, n, lift_terms)
                             == comparison_matrix(cx, f, n, comparison_terms)
                             ), f"seed {seed} degree {n}"
+
+
+def test_generator_audit_matches_global_oracle(corpus, a_n):
+    """Auditing a lift on the generators 1 (x) w (x) 1 decides exactly as
+    comparing the realized matrices, for both lifts, on every basis
+    cocycle, including those where the displayed formula fails."""
+    towers = [(f"seed {seed}", cx) for seed, _, _, _, cx in corpus]
+    towers += [(f"a_n({n})", a_n[n][3]) for n in sorted(a_n)]
+    red = 0
+    for name, cx in towers:
+        for m in range(1, cx.top + 1):
+            for k, f in enumerate(cocycle_basis(cx, m)):
+                where = f"{name} degree {m} cocycle {k}"
+                assert (chain_map_audit(cx, f)
+                        == global_lift_audit(cx, f, lift_terms)), where
+                verdict = formula_audit(cx, f)
+                assert verdict == global_lift_audit(cx, f, comparison_terms), where
+                red += not verdict
+    assert red  # the oracle also met failing squares
+
+
+def test_solved_lift_is_bimodule_chain_map(corpus):
+    """Each matrix of a solved lift is the bimodule extension of its own
+    generator columns, and together they form a chain map lifting f, on
+    every cohomology representative where the displayed formula fails.
+    Solving the global system column by column over every basis triple
+    gives a chain map of vector spaces that is not always one of
+    bimodules."""
+    towers = [(f"seed {seed}", cx) for seed, _, _, _, cx in corpus]
+    for seed in (5, 11):
+        pres = generate(seed, max_vertices=24, max_arrows=48)
+        towers.append((f"seed {seed} at 24/48", build_tower(pres)[2]))
+    solved = 0
+    for name, cx in towers:
+        res = cx.res
+        for m in range(1, cx.top + 1):
+            for f in cohomology_basis(cx, m):
+                if formula_audit(cx, f):
+                    continue
+                lifts = solved_lift(cx, f)
+                solved += 1
+                for n, mat in enumerate(lifts):
+                    assert mat == bimodule_extension(res, mat, n, n + m), (
+                        f"{name}: degree-{m} lift, degree {n}")
+                for n in range(1, len(lifts)):
+                    assert (res.d_matrix(n) @ lifts[n]
+                            == lifts[n - 1] @ res.d_matrix(n + m))
+    assert solved
 
 
 def test_cup_with_zero_is_zero(a_n):

@@ -346,3 +346,26 @@ def test_ap_support_with_two_chains_raises(a_n, monkeypatch):
     monkeypatch.setattr(resolution, "_greedy_chains", doubled)
     with pytest.raises(ApConstructionError, match="two different chains"):
         Resolution(pres, basis)
+
+
+def test_maps_preserve_blocks(corpus, a_n):
+    """Every nonzero entry of the differentials and of the augmentation
+    stays inside one block: its row and its column have the same full
+    path l * w * r.  The block solve of solved_lift relies on this, and
+    the blocks of Resolution.block partition each bimodule space."""
+    towers = [(f"seed {seed}", res) for seed, _, _, res, _ in corpus]
+    towers += [(f"a_n({n})", a_n[n][2]) for n in sorted(a_n)]
+    for name, res in towers:
+        full = []
+        for n in res.degrees():
+            space = res.bimodule_space(n)[0]
+            full.append([compose(compose(l, w.support), r) for l, w, r in space])
+            paths = set(full[n])
+            assert (sorted(j for p in paths for j in res.block(n, p))
+                    == list(range(len(space)))), name
+            assert all(full[n][j] == p for p in paths for j in res.block(n, p))
+        for i, j, _ in res.mu_matrix().items():
+            assert res.basis.paths[i] == full[0][j], name
+        for n in range(1, res.top + 1):
+            for i, j, _ in res.d_matrix(n).items():
+                assert full[n - 1][i] == full[n][j], f"{name} degree {n}"

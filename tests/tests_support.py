@@ -3,6 +3,7 @@ they are meant to check."""
 
 from itertools import product
 
+from stringcoh.cup import comparison_matrix
 from stringcoh.linalg import RationalMatrix
 
 
@@ -73,3 +74,54 @@ def bar_dims(basis, up_to: int) -> list[int]:
         dims.append(dn.cols - dn.rank() - prev_rank)
         prev_rank = dn.rank()
     return dims
+
+
+def global_lift_audit(cx, f, terms) -> bool:
+    """Whether the lift given by terms is a chain map, decided on the
+    realized A (x) kAP (x) A bases: mu F_0 equals f as a matrix, and
+    d_n F_n = F_{n-1} d_{n+m} as matrices in every degree that carries
+    anything.  The global-matrix counterpart of the generator audit."""
+    m = f.degree
+    res = cx.res
+    if m > res.top:
+        return True
+    cols, _ = res.bimodule_space(m)
+    f_map = RationalMatrix(cx.basis.dim, len(cols))
+    for j, (l, w, r) in enumerate(cols):
+        for c, gamma in f.terms_at(cx, w.support):
+            prod = cx.basis.mult3(l, gamma, r)
+            if prod is not None:
+                f_map.add_at(cx.basis.index[prod], j, c)
+    prev = comparison_matrix(cx, f, 0, terms)
+    if res.mu_matrix() @ prev != f_map:
+        return False
+    for n in range(1, res.top - m + 1):
+        cur = comparison_matrix(cx, f, n, terms)
+        if res.d_matrix(n) @ cur != prev @ res.d_matrix(n + m):
+            return False
+        prev = cur
+    return True
+
+
+def bimodule_extension(res, mat, n: int, k: int) -> RationalMatrix:
+    """The bimodule map from degree k to degree n of the resolution whose
+    value on each generator 1 (x) w (x) 1 is the column of mat at that
+    generator, realized on the bimodule bases: the column at (l, w, r)
+    is l times that value times r."""
+    mult = res.basis.mult
+    rows, row_index = res.bimodule_space(n)
+    cols, col_index = res.bimodule_space(k)
+    by_col = {}
+    for i, j, v in mat.items():
+        by_col.setdefault(j, []).append((i, v))
+    out = RationalMatrix(len(rows), len(cols))
+    for j, (l, w, r) in enumerate(cols):
+        sup = w.support
+        gen = col_index[(res.quiver.trivial_path(sup.source), w,
+                         res.quiver.trivial_path(sup.target))]
+        for i, v in by_col.get(gen, ()):
+            left, psi, right = rows[i]
+            lp, rp = mult(l, left), mult(right, r)
+            if lp is not None and rp is not None:
+                out.add_at(row_index[(lp, psi, rp)], j, v)
+    return out
