@@ -26,6 +26,11 @@ representatives used by the vanishing argument and for the raw ones.
 Where the displayed formula is not a chain map, the product is also
 recomputed through an independently solved lift.  A certificate the
 theory guarantees raises CertificateError when it fails.
+
+Certification costs follow the cochain's support: a zero product (nearly
+every product) is the image of zero and needs no elimination, and the
+cocycle test touches only the support.  The cocycle basis and the
+formula_audit verdicts of its elements are cached per complex.
 """
 
 from __future__ import annotations
@@ -34,25 +39,21 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .hochschild import CochainComplex, ParallelPair
-from .linalg import RationalMatrix
+from .linalg import CertificateError, RationalMatrix
 from .quiver import Path, compose, occurrences
 from .resolution import ApElement, full_path
-
-
-class CertificateError(RuntimeError):
-    """A property the theory guarantees failed while certifying cup
-    products: a lift that does not factor through the augmentation, a
-    commuting square with no solution, or a product of cocycles that is
-    not a cocycle.  Raised, never asserted, so it holds under python -O."""
 
 
 @dataclass
 class Cochain:
     """A cochain in the parallel-pair basis: degree plus sparse coefficients
-    indexed by position in the canonical pair list of that degree."""
+    indexed by position in the canonical pair list of that degree.  Fill
+    coeffs before the first terms_at, which indexes them once."""
 
     degree: int
     coeffs: dict[int, Fraction] = field(default_factory=dict)
+    _by_support: dict | None = field(default=None, init=False, repr=False,
+                                     compare=False)
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -64,13 +65,16 @@ class Cochain:
         return out
 
     def terms_at(self, cx: CochainComplex, support: Path):
-        """The (coefficient, gamma) values this cochain takes on a support."""
-        pairs = cx.pairs(self.degree)
-        return [
-            (c, pairs[i].gamma)
-            for i, c in sorted(self.coeffs.items())
-            if pairs[i].rho.support == support
-        ]
+        """The (coefficient, gamma) values this cochain takes on a support,
+        in pair order."""
+        if self._by_support is None:
+            pairs = cx.pairs(self.degree)
+            index: dict[Path, list[tuple[Fraction, Path]]] = {}
+            for i, c in sorted(self.coeffs.items()):
+                index.setdefault(pairs[i].rho.support, []).append(
+                    (c, pairs[i].gamma))
+            self._by_support = index
+        return self._by_support.get(support, ())
 
     def sub(self, other: "Cochain") -> "Cochain":
         assert self.degree == other.degree
@@ -102,10 +106,20 @@ class ComparisonTerm:
 
 
 def is_cocycle(cx: CochainComplex, f: Cochain) -> bool:
+    """Whether the next cochain map sends f to zero: the sum of its
+    columns (cached per degree) over the support of f."""
     if f.degree >= cx.top:
         return True  # the next cochain space is zero
-    mat = cx.matrix(f.degree + 1)
-    return all(v == 0 for v in mat.apply(f.vector(cx)))
+    cols = cx.columns(f.degree + 1)
+    image: dict[int, Fraction] = {}
+    for j, c in f.coeffs.items():
+        for i, v in cols[j].items():
+            s = image.get(i, 0) + v * c
+            if s:
+                image[i] = s
+            else:
+                del image[i]
+    return not image
 
 
 def _require_cocycle(cx: CochainComplex, f: Cochain):
@@ -309,12 +323,22 @@ def formula_audit(cx: CochainComplex, f: Cochain) -> bool:
     return _audit(cx, f, comparison_terms)
 
 
+def basis_formula_audit(cx: CochainComplex, m: int, k: int) -> bool:
+    """formula_audit of cocycle_basis(cx, m)[k], cached on cx."""
+    key = (m, k)
+    hit = cx.formula_verdicts.get(key)
+    if hit is None:
+        hit = cx.formula_verdicts[key] = formula_audit(
+            cx, cocycle_basis(cx, m)[k])
+    return hit
+
+
 def cup(cx: CochainComplex, g: Cochain, f: Cochain) -> Cochain:
     """The product cochain: g evaluated on the chain-map lift of f
     (lift_terms), (g cup f)(w) = sum L g(psi) R over the lift's terms.
 
     Both inputs must be positive-degree cocycles; the result is again a
-    cocycle (asserted), of degree deg g + deg f.
+    cocycle (CertificateError otherwise), of degree deg g + deg f.
     """
     n, m = g.degree, f.degree
     if n < 1 or m < 1:
@@ -322,10 +346,10 @@ def cup(cx: CochainComplex, g: Cochain, f: Cochain) -> Cochain:
     _require_cocycle(cx, g)
     _require_cocycle(cx, f)
     total = n + m
-    out = Cochain(total)
     if total > cx.top:
-        return out
+        return Cochain(total)
     index = cx.pair_index(total)
+    coeffs: dict[int, Fraction] = {}
     for w in cx.res.ap[total]:
         acc: dict[Path, Fraction] = {}
         for t in lift_terms(cx, f, n, w):
@@ -339,7 +363,8 @@ def cup(cx: CochainComplex, g: Cochain, f: Cochain) -> Cochain:
                 else:
                     del acc[prod]
         for path, v in acc.items():
-            out.coeffs[index[(w.support, path)]] = v
+            coeffs[index[(w.support, path)]] = v
+    out = Cochain(total, coeffs)
     if not is_cocycle(cx, out):
         raise CertificateError("a product of cocycles must be a cocycle")
     return out
@@ -481,26 +506,36 @@ def normalize_geq(cx: CochainComplex, f: Cochain) -> Cochain:
 
 def is_coboundary(cx: CochainComplex, f: Cochain):
     """Exact membership of f in the image of the previous cochain map.
-    Returns (True, preimage) or (False, certificate)."""
+    Returns (True, preimage) or (False, certificate).  Zero is exactly
+    the image of zero, so it needs no elimination."""
     m = f.degree
-    if m == 0:
+    if m == 0 or m > cx.top:
         return (f.is_zero(), None)
-    if m > cx.top:
-        return (f.is_zero(), None)
+    if f.is_zero():
+        return (True, [Fraction(0)] * len(cx.pairs(m - 1)))
     return cx.matrix(m).in_column_space(f.vector(cx))
 
 
 def cocycle_basis(cx: CochainComplex, m: int) -> list[Cochain]:
-    """The canonical kernel basis of the degree m+1 cochain map."""
-    if m > cx.top:
-        return []
-    return [Cochain.from_vector(m, v) for v in cx.matrix(m + 1).nullspace()]
+    """The canonical kernel basis of the degree m+1 cochain map, cached
+    on cx; do not change its cochains."""
+    hit = cx.cocycles.get(m)
+    if hit is None:
+        vecs = cx.matrix(m + 1).nullspace() if m <= cx.top else []
+        hit = cx.cocycles[m] = [Cochain.from_vector(m, v) for v in vecs]
+    return hit
 
 
 def cohomology_basis(cx: CochainComplex, m: int) -> list[Cochain]:
     """Cocycles whose classes form a basis of degree-m cohomology, chosen
     as the echelon-first subset of the canonical kernel basis that stays
     independent modulo coboundaries."""
+    cocycles = cocycle_basis(cx, m)
+    return [cocycles[k] for k in cohomology_indices(cx, m)]
+
+
+def cohomology_indices(cx: CochainComplex, m: int) -> list[int]:
+    """The positions in cocycle_basis(cx, m) of cohomology_basis(cx, m)."""
     cocycles = cocycle_basis(cx, m)
     if not cocycles:
         return []
@@ -513,7 +548,7 @@ def cohomology_basis(cx: CochainComplex, m: int) -> list[Cochain]:
         for i, v in f.coeffs.items():
             aug.add_at(i, im.cols + k, v)
     pivot_cols = set(aug.pivot_columns())
-    return [f for k, f in enumerate(cocycles) if im.cols + k in pivot_cols]
+    return [k for k in range(len(cocycles)) if im.cols + k in pivot_cols]
 
 
 def solved_lift(cx: CochainComplex, f: Cochain) -> list[RationalMatrix]:
@@ -575,9 +610,8 @@ def cup_with_lift(cx: CochainComplex, g: Cochain,
     """Evaluate g on a precomputed lift of some degree-f_degree cocycle."""
     n = g.degree
     total = n + f_degree
-    out = Cochain(total)
     if total > cx.top or n >= len(lifts):
-        return out
+        return Cochain(total)
     res = cx.res
     lift = lifts[n]
     rows_basis, _ = res.bimodule_space(n)
@@ -586,6 +620,7 @@ def cup_with_lift(cx: CochainComplex, g: Cochain,
     for i, j, v in lift.items():
         by_col.setdefault(j, []).append((i, v))
     index = cx.pair_index(total)
+    coeffs: dict[int, Fraction] = {}
     q = res.quiver
     for w in res.ap[total]:
         j = col_index[(
@@ -605,7 +640,8 @@ def cup_with_lift(cx: CochainComplex, g: Cochain,
                 else:
                     del acc[prod]
         for path, v in acc.items():
-            out.coeffs[index[(w.support, path)]] = v
+            coeffs[index[(w.support, path)]] = v
+    out = Cochain(total, coeffs)
     if not is_cocycle(cx, out):
         raise CertificateError("a product of cocycles must be a cocycle")
     return out
@@ -666,15 +702,19 @@ def cup_table(cx: CochainComplex) -> CupReport:
     bimodule chain map solved block by block, as a cross-check that does
     not rest on lift_terms.  Also verifies that each normalization stayed
     in the original class.  A certificate the theory guarantees raises
-    CertificateError instead of returning a verdict.
+    CertificateError instead of returning a verdict.  The formula_audit
+    verdicts of basis cocycles are shared with check_chain_maps.
     """
     reps: dict[int, list[Cochain]] = {}
+    positions: dict[int, list[int]] = {}
     class_dims: dict[int, int] = {}
     for m in range(1, cx.top + 1):
-        basis = cohomology_basis(cx, m)
-        class_dims[m] = len(basis)
-        if basis:
-            reps[m] = basis
+        ks = cohomology_indices(cx, m)
+        class_dims[m] = len(ks)
+        if ks:
+            cocycles = cocycle_basis(cx, m)
+            reps[m] = [cocycles[k] for k in ks]
+            positions[m] = ks
 
     rep_checks: list[tuple[str, bool]] = []
     leq: dict[tuple[int, int], Cochain] = {}
@@ -688,7 +728,8 @@ def cup_table(cx: CochainComplex) -> CupReport:
             leq[(m, i)] = lo
             geq[(m, i)] = hi
             formula_ok[(m, i)] = (
-                formula_audit(cx, f) and formula_audit(cx, hi)
+                basis_formula_audit(cx, m, positions[m][i])
+                and formula_audit(cx, hi)
             )
             rep_checks.append(
                 (f"deg {m} rep {i}: class of <=-normalization",

@@ -177,8 +177,13 @@ class CochainComplex:
         self._pairs: dict[int, list[ParallelPair]] = {}
         self._index: dict[int, dict[tuple[Path, Path], int]] = {}
         self._matrices: dict[int, RationalMatrix] = {}
+        self._columns: dict[int, list[dict[int, int]]] = {}
         self._ranks: dict[int, int] = {}
         self._divisors: dict[tuple[int, Path], list[tuple[Path, ApElement, Path]]] = {}
+        # filled by cup: cocycle_basis per degree, formula_audit verdicts
+        # per (degree, index)
+        self.cocycles: dict[int, list] = {}
+        self.formula_verdicts: dict[tuple[int, int], bool] = {}
 
     # -- bases -----------------------------------------------------------
 
@@ -287,6 +292,16 @@ class CochainComplex:
         self._matrices[n] = mat
         return mat
 
+    def columns(self, n: int) -> list[dict[int, int]]:
+        """The columns of matrix(n) as {row: value} dicts, cached."""
+        hit = self._columns.get(n)
+        if hit is None:
+            mat = self.matrix(n)
+            hit = self._columns[n] = [{} for _ in range(mat.cols)]
+            for i, j, v in mat.items():
+                hit[j][i] = v
+        return hit
+
     def rank(self, n: int) -> int:
         hit = self._ranks.get(n)
         if hit is None:
@@ -378,16 +393,13 @@ class CochainComplex:
         """Each basis pair in (1,0)+ of degree n-1 maps to a single signed
         basis pair of class (1,1) in degree n, and those images exhaust
         the (1,1) pairs."""
-        mat = self.matrix(n)
         rows = self.pairs(n)
-        by_col: dict[int, list[tuple[int, object]]] = {}
-        for i, j, v in mat.items():
-            by_col.setdefault(j, []).append((i, v))
+        cols = self.columns(n)
         hit_rows = set()
         for j, pair in enumerate(self.pairs(n - 1)):
             if pair.label != "(1,0)+":
                 continue
-            entries = by_col.get(j, [])
+            entries = list(cols[j].items())
             if len(entries) != 1:
                 return False, f"column {j} has {len(entries)} entries"
             i, v = entries[0]

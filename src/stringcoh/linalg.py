@@ -15,6 +15,13 @@ from fractions import Fraction
 from math import lcm
 
 
+class CertificateError(RuntimeError):
+    """A property the theory guarantees failed while certifying a result,
+    from an inexact fraction-free division to a product of cocycles that
+    is not a cocycle.  Raised, never asserted, so it holds under
+    python -O."""
+
+
 class RationalMatrix:
     __slots__ = ("rows", "cols", "_rows")
 
@@ -180,7 +187,9 @@ class RationalMatrix:
         for i in range(self.rows):
             if i not in used and rows[i]:
                 # zero combination of M's rows with a nonzero right side
-                assert set(rows[i]) == {n}
+                if set(rows[i]) != {n}:
+                    raise CertificateError(
+                        "a left-null certificate must clear every column")
                 y = [Fraction(0)] * self.rows
                 for r, t in transform[i].items():
                     y[r] = Fraction(t * scales[r])
@@ -228,36 +237,6 @@ class RationalMatrix:
                     out._rows[c][k] = v
         return out
 
-    def rank_mod(self, p: int) -> int:
-        """Rank over the prime field with p elements."""
-        rows = []
-        for row in self._integer_rows():
-            r = {c: v % p for c, v in row.items() if v % p}
-            rows.append(r)
-        rank = 0
-        active = list(range(len(rows)))
-        for j in range(self.cols):
-            piv = next((r for r in active if j in rows[r]), None)
-            if piv is None:
-                continue
-            rank += 1
-            active.remove(piv)
-            prow = rows[piv]
-            inv = pow(prow[j], -1, p)
-            for r in active:
-                row = rows[r]
-                a = row.get(j)
-                if not a:
-                    continue
-                f = (a * inv) % p
-                for c, v in prow.items():
-                    nv = (row.get(c, 0) - f * v) % p
-                    if nv:
-                        row[c] = nv
-                    else:
-                        row.pop(c, None)
-        return rank
-
 
 def _bareiss(rows: list[dict[int, int]], ncols: int, track: bool = False):
     """Fraction-free row elimination in place.
@@ -301,7 +280,9 @@ def _bareiss(rows: list[dict[int, int]], ncols: int, track: bool = False):
                 v = row.get(c, 0) * piv - a * prow.get(c, 0)
                 if v:
                     q, rem = divmod(v, prev)
-                    assert rem == 0, "fraction-free division must be exact"
+                    if rem:
+                        raise CertificateError(
+                            "fraction-free division must be exact")
                     new[c] = q
             new.pop(j, None)
             rows[r] = new
@@ -312,7 +293,10 @@ def _bareiss(rows: list[dict[int, int]], ncols: int, track: bool = False):
                     v = told.get(c, 0) * piv - a * ptrans.get(c, 0)
                     if v:
                         q, rem = divmod(v, prev)
-                        assert rem == 0
+                        if rem:
+                            raise CertificateError(
+                                "fraction-free division of the row "
+                                "transform must be exact")
                         tnew[c] = q
                 transform[r] = tnew
         prev = piv

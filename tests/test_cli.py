@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import stringcoh
-from conftest import a_n_text
+from conftest import CORPUS_SIZE, a_n_text
 from stringcoh import CertificateError, Resolution, checks, parse
 from stringcoh.cli import main
 from stringcoh.generate import generate_dsl
@@ -103,24 +103,44 @@ def test_ap_json_same_under_optimize(tmp_path, capsys):
         assert got == expected
 
 
+_CHECK_EACH = """
+import contextlib, io, json, sys
+from stringcoh.cli import main
+if __debug__:
+    sys.exit("asserts are still on")
+for path in sys.argv[1:]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["check", path, "--json"])
+    doc = json.loads(out.getvalue())
+    del doc["elapsed_ms"]
+    print(json.dumps({"code": code, "report": doc}, sort_keys=True))
+"""
+
+
 def test_check_json_same_under_optimize(tmp_path, capsys):
-    """``python -O`` strips asserts; the cup certificates, solved lifts
-    included (seed 88 engages them), must give the same report."""
+    """``python -O`` strips asserts; every certificate must give the same
+    report without them.  One -O process checks the whole 100-seed
+    corpus, solved lifts included (seed 88 engages them)."""
     src = os.path.dirname(os.path.dirname(stringcoh.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    path = tmp_path / "seed88.quiver"
-    path.write_text(generate_dsl(88))
-    code = main(["check", str(path), "--json"])
-    expected = json.loads(capsys.readouterr().out)
-    assert expected["cup"]["solved_lifts"]
+    paths, expected = [], []
+    for seed in range(CORPUS_SIZE):
+        path = tmp_path / f"seed{seed}.quiver"
+        path.write_text(generate_dsl(seed))
+        code = main(["check", str(path), "--json"])
+        doc = json.loads(capsys.readouterr().out)
+        del doc["elapsed_ms"]
+        paths.append(str(path))
+        expected.append({"code": code, "report": doc})
+    assert expected[88]["report"]["cup"]["solved_lifts"]
     run = subprocess.run(
-        [sys.executable, "-O", "-m", "stringcoh", "check", str(path), "--json"],
-        capture_output=True, text=True, env=env, timeout=60,
+        [sys.executable, "-O", "-c", _CHECK_EACH, *paths],
+        capture_output=True, text=True, env=env, timeout=600,
     )
-    assert run.returncode == code, run.stderr
-    got = json.loads(run.stdout)
-    del expected["elapsed_ms"], got["elapsed_ms"]
+    assert run.returncode == 0, run.stderr
+    got = [json.loads(line) for line in run.stdout.splitlines()]
     assert got == expected
 
 

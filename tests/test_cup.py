@@ -1,8 +1,10 @@
+import importlib
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from stringcoh import parse
+from stringcoh import checks, parse
 from stringcoh.cup import (
     Cochain,
     chain_map_audit,
@@ -21,9 +23,17 @@ from stringcoh.cup import (
     normalize_leq,
     solved_lift,
 )
-from conftest import build_tower
+from conftest import a_n_text, build_tower
 from stringcoh.generate import generate
-from tests_support import bimodule_extension, global_lift_audit
+from stringcoh.linalg import RationalMatrix
+from tests_support import (
+    bimodule_extension,
+    dense_is_cocycle,
+    global_lift_audit,
+    scan_terms_at,
+)
+
+cup_module = importlib.import_module("stringcoh.cup")
 
 
 def basis_cochain(cx, degree, rho_label, gamma_label):
@@ -338,3 +348,108 @@ def test_cohomology_basis_sizes_match_dims(corpus):
         dims = cx.hh_matrix()
         for m in range(1, res.top + 1):
             assert len(cohomology_basis(cx, m)) == dims[m]
+
+
+def _certified_cochains(cx) -> list:
+    """The cochains cup_table tests: every cocycle-basis element, its two
+    normalized representatives, and every product of cohomology
+    representatives, normalized and plain."""
+    out = []
+    reps = {}
+    for m in range(1, cx.top + 1):
+        for f in cocycle_basis(cx, m):
+            out += [f, normalize_leq(cx, f), normalize_geq(cx, f)]
+        reps[m] = cohomology_basis(cx, m)
+    for gs in reps.values():
+        for fs in reps.values():
+            for g in gs:
+                for f in fs:
+                    out.append(cup(cx, normalize_leq(cx, g),
+                                   normalize_geq(cx, f)))
+                    out.append(cup(cx, g, f))
+    return out
+
+
+@pytest.fixture(scope="module")
+def certified(corpus):
+    """(name, cochain complex, certified cochains) over the 100-seed
+    corpus and a_n(1..7)."""
+    towers = [(f"seed {seed}", cx) for seed, _, _, _, cx in corpus]
+    towers += [(f"a_{n}", build_tower(parse(a_n_text(n)))[2])
+               for n in range(1, 8)]
+    return [(name, cx, _certified_cochains(cx)) for name, cx in towers]
+
+
+def test_sparse_is_cocycle_matches_dense_oracle(certified):
+    """The sparse cocycle test agrees with the dense matrix-vector product
+    on every certified cochain, and on one-coefficient perturbations of
+    the cocycle-basis elements that leave the kernel."""
+    perturbed = 0
+    for name, cx, cochains in certified:
+        for f in cochains:
+            assert is_cocycle(cx, f) == dense_is_cocycle(cx, f) is True, name
+        for m in range(1, cx.top):
+            touched = sorted({j for _, j, _ in cx.matrix(m + 1).items()})
+            for f in cocycle_basis(cx, m):
+                for i in touched[:3]:
+                    coeffs = dict(f.coeffs)
+                    coeffs[i] = coeffs.get(i, 0) + 1
+                    g = Cochain(m, {k: c for k, c in coeffs.items() if c})
+                    assert not dense_is_cocycle(cx, g), name
+                    assert not is_cocycle(cx, g), name
+                    perturbed += 1
+    assert perturbed
+
+
+def test_terms_at_matches_scan(certified):
+    """terms_at agrees with a scan on the certified cochains and on a
+    cochain with a distinct value on every pair of each degree."""
+    for name, cx, cochains in certified:
+        full = [Cochain(m, {i: Fraction(i + 1)
+                            for i in range(len(cx.pairs(m)))})
+                for m in range(cx.top + 1)]
+        for f in cochains + full:
+            if f.degree > cx.top:
+                continue
+            for w in cx.res.ap[f.degree]:
+                assert (list(f.terms_at(cx, w.support))
+                        == scan_terms_at(cx, f, w.support)), name
+
+
+def test_zero_cochain_is_coboundary_without_elimination(a_n, monkeypatch):
+    def refuse(self, vec):
+        raise AssertionError("in_column_space ran")
+
+    monkeypatch.setattr(RationalMatrix, "in_column_space", refuse)
+    for n in a_n:
+        cx = a_n[n][3]
+        for m in range(1, cx.top + 1):
+            ok, pre = is_coboundary(cx, Cochain(m))
+            assert ok
+            assert len(pre) == len(cx.pairs(m - 1))
+            assert not any(pre)
+    # a nonzero cochain still takes the elimination
+    with pytest.raises(AssertionError, match="in_column_space ran"):
+        is_coboundary(cx, cocycle_basis(cx, 1)[0])
+
+
+def test_run_all_formula_audits_each_basis_cocycle_once(monkeypatch):
+    """check_chain_maps and cup_table share one formula_audit verdict per
+    cocycle-basis element.  Seed 19 is red, so check_chain_maps stops at
+    a witness and cup_table audits the rest."""
+    calls = Counter()
+    real = cup_module._audit
+
+    def counted(cx, f, terms):
+        if terms is comparison_terms:
+            calls[id(f)] += 1
+        return real(cx, f, terms)
+
+    monkeypatch.setattr(cup_module, "_audit", counted)
+    auditor = checks.Auditor(generate(19))
+    results = {r.name: r.passed for r in auditor.run_all()}
+    assert not results["chain-maps"]
+    cx = auditor.cx
+    basis = [f for m in range(1, cx.top + 1) for f in cocycle_basis(cx, m)]
+    assert sum(calls[id(f)] for f in basis) > 0
+    assert all(calls[id(f)] <= 1 for f in basis)

@@ -1,9 +1,12 @@
+import importlib
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stringcoh.linalg import RationalMatrix
+import stringcoh
+from stringcoh import linalg
+from stringcoh.linalg import CertificateError, RationalMatrix
 
 
 def dense_rank_oracle(rows):
@@ -158,17 +161,42 @@ def test_solve_matrix_roundtrip(rows):
     assert m @ x == b
 
 
-@settings(max_examples=100, deadline=None)
-@given(small_matrices)
-def test_mod_p_rank_never_exceeds_rational(rows):
-    m = RationalMatrix.from_rows(rows)
-    r = m.rank()
-    for p in (2, 3):
-        assert m.rank_mod(p) <= r
-
-
 def test_fractional_entries():
     m = RationalMatrix.from_rows([[Fraction(1, 2), 1], [Fraction(1, 4), Fraction(1, 2)]])
     assert m.rank() == 1
     (vec,) = m.nullspace()
     assert all(v == 0 for v in m.apply(list(vec)))
+
+
+def test_certificate_error_is_one_class():
+    assert stringcoh.CertificateError is CertificateError
+    cup = importlib.import_module("stringcoh.cup")
+    assert cup.CertificateError is CertificateError
+
+
+def test_inexact_division_raises(monkeypatch):
+    """Both fraction-free divisions of _bareiss raise, never assert."""
+    monkeypatch.setattr(linalg, "divmod", lambda a, b: (a // b, 1),
+                        raising=False)
+    with pytest.raises(CertificateError,
+                       match="fraction-free division must be exact"):
+        RationalMatrix.from_rows([[1, 1], [1, 2]]).rank()
+    # every row update here cancels, so only the transform divides
+    with pytest.raises(CertificateError, match="row transform"):
+        RationalMatrix.from_rows([[1], [1]]).in_column_space([1, 1])
+
+
+def test_malformed_left_null_certificate_raises(monkeypatch):
+    real = linalg._bareiss
+
+    def skewed(rows, ncols, track=False):
+        pivots, rows, transform = real(rows, ncols, track)
+        used = {r for r, _ in pivots}
+        for i, row in enumerate(rows):
+            if i not in used and row:
+                row[0] = 1
+        return pivots, rows, transform
+
+    monkeypatch.setattr(linalg, "_bareiss", skewed)
+    with pytest.raises(CertificateError, match="left-null"):
+        RationalMatrix.from_rows([[1], [1]]).in_column_space([1, 2])

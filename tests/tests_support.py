@@ -125,3 +125,19 @@ def bimodule_extension(res, mat, n: int, k: int) -> RationalMatrix:
             if lp is not None and rp is not None:
                 out.add_at(row_index[(lp, psi, rp)], j, v)
     return out
+
+
+def dense_is_cocycle(cx, f) -> bool:
+    """is_cocycle by the dense product of the next cochain map with the
+    full coefficient vector of f."""
+    if f.degree >= cx.top:
+        return True
+    return all(v == 0 for v in cx.matrix(f.degree + 1).apply(f.vector(cx)))
+
+
+def scan_terms_at(cx, f, support) -> list:
+    """Cochain.terms_at by a scan over every coefficient of f, in pair
+    order."""
+    pairs = cx.pairs(f.degree)
+    return [(c, pairs[i].gamma) for i, c in sorted(f.coeffs.items())
+            if pairs[i].rho.support == support]
