@@ -110,15 +110,24 @@ class Auditor:
         return CheckResult("d-squared", self.res.d_squared_is_zero())
 
     def check_exactness(self) -> CheckResult:
+        """Exactness, naming every degree and vertex x where P (x)_A S_x
+        has homology."""
         dims = self.res.homology_dims()
-        return CheckResult("exactness", all(h == 0 for h in dims),
-                           f"homology {dims}")
+        labels = self.pres.quiver.vertex_labels
+        witnesses = [f"degree {n} vertex {labels[x]}: {h}"
+                     for n, by_x in enumerate(self.res.homology_by_vertex())
+                     for x, h in sorted(by_x.items()) if h]
+        return CheckResult("exactness", not any(dims),
+                           "; ".join([f"homology {dims}"] + witnesses))
 
     def check_euler(self) -> CheckResult:
-        total = -self.basis.dim
+        """Sum of (-1)^n dim A (x) kAP_n (x) A, from counts, is dim A."""
+        b = self.basis
+        total = -b.dim
         for n in self.res.degrees():
-            chain_dim = len(self.res.bimodule_space(n)[0])
-            total += chain_dim if n % 2 == 0 else -chain_dim
+            for w in self.res.ap[n]:
+                total += (-1) ** n * (len(b.ending_at(w.support.source))
+                                      * len(b.starting_at(w.support.target)))
         return CheckResult("euler", total == 0, f"alternating sum {total}")
 
     # -- partition checks ---------------------------------------------------
@@ -349,7 +358,3 @@ def _common_prefix(a, b) -> int:
             break
         n += 1
     return n
-
-
-def run_all_checks(pres: Presentation, max_degree=None) -> list[CheckResult]:
-    return Auditor(pres, max_degree).run_all()

@@ -2,11 +2,7 @@
 
 A degree-m cocycle lifts to a chain map of the resolution; composing a
 degree-n cocycle with the n-th lift evaluates the product of the two
-classes.  The paper's displayed formula (comparison_terms) sends a degree
-n+m support w, split as head * u * tail with head of degree n and tail of
-degree m, to the sum of divisors of head * u weighted by the cocycle's
-value on the tail.  For even n that sum collapses to the single
-flush-left divisor head itself.
+classes.  The paper displays a formula for the lift (comparison_terms).
 
 A degree-1 cocycle acts like a derivation, and the displayed formula,
 which sees only the last arrow, is not a chain map when the cocycle has
@@ -16,9 +12,9 @@ of the interior arrows; it is a chain map by the proof in
 docs/comparison-lift.md.  formula_audit still audits the displayed
 formula, which check reports as a documented deviation.
 
-Lifts are audited and solved on the generators 1 (x) w (x) 1 of the
-resolution, never on the realized A (x) kAP (x) A bases: every map
-involved is a bimodule map, so its values on generators determine it.
+Lifts are audited, solved and evaluated on the generators 1 (x) w (x) 1
+of the resolution: every map involved is a bimodule map, so its values
+on generators determine it.
 
 Products are certified zero in cohomology by exact membership in the
 image of the previous cochain map, both for the normalized
@@ -26,11 +22,6 @@ representatives used by the vanishing argument and for the raw ones.
 Where the displayed formula is not a chain map, the product is also
 recomputed through an independently solved lift.  A certificate the
 theory guarantees raises CertificateError when it fails.
-
-Certification costs follow the cochain's support: a zero product (nearly
-every product) is the image of zero and needs no elimination, and the
-cocycle test touches only the support.  The cocycle basis and the
-formula_audit verdicts of its elements are cached per complex.
 """
 
 from __future__ import annotations
@@ -41,7 +32,7 @@ from fractions import Fraction
 from .hochschild import CochainComplex, ParallelPair
 from .linalg import CertificateError, RationalMatrix
 from .quiver import Path, compose, occurrences
-from .resolution import ApElement, full_path
+from .resolution import ApElement, apply_map, full_path
 
 
 @dataclass
@@ -91,11 +82,6 @@ class Cochain:
     def from_vector(cls, degree: int, vec) -> "Cochain":
         return cls(degree, {i: Fraction(v) for i, v in enumerate(vec) if v})
 
-    @classmethod
-    def basis_element(cls, cx: CochainComplex, pair: ParallelPair) -> "Cochain":
-        idx = cx.pair_index(pair.degree)[(pair.rho.support, pair.gamma)]
-        return cls(pair.degree, {idx: Fraction(1)})
-
 
 @dataclass(frozen=True)
 class ComparisonTerm:
@@ -135,9 +121,10 @@ def comparison_terms(cx: CochainComplex, f: Cochain, n: int,
     For n = 0 this is 1 (x) e (x) f(w).  For n > 0, split w as
     head * u * tail and sum L (x) psi (x) R f(tail) over all divisors psi
     of head * u in degree n; terms whose cofactors die in the ideal are
-    dropped.  Odd n can genuinely have several divisor positions, so the
-    sum is taken literally.  For degree-1 cocycles this sees only the last
-    arrow of w and is then not always a chain map; lift_terms is.
+    dropped.  For even n the sum is head alone; odd n can have several
+    divisor positions, so the sum is taken literally.  For degree-1
+    cocycles this sees only the last arrow of w and is then not always a
+    chain map; lift_terms is.
     """
     m = f.degree
     assert m >= 1 and w.degree == n + m
@@ -204,57 +191,6 @@ def division_positions(cx: CochainComplex, n: int, w: ApElement) -> int:
     return sum(len(occurrences(p.support, target)) for p in res.ap[n])
 
 
-def comparison_matrix(cx: CochainComplex, f: Cochain, n: int,
-                      terms) -> RationalMatrix:
-    """The degree-n lift realized on the bimodule bases, from its values
-    on generators: terms(cx, f, n, w) is lift_terms (the chain-map lift),
-    comparison_terms (the displayed formula), or the generator values of
-    solved_lift."""
-    res = cx.res
-    m = f.degree
-    rows, row_index = res.bimodule_space(n)
-    cols, _ = res.bimodule_space(n + m)
-    mat = RationalMatrix(len(rows), len(cols))
-    terms_by_w = {
-        w: terms(cx, f, n, w) for w in res.ap[n + m]
-    } if n + m <= res.top else {}
-    mul = cx.basis.mult
-    for j, (l, w, r) in enumerate(cols):
-        for t in terms_by_w[w]:
-            lp = mul(l, t.left)
-            if lp is None:
-                continue
-            rp = mul(t.right, r)
-            if rp is None:
-                continue
-            mat.add_at(row_index[(lp, t.middle, rp)], j, t.coeff)
-    return mat
-
-
-def _apply(basis, terms, images) -> dict:
-    """The bimodule map with generator values images applied to the
-    element sum c (L (x) psi (x) R) over terms: the sum of
-    c L images[psi] R, keyed by (left, middle, right) with zero entries
-    dropped.  Terms and values are ComparisonTerm or BimoduleTerm."""
-    out: dict = {}
-    mul = basis.mult
-    for t in terms:
-        for s in images[t.middle]:
-            left = mul(t.left, s.left)
-            if left is None:
-                continue
-            right = mul(s.right, t.right)
-            if right is None:
-                continue
-            key = (left, s.middle, right)
-            v = out.get(key, 0) + t.coeff * s.coeff
-            if v:
-                out[key] = v
-            else:
-                del out[key]
-    return out
-
-
 def _augments_to(cx: CochainComplex, f: Cochain, w: ApElement, terms) -> bool:
     """Whether the augmentation mu(L (x) e (x) R) = L R sends the
     degree-0 lift terms of w to f(w)."""
@@ -291,9 +227,9 @@ def _lift_values(cx: CochainComplex, f: Cochain, terms, repair):
         d_n, d_nm = res.differential(n), res.differential(n + m)
         cur = {}
         for w in res.ap[n + m]:
-            rhs = _apply(cx.basis, d_nm[w], values[-1])
+            rhs = apply_map(cx.basis, d_nm[w], values[-1])
             val = terms(cx, f, n, w)
-            if _apply(cx.basis, val, d_n) != rhs:
+            if apply_map(cx.basis, val, d_n) != rhs:
                 val = repair(n, rhs)
                 if val is None:
                     return None
@@ -343,16 +279,26 @@ def cup(cx: CochainComplex, g: Cochain, f: Cochain) -> Cochain:
     n, m = g.degree, f.degree
     if n < 1 or m < 1:
         raise ValueError("cup products are formed from positive degrees")
-    _require_cocycle(cx, g)
+    return _evaluate(cx, g, m, _lift(cx, f, n))
+
+
+def _lift(cx: CochainComplex, f: Cochain, n: int) -> dict:
+    """w -> lift_terms(cx, f, n, w) over AP_{n + deg f}."""
     _require_cocycle(cx, f)
-    total = n + m
-    if total > cx.top:
-        return Cochain(total)
+    ap = cx.res.ap
+    k = n + f.degree
+    return {w: lift_terms(cx, f, n, w) for w in (ap[k] if k < len(ap) else ())}
+
+
+def _evaluate(cx: CochainComplex, g: Cochain, m: int, lift: dict) -> Cochain:
+    """g cup f for a degree-m cocycle f with _lift(cx, f, deg g) = lift."""
+    _require_cocycle(cx, g)
+    total = g.degree + m
     index = cx.pair_index(total)
     coeffs: dict[int, Fraction] = {}
-    for w in cx.res.ap[total]:
+    for w, terms in lift.items():
         acc: dict[Path, Fraction] = {}
-        for t in lift_terms(cx, f, n, w):
+        for t in terms:
             for cg, gam in g.terms_at(cx, t.middle.support):
                 prod = cx.basis.mult3(t.left, gam, t.right)
                 if prod is None:
@@ -551,9 +497,10 @@ def cohomology_indices(cx: CochainComplex, m: int) -> list[int]:
     return [k for k in range(len(cocycles)) if im.cols + k in pivot_cols]
 
 
-def solved_lift(cx: CochainComplex, f: Cochain) -> list[RationalMatrix]:
+def solved_lift(cx: CochainComplex, f: Cochain) -> list[dict]:
     """A chain-map lift of f found independently of lift_terms, degree by
-    degree, as a cross-check of cup.
+    degree, as a cross-check of cup: per degree n, w -> its value
+    F_n(1 (x) w (x) 1) as terms, over AP_{n + deg f}.
 
     Each generator 1 (x) w (x) 1 first tries the displayed formula
     (comparison_terms).  Where that fails its commuting square (which
@@ -561,15 +508,14 @@ def solved_lift(cx: CochainComplex, f: Cochain) -> list[RationalMatrix]:
     of length >= 3), the square d_n x = F_{n-1} d_{n+m} (1 (x) w (x) 1)
     is solved exactly, one block of the resolution at a time
     (_solve_in_blocks).  Exactness of the resolution guarantees a
-    solution.  The returned matrices are realized from the generator
-    values, so they are bimodule maps and form a chain map.
+    solution.  Every square commutes on generators, so these values
+    determine a bimodule chain map.
     """
     values = _lift_values(cx, f, comparison_terms,
                           lambda n, rhs: _solve_in_blocks(cx, n, rhs))
     if values is None:
         raise CertificateError("the degree-0 lift does not augment to f")
-    return [comparison_matrix(cx, f, n, lambda _cx, _f, k, w: values[k][w])
-            for n in range(len(values))]
+    return values
 
 
 def _solve_in_blocks(cx: CochainComplex, n: int,
@@ -602,48 +548,6 @@ def _solve_in_blocks(cx: CochainComplex, n: int,
         for j, _, c in x.items():
             l, psi, r = cols_all[cols[j]]
             out.append(ComparisonTerm(c, l, psi, r))
-    return out
-
-
-def cup_with_lift(cx: CochainComplex, g: Cochain,
-                  lifts: list[RationalMatrix], f_degree: int) -> Cochain:
-    """Evaluate g on a precomputed lift of some degree-f_degree cocycle."""
-    n = g.degree
-    total = n + f_degree
-    if total > cx.top or n >= len(lifts):
-        return Cochain(total)
-    res = cx.res
-    lift = lifts[n]
-    rows_basis, _ = res.bimodule_space(n)
-    _, col_index = res.bimodule_space(total)
-    by_col: dict[int, list[tuple[int, Fraction]]] = {}
-    for i, j, v in lift.items():
-        by_col.setdefault(j, []).append((i, v))
-    index = cx.pair_index(total)
-    coeffs: dict[int, Fraction] = {}
-    q = res.quiver
-    for w in res.ap[total]:
-        j = col_index[(
-            q.trivial_path(w.support.source), w,
-            q.trivial_path(w.support.target),
-        )]
-        acc: dict[Path, Fraction] = {}
-        for i, v in by_col.get(j, []):
-            l, psi, r = rows_basis[i]
-            for cg, gam in g.terms_at(cx, psi.support):
-                prod = cx.basis.mult3(l, gam, r)
-                if prod is None:
-                    continue
-                s = acc.get(prod, Fraction(0)) + v * cg
-                if s:
-                    acc[prod] = s
-                else:
-                    del acc[prod]
-        for path, v in acc.items():
-            coeffs[index[(w.support, path)]] = v
-    out = Cochain(total, coeffs)
-    if not is_cocycle(cx, out):
-        raise CertificateError("a product of cocycles must be a cocycle")
     return out
 
 
@@ -694,14 +598,14 @@ def cup_table(cx: CochainComplex) -> CupReport:
     """Choose basis classes in every positive degree, form all pairwise
     products, and certify each one zero in cohomology.
 
-    Products are evaluated by cup, on the chain-map lift, for normalized
-    representatives and for the raw ones; both must land in the image of
-    the previous cochain map.  Representatives on which the displayed
-    formula fails a commuting square on some generator (formula_audit)
-    additionally get the product recomputed through solved_lift, a
-    bimodule chain map solved block by block, as a cross-check that does
-    not rest on lift_terms.  Also verifies that each normalization stayed
-    in the original class.  A certificate the theory guarantees raises
+    Products are evaluated as by cup, on the chain-map lift of the right
+    factor, for normalized representatives and for the raw ones; both
+    must land in the image of the previous cochain map.  Representatives
+    on which the displayed formula fails a commuting square on some
+    generator (formula_audit) additionally get the product recomputed
+    through solved_lift, a bimodule chain map solved block by block, as a
+    cross-check that does not rest on lift_terms.  Also verifies that
+    each normalization stayed in the original class.  A certificate the theory guarantees raises
     CertificateError instead of returning a verdict.  The formula_audit
     verdicts of basis cocycles are shared with check_chain_maps.
     """
@@ -720,7 +624,7 @@ def cup_table(cx: CochainComplex) -> CupReport:
     leq: dict[tuple[int, int], Cochain] = {}
     geq: dict[tuple[int, int], Cochain] = {}
     formula_ok: dict[tuple[int, int], bool] = {}
-    lifts: dict[tuple[int, int], list[RationalMatrix]] = {}
+    lifts: dict[tuple[int, int], list[dict]] = {}
     for m, basis in reps.items():
         for i, f in enumerate(basis):
             lo = normalize_leq(cx, f)
@@ -746,17 +650,21 @@ def cup_table(cx: CochainComplex) -> CupReport:
     for n, gs in sorted(reps.items()):
         for m, fs in sorted(reps.items()):
             total = n + m
-            if total <= cx.top and n % 2 == 1:
-                for w in cx.res.ap[total]:
-                    odd_max = max(odd_max, division_positions(cx, n, w))
+            if total <= cx.top:
+                if n % 2 == 1:
+                    for w in cx.res.ap[total]:
+                        odd_max = max(odd_max, division_positions(cx, n, w))
+                # the degree-n lifts of the right factors, shared by every g
+                by_f = [(_lift(cx, geq[(m, j)], n), _lift(cx, f, n))
+                        for j, f in enumerate(fs)]
             for i in range(len(gs)):
                 for j in range(len(fs)):
                     if total > cx.top:
                         entries.append(CupEntry(n, m, i, j, True, True, True))
                         continue
-                    prod_norm = cup(cx, leq[(n, i)], geq[(m, j)])
+                    prod_norm = _evaluate(cx, leq[(n, i)], m, by_f[j][0])
                     ok_norm = is_coboundary(cx, prod_norm)[0]
-                    prod_plain = cup(cx, gs[i], fs[j])
+                    prod_plain = _evaluate(cx, gs[i], m, by_f[j][1])
                     ok_plain = is_coboundary(cx, prod_plain)[0]
                     lift_ok = formula_ok[(m, j)]
                     ok_solved = None
@@ -764,7 +672,7 @@ def cup_table(cx: CochainComplex) -> CupReport:
                         if (m, j) not in lifts:
                             lifts[(m, j)] = solved_lift(cx, fs[j])
                             solved_degs.append((m, j))
-                        prod = cup_with_lift(cx, gs[i], lifts[(m, j)], m)
+                        prod = _evaluate(cx, gs[i], m, lifts[(m, j)][n])
                         ok_solved = is_coboundary(cx, prod)[0]
                     entries.append(
                         CupEntry(n, m, i, j, False, ok_norm, ok_plain,

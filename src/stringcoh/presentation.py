@@ -37,9 +37,6 @@ class Presentation:
         """Monomial ideal membership: some relation occurs as a factor of w."""
         return any(occurrences(r, w) for r in self.relations)
 
-    def relation_set(self) -> frozenset[Path]:
-        return frozenset(self.relations)
-
     def format_path(self, p: Path) -> str:
         return self.quiver.format_path(p)
 

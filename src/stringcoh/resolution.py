@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import RationalMatrix
+from .linalg import CertificateError, RationalMatrix
 from .presentation import PathBasis, Presentation
 from .quiver import Path, compose, occurrences
 
@@ -145,7 +145,7 @@ def _greedy_chains(relations: list[Word], cap: int) -> list[list[tuple[Word, Wor
 
 
 class Resolution:
-    """AP sets, differentials, and the realized bimodule complex."""
+    """AP sets, differentials, exactness, and the realized complex."""
 
     def __init__(self, pres: Presentation, basis: PathBasis,
                  max_degree: int | None = None):
@@ -168,6 +168,7 @@ class Resolution:
                                     tuple[ApElement, Path, ApElement]] = {}
         self._dmat_cache: dict[int, RationalMatrix] = {}
         self._mu_cache: RationalMatrix | None = None
+        self._homology: list[dict[int, int]] | None = None
 
     # -- construction ---------------------------------------------------
 
@@ -294,8 +295,7 @@ class Resolution:
                         out.append(SubDivisor(e, left, right))
         out.sort(key=lambda d: (len(d.left), d.element.support.sort_key))
         if w.degree >= 3 and w.degree % 2 == 1:
-            assert len(out) == 2, "odd-degree element without exactly 2 divisors"
-            assert out[1].right.is_trivial and out[0].left.is_trivial
+            _require_two_flush(out)
         self._sub_cache[key] = out
         return out
 
@@ -366,8 +366,7 @@ class Resolution:
                         for d in self.sub(w)
                     ]
                 else:
-                    first, second = self.sub(w)
-                    assert second.right.is_trivial and first.left.is_trivial
+                    first, second = _require_two_flush(self.sub(w))
                     out[w] = [
                         BimoduleTerm(1, second.left, second.element, second.right),
                         BimoduleTerm(-1, first.left, first.element, first.right),
@@ -441,31 +440,90 @@ class Resolution:
         return mat
 
     def homology_dims(self) -> list[int]:
-        """Homology of the augmented complex, one entry per spot.
+        """Homology of the augmented complex per spot (index 0 at A, n+1
+        at degree n), summed over x from homology_by_vertex; all zero for
+        a resolution."""
+        return [0] + [sum(h.values()) for h in self.homology_by_vertex()]
 
-        Index 0 is the spot at A, index n+1 the spot at degree n.  The
-        resolution property is that every entry is zero.
-        """
-        dims = [len(self.bimodule_space(n)[0]) for n in self.degrees()]
-        ranks = [self.mu_matrix().rank()]
-        for n in range(1, len(dims)):
-            ranks.append(self.d_matrix(n).rank())
-        ranks.append(0)
-        out = [self.basis.dim - ranks[0]]
-        for n in range(len(dims)):
-            out.append(dims[n] - ranks[n] - ranks[n + 1])
+    def homology_by_vertex(self) -> list[dict[int, int]]:
+        """Per degree n, vertex x -> homology of P (x)_A S_x at P_n.  With
+        d o d = 0, all zero iff P is exact (docs/one-sided-exactness.md)."""
+        if self._homology is None:
+            per = [self._one_sided(n) for n in self.degrees()] + [{}]
+            self._homology = [
+                {x: d - r - per[n + 1].get(x, (0, 0))[1]
+                 for x, (d, r) in per[n].items()}
+                for n in self.degrees()]
+        return self._homology
+
+    def _one_sided(self, n: int) -> dict[int, tuple[int, int]]:
+        """Vertex x -> (dimension, rank of d_n) of P_n (x)_A S_x, with
+        basis (l, w): w in AP_n ends at x, l ends at its source.  d_0 is
+        the augmentation, of rank 1 from (e_x, e_x).  Terms of d_n with a
+        trivial right cofactor survive and keep the full path l * w, so
+        d_n is ranked per full path; psi names a row of that block."""
+        by_target: dict[int, list[ApElement]] = {}
+        for w in self.ap[n]:
+            by_target.setdefault(w.support.target, []).append(w)
+        diff = self.differential(n) if n else {}
+        out = {}
+        for x, layer in by_target.items():
+            blocks: dict[Word, list[dict]] = {}
+            for w in layer:
+                kept = [t for t in diff.get(w, ()) if t.right.is_trivial]
+                for l in self.basis.ending_at(w.support.source):
+                    col = {}
+                    for t in kept:
+                        if self.basis.mult(l, t.left) is not None:
+                            col[t.middle] = col.get(t.middle, 0) + t.coeff
+                    blocks.setdefault(l.arrows + w.support.arrows, []).append(col)
+            rank = int(n == 0)
+            for cols in blocks.values():
+                psis = {p for c in cols for p in c}
+                rows = [[c.get(p, 0) for p in psis] for c in cols]
+                rank += (any(rows[0]) if len(rows) == 1
+                         else RationalMatrix.from_rows(rows).rank())
+            out[x] = (sum(map(len, blocks.values())), rank)
         return out
 
     def d_squared_is_zero(self) -> bool:
-        for n in range(2, len(self.ap)):
-            if not (self.d_matrix(n - 1) @ self.d_matrix(n)).is_zero():
+        """mu d_1 = 0 and d_{n-1} d_n = 0 on every generator 1 (x) w (x) 1,
+        which determines these bimodule maps."""
+        for terms in self.differential(1).values():
+            image = {}
+            for t in terms:
+                p = self.basis.mult(t.left, t.right)
+                if p is not None:
+                    image[p] = image.get(p, 0) + t.coeff
+            if any(image.values()):
                 return False
-        if len(self.ap) > 1 and not (self.mu_matrix() @ self.d_matrix(1)).is_zero():
-            return False
-        return True
+        return not any(apply_map(self.basis, terms, self.differential(n - 1))
+                       for n in range(2, len(self.ap))
+                       for terms in self.differential(n).values())
 
-    def is_exact(self) -> bool:
-        return all(h == 0 for h in self.homology_dims())
+
+def apply_map(basis: PathBasis, terms, images) -> dict:
+    """The bimodule map with generator values images applied to the
+    element sum c (L (x) psi (x) R) over terms: the sum of
+    c L images[psi] R, keyed by (left, middle, right) with zero entries
+    dropped.  Terms and values are ComparisonTerm or BimoduleTerm."""
+    out: dict = {}
+    mul = basis.mult
+    for t in terms:
+        for s in images[t.middle]:
+            left = mul(t.left, s.left)
+            if left is None:
+                continue
+            right = mul(s.right, t.right)
+            if right is None:
+                continue
+            key = (left, s.middle, right)
+            v = out.get(key, 0) + t.coeff * s.coeff
+            if v:
+                out[key] = v
+            else:
+                del out[key]
+    return out
 
 
 def full_path(triple) -> Path:
@@ -491,11 +549,20 @@ def ap_op_sets(pres: Presentation, max_degree: int | None = None):
 
 
 def resolution_check(pres: Presentation) -> list[int]:
-    """Homology of the realized augmented complex, one entry per spot;
-    all zero exactly when the complex is the resolution it claims to be."""
+    """Resolution.homology_dims: all zero exactly when the complex is the
+    resolution it claims to be."""
     from .presentation import basis_P
 
     return Resolution(pres, basis_P(pres)).homology_dims()
+
+
+def _require_two_flush(subs: list[SubDivisor]) -> list[SubDivisor]:
+    """The flush-left and flush-right divisors of an odd-degree element
+    (Bardzell), which its differential takes."""
+    if len(subs) != 2 or not (subs[0].left.is_trivial
+                              and subs[1].right.is_trivial):
+        raise CertificateError("odd-degree element without two flush divisors")
+    return subs
 
 
 def _occurrence_end(rel: Path, w: Path) -> int:

@@ -10,27 +10,27 @@ from stringcoh.cup import (
     chain_map_audit,
     cocycle_basis,
     cohomology_basis,
-    comparison_matrix,
     comparison_terms,
     cup,
     cup_table,
-    cup_with_lift,
     formula_audit,
     is_coboundary,
     is_cocycle,
     lift_terms,
     normalize_geq,
     normalize_leq,
-    solved_lift,
 )
 from conftest import a_n_text, build_tower
 from stringcoh.generate import generate
 from stringcoh.linalg import RationalMatrix
 from tests_support import (
     bimodule_extension,
+    comparison_matrix,
+    cup_with_lift,
     dense_is_cocycle,
     global_lift_audit,
     scan_terms_at,
+    solved_lift_matrices,
 )
 
 cup_module = importlib.import_module("stringcoh.cup")
@@ -149,7 +149,7 @@ def test_formula_lift_gap_on_interior_diagonal():
     assert t.coeff == 1 and t.left.is_trivial
     assert pres.format_path(t.middle.support) == "u"
     assert pres.format_path(t.right) == "v*w"
-    lifts = solved_lift(cx, f)
+    lifts = solved_lift_matrices(cx, f)
     for n in range(1, len(lifts)):
         lhs = res.d_matrix(n) @ lifts[n]
         rhs = lifts[n - 1] @ res.d_matrix(n + 1)
@@ -205,7 +205,7 @@ def test_solved_lift_is_bimodule_chain_map(corpus):
             for f in cohomology_basis(cx, m):
                 if formula_audit(cx, f):
                     continue
-                lifts = solved_lift(cx, f)
+                lifts = solved_lift_matrices(cx, f)
                 solved += 1
                 for n, mat in enumerate(lifts):
                     assert mat == bimodule_extension(res, mat, n, n + m), (
@@ -328,7 +328,7 @@ def test_cup_table_tree_is_vacuous(tree_corpus):
 def test_cup_with_lift_matches_formula_when_valid(a_n):
     pres, basis, res, cx = a_n[3]
     for f in cocycle_basis(cx, 1):
-        lifts = solved_lift(cx, f)
+        lifts = solved_lift_matrices(cx, f)
         for g in cocycle_basis(cx, 1):
             direct = cup(cx, g, f)
             via_lift = cup_with_lift(cx, g, lifts, 1)

@@ -1,10 +1,12 @@
 """Shared oracle helpers written independently of the package internals
 they are meant to check."""
 
+from fractions import Fraction
 from itertools import product
 
-from stringcoh.cup import comparison_matrix
-from stringcoh.linalg import RationalMatrix
+from stringcoh.cup import Cochain, is_cocycle, solved_lift
+from stringcoh.linalg import CertificateError, RationalMatrix
+from stringcoh.resolution import full_path
 
 
 def bar_dims(basis, up_to: int) -> list[int]:
@@ -141,3 +143,114 @@ def scan_terms_at(cx, f, support) -> list:
     pairs = cx.pairs(f.degree)
     return [(c, pairs[i].gamma) for i, c in sorted(f.coeffs.items())
             if pairs[i].rho.support == support]
+
+
+def _block_rank(mat, row_paths, col_paths) -> int:
+    """Rank of a realized map that preserves full paths, as the sum of the
+    ranks of its blocks; an entry that leaves its block fails."""
+    blocks = {}
+    for i, j, v in mat.items():
+        assert row_paths[i] == col_paths[j], "entry outside its block"
+        blocks.setdefault(col_paths[j], []).append((i, j, v))
+    rank = 0
+    for entries in blocks.values():
+        rows = {i: k for k, i in enumerate(dict.fromkeys(i for i, _, _ in entries))}
+        cols = {j: k for k, j in enumerate(dict.fromkeys(j for _, j, _ in entries))}
+        block = RationalMatrix(len(rows), len(cols))
+        for i, j, v in entries:
+            block.add_at(rows[i], cols[j], v)
+        rank += block.rank()
+    return rank
+
+
+def global_homology_dims(res) -> list[int]:
+    """Homology of the realized augmented complex A (x) kAP (x) A -> A,
+    one entry per spot: index 0 at A, index n+1 at degree n.  Ranks are
+    taken block by block over the full paths l * w * r, which the
+    differentials and the augmentation preserve."""
+    spaces = [[full_path(t) for t in res.bimodule_space(n)[0]]
+              for n in res.degrees()]
+    ranks = [_block_rank(res.mu_matrix(), res.basis.paths, spaces[0])]
+    for n in range(1, len(spaces)):
+        ranks.append(_block_rank(res.d_matrix(n), spaces[n - 1], spaces[n]))
+    ranks.append(0)
+    out = [res.basis.dim - ranks[0]]
+    for n, space in enumerate(spaces):
+        out.append(len(space) - ranks[n] - ranks[n + 1])
+    return out
+
+
+def global_d_squared_is_zero(res) -> bool:
+    """d o d = 0 and mu d_1 = 0 as products of the realized matrices."""
+    for n in range(2, len(res.ap)):
+        if not (res.d_matrix(n - 1) @ res.d_matrix(n)).is_zero():
+            return False
+    return len(res.ap) < 2 or (res.mu_matrix() @ res.d_matrix(1)).is_zero()
+
+
+def comparison_matrix(cx, f, n: int, terms) -> RationalMatrix:
+    """The degree-n lift realized on the bimodule bases, from its values
+    on generators: terms(cx, f, n, w) is lift_terms (the chain-map lift),
+    comparison_terms (the displayed formula), or the generator values of
+    solved_lift."""
+    res = cx.res
+    m = f.degree
+    rows, row_index = res.bimodule_space(n)
+    cols, _ = res.bimodule_space(n + m)
+    mat = RationalMatrix(len(rows), len(cols))
+    terms_by_w = {
+        w: terms(cx, f, n, w) for w in res.ap[n + m]
+    } if n + m <= res.top else {}
+    mul = cx.basis.mult
+    for j, (l, w, r) in enumerate(cols):
+        for t in terms_by_w[w]:
+            lp = mul(l, t.left)
+            if lp is None:
+                continue
+            rp = mul(t.right, r)
+            if rp is None:
+                continue
+            mat.add_at(row_index[(lp, t.middle, rp)], j, t.coeff)
+    return mat
+
+
+def solved_lift_matrices(cx, f) -> list[RationalMatrix]:
+    """solved_lift realized on the bimodule bases, one matrix per degree."""
+    values = solved_lift(cx, f)
+    return [comparison_matrix(cx, f, n, lambda _cx, _f, k, w: values[k][w])
+            for n in range(len(values))]
+
+
+def cup_with_lift(cx, g, lifts: list[RationalMatrix], f_degree: int):
+    """Evaluate g on a realized lift of some degree-f_degree cocycle,
+    reading the lift's columns at the generators 1 (x) w (x) 1."""
+    n = g.degree
+    total = n + f_degree
+    if total > cx.top or n >= len(lifts):
+        return Cochain(total)
+    res = cx.res
+    rows_basis, _ = res.bimodule_space(n)
+    _, col_index = res.bimodule_space(total)
+    by_col = {}
+    for i, j, v in lifts[n].items():
+        by_col.setdefault(j, []).append((i, v))
+    index = cx.pair_index(total)
+    coeffs = {}
+    q = res.quiver
+    for w in res.ap[total]:
+        j = col_index[(q.trivial_path(w.support.source), w,
+                       q.trivial_path(w.support.target))]
+        acc = {}
+        for i, v in by_col.get(j, []):
+            l, psi, r = rows_basis[i]
+            for cg, gam in g.terms_at(cx, psi.support):
+                prod = cx.basis.mult3(l, gam, r)
+                if prod is not None:
+                    acc[prod] = acc.get(prod, Fraction(0)) + v * cg
+        for path, v in acc.items():
+            if v:
+                coeffs[index[(w.support, path)]] = v
+    out = Cochain(total, coeffs)
+    if not is_cocycle(cx, out):
+        raise CertificateError("a product of cocycles must be a cocycle")
+    return out
