@@ -180,10 +180,8 @@ class CochainComplex:
         self._columns: dict[int, list[dict[int, int]]] = {}
         self._ranks: dict[int, int] = {}
         self._divisors: dict[tuple[int, Path], list[tuple[Path, ApElement, Path]]] = {}
-        # filled by cup: cocycle_basis per degree, formula_audit verdicts
-        # per (degree, index)
+        # filled by cup: cocycle_basis per degree
         self.cocycles: dict[int, list] = {}
-        self.formula_verdicts: dict[tuple[int, int], bool] = {}
 
     # -- bases -----------------------------------------------------------
 

@@ -204,39 +204,6 @@ class RationalMatrix:
             x[c] = s / row[c]
         return True, [x.get(c, Fraction(0)) for c in range(n)]
 
-    def solve_matrix(self, b: "RationalMatrix"):
-        """Solve self @ X = B exactly; None when some column of B is
-        outside the column span."""
-        assert b.rows == self.rows
-        n = self.cols
-        rows = []
-        for i in range(self.rows):
-            fracs = {c: Fraction(v) for c, v in self._rows[i].items()}
-            for c, v in b._rows[i].items():
-                fracs[n + c] = Fraction(v)
-            dens = [f.denominator for f in fracs.values()]
-            scale = lcm(*dens) if dens else 1
-            rows.append({c: int(f * scale) for c, f in fracs.items()})
-        pivots, rows, _ = _bareiss(rows, n)
-        used = {r for r, _ in pivots}
-        for i in range(self.rows):
-            if i not in used and rows[i]:
-                return None
-        out = RationalMatrix(n, b.cols)
-        for k in range(b.cols):
-            x: dict[int, Fraction] = {}
-            for r, c in reversed(pivots):
-                row = rows[r]
-                s = Fraction(row.get(n + k, 0))
-                for cc, v in row.items():
-                    if cc < n and cc != c:
-                        s -= v * x.get(cc, 0)
-                x[c] = s / row[c]
-            for c, v in x.items():
-                if v:
-                    out._rows[c][k] = v
-        return out
-
 
 def _bareiss(rows: list[dict[int, int]], ncols: int, track: bool = False):
     """Fraction-free row elimination in place.

@@ -85,15 +85,10 @@ def cup_section(report) -> dict:
             str(m): d for m, d in sorted(report.class_dims.items())
         },
         "odd_divisor_positions_max": report.odd_positions_max,
-        "solved_lifts": len(report.solved_lift_degrees),
         "failures": [
             {
                 "degrees": [e.deg_g, e.deg_f],
                 "representatives": [e.idx_g, e.idx_f],
-                "normalized_zero": e.normalized_zero,
-                "plain_zero": e.plain_zero,
-                "formula_lift_ok": e.lift_ok,
-                "solved_lift_zero": e.solved_lift_zero,
             }
             for e in report.failures()
         ],

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 from .linalg import CertificateError, RationalMatrix
 from .presentation import PathBasis, Presentation
-from .quiver import Path, compose, occurrences
+from .quiver import Path, occurrences
 
 
 @dataclass(frozen=True)
@@ -163,7 +163,6 @@ class Resolution:
         self._sub_cache: dict[tuple[int, Path], list[SubDivisor]] = {}
         self._diff_cache: dict[int, dict[ApElement, list[BimoduleTerm]]] = {}
         self._space_cache: dict[int, tuple[list, dict]] = {}
-        self._block_cache: dict[int, dict[Path, list[int]]] = {}
         self._decompose_cache: dict[tuple[Path, int, int],
                                     tuple[ApElement, Path, ApElement]] = {}
         self._dmat_cache: dict[int, RationalMatrix] = {}
@@ -325,13 +324,14 @@ class Resolution:
             tail_sup = sup.suffix(tail_start)
         head = self.by_support[n].get(head_sup)
         tail = self.by_support[m].get(tail_sup)
-        assert head is not None and tail is not None, (
-            "splitting fell outside the computed AP sets"
-        )
+        if head is None or tail is None:
+            raise CertificateError("splitting fell outside the computed AP sets")
         i, j = len(head_sup), len(sup) - len(tail_sup)
-        assert i <= j, "head and tail overlap"
+        if i > j:
+            raise CertificateError("head and tail of the splitting overlap")
         u = sup.subpath(i, j)
-        assert u in self.basis, "middle of the splitting is not a basis path"
+        if u not in self.basis:
+            raise CertificateError("middle of the splitting is not a basis path")
         hit = self._decompose_cache[key] = (head, u, tail)
         return hit
 
@@ -375,6 +375,8 @@ class Resolution:
         return out
 
     # -- the realized complex ---------------------------------------------
+    # No check builds it.  The test oracles and the benchmark's
+    # resolution.bimodule_dim / d_nnz counter read it.
 
     def bimodule_space(self, n: int):
         """Basis of A (x) kAP_n (x) A: triples (l, w, r) of basis paths
@@ -391,18 +393,6 @@ class Resolution:
         index = {trip: i for i, trip in enumerate(basis)}
         self._space_cache[n] = (basis, index)
         return basis, index
-
-    def block(self, n: int, path: Path) -> list[int]:
-        """Positions in bimodule_space(n) of the triples (l, w, r) whose
-        full path l * w * r is path.  The differentials and the
-        augmentation preserve the full path, so each block maps into the
-        block of the same path one degree down."""
-        blocks = self._block_cache.get(n)
-        if blocks is None:
-            blocks = self._block_cache[n] = {}
-            for j, triple in enumerate(self.bimodule_space(n)[0]):
-                blocks.setdefault(full_path(triple), []).append(j)
-        return blocks.get(path, [])
 
     def d_matrix(self, n: int) -> RationalMatrix:
         """The degree-n differential on the realized bases."""
@@ -524,14 +514,6 @@ def apply_map(basis: PathBasis, terms, images) -> dict:
             else:
                 del out[key]
     return out
-
-
-def full_path(triple) -> Path:
-    """The path l * w * r of the quiver for a basis triple (l, w, r) of
-    A (x) kAP (x) A, before reduction modulo the ideal: the block of
-    Resolution.block that the triple lies in."""
-    l, w, r = triple
-    return compose(compose(l, w.support), r)
 
 
 def ap_sets(pres: Presentation, max_degree: int | None = None):

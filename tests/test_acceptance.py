@@ -103,8 +103,8 @@ def test_criterion_6_kernel_image_audit(corpus):
 
 def test_criterion_7_cup_products_vanish(corpus):
     """Every pairwise product of positive-degree basis classes is a
-    coboundary, certified by exact solve (with a solved lift wherever the
-    displayed formula lift fails its commuting squares)."""
+    coboundary, certified by exact solve on the audited chain-map lift of
+    the right factor."""
     constrained = 0
     for seed, _, _, _, cx in corpus:
         report = cup_table(cx)

@@ -1,0 +1,147 @@
+"""Certificates that the theory guarantees raise CertificateError, never
+assert, so they hold under ``python -O`` too.  Each site is forced to
+fail by patching the data it certifies."""
+
+import os
+import subprocess
+import sys
+from unittest import mock
+
+import pytest
+
+import stringcoh
+from conftest import a_n_text, build_tower
+from stringcoh import CertificateError, PathBasis, Quiver, parse, resolution
+from stringcoh.cup import chain_map_audit, cocycle_basis, is_cocycle, phi, phi_inv
+
+
+def tower():
+    return build_tower(parse(a_n_text(3)))
+
+
+def pair_labelled(cx, label):
+    return next(p for p in cx.pairs(2) if p.label == label)
+
+
+def splitting_outside_ap_sets():
+    _, res, _ = tower()
+    res.by_support[1] = {}
+    res.decompose(res.ap[3][0], 1, 2)
+
+
+class _AnyKey(dict):
+    def __init__(self, value):
+        super().__init__()
+        self.value = value
+
+    def get(self, key, default=None):
+        return self.value
+
+
+def splitting_head_and_tail_overlap():
+    _, res, _ = tower()
+    res.by_support[2] = _AnyKey(res.ap[2][0])
+    with mock.patch.object(resolution, "_occurrence_start", lambda rel, w: 0):
+        res.decompose(res.ap[3][0], 1, 2)
+
+
+def splitting_middle_outside_basis():
+    _, res, _ = tower()
+    with mock.patch.object(PathBasis, "__contains__", lambda self, p: False):
+        res.decompose(res.ap[3][0], 1, 2)
+
+
+def doubled(real):
+    return lambda self, v: real(self, v) * 2
+
+
+def successor_not_unique():
+    _, _, cx = tower()
+    pair = pair_labelled(cx, "(1,0)+")
+    with mock.patch.object(Quiver, "out_arrows", doubled(Quiver.out_arrows)):
+        phi(cx, pair)
+
+
+def predecessor_not_unique():
+    _, _, cx = tower()
+    pair = pair_labelled(cx, "+(0,1)")
+    with mock.patch.object(Quiver, "in_arrows", doubled(Quiver.in_arrows)):
+        phi_inv(cx, pair)
+
+
+def rewritten_support_outside_ap_sets():
+    _, res, cx = tower()
+    pair = pair_labelled(cx, "(1,0)+")
+    res.by_support[2] = {}
+    phi(cx, pair)
+
+
+def rewritten_pair_with_wrong_label():
+    _, _, cx = tower()
+    pair = pair_labelled(cx, "(1,0)+")
+    index = cx.pair_index(2)
+    here = index[(pair.rho.support, pair.gamma)]
+    index.update((key, here) for key in index)
+    phi(cx, pair)
+
+
+def lift_on_wrong_degree():
+    _, res, cx = tower()
+    f = cocycle_basis(cx, 1)[0]
+    assert is_cocycle(cx, f)
+    res.ap[1] = res.ap[2]
+    chain_map_audit(cx, f)
+
+
+# site -> (forcing function, the message it must raise with)
+SITES = {
+    "splitting outside the AP sets":
+        (splitting_outside_ap_sets, "splitting fell outside"),
+    "head and tail overlap":
+        (splitting_head_and_tail_overlap, "head and tail"),
+    "middle outside the basis":
+        (splitting_middle_outside_basis, "middle of the splitting"),
+    "successor not unique":
+        (successor_not_unique, "continuation is not unique"),
+    "predecessor not unique":
+        (predecessor_not_unique, "predecessor is not unique"),
+    "rewritten support outside the AP sets":
+        (rewritten_support_outside_ap_sets, "rewritten support left"),
+    "rewritten pair with the wrong label":
+        (rewritten_pair_with_wrong_label, "expected \\+\\(0,1\\)"),
+    "lift on the wrong degree":
+        (lift_on_wrong_degree, "takes AP_1, not AP_2"),
+}
+
+
+@pytest.mark.parametrize("site", sorted(SITES))
+def test_certificate_raises(site):
+    force, message = SITES[site]
+    with pytest.raises(CertificateError, match=message):
+        force()
+
+
+_EACH_SITE = """
+import re, sys
+from stringcoh import CertificateError
+from test_certificate_sites import SITES
+if __debug__:
+    sys.exit("asserts are still on")
+for name, (force, message) in sorted(SITES.items()):
+    try:
+        force()
+    except CertificateError as exc:
+        if re.search(message, str(exc)):
+            print(name)
+"""
+
+
+def test_certificates_raise_under_optimize():
+    src = os.path.dirname(os.path.dirname(stringcoh.__file__))
+    here = os.path.dirname(__file__)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, here, os.environ.get("PYTHONPATH")) if p))
+    run = subprocess.run([sys.executable, "-O", "-c", _EACH_SITE],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == sorted(SITES)

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -7,9 +8,20 @@ import pytest
 
 import stringcoh
 from conftest import CORPUS_SIZE, a_n_text
-from stringcoh import CertificateError, Resolution, checks, parse
+from stringcoh import (
+    CertificateError,
+    CochainComplex,
+    Resolution,
+    basis_P,
+    checks,
+    parse,
+)
 from stringcoh.cli import main
-from stringcoh.generate import generate_dsl
+from stringcoh.cup import cohomology_basis, comparison_terms, lift_terms
+from stringcoh.generate import generate, generate_dsl
+from stringcoh.linalg import RationalMatrix
+
+cup_module = importlib.import_module("stringcoh.cup")
 
 
 @pytest.fixture
@@ -121,7 +133,8 @@ for path in sys.argv[1:]:
 def test_check_json_same_under_optimize(tmp_path, capsys):
     """``python -O`` strips asserts; every certificate must give the same
     report without them.  One -O process checks the whole 100-seed
-    corpus, solved lifts included (seed 88 engages them)."""
+    corpus, including seed 88, where the displayed lift formula fails and
+    products go through the interior terms of lift_terms."""
     src = os.path.dirname(os.path.dirname(stringcoh.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
@@ -134,7 +147,9 @@ def test_check_json_same_under_optimize(tmp_path, capsys):
         del doc["elapsed_ms"]
         paths.append(str(path))
         expected.append({"code": code, "report": doc})
-    assert expected[88]["report"]["cup"]["solved_lifts"]
+    assert not {c["name"]: c["passed"] for c in
+                expected[88]["report"]["properties"]["checks"]}["chain-maps"]
+    assert lift_differs_from_formula(generate(88))
     run = subprocess.run(
         [sys.executable, "-O", "-c", _CHECK_EACH, *paths],
         capture_output=True, text=True, env=env, timeout=600,
@@ -142,6 +157,43 @@ def test_check_json_same_under_optimize(tmp_path, capsys):
     assert run.returncode == 0, run.stderr
     got = [json.loads(line) for line in run.stdout.splitlines()]
     assert got == expected
+
+
+def lift_differs_from_formula(pres) -> bool:
+    """Whether lift_terms differs from comparison_terms on some generator
+    for some cohomology representative."""
+    cx = CochainComplex(Resolution(pres, basis_P(pres)))
+    return any(
+        lift_terms(cx, f, n, w) != comparison_terms(cx, f, n, w)
+        for m in range(1, cx.top + 1) for f in cohomology_basis(cx, m)
+        for n in range(1, cx.top - m + 1) for w in cx.res.ap[n + m])
+
+
+def test_broken_lift_exits_3(tmp_path, monkeypatch, capsys):
+    """A lift whose chain-map audit fails stops check with a failed
+    certificate instead of certifying products on it."""
+    monkeypatch.setattr(cup_module, "lift_terms", comparison_terms)
+    path = tmp_path / "seed88.quiver"
+    path.write_text(generate_dsl(88))
+    assert main(["check", str(path), "--json"]) == 3
+    assert "certificate failed: " in capsys.readouterr().err
+
+
+def test_check_json_cup_section_shape(a_file, monkeypatch, capsys):
+    """The cup section carries exactly these keys; so does each failure,
+    here forced by refusing every coboundary."""
+    assert main(["check", a_file(3), "--json"]) == 0
+    cup = json.loads(capsys.readouterr().out)["cup"]
+    assert set(cup) == {"all_zero", "pairs_checked", "positive_class_dims",
+                        "odd_divisor_positions_max", "failures"}
+    assert cup["failures"] == []
+    monkeypatch.setattr(cup_module, "is_coboundary",
+                        lambda cx, f: (False, None))
+    assert main(["check", a_file(3), "--json"]) == 3
+    cup = json.loads(capsys.readouterr().out)["cup"]
+    assert not cup["all_zero"] and cup["failures"]
+    assert all(set(e) == {"degrees", "representatives"}
+               for e in cup["failures"])
 
 
 def test_failed_certificate_exits_3(a_file, monkeypatch, capsys):
@@ -173,6 +225,28 @@ def test_ap_and_check_name_every_dual_witness(a_file, monkeypatch, capsys):
     result = checks.Auditor(parse(a_n_text(3))).check_ap_duality()
     assert not result.passed
     assert result.detail == "; ".join(expected)
+
+
+def test_check_names_every_witness(monkeypatch):
+    """Checks list every failing witness, not just the first: a doubled
+    divisor on every element, and two cochain maps zeroed."""
+    real = Resolution.sub
+    monkeypatch.setattr(Resolution, "sub",
+                        lambda self, w: real(self, w) + real(self, w)[:1])
+    result = checks.Auditor(parse(a_n_text(3))).check_sub_cardinality()
+    monkeypatch.undo()
+    assert not result.passed
+    witnesses = result.detail.split("; ")
+    assert len(witnesses) == 6  # four elements of AP_2, two of AP_3
+    assert witnesses[0] == "degree 2 support a1*a2 with 3 divisors"
+    assert witnesses[-1] == "degree 3 support b1*b2*b3 with 3 divisors"
+
+    auditor = checks.Auditor(parse(a_n_text(3)))
+    for n in (1, 3):
+        m = auditor.cx.matrix(n)
+        auditor.cx._matrices[n] = RationalMatrix(m.rows, m.cols)
+    result = auditor.check_cochain_vs_differential()
+    assert (result.passed, result.detail) == (False, "degree 1; degree 3")
 
 
 def test_ap_construction_error_exit_code(a_file, monkeypatch, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 from collections import Counter
 from fractions import Fraction
@@ -22,7 +23,7 @@ from stringcoh.cup import (
 )
 from conftest import a_n_text, build_tower
 from stringcoh.generate import generate
-from stringcoh.linalg import RationalMatrix
+from stringcoh.linalg import CertificateError, RationalMatrix
 from tests_support import (
     bimodule_extension,
     comparison_matrix,
@@ -336,11 +337,44 @@ def test_cup_with_lift_matches_formula_when_valid(a_n):
 
 
 def test_solved_lift_products_vanish_on_gap_seed():
+    """On seed 88 the displayed formula fails for some representative.
+    Its products, evaluated on the solved lift of the tests' oracle,
+    are coboundaries, as cup_table certifies on the audited lift."""
     pres = generate(88)
     basis, res, cx = build_tower(pres)
-    report = cup_table(cx)
-    assert report.all_zero
-    assert report.solved_lift_degrees  # the fallback really engaged
+    assert cup_table(cx).all_zero
+    solved = 0
+    for m in range(1, cx.top + 1):
+        for f in cohomology_basis(cx, m):
+            if formula_audit(cx, f):
+                continue
+            lifts = solved_lift_matrices(cx, f)
+            solved += 1
+            for n in range(1, cx.top - m + 1):
+                for g in cohomology_basis(cx, n):
+                    assert is_coboundary(cx, cup_with_lift(cx, g, lifts, m))[0]
+    assert solved  # the solved lift really engaged
+
+
+def test_normalized_products_vanish(corpus):
+    """The paper's vanishing argument multiplies a <=-normalized left
+    factor by a >=-normalized right one.  Those products are coboundaries
+    wherever cup_table certifies the plain ones."""
+    checked = 0
+    for seed, _, _, _, cx in corpus:
+        assert cup_table(cx).all_zero, f"seed {seed}"
+        reps = {m: cohomology_basis(cx, m) for m in range(1, cx.top + 1)}
+        for n, gs in reps.items():
+            for m, fs in reps.items():
+                if n + m > cx.top:
+                    continue
+                for g in gs:
+                    for f in fs:
+                        prod = cup(cx, normalize_leq(cx, g),
+                                   normalize_geq(cx, f))
+                        assert is_coboundary(cx, prod)[0], f"seed {seed}"
+                        checked += 1
+    assert checked
 
 
 def test_cohomology_basis_sizes_match_dims(corpus):
@@ -433,23 +467,123 @@ def test_zero_cochain_is_coboundary_without_elimination(a_n, monkeypatch):
         is_coboundary(cx, cocycle_basis(cx, 1)[0])
 
 
-def test_run_all_formula_audits_each_basis_cocycle_once(monkeypatch):
-    """check_chain_maps and cup_table share one formula_audit verdict per
-    cocycle-basis element.  Seed 19 is red, so check_chain_maps stops at
-    a witness and cup_table audits the rest."""
-    calls = Counter()
-    real = cup_module._audit
+def counting_audits(monkeypatch):
+    """Count the generator walks of _lift_values by the lift they walk:
+    calls[terms][id(f)]."""
+    calls = {comparison_terms: Counter(), lift_terms: Counter()}
+    real = cup_module._lift_values
 
     def counted(cx, f, terms):
-        if terms is comparison_terms:
-            calls[id(f)] += 1
+        calls[terms][id(f)] += 1
         return real(cx, f, terms)
 
-    monkeypatch.setattr(cup_module, "_audit", counted)
+    monkeypatch.setattr(cup_module, "_lift_values", counted)
+    return calls
+
+
+def test_run_all_formula_audits_each_basis_cocycle_once(monkeypatch):
+    """check_chain_maps audits the displayed formula at most once per
+    cocycle-basis element, and cup_table never does.  Seed 19 is red, so
+    check_chain_maps stops at a witness."""
+    calls = counting_audits(monkeypatch)
     auditor = checks.Auditor(generate(19))
     results = {r.name: r.passed for r in auditor.run_all()}
     assert not results["chain-maps"]
     cx = auditor.cx
     basis = [f for m in range(1, cx.top + 1) for f in cocycle_basis(cx, m)]
-    assert sum(calls[id(f)] for f in basis) > 0
-    assert all(calls[id(f)] <= 1 for f in basis)
+    formula = calls[comparison_terms]
+    assert sum(formula[id(f)] for f in basis) > 0
+    assert all(formula[id(f)] <= 1 for f in basis)
+    formula.clear()
+    cup_table(cx)
+    assert not formula
+
+
+def test_cup_table_audits_each_lift_it_evaluates(monkeypatch):
+    """Every product cup_table evaluates reads a lift of its right factor
+    that passed the generator walk on lift_terms in the same run, and
+    each representative is audited once."""
+    calls = counting_audits(monkeypatch)
+    audited = []
+    real_walk, real_evaluate = cup_module._lift_values, cup_module._evaluate
+
+    def walk(cx, f, terms):
+        values = real_walk(cx, f, terms)
+        if terms is lift_terms and values is not None:
+            audited.extend(values)
+        return values
+
+    evaluated = []
+
+    def evaluate(cx, g, m, lift):
+        evaluated.append(lift)
+        return real_evaluate(cx, g, m, lift)
+
+    monkeypatch.setattr(cup_module, "_lift_values", walk)
+    monkeypatch.setattr(cup_module, "_evaluate", evaluate)
+    for seed in (19, 88):
+        cx = build_tower(generate(seed))[2]
+        audited.clear()
+        evaluated.clear()
+        report = cup_table(cx)
+        assert report.all_zero and evaluated
+        assert all(any(lift is v for v in audited) for lift in evaluated)
+        reps = [f for m in range(1, cx.top + 1)
+                for f in cohomology_basis(cx, m)]
+        assert [calls[lift_terms][id(f)] for f in reps] == [1] * len(reps)
+        calls[lift_terms].clear()
+
+
+def test_broken_lift_raises_instead_of_certifying(monkeypatch, a_n):
+    """A lift that is not a chain map makes cup_table raise: on seed 88
+    the displayed formula in place of lift_terms, and on a_n(3) a lift
+    with one coefficient flipped."""
+    monkeypatch.setattr(cup_module, "lift_terms", comparison_terms)
+    with pytest.raises(CertificateError, match="not a chain map"):
+        cup_table(build_tower(generate(88))[2])
+
+    def flipped(cx, f, n, w):
+        terms = lift_terms(cx, f, n, w)
+        if n == 1 and terms:
+            terms[0] = dataclasses.replace(terms[0], coeff=-terms[0].coeff)
+        return terms
+
+    monkeypatch.setattr(cup_module, "lift_terms", flipped)
+    with pytest.raises(CertificateError, match="not a chain map"):
+        cup_table(a_n[3][3])
+
+
+def test_normalization_leaving_the_class_names_each_cocycle(monkeypatch, a_n):
+    """normalization-support certifies the classes of all differences
+    f - N(f) in one elimination per degree; when that fails it names
+    every basis cocycle whose normalization left its class."""
+    monkeypatch.setattr(checks, "normalize_geq", lambda cx, f: Cochain(f.degree))
+    auditor = checks.Auditor(a_n[3][0])
+    result = auditor.check_normalization_support()
+    cx = auditor.cx
+    expected = [f"degree {m} cocycle {k}: class of >=-normalization"
+                for m in range(1, cx.top + 1)
+                for k, f in enumerate(cocycle_basis(cx, m))
+                if not is_coboundary(cx, f)[0]]
+    assert len(expected) >= 2
+    assert (result.passed, result.detail) == (False, "; ".join(expected))
+
+
+def test_all_coboundaries_by_column_lines_then_elimination(a_n, monkeypatch):
+    """A multiple of one column of the cochain map needs no elimination;
+    a sum of two columns and a cohomology class go through one."""
+    cx = a_n[3][3]
+    cols = [c for c in cx.columns(3) if c]
+    one = Cochain(3, {i: Fraction(-3 * v) for i, v in cols[0].items()})
+    two = Cochain(3, {i: v for c in cols[:2] for i, v in c.items()})
+    assert len(cols[0]) + len(cols[1]) == len(two.coeffs)
+    (rep, *_) = cohomology_basis(cx, 3)
+    calls = []
+    real = RationalMatrix.pivot_columns
+    monkeypatch.setattr(RationalMatrix, "pivot_columns",
+                        lambda self: calls.append(1) or real(self))
+    assert cup_module.all_coboundaries(cx, 3, [one, Cochain(3)])
+    assert not calls
+    assert cup_module.all_coboundaries(cx, 3, [one, two])
+    assert len(calls) == 1
+    assert not cup_module.all_coboundaries(cx, 3, [one, two, rep])

@@ -3,6 +3,7 @@ generators, against the realized bimodule complex as an oracle
 (docs/one-sided-exactness.md)."""
 
 import dataclasses
+import json
 import os
 import subprocess
 import sys
@@ -113,11 +114,19 @@ def no_bimodule_basis(self, n):
 
 
 def test_check_builds_no_bimodule_basis(tmp_path, monkeypatch, capsys):
+    """Also on generate_dsl(88), where the displayed lift formula fails
+    and check exits 3 on chain-maps alone."""
     monkeypatch.setattr(Resolution, "bimodule_space", no_bimodule_basis)
     path = tmp_path / "a7.quiver"
     path.write_text(a_n_text(7))
     assert main(["check", str(path), "--json"]) == 0
     capsys.readouterr()
+    path = tmp_path / "seed88.quiver"
+    path.write_text(generate_dsl(88))
+    assert main(["check", str(path), "--json"]) == 3
+    doc = json.loads(capsys.readouterr().out)
+    assert [c["name"] for c in doc["properties"]["checks"]
+            if not c["passed"]] == ["chain-maps"]
     auditor = Auditor(parse(a_n_text(20)))
     assert auditor.check_d_squared().passed
     assert auditor.check_exactness().passed

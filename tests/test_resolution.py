@@ -4,6 +4,7 @@ from conftest import a_n_text
 from stringcoh import ApConstructionError, Resolution, ap_sets, basis_P, parse
 from stringcoh import resolution
 from stringcoh.quiver import compose
+from tests_support import blocks
 
 
 def fmt(pres, p):
@@ -351,8 +352,9 @@ def test_ap_support_with_two_chains_raises(a_n, monkeypatch):
 def test_maps_preserve_blocks(corpus, a_n):
     """Every nonzero entry of the differentials and of the augmentation
     stays inside one block: its row and its column have the same full
-    path l * w * r.  The block solve of solved_lift relies on this, and
-    the blocks of Resolution.block partition each bimodule space."""
+    path l * w * r.  The block solve of the solved-lift oracle relies on
+    this, and the blocks of tests_support.blocks partition each bimodule
+    space."""
     towers = [(f"seed {seed}", res) for seed, _, _, res, _ in corpus]
     towers += [(f"a_n({n})", a_n[n][2]) for n in sorted(a_n)]
     for name, res in towers:
@@ -360,10 +362,11 @@ def test_maps_preserve_blocks(corpus, a_n):
         for n in res.degrees():
             space = res.bimodule_space(n)[0]
             full.append([compose(compose(l, w.support), r) for l, w, r in space])
-            paths = set(full[n])
-            assert (sorted(j for p in paths for j in res.block(n, p))
+            by_path = blocks(res, n)
+            assert set(by_path) == set(full[n]), name
+            assert (sorted(j for js in by_path.values() for j in js)
                     == list(range(len(space)))), name
-            assert all(full[n][j] == p for p in paths for j in res.block(n, p))
+            assert all(full[n][j] == p for p, js in by_path.items() for j in js)
         for i, j, _ in res.mu_matrix().items():
             assert res.basis.paths[i] == full[0][j], name
         for n in range(1, res.top + 1):

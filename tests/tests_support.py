@@ -4,9 +4,16 @@ they are meant to check."""
 from fractions import Fraction
 from itertools import product
 
-from stringcoh.cup import Cochain, is_cocycle, solved_lift
+from stringcoh.cup import (
+    Cochain,
+    ComparisonTerm,
+    _augments_to,
+    comparison_terms,
+    is_cocycle,
+)
 from stringcoh.linalg import CertificateError, RationalMatrix
-from stringcoh.resolution import full_path
+from stringcoh.quiver import compose
+from stringcoh.resolution import apply_map
 
 
 def bar_dims(basis, up_to: int) -> list[int]:
@@ -212,6 +219,87 @@ def comparison_matrix(cx, f, n: int, terms) -> RationalMatrix:
                 continue
             mat.add_at(row_index[(lp, t.middle, rp)], j, t.coeff)
     return mat
+
+
+def full_path(triple):
+    """The path l * w * r of the quiver for a basis triple (l, w, r) of
+    A (x) kAP (x) A, before reduction modulo the ideal: the block that
+    the triple lies in."""
+    l, w, r = triple
+    return compose(compose(l, w.support), r)
+
+
+def blocks(res, n: int) -> dict:
+    """Full path -> the positions in bimodule_space(n) of the triples
+    (l, w, r) with that full path.  The differentials and the
+    augmentation preserve the full path, so each block maps into the
+    block of the same path one degree down."""
+    out = {}
+    for j, triple in enumerate(res.bimodule_space(n)[0]):
+        out.setdefault(full_path(triple), []).append(j)
+    return out
+
+
+def solved_lift(cx, f) -> list[dict]:
+    """A chain-map lift of f found independently of lift_terms, degree by
+    degree: per degree n, w -> its value F_n(1 (x) w (x) 1) as terms,
+    over AP_{n + deg f}.
+
+    Each generator 1 (x) w (x) 1 first tries the displayed formula
+    (comparison_terms).  Where that fails its commuting square (degree-1
+    cocycles with a value strictly inside a relation of length >= 3), the
+    square d_n x = F_{n-1} d_{n+m} (1 (x) w (x) 1) is solved exactly, one
+    block of the resolution at a time.  Exactness of the resolution
+    guarantees a solution.  Every square commutes on generators, so these
+    values determine a bimodule chain map.
+    """
+    m = f.degree
+    res = cx.res
+    values = [{w: comparison_terms(cx, f, 0, w)
+               for w in (res.ap[m] if m <= res.top else ())}]
+    if not all(_augments_to(cx, f, w, val) for w, val in values[0].items()):
+        raise CertificateError("the degree-0 lift does not augment to f")
+    for n in range(1, res.top - m + 1):
+        d_n, d_nm = res.differential(n), res.differential(n + m)
+        cur = {}
+        for w in res.ap[n + m]:
+            rhs = apply_map(cx.basis, d_nm[w], values[-1])
+            val = comparison_terms(cx, f, n, w)
+            if apply_map(cx.basis, val, d_n) != rhs:
+                val = _solve_in_blocks(cx, n, rhs)
+            cur[w] = val
+        values.append(cur)
+    return values
+
+
+def _solve_in_blocks(cx, n: int, rhs: dict) -> list:
+    """Some x with d_n x = rhs, for rhs an element of degree n-1 of the
+    resolution keyed by (left, middle, right).  d_n preserves the full
+    path of every triple, so the system splits into one system per full
+    path that rhs touches, each with one right-hand column."""
+    res = cx.res
+    cols_all, _ = res.bimodule_space(n)
+    _, row_index = res.bimodule_space(n - 1)
+    d = res.d_matrix(n)
+    rows_of, cols_of = blocks(res, n - 1), blocks(res, n)
+    parts = {}
+    for triple, c in rhs.items():
+        parts.setdefault(full_path(triple), {})[row_index[triple]] = c
+    out = []
+    for full, part in parts.items():
+        rows, cols = rows_of[full], cols_of.get(full, [])
+        block = RationalMatrix(len(rows), len(cols))
+        for k, i in enumerate(rows):
+            for j, col in enumerate(cols):
+                block.add_at(k, j, d.get(i, col))
+        ok, x = block.in_column_space([part.get(i, 0) for i in rows])
+        if not ok:
+            raise CertificateError("exactness guarantees a lift")
+        for j, c in enumerate(x):
+            if c:
+                l, psi, r = cols_all[cols[j]]
+                out.append(ComparisonTerm(c, l, psi, r))
+    return out
 
 
 def solved_lift_matrices(cx, f) -> list[RationalMatrix]:
