@@ -474,35 +474,6 @@ def cohomology_basis(cx: CochainComplex, m: int) -> list[Cochain]:
     return [f for k, f in enumerate(cocycles) if cols + k in pivot_cols]
 
 
-def all_coboundaries(cx: CochainComplex, m: int, cochains) -> bool:
-    """Whether every degree-m cochain given (1 <= m <= top) lies in the
-    image of the previous cochain map.  A multiple of one column of that
-    map is the image of a multiple of one basis cochain.  The others are
-    decided together by one elimination of the map augmented by them:
-    each lies in the image exactly when none of their columns is a
-    pivot."""
-    rest = [f for f in cochains if f.coeffs]
-    if rest:
-        lines = {_line(col) for col in cx.columns(m) if col}
-        rest = [f for f in rest if _line(f.coeffs) not in lines]
-    if not rest:
-        return True
-    aug = _image_augmented_by(cx, m, rest)
-    return all(c < cx.matrix(m).cols for c in aug.pivot_columns())
-
-
-def _line(vec: dict) -> tuple:
-    """A nonzero sparse vector scaled to lead with 1, so that two vectors
-    have the same line exactly when one is a multiple of the other."""
-    items = sorted(vec.items())
-    lead = items[0][1]
-    if lead == 1:
-        return tuple(items)
-    if lead == -1:
-        return tuple((i, -v) for i, v in items)
-    return tuple((i, Fraction(v) / lead) for i, v in items)
-
-
 def _image_augmented_by(cx: CochainComplex, m: int, cochains) -> RationalMatrix:
     """The degree-m cochain map with one more column per cochain."""
     im = cx.matrix(m)
