@@ -8,6 +8,7 @@ witness, never silent).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 
@@ -39,7 +40,10 @@ def main(argv=None) -> int:
         return EXIT_VIOLATION
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args leaves it
+    unchanged, and building it is a sizable share of a small check."""
     parser = argparse.ArgumentParser(
         prog="stringcoh",
         description="Hochschild cohomology of triangular string algebras",
@@ -236,7 +240,7 @@ def cmd_check(args) -> int:
     if not vreport.passed:
         _print_validation_failures(vreport)
         return EXIT_INVALID
-    auditor = checks.Auditor(pres)
+    auditor = checks.Auditor(pres, report=vreport)
     results = auditor.run_all()
     payload = {
         "presentation": report.presentation_section(pres, auditor.basis),

@@ -14,7 +14,10 @@ formula, which check reports as a documented deviation.
 
 Lifts are audited and evaluated on the generators 1 (x) w (x) 1 of the
 resolution: every map involved is a bimodule map, so its values on
-generators determine it.
+generators determine it.  The audit visits only the generators where a
+side of a square can be nonzero, found from the cocycle's support through
+indexes that CochainComplex builds once (docs/comparison-lift.md, "Which
+generators the audit visits"), and keeps only the nonzero values.
 
 cup_table certifies each product once: the right factor's lift is
 audited as a chain map, and the product evaluated on those audited
@@ -27,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .hochschild import CochainComplex, ParallelPair
+from .hochschild import CochainComplex, ParallelPair, require_lift_degree
 from .linalg import CertificateError, RationalMatrix
 from .quiver import Path, compose, occurrences
 from .resolution import ApElement, apply_map
@@ -37,7 +40,7 @@ from .resolution import ApElement, apply_map
 class Cochain:
     """A cochain in the parallel-pair basis: degree plus sparse coefficients
     indexed by position in the canonical pair list of that degree.  Fill
-    coeffs before the first terms_at, which indexes them once."""
+    coeffs before the first terms_at or supports, which index them once."""
 
     degree: int
     coeffs: dict[int, Fraction] = field(default_factory=dict)
@@ -56,6 +59,13 @@ class Cochain:
     def terms_at(self, cx: CochainComplex, support: Path):
         """The (coefficient, gamma) values this cochain takes on a support,
         in pair order."""
+        return self._values(cx).get(support, ())
+
+    def supports(self, cx: CochainComplex):
+        """The supports where this cochain has a value."""
+        return self._values(cx).keys()
+
+    def _values(self, cx: CochainComplex) -> dict:
         if self._by_support is None:
             pairs = cx.pairs(self.degree)
             index: dict[Path, list[tuple[Fraction, Path]]] = {}
@@ -63,7 +73,7 @@ class Cochain:
                 index.setdefault(pairs[i].rho.support, []).append(
                     (c, pairs[i].gamma))
             self._by_support = index
-        return self._by_support.get(support, ())
+        return self._by_support
 
     def sub(self, other: "Cochain") -> "Cochain":
         assert self.degree == other.degree
@@ -125,10 +135,7 @@ def comparison_terms(cx: CochainComplex, f: Cochain, n: int,
     chain map; lift_terms is.
     """
     m = f.degree
-    if m < 1 or w.degree != n + m:
-        raise CertificateError(
-            f"a degree-{n} lift of a degree-{m} cocycle takes AP_{n + m}, "
-            f"not AP_{w.degree}")
+    require_lift_degree(n, m, w)
     res = cx.res
     if n == 0:
         vals = f.terms_at(cx, w.support)
@@ -204,32 +211,62 @@ def _augments_to(cx: CochainComplex, f: Cochain, w: ApElement, terms) -> bool:
             == {gamma: c for c, gamma in f.terms_at(cx, w.support)})
 
 
+def _lift_support(cx: CochainComplex, f: Cochain, n: int,
+                  leibniz: bool) -> set[int]:
+    """Positions in AP_{n+m} of the generators where a degree-n lift of
+    the degree-m cocycle f can be nonzero: those whose degree-m tail
+    supports f, and with leibniz, for m = 1 and n >= 1, also those with a
+    valued arrow strictly inside their support (the Leibniz terms of
+    lift_terms)."""
+    tails = cx.lift_tails(n, f.degree)
+    out = {i for s in f.supports(cx) for i in tails.get(s, ())}
+    if leibniz and f.degree == 1 and n >= 1:
+        inner = cx.interior_arrows(n + 1)
+        out.update(i for s in f.supports(cx) for i in inner.get(s.arrows[0], ()))
+    return out
+
+
 def _lift_values(cx: CochainComplex, f: Cochain, terms):
-    """The generator values F_n(1 (x) w (x) 1) = terms(cx, f, n, w) of a
-    lift of f, one dict per degree n with n + m <= top, each checked on
-    generators: mu F_0 (1 (x) w (x) 1) = f(w) for w in AP_m, and
+    """The nonzero generator values F_n(1 (x) w (x) 1) = terms(cx, f, n, w)
+    of a lift of f, one dict per degree n with n + m <= top, each checked
+    on generators: mu F_0 (1 (x) w (x) 1) = f(w) for w in AP_m, and
     d_n F_n (1 (x) w (x) 1) = F_{n-1} d_{n+m} (1 (x) w (x) 1) for w in
     AP_{n+m}.  None if the augmentation or a square fails.
 
     Both sides of each square are bimodule maps, which are determined by
     their values on the generators, so this decides the same as comparing
-    the realized matrices (docs/comparison-lift.md).
+    the realized matrices (docs/comparison-lift.md).  The walk visits, in
+    AP order, only the generators where a side can be nonzero: where the
+    lift itself can be (_lift_support; only lift_terms has Leibniz terms),
+    and where d_{n+m}(1 (x) w (x) 1) meets a nonzero value of F_{n-1}
+    (CochainComplex.cofaces).  Both sides vanish on every other generator,
+    so the verdict and the nonzero values are those of a walk over all of
+    AP_{n+m}.
     """
     _require_cocycle(cx, f)
     m = f.degree
     res = cx.res
-    values = [{w: terms(cx, f, 0, w)
-               for w in (res.ap[m] if m <= res.top else ())}]
-    if not all(_augments_to(cx, f, w, val) for w, val in values[0].items()):
-        return None
-    for n in range(1, res.top - m + 1):
-        d_n, d_nm = res.differential(n), res.differential(n + m)
+    values: list[dict] = []
+    for n in range(res.top - m + 1):
+        visit = _lift_support(cx, f, n, terms is lift_terms)
+        if n:
+            d_n, d_nm = res.differential(n), res.differential(n + m)
+            cofaces = cx.cofaces(n + m)
+            visit.update(i for psi in values[-1] for i in cofaces.get(psi, ()))
+        layer = res.ap[n + m]
         cur = {}
-        for w in res.ap[n + m]:
-            val = cur[w] = terms(cx, f, n, w)
-            if (apply_map(cx.basis, val, d_n)
-                    != apply_map(cx.basis, d_nm[w], values[-1])):
+        for i in sorted(visit):
+            w = layer[i]
+            val = terms(cx, f, n, w)
+            if n:
+                holds = (apply_map(cx.basis, val, d_n)
+                         == apply_map(cx.basis, d_nm[w], values[-1]))
+            else:
+                holds = _augments_to(cx, f, w, val)
+            if not holds:
                 return None
+            if val:
+                cur[w] = val
         values.append(cur)
     return values
 
@@ -269,15 +306,18 @@ def cup(cx: CochainComplex, g: Cochain, f: Cochain) -> Cochain:
     if n < 1 or m < 1:
         raise ValueError("cup products are formed from positive degrees")
     _require_cocycle(cx, f)
-    ap = cx.res.ap
-    k = n + m
-    return _evaluate(cx, g, m, {w: lift_terms(cx, f, n, w)
-                                for w in (ap[k] if k < len(ap) else ())})
+    lift = {}
+    if n + m <= cx.top:
+        layer = cx.res.ap[n + m]
+        lift = {layer[i]: lift_terms(cx, f, n, layer[i])
+                for i in sorted(_lift_support(cx, f, n, True))}
+    return _evaluate(cx, g, m, lift)
 
 
 def _evaluate(cx: CochainComplex, g: Cochain, m: int, lift: dict) -> Cochain:
     """g cup f for a degree-m cocycle f, from lift: w -> the terms of the
-    degree-(deg g) lift of f at 1 (x) w (x) 1, over AP_{deg g + m}."""
+    degree-(deg g) lift of f at 1 (x) w (x) 1, for every w of
+    AP_{deg g + m} where they are nonzero."""
     _require_cocycle(cx, g)
     total = g.degree + m
     index = cx.pair_index(total)

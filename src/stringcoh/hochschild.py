@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .linalg import RationalMatrix
+from .linalg import CertificateError, RationalMatrix
 from .presentation import PathBasis
 from .quiver import Path, occurrences
 from .resolution import ApElement, Resolution
@@ -166,6 +166,15 @@ class KerImAudit:
         return all(c.passed for c in self.checks)
 
 
+def require_lift_degree(n: int, m: int, w: ApElement):
+    """A degree-n lift of a degree-m cocycle (m >= 1) is evaluated on the
+    generators of AP_{n+m}; CertificateError for any other w."""
+    if m < 1 or w.degree != n + m:
+        raise CertificateError(
+            f"a degree-{n} lift of a degree-{m} cocycle takes AP_{n + m}, "
+            f"not AP_{w.degree}")
+
+
 class CochainComplex:
     """Pair bases, the cochain maps, and both dimension computations."""
 
@@ -180,6 +189,9 @@ class CochainComplex:
         self._columns: dict[int, list[dict[int, int]]] = {}
         self._ranks: dict[int, int] = {}
         self._divisors: dict[tuple[int, Path], list[tuple[Path, ApElement, Path]]] = {}
+        self._tails: dict[tuple[int, int], dict[Path, list[int]]] = {}
+        self._interior: dict[int, dict[int, list[int]]] = {}
+        self._cofaces: dict[int, dict[ApElement, list[int]]] = {}
         # filled by cup: cocycle_basis per degree
         self.cocycles: dict[int, list] = {}
 
@@ -223,6 +235,52 @@ class CochainComplex:
                 for left, right in occurrences(psi.support, target)
                 if self.basis.reduce(left) is not None
             ]
+        return hit
+
+    # -- where comparison lifts can be nonzero ------------------------------
+    # Positions in AP_{n+m}, shared by every cocycle and both lift formulas.
+
+    def lift_tails(self, n: int, m: int) -> dict[Path, list[int]]:
+        """Support of the degree-m tail of w -> the positions of those w
+        in AP_{n+m}: the tail from Resolution.decompose, and w itself for
+        n = 0.  A degree-n lift of a cocycle f takes its value at w from
+        f(tail), so it can be nonzero only where the tail supports f.
+        Every element of AP_{n+m} is checked to have degree n + m."""
+        key = (n, m)
+        hit = self._tails.get(key)
+        if hit is None:
+            hit = {}
+            for i, w in enumerate(self.res.ap[n + m]):
+                require_lift_degree(n, m, w)
+                tail = w if n == 0 else self.res.decompose(w, n, m)[2]
+                hit.setdefault(tail.support, []).append(i)
+            self._tails[key] = hit
+        return hit
+
+    def interior_arrows(self, k: int) -> dict[int, list[int]]:
+        """Arrow id -> the positions in AP_k of the w carrying that arrow
+        strictly inside their support, where the Leibniz terms of a
+        degree-1 lift sit."""
+        hit = self._interior.get(k)
+        if hit is None:
+            hit = {}
+            for i, w in enumerate(self.res.ap[k]):
+                for a in w.support.arrows[1:-1]:
+                    hit.setdefault(a, []).append(i)
+            self._interior[k] = hit
+        return hit
+
+    def cofaces(self, k: int) -> dict[ApElement, list[int]]:
+        """psi in AP_{k-1} -> the positions in AP_k of the w whose
+        differential d_k(1 (x) w (x) 1) has a term with middle psi."""
+        hit = self._cofaces.get(k)
+        if hit is None:
+            hit = {}
+            diff = self.res.differential(k)
+            for i, w in enumerate(self.res.ap[k]):
+                for t in diff[w]:
+                    hit.setdefault(t.middle, []).append(i)
+            self._cofaces[k] = hit
         return hit
 
     def class_counts(self, n: int) -> dict[str, int]:

@@ -51,6 +51,12 @@ class ApElement:
     chain: tuple[Path, ...]
     op_chain: tuple[Path, ...]
 
+    def __hash__(self):
+        # Within a degree the support determines the chains (a second chain
+        # for one support raises ApConstructionError), so hashing the
+        # chains' paths too would add cost and no spread.
+        return hash((self.degree, self.support))
+
     def __post_init__(self):
         if self.degree >= 2:
             assert len(self.chain) == self.degree - 1
@@ -496,11 +502,12 @@ def apply_map(basis: PathBasis, terms, images) -> dict:
     """The bimodule map with generator values images applied to the
     element sum c (L (x) psi (x) R) over terms: the sum of
     c L images[psi] R, keyed by (left, middle, right) with zero entries
-    dropped.  Terms and values are ComparisonTerm or BimoduleTerm."""
+    dropped.  A psi missing from images has value zero.  Terms and values
+    are ComparisonTerm or BimoduleTerm."""
     out: dict = {}
     mul = basis.mult
     for t in terms:
-        for s in images[t.middle]:
+        for s in images.get(t.middle, ()):
             left = mul(t.left, s.left)
             if left is None:
                 continue

@@ -29,6 +29,7 @@ from tests_support import (
     comparison_matrix,
     cup_with_lift,
     dense_is_cocycle,
+    dense_lift_values,
     global_lift_audit,
     scan_terms_at,
     solved_lift_matrices,
@@ -186,6 +187,63 @@ def test_generator_audit_matches_global_oracle(corpus, a_n):
                 assert verdict == global_lift_audit(cx, f, comparison_terms), where
                 red += not verdict
     assert red  # the oracle also met failing squares
+
+
+def test_sparse_lift_walk_matches_dense_oracle(corpus, a_n):
+    """The lift walk that visits only generators where a side of a square
+    can be nonzero reaches the dense walk's verdict and every nonzero
+    generator value, in AP order, for both lifts on every basis cocycle,
+    and each lift is zero outside the generators _lift_support names:
+    the default corpus (red seeds such as 88 included), the 24/48 corpus
+    of seeds 0-12, and a_n(1..8)."""
+    towers = [(f"seed {seed}", cx) for seed, _, _, _, cx in corpus]
+    towers += [(f"seed {s} at 24/48",
+                build_tower(generate(s, max_vertices=24, max_arrows=48))[2])
+               for s in range(13)]
+    towers += [(f"a_n({n})", a_n[n][3] if n in a_n
+                else build_tower(parse(a_n_text(n)))[2]) for n in range(1, 9)]
+    red = 0
+    for name, cx in towers:
+        for m in range(1, cx.top + 1):
+            for k, f in enumerate(cocycle_basis(cx, m)):
+                for terms in (comparison_terms, lift_terms):
+                    where = f"{name} degree {m} cocycle {k} {terms.__name__}"
+                    for n in range(cx.top - m + 1):
+                        nonzero = {i for i, w in enumerate(cx.res.ap[n + m])
+                                   if terms(cx, f, n, w)}
+                        assert nonzero <= cup_module._lift_support(
+                            cx, f, n, terms is lift_terms), f"{where} n={n}"
+                    dense = dense_lift_values(cx, f, terms)
+                    sparse = cup_module._lift_values(cx, f, terms)
+                    assert (dense is None) == (sparse is None), where
+                    red += dense is None
+                    if dense is not None:
+                        assert ([list(d.items()) for d in sparse]
+                                == [[(w, v) for w, v in d.items() if v]
+                                    for d in dense]), where
+    assert red  # failing squares were met too
+
+
+def test_sparse_lift_walk_evaluates_fewer_generators(monkeypatch):
+    """On a_n(7) the sparse walk evaluates the lift formula on fewer
+    generators than the dense walk, for the same verdicts."""
+    cx = build_tower(parse(a_n_text(7)))[2]
+    calls = []
+
+    def counted(cx, f, n, w):
+        calls.append(w)
+        return lift_terms(cx, f, n, w)
+
+    monkeypatch.setattr(cup_module, "lift_terms", counted)
+    counts = {}
+    for name, walk in (("sparse", cup_module._lift_values),
+                       ("dense", dense_lift_values)):
+        calls.clear()
+        for m in range(1, cx.top + 1):
+            for f in cocycle_basis(cx, m):
+                assert walk(cx, f, counted) is not None
+        counts[name] = len(calls)
+    assert 0 < counts["sparse"] < counts["dense"]
 
 
 def test_solved_lift_is_bimodule_chain_map(corpus):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from conftest import a_n_text
@@ -149,6 +151,28 @@ def test_op_sets_match_everywhere(a_n, corpus):
         assert len(dual) == len(res.ap)
         for n in range(len(res.ap)):
             assert {e.support for e in dual[n]} == supports(res, n)
+
+
+def test_ap_element_hash_is_degree_and_support(corpus, a_n):
+    """An AP element hashes as (degree, support).  Equal elements hash
+    equal and by_support and element-keyed lookups still hit; an element
+    with the same degree and support but another chain stays unequal."""
+    towers = [res for _, _, _, res, _ in corpus] + [a_n[5][2]]
+    for res in towers:
+        for n, layer in enumerate(res.ap):
+            index = {w: i for i, w in enumerate(layer)}
+            for i, w in enumerate(layer):
+                copy = resolution.ApElement(w.degree, w.support, w.chain,
+                                            w.op_chain)
+                assert copy == w and hash(copy) == hash(w)
+                assert hash(w) == hash((n, w.support))
+                assert res.by_support[n][copy.support] is w
+                assert index[copy] == i
+    w = a_n[5][2].ap[3][0]
+    other = dataclasses.replace(w, chain=(w.support,) * 2)
+    assert other.chain != w.chain
+    assert hash(other) == hash(w) and other != w
+    assert len({w: 0, other: 1}) == 2
 
 
 def test_sub_of_degree_three_element(a_n):

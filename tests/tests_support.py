@@ -8,6 +8,7 @@ from stringcoh.cup import (
     Cochain,
     ComparisonTerm,
     _augments_to,
+    _require_cocycle,
     comparison_terms,
     is_cocycle,
 )
@@ -83,6 +84,30 @@ def bar_dims(basis, up_to: int) -> list[int]:
         dims.append(dn.cols - dn.rank() - prev_rank)
         prev_rank = dn.rank()
     return dims
+
+
+def dense_lift_values(cx, f, terms):
+    """cup._lift_values by a walk over every generator: the generator
+    values terms(cx, f, n, w) of a lift of f for every w in AP_{n+m}, one
+    dict per degree n with n + m <= top, or None if the augmentation or a
+    commuting square fails on some generator."""
+    _require_cocycle(cx, f)
+    m = f.degree
+    res = cx.res
+    values = [{w: terms(cx, f, 0, w)
+               for w in (res.ap[m] if m <= res.top else ())}]
+    if not all(_augments_to(cx, f, w, val) for w, val in values[0].items()):
+        return None
+    for n in range(1, res.top - m + 1):
+        d_n, d_nm = res.differential(n), res.differential(n + m)
+        cur = {}
+        for w in res.ap[n + m]:
+            val = cur[w] = terms(cx, f, n, w)
+            if (apply_map(cx.basis, val, d_n)
+                    != apply_map(cx.basis, d_nm[w], values[-1])):
+                return None
+        values.append(cur)
+    return values
 
 
 def global_lift_audit(cx, f, terms) -> bool:
