@@ -54,13 +54,9 @@ def ap_duality_witnesses(res: Resolution) -> list[str]:
 class Auditor:
     """Builds the full tower over one presentation and runs every audit."""
 
-    def __init__(self, pres: Presentation, max_degree: int | None = None,
-                 report: ValidationReport | None = None):
-        """report is validate(pres) when the caller has it already; a
-        presentation that fails validation raises ValueError."""
+    def __init__(self, pres: Presentation, max_degree: int | None = None):
         self.pres = pres
-        self.report: ValidationReport = (validate(pres) if report is None
-                                         else report)
+        self.report: ValidationReport = validate(pres)
         if not self.report.passed:
             raise ValueError(
                 "presentation fails validation: "

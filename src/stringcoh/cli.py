@@ -42,8 +42,10 @@ def main(argv=None) -> int:
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: parse_args leaves it
-    unchanged, and building it is a sizable share of a small check."""
+    """The argument parser, built once per process; parse_args leaves it
+    unchanged.  This saves time only where main runs repeatedly in one
+    process, such as the in-process benchmark; a command-line run calls
+    main once."""
     parser = argparse.ArgumentParser(
         prog="stringcoh",
         description="Hochschild cohomology of triangular string algebras",
@@ -240,7 +242,7 @@ def cmd_check(args) -> int:
     if not vreport.passed:
         _print_validation_failures(vreport)
         return EXIT_INVALID
-    auditor = checks.Auditor(pres, report=vreport)
+    auditor = checks.Auditor(pres)
     results = auditor.run_all()
     payload = {
         "presentation": report.presentation_section(pres, auditor.basis),

@@ -211,16 +211,15 @@ def _augments_to(cx: CochainComplex, f: Cochain, w: ApElement, terms) -> bool:
             == {gamma: c for c, gamma in f.terms_at(cx, w.support)})
 
 
-def _lift_support(cx: CochainComplex, f: Cochain, n: int,
-                  leibniz: bool) -> set[int]:
+def _lift_support(cx: CochainComplex, f: Cochain, n: int) -> set[int]:
     """Positions in AP_{n+m} of the generators where a degree-n lift of
     the degree-m cocycle f can be nonzero: those whose degree-m tail
-    supports f, and with leibniz, for m = 1 and n >= 1, also those with a
-    valued arrow strictly inside their support (the Leibniz terms of
-    lift_terms)."""
+    supports f, and for m = 1 and n >= 1 also those with a valued arrow
+    strictly inside their support (the Leibniz terms of lift_terms;
+    comparison_terms vanishes there unless the tail supports f)."""
     tails = cx.lift_tails(n, f.degree)
     out = {i for s in f.supports(cx) for i in tails.get(s, ())}
-    if leibniz and f.degree == 1 and n >= 1:
+    if f.degree == 1 and n >= 1:
         inner = cx.interior_arrows(n + 1)
         out.update(i for s in f.supports(cx) for i in inner.get(s.arrows[0], ()))
     return out
@@ -237,9 +236,8 @@ def _lift_values(cx: CochainComplex, f: Cochain, terms):
     their values on the generators, so this decides the same as comparing
     the realized matrices (docs/comparison-lift.md).  The walk visits, in
     AP order, only the generators where a side can be nonzero: where the
-    lift itself can be (_lift_support; only lift_terms has Leibniz terms),
-    and where d_{n+m}(1 (x) w (x) 1) meets a nonzero value of F_{n-1}
-    (CochainComplex.cofaces).  Both sides vanish on every other generator,
+    lift itself can be (_lift_support), and where d_{n+m}(1 (x) w (x) 1)
+    meets a nonzero value of F_{n-1} (CochainComplex.cofaces).  Both sides vanish on every other generator,
     so the verdict and the nonzero values are those of a walk over all of
     AP_{n+m}.
     """
@@ -248,7 +246,7 @@ def _lift_values(cx: CochainComplex, f: Cochain, terms):
     res = cx.res
     values: list[dict] = []
     for n in range(res.top - m + 1):
-        visit = _lift_support(cx, f, n, terms is lift_terms)
+        visit = _lift_support(cx, f, n)
         if n:
             d_n, d_nm = res.differential(n), res.differential(n + m)
             cofaces = cx.cofaces(n + m)
@@ -310,7 +308,7 @@ def cup(cx: CochainComplex, g: Cochain, f: Cochain) -> Cochain:
     if n + m <= cx.top:
         layer = cx.res.ap[n + m]
         lift = {layer[i]: lift_terms(cx, f, n, layer[i])
-                for i in sorted(_lift_support(cx, f, n, True))}
+                for i in sorted(_lift_support(cx, f, n))}
     return _evaluate(cx, g, m, lift)
 
 

@@ -15,7 +15,6 @@ from stringcoh import (
     basis_P,
     checks,
     parse,
-    validate,
 )
 from stringcoh import cli
 from stringcoh.cli import main
@@ -119,7 +118,6 @@ def test_ap_json_same_under_optimize(tmp_path, capsys):
 
 _CHECK_EACH = """
 import contextlib, io, json, sys
-from stringcoh import cli
 from stringcoh.cli import main
 if __debug__:
     sys.exit("asserts are still on")
@@ -297,30 +295,12 @@ def test_main_reuses_one_parser(a_file, capsys):
     assert cli._build_parser() is cli._build_parser()
 
 
-def test_check_validates_once(a_file, monkeypatch, capsys):
-    """check hands its validation report to the Auditor instead of
-    validating again."""
-    calls = []
-
-    def counted(pres):
-        calls.append(pres)
-        return validate(pres)
-
-    monkeypatch.setattr(cli, "validate", counted)
-    monkeypatch.setattr(checks, "validate", counted)
-    assert main(["check", a_file(3), "--json"]) == 0
-    assert len(calls) == 1
-
-
 def test_auditor_refuses_invalid_presentation():
-    """The Auditor validates a presentation given without its report, and
-    refuses one whose report failed."""
+    """The Auditor validates its presentation and refuses one that fails."""
     pres = parse("vertex 0 1 2 3\narrow a 0 1\narrow b 1 2\narrow c 2 3\n"
                  "relation a b\nrelation a b c\n")
     with pytest.raises(ValueError, match="fails validation"):
         checks.Auditor(pres)
-    with pytest.raises(ValueError, match="minimal-generators"):
-        checks.Auditor(parse(a_n_text(3)), report=validate(pres))
 
 
 def test_check_degenerate_degrees(a_file, capsys):

@@ -212,7 +212,7 @@ def test_sparse_lift_walk_matches_dense_oracle(corpus, a_n):
                         nonzero = {i for i, w in enumerate(cx.res.ap[n + m])
                                    if terms(cx, f, n, w)}
                         assert nonzero <= cup_module._lift_support(
-                            cx, f, n, terms is lift_terms), f"{where} n={n}"
+                            cx, f, n), f"{where} n={n}"
                     dense = dense_lift_values(cx, f, terms)
                     sparse = cup_module._lift_values(cx, f, terms)
                     assert (dense is None) == (sparse is None), where
