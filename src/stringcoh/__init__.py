@@ -34,9 +34,7 @@ from .resolution import (
     ApConstructionError,
     ApElement,
     Resolution,
-    ap_op_sets,
     ap_sets,
-    resolution_check,
 )
 
 __all__ = [
@@ -56,7 +54,6 @@ __all__ = [
     "RationalMatrix",
     "Resolution",
     "ValidationReport",
-    "ap_op_sets",
     "ap_sets",
     "basis_P",
     "chain_map_audit",
@@ -70,7 +67,6 @@ __all__ = [
     "occurrences",
     "parse",
     "parse_file",
-    "resolution_check",
     "validate",
 ]
 

@@ -33,7 +33,7 @@ from fractions import Fraction
 from .hochschild import CochainComplex, ParallelPair, require_lift_degree
 from .linalg import CertificateError, RationalMatrix
 from .quiver import Path, compose, occurrences
-from .resolution import ApElement, apply_map
+from .resolution import ApElement, apply_map, augment
 
 
 @dataclass
@@ -202,12 +202,7 @@ def division_positions(cx: CochainComplex, n: int, w: ApElement) -> int:
 def _augments_to(cx: CochainComplex, f: Cochain, w: ApElement, terms) -> bool:
     """Whether the augmentation mu(L (x) e (x) R) = L R sends the
     degree-0 lift terms of w to f(w)."""
-    out: dict[Path, Fraction] = {}
-    for t in terms:
-        prod = cx.basis.mult(t.left, t.right)
-        if prod is not None:
-            out[prod] = out.get(prod, 0) + t.coeff
-    return ({p: c for p, c in out.items() if c}
+    return (augment(cx.basis, terms)
             == {gamma: c for c, gamma in f.terms_at(cx, w.support)})
 
 

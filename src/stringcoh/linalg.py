@@ -1,4 +1,5 @@
-"""Exact rational matrices: rank, nullspace, and column-space membership.
+"""Exact rational matrices: rank, nullspace, pivot columns, and certified
+column-space membership.
 
 The elimination core is fraction-free (Bareiss): rows are cleared to
 integers once, then every update is
@@ -7,6 +8,13 @@ exact integer division.  Arbitrary-precision integers make this safe at
 any size; pivots are chosen small and sparse to contain growth.  The
 matrices produced upstream have entries in {-1, 0, 1} and are very
 sparse, so rows are stored as column->value dicts.
+
+All four queries run that one elimination.  Column-space membership
+eliminates [M | v | I] with pivots in M's columns: a row left without a
+pivot but with an entry under v is a left-null certificate, read off the
+identity columns.  Kernel vectors and preimages come from one back
+substitution, seeded with a free column set to 1 or with v's column set
+to -1.
 """
 
 from __future__ import annotations
@@ -39,10 +47,6 @@ class RationalMatrix:
                 if v:
                     m._rows[i][j] = Fraction(v)
         return m
-
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "RationalMatrix":
-        return cls(rows, cols)
 
     def add_at(self, r: int, c: int, v):
         if not v:
@@ -117,110 +121,101 @@ class RationalMatrix:
             out.append(sum((v * vec[j] for j, v in row.items()), Fraction(0)))
         return out
 
-    def _integer_rows(self) -> list[dict[int, int]]:
-        """Row-scaled integer copy (row scaling preserves rank, nullspace,
-        and the solution set of M x = v when v is scaled along)."""
-        out = []
-        for row in self._rows:
-            fracs = {c: Fraction(v) for c, v in row.items()}
-            scale = lcm(*(f.denominator for f in fracs.values())) if fracs else 1
-            out.append({c: int(f * scale) for c, f in fracs.items()})
-        return out
-
     def rank(self) -> int:
-        rows = self._integer_rows()
-        pivots, _, _ = _bareiss(rows, self.cols)
+        pivots, _ = _bareiss(_integer_rows(self._rows), self.cols)
         return len(pivots)
 
     def nullspace(self) -> list[tuple[Fraction, ...]]:
         """Echelon-canonical kernel basis: one vector per free column, in
         column order, with a 1 in its free coordinate."""
-        rows = self._integer_rows()
-        pivots, _, _ = _bareiss(rows, self.cols)
+        pivots, rows = _bareiss(_integer_rows(self._rows), self.cols)
         pivot_cols = {c for _, c in pivots}
-        free_cols = [c for c in range(self.cols) if c not in pivot_cols]
-        basis = []
-        for f in free_cols:
-            x: dict[int, Fraction] = {f: Fraction(1)}
-            for r, c in reversed(pivots):
-                row = rows[r]
-                s = Fraction(0)
-                for cc, v in row.items():
-                    if cc != c:
-                        s += v * x.get(cc, 0)
-                x[c] = -s / row[c]
-            basis.append(tuple(x.get(c, Fraction(0)) for c in range(self.cols)))
-        return basis
-
-    def nullity(self) -> int:
-        return self.cols - self.rank()
+        return [tuple(_solve(rows, pivots, {f: Fraction(1)}, self.cols))
+                for f in range(self.cols) if f not in pivot_cols]
 
     def pivot_columns(self) -> list[int]:
         """Pivot columns of the row echelon form, in column order."""
-        rows = self._integer_rows()
-        pivots, _, _ = _bareiss(rows, self.cols)
+        pivots, _ = _bareiss(_integer_rows(self._rows), self.cols)
         return [c for _, c in pivots]
 
     def in_column_space(self, vec):
         """Decide whether vec lies in the column span.
 
-        Returns ``(True, x)`` with a preimage solving M x = vec, or
-        ``(False, y)`` with a certifying functional: y M = 0, y.vec != 0.
+        Returns ``(True, x)`` with the preimage solving M x = vec that is
+        zero off the pivot columns, or ``(False, y)`` with a certifying
+        functional: y M = 0, y.vec != 0.
+
+        One elimination of [M | vec | I], pivoting in M's columns only,
+        decides both: y is read off the identity columns of a row left
+        without a pivot but with an entry under vec, and x comes from the
+        shared back substitution seeded with vec's column.
         """
         if len(vec) != self.rows:
             raise ValueError(f"expected a vector of length {self.rows}")
         n = self.cols
         rows = []
-        scales = []
         for i, row in enumerate(self._rows):
-            fracs = {c: Fraction(v) for c, v in row.items()}
-            fv = Fraction(vec[i])
-            dens = [f.denominator for f in fracs.values()] + [fv.denominator]
-            scale = lcm(*dens)
-            r = {c: int(f * scale) for c, f in fracs.items()}
-            if fv:
-                r[n] = int(fv * scale)
+            r = dict(row)
+            if vec[i]:
+                r[n] = vec[i]
+            r[n + 1 + i] = 1
             rows.append(r)
-            scales.append(scale)
-        pivots, rows, transform = _bareiss(rows, n, track=True)
+        pivots, rows = _bareiss(_integer_rows(rows), n)
         used = {r for r, _ in pivots}
-        for i in range(self.rows):
-            if i not in used and rows[i]:
+        for i, row in enumerate(rows):
+            if i not in used and row.get(n):
                 # zero combination of M's rows with a nonzero right side
-                if set(rows[i]) != {n}:
+                if min(row) < n:
                     raise CertificateError(
                         "a left-null certificate must clear every column")
-                y = [Fraction(0)] * self.rows
-                for r, t in transform[i].items():
-                    y[r] = Fraction(t * scales[r])
-                return False, y
-        x: dict[int, Fraction] = {}
-        for r, c in reversed(pivots):
-            row = rows[r]
-            s = Fraction(row.get(n, 0))
-            for cc, v in row.items():
-                if cc != c and cc != n:
-                    s -= v * x.get(cc, 0)
-            x[c] = s / row[c]
-        return True, [x.get(c, Fraction(0)) for c in range(n)]
+                return False, [Fraction(row.get(n + 1 + k, 0))
+                               for k in range(self.rows)]
+        return True, _solve(rows, pivots, {n: Fraction(-1)}, n)
 
 
-def _bareiss(rows: list[dict[int, int]], ncols: int, track: bool = False):
+def _integer_rows(rows) -> list[dict[int, int]]:
+    """Row-scaled integer copy.  Row scaling preserves rank, nullspace and
+    the solutions of [M | v]; identity columns scale along, so the
+    combinations read off them are of the unscaled rows."""
+    out = []
+    for row in rows:
+        fracs = {c: Fraction(v) for c, v in row.items()}
+        scale = lcm(*(f.denominator for f in fracs.values())) if fracs else 1
+        out.append({c: int(f * scale) for c, f in fracs.items()})
+    return out
+
+
+def _solve(rows, pivots, seed: dict[int, Fraction], ncols: int) -> list[Fraction]:
+    """Back substitution through the eliminated rows: start from the seed
+    coordinates (a free column set to 1, or the right side set to -1) and
+    solve each pivot row for its pivot so the row is zero on x.  Entries
+    of x in columns outside the seed and the pivots stay zero."""
+    x = dict(seed)
+    for r, c in reversed(pivots):
+        row = rows[r]
+        s = Fraction(0)
+        for cc, v in row.items():
+            if cc != c and cc in x:
+                s += v * x[cc]
+        x[c] = -s / row[c]
+    return [x.get(c, Fraction(0)) for c in range(ncols)]
+
+
+def _bareiss(rows: list[dict[int, int]], ncols: int):
     """Fraction-free row elimination in place.
 
-    Pivot columns are scanned left to right; within a column the pivot row
-    is the one with the smallest |entry| (ties broken by sparsity), which
-    keeps the exact-division intermediates small.  Every active row is
-    updated with the Bareiss rule each step, so all intermediate values
-    are minors of the (permuted, scaled) input and the divisions are exact.
+    Pivot columns are scanned left to right through the first ``ncols``
+    columns; within a column the pivot row is the one with the smallest
+    |entry| (ties broken by sparsity), which keeps the exact-division
+    intermediates small.  Every active row is updated with the Bareiss
+    rule each step, in every column it or the pivot row has, so all
+    intermediate values are minors of the (permuted, scaled) input and
+    the divisions are exact.  Columns past ``ncols`` ride along.
 
-    Returns (pivots, rows, transform): pivots as (row index, column) in
-    elimination order; transform[i] expresses row i as a combination of
-    the input rows when ``track`` is set.
+    Returns (pivots, rows): pivots as (row index, column) in elimination
+    order.
     """
-    m = len(rows)
-    transform = [{i: 1} for i in range(m)] if track else None
-    active = [i for i in range(m)]
+    active = list(range(len(rows)))
     pivots: list[tuple[int, int]] = []
     prev = 1
     for j in range(ncols):
@@ -238,7 +233,6 @@ def _bareiss(rows: list[dict[int, int]], ncols: int, track: bool = False):
         pivots.append((r0, j))
         piv = rows[r0][j]
         prow = rows[r0]
-        ptrans = transform[r0] if track else None
         for r in active:
             row = rows[r]
             a = row.get(j, 0)
@@ -253,18 +247,5 @@ def _bareiss(rows: list[dict[int, int]], ncols: int, track: bool = False):
                     new[c] = q
             new.pop(j, None)
             rows[r] = new
-            if track:
-                told = transform[r]
-                tnew: dict[int, int] = {}
-                for c in told.keys() | (ptrans.keys() if a else ()):
-                    v = told.get(c, 0) * piv - a * ptrans.get(c, 0)
-                    if v:
-                        q, rem = divmod(v, prev)
-                        if rem:
-                            raise CertificateError(
-                                "fraction-free division of the row "
-                                "transform must be exact")
-                        tnew[c] = q
-                transform[r] = tnew
         prev = piv
-    return pivots, rows, transform
+    return pivots, rows

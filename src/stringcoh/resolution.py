@@ -319,8 +319,8 @@ class Resolution:
         elif n == 1:
             head_sup = sup.prefix(1)
         else:
-            head_end = _occurrence_end(w.chain[n - 2], sup)
-            head_sup = sup.prefix(head_end)
+            rel = w.chain[n - 2]
+            head_sup = sup.prefix(_occurrence_start(rel, sup) + len(rel))
         if m == 0:
             tail_sup = sup.suffix(len(sup))
         elif m == 1:
@@ -409,16 +409,10 @@ class Resolution:
         cols, _ = self.bimodule_space(n)
         mat = RationalMatrix(len(rows), len(cols))
         diff = self.differential(n)
-        mul = self.basis.mult
         for j, (l, w, r) in enumerate(cols):
-            for term in diff[w]:
-                lp = mul(l, term.left)
-                if lp is None:
-                    continue
-                rp = mul(term.right, r)
-                if rp is None:
-                    continue
-                mat.add_at(row_index[(lp, term.middle, rp)], j, term.coeff)
+            image = apply_map(self.basis, [BimoduleTerm(1, l, w, r)], diff)
+            for key, c in image.items():
+                mat.add_at(row_index[key], j, c)
         self._dmat_cache[n] = mat
         return mat
 
@@ -428,10 +422,9 @@ class Resolution:
             return self._mu_cache
         cols, _ = self.bimodule_space(0)
         mat = RationalMatrix(self.basis.dim, len(cols))
-        for j, (l, _w, r) in enumerate(cols):
-            prod = self.basis.mult(l, r)
-            if prod is not None:
-                mat.add_at(self.basis.index[prod], j, 1)
+        for j, (l, w, r) in enumerate(cols):
+            for p, c in augment(self.basis, [BimoduleTerm(1, l, w, r)]).items():
+                mat.add_at(self.basis.index[p], j, c)
         self._mu_cache = mat
         return mat
 
@@ -485,14 +478,9 @@ class Resolution:
     def d_squared_is_zero(self) -> bool:
         """mu d_1 = 0 and d_{n-1} d_n = 0 on every generator 1 (x) w (x) 1,
         which determines these bimodule maps."""
-        for terms in self.differential(1).values():
-            image = {}
-            for t in terms:
-                p = self.basis.mult(t.left, t.right)
-                if p is not None:
-                    image[p] = image.get(p, 0) + t.coeff
-            if any(image.values()):
-                return False
+        if any(augment(self.basis, terms)
+               for terms in self.differential(1).values()):
+            return False
         return not any(apply_map(self.basis, terms, self.differential(n - 1))
                        for n in range(2, len(self.ap))
                        for terms in self.differential(n).values())
@@ -523,26 +511,28 @@ def apply_map(basis: PathBasis, terms, images) -> dict:
     return out
 
 
+def augment(basis: PathBasis, terms) -> dict:
+    """The augmentation mu(L (x) e (x) R) = L R applied to the element
+    sum c (L (x) e (x) R) over terms: path -> coefficient, zero entries
+    dropped."""
+    out: dict = {}
+    for t in terms:
+        p = basis.mult(t.left, t.right)
+        if p is None:
+            continue
+        v = out.get(p, 0) + t.coeff
+        if v:
+            out[p] = v
+        else:
+            del out[p]
+    return out
+
+
 def ap_sets(pres: Presentation, max_degree: int | None = None):
     """Per-degree support sets of the resolution, left-greedy construction."""
     from .presentation import basis_P
 
     return Resolution(pres, basis_P(pres), max_degree).ap
-
-
-def ap_op_sets(pres: Presentation, max_degree: int | None = None):
-    """Per-degree support sets built with the dual construction."""
-    from .presentation import basis_P
-
-    return Resolution(pres, basis_P(pres), max_degree).op_ap_sets()
-
-
-def resolution_check(pres: Presentation) -> list[int]:
-    """Resolution.homology_dims: all zero exactly when the complex is the
-    resolution it claims to be."""
-    from .presentation import basis_P
-
-    return Resolution(pres, basis_P(pres)).homology_dims()
 
 
 def _require_two_flush(subs: list[SubDivisor]) -> list[SubDivisor]:
@@ -554,18 +544,10 @@ def _require_two_flush(subs: list[SubDivisor]) -> list[SubDivisor]:
     return subs
 
 
-def _occurrence_end(rel: Path, w: Path) -> int:
-    """End position of the unique occurrence of rel inside w."""
-    k = len(rel)
-    for i in range(len(w) - k + 1):
-        if w.arrows[i : i + k] == rel.arrows:
-            return i + k
-    raise AssertionError("chain relation does not occur in its support")
-
-
 def _occurrence_start(rel: Path, w: Path) -> int:
+    """Start position of the first occurrence of rel inside w."""
     k = len(rel)
     for i in range(len(w) - k + 1):
         if w.arrows[i : i + k] == rel.arrows:
             return i
-    raise AssertionError("chain relation does not occur in its support")
+    raise CertificateError("chain relation does not occur in its support")

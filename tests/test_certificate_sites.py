@@ -2,6 +2,7 @@
 assert, so they hold under ``python -O`` too.  Each site is forced to
 fail by patching the data it certifies."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -11,7 +12,8 @@ import pytest
 
 import stringcoh
 from conftest import a_n_text, build_tower
-from stringcoh import CertificateError, PathBasis, Quiver, parse, resolution
+from stringcoh import (CertificateError, PathBasis, Quiver, occurrences, parse,
+                       resolution)
 from stringcoh.cup import chain_map_audit, cocycle_basis, is_cocycle, phi, phi_inv
 
 
@@ -43,6 +45,14 @@ def splitting_head_and_tail_overlap():
     res.by_support[2] = _AnyKey(res.ap[2][0])
     with mock.patch.object(resolution, "_occurrence_start", lambda rel, w: 0):
         res.decompose(res.ap[3][0], 1, 2)
+
+
+def chain_relation_outside_support():
+    _, res, _ = tower()
+    w = res.ap[3][0]
+    stranger = next(r for r in res.pres.relations
+                    if not occurrences(r, w.support))
+    res.decompose(dataclasses.replace(w, chain=(w.chain[0], stranger)), 3, 0)
 
 
 def splitting_middle_outside_basis():
@@ -99,6 +109,8 @@ SITES = {
         (splitting_outside_ap_sets, "splitting fell outside"),
     "head and tail overlap":
         (splitting_head_and_tail_overlap, "head and tail"),
+    "chain relation outside its support":
+        (chain_relation_outside_support, "does not occur in its support"),
     "middle outside the basis":
         (splitting_middle_outside_basis, "middle of the splitting"),
     "successor not unique":

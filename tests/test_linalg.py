@@ -35,7 +35,7 @@ def test_rank_identity():
 
 
 def test_rank_zero_matrix():
-    assert RationalMatrix.zero(3, 4).rank() == 0
+    assert RationalMatrix(3, 4).rank() == 0
 
 
 def test_rank_dependent_rows():
@@ -47,7 +47,7 @@ def test_nullspace_identity_empty():
 
 
 def test_nullspace_zero_matrix_standard_basis():
-    basis = RationalMatrix.zero(3, 3).nullspace()
+    basis = RationalMatrix(3, 3).nullspace()
     assert len(basis) == 3
     for i, vec in enumerate(basis):
         assert vec[i] == 1 and sum(map(abs, vec)) == 1
@@ -64,7 +64,7 @@ def test_in_column_space_identity():
 
 
 def test_in_column_space_zero_matrix():
-    ok, cert = RationalMatrix.zero(2, 2).in_column_space([1, 0])
+    ok, cert = RationalMatrix(2, 2).in_column_space([1, 0])
     assert not ok
     assert cert[0] != 0
 
@@ -131,6 +131,9 @@ def test_column_space_membership_of_combinations(rows, coeffs):
     ok, x = m.in_column_space(vec)
     assert ok
     assert m.apply(x) == [Fraction(v) for v in vec]
+    # the canonical preimage: zero off the pivot columns
+    pivots = set(m.pivot_columns())
+    assert all(x[j] == 0 for j in range(m.cols) if j not in pivots)
 
 
 @settings(max_examples=100, deadline=None)
@@ -167,6 +170,16 @@ def test_fractional_entries():
     assert m.rank() == 1
     (vec,) = m.nullspace()
     assert all(v == 0 for v in m.apply(list(vec)))
+    # [M | v | I] is scaled to integers row by row, v's denominators included
+    inside = [Fraction(1, 3), Fraction(1, 6)]
+    ok, x = m.in_column_space(inside)
+    assert ok and m.apply(x) == inside
+    outside = [Fraction(1, 3), Fraction(1, 5)]
+    ok, y = m.in_column_space(outside)
+    assert not ok
+    assert all(sum(y[i] * m.get(i, j) for i in range(m.rows)) == 0
+               for j in range(m.cols))
+    assert sum(y[i] * outside[i] for i in range(m.rows)) != 0
 
 
 def test_certificate_error_is_one_class():
@@ -176,27 +189,28 @@ def test_certificate_error_is_one_class():
 
 
 def test_inexact_division_raises(monkeypatch):
-    """Both fraction-free divisions of _bareiss raise, never assert."""
+    """The one fraction-free division of _bareiss raises, never asserts."""
     monkeypatch.setattr(linalg, "divmod", lambda a, b: (a // b, 1),
                         raising=False)
     with pytest.raises(CertificateError,
                        match="fraction-free division must be exact"):
         RationalMatrix.from_rows([[1, 1], [1, 2]]).rank()
-    # every row update here cancels, so only the transform divides
-    with pytest.raises(CertificateError, match="row transform"):
+    # M's and v's columns cancel here, so only the identity columns divide
+    with pytest.raises(CertificateError,
+                       match="fraction-free division must be exact"):
         RationalMatrix.from_rows([[1], [1]]).in_column_space([1, 1])
 
 
 def test_malformed_left_null_certificate_raises(monkeypatch):
     real = linalg._bareiss
 
-    def skewed(rows, ncols, track=False):
-        pivots, rows, transform = real(rows, ncols, track)
+    def skewed(rows, ncols):
+        pivots, rows = real(rows, ncols)
         used = {r for r, _ in pivots}
         for i, row in enumerate(rows):
             if i not in used and row:
                 row[0] = 1
-        return pivots, rows, transform
+        return pivots, rows
 
     monkeypatch.setattr(linalg, "_bareiss", skewed)
     with pytest.raises(CertificateError, match="left-null"):
