@@ -54,9 +54,13 @@ def ap_duality_witnesses(res: Resolution) -> list[str]:
 class Auditor:
     """Builds the full tower over one presentation and runs every audit."""
 
-    def __init__(self, pres: Presentation, max_degree: int | None = None):
+    def __init__(self, pres: Presentation, max_degree: int | None = None,
+                 report: ValidationReport | None = None):
+        """report is pres's validation report when the caller already has
+        one; without it the presentation is validated here."""
         self.pres = pres
-        self.report: ValidationReport = validate(pres)
+        self.report: ValidationReport = (validate(pres) if report is None
+                                         else report)
         if not self.report.passed:
             raise ValueError(
                 "presentation fails validation: "

@@ -14,7 +14,7 @@ import time
 
 from . import checks, generate, report
 from .cup import CertificateError, cup_table
-from .hochschild import CochainComplex
+from .hochschild import CochainComplex, HHTable
 from .presentation import ParseError, basis_P, parse_file, validate
 from .resolution import ApConstructionError, Resolution
 
@@ -139,7 +139,8 @@ def cmd_hh(args) -> int:
     basis, res, cx = _build_tower(pres, args.max_degree)
     table = cx.hh_table()
     if args.max_degree is not None:
-        table.rows = [r for r in table.rows if r.degree <= args.max_degree]
+        table = HHTable([r for r in table.rows if r.degree <= args.max_degree],
+                        table.top)
     payload = {
         "presentation": report.presentation_section(pres, basis),
         "validation": report.validation_section(vreport),
@@ -242,7 +243,7 @@ def cmd_check(args) -> int:
     if not vreport.passed:
         _print_validation_failures(vreport)
         return EXIT_INVALID
-    auditor = checks.Auditor(pres)
+    auditor = checks.Auditor(pres, report=vreport)
     results = auditor.run_all()
     payload = {
         "presentation": report.presentation_section(pres, auditor.basis),

@@ -32,7 +32,7 @@ from fractions import Fraction
 
 from .hochschild import CochainComplex, ParallelPair, require_lift_degree
 from .linalg import CertificateError, RationalMatrix
-from .quiver import Path, compose, occurrences
+from .quiver import Path, compose
 from .resolution import ApElement, apply_map, augment
 
 
@@ -192,11 +192,12 @@ def lift_terms(cx: CochainComplex, f: Cochain, n: int,
 
 
 def division_positions(cx: CochainComplex, n: int, w: ApElement) -> int:
-    """Number of degree-n divisor positions in the comparison sum at w."""
+    """Number of degree-n divisor positions in the comparison sum at w:
+    the occurrences of AP_n in head * u, whether or not their left
+    cofactor survives, read from Resolution.occurrences_in."""
     res = cx.res
     head, u, _ = res.decompose(w, n, w.degree - n)
-    target = compose(head.support, u)
-    return sum(len(occurrences(p.support, target)) for p in res.ap[n])
+    return len(res.occurrences_in(n, compose(head.support, u)))
 
 
 def _augments_to(cx: CochainComplex, f: Cochain, w: ApElement, terms) -> bool:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .linalg import CertificateError, RationalMatrix
 from .presentation import PathBasis
-from .quiver import Path, occurrences
+from .quiver import Path
 from .resolution import ApElement, Resolution
 
 
@@ -188,6 +188,8 @@ class CochainComplex:
         self._matrices: dict[int, RationalMatrix] = {}
         self._columns: dict[int, list[dict[int, int]]] = {}
         self._ranks: dict[int, int] = {}
+        self._counts: dict[int, dict[str, int]] = {}
+        self._hh_table: HHTable | None = None
         self._divisors: dict[tuple[int, Path], list[tuple[Path, ApElement, Path]]] = {}
         self._tails: dict[tuple[int, int], dict[Path, list[int]]] = {}
         self._interior: dict[int, dict[int, list[int]]] = {}
@@ -224,15 +226,14 @@ class CochainComplex:
     def divisors(self, n: int, target: Path) -> list[tuple[Path, ApElement, Path]]:
         """Every occurrence L * psi * R of an element psi of AP_n inside
         target whose left cofactor L survives in the algebra, as
-        (L, psi, R).  Cached: comparison lifts ask for the same targets
-        for every cocycle."""
+        (L, psi, R), in the order of Resolution.occurrences_in.  Cached:
+        comparison lifts ask for the same targets for every cocycle."""
         key = (n, target)
         hit = self._divisors.get(key)
         if hit is None:
             hit = self._divisors[key] = [
                 (left, psi, right)
-                for psi in self.res.ap[n]
-                for left, right in occurrences(psi.support, target)
+                for left, psi, right in self.res.occurrences_in(n, target)
                 if self.basis.reduce(left) is not None
             ]
         return hit
@@ -284,18 +285,20 @@ class CochainComplex:
         return hit
 
     def class_counts(self, n: int) -> dict[str, int]:
-        counts = {k: 0 for k in COUNT_KEYS}
-        if n == 0:
-            return counts
-        for p in self.pairs(n):
-            counts[p.class_label] += 1
-            if p.label != p.class_label:
-                counts[p.label] += 1
-            if p.class_label == "(1,0)" and p.right_dead:
-                counts["(1,0)-"] += 1
-            if p.class_label == "(0,1)" and p.left_dead:
-                counts["-(0,1)"] += 1
-        return counts
+        """Pairs per class and decoration in degree n (all zero in degree
+        0), counted once per degree; each call returns a fresh copy."""
+        counts = self._counts.get(n)
+        if counts is None:
+            counts = self._counts[n] = {k: 0 for k in COUNT_KEYS}
+            for p in self.pairs(n) if n >= 1 else ():
+                counts[p.class_label] += 1
+                if p.label != p.class_label:
+                    counts[p.label] += 1
+                if p.class_label == "(1,0)" and p.right_dead:
+                    counts["(1,0)-"] += 1
+                if p.class_label == "(0,1)" and p.left_dead:
+                    counts["-(0,1)"] += 1
+        return dict(counts)
 
     # -- the cochain maps --------------------------------------------------
 
@@ -396,13 +399,17 @@ class CochainComplex:
         return dims
 
     def hh_table(self) -> HHTable:
-        formula = self.hh_formula()
-        matrix = self.hh_matrix()
-        rows = [
-            HHRow(n, formula[n], matrix[n], self.class_counts(n))
-            for n in range(self.top + 1)
-        ]
-        return HHTable(rows, self.top)
+        """Both dimension columns and the class counts per degree, built
+        once; callers that trim rows build a new table."""
+        if self._hh_table is None:
+            formula = self.hh_formula()
+            matrix = self.hh_matrix()
+            rows = [
+                HHRow(n, formula[n], matrix[n], self.class_counts(n))
+                for n in range(self.top + 1)
+            ]
+            self._hh_table = HHTable(rows, self.top)
+        return self._hh_table
 
     # -- kernel/image audit --------------------------------------------------
 

@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
-from .quiver import Path, Quiver, compose, occurrences
+from .quiver import Path, Quiver, compose
 
 _NAME = re.compile(r"[A-Za-z0-9_]+\Z")
 
@@ -33,9 +34,26 @@ class Presentation:
     quiver: Quiver
     relations: tuple[Path, ...]
 
+    @cached_property
+    def _relation_words(self) -> tuple[dict[tuple, list[int]], list[int]]:
+        """(base vertex, arrows) of each relation -> its positions in
+        relations, and the distinct relation lengths."""
+        words: dict[tuple, list[int]] = {}
+        for j, r in enumerate(self.relations):
+            words.setdefault((r.source, r.arrows), []).append(j)
+        return words, sorted({len(r) for r in self.relations})
+
+    def relation_factors(self, w: Path):
+        """Positions in relations of the relations occurring as factors of
+        w, once per occurrence: one lookup per start and relation length."""
+        words, lengths = self._relation_words
+        for k in lengths:
+            for i in range(len(w) - k + 1):
+                yield from words.get((w.vertices[i], w.arrows[i : i + k]), ())
+
     def in_ideal(self, w: Path) -> bool:
         """Monomial ideal membership: some relation occurs as a factor of w."""
-        return any(occurrences(r, w) for r in self.relations)
+        return next(self.relation_factors(w), None) is not None
 
     def format_path(self, p: Path) -> str:
         return self.quiver.format_path(p)
@@ -151,17 +169,14 @@ def validate(pres: Presentation) -> ValidationReport:
         + ", ".join(pres.format_path(r) for r in short),
     )
 
-    bad_pairs = []
-    for r in pres.relations:
-        for r2 in pres.relations:
-            if r is not r2 and occurrences(r, r2):
-                bad_pairs.append((r, r2))
+    rels = pres.relations
+    bad_pairs = non_minimal_pairs(pres)
     report.add(
         "minimal-generators",
         not bad_pairs,
         "" if not bad_pairs else "; ".join(
-            f"{pres.format_path(a)} divides {pres.format_path(b)}"
-            for a, b in bad_pairs
+            f"{pres.format_path(rels[i])} divides {pres.format_path(rels[j])}"
+            for i, j in bad_pairs
         ),
     )
 
@@ -196,6 +211,13 @@ def validate(pres: Presentation) -> ValidationReport:
     report.add("S2", not s2_bad, "; ".join(s2_bad))
 
     return report
+
+
+def non_minimal_pairs(pres: Presentation) -> list[tuple[int, int]]:
+    """Every (i, j), i != j, where relation i is a factor of relation j,
+    as positions in pres.relations, ordered by i and then j."""
+    return sorted({(i, j) for j, r in enumerate(pres.relations)
+                   for i in pres.relation_factors(r) if i != j})
 
 
 class PathBasis:

@@ -32,8 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .linalg import CertificateError, RationalMatrix
-from .presentation import PathBasis, Presentation
-from .quiver import Path, occurrences
+from .presentation import PathBasis, Presentation, non_minimal_pairs
+from .quiver import Path
 
 
 @dataclass(frozen=True)
@@ -166,6 +166,7 @@ class Resolution:
         self.by_support: list[dict[Path, ApElement]] = [
             {e.support: e for e in layer} for layer in self.ap
         ]
+        self._divisor_index: dict[int, dict[int, list[tuple[int, Word]]]] = {}
         self._sub_cache: dict[tuple[int, Path], list[SubDivisor]] = {}
         self._diff_cache: dict[int, dict[ApElement, list[BimoduleTerm]]] = {}
         self._space_cache: dict[int, tuple[list, dict]] = {}
@@ -208,18 +209,17 @@ class Resolution:
         return ApConstructionError(reason, support, self.quiver.format_path(support))
 
     def _check_minimal(self):
-        """No relation may be a factor of another.  The greedy recursion
-        relies on it: along a path a minimal generating set is totally
-        ordered, two relations sharing a source or a target would divide
-        one another."""
-        words = {r.arrows for r in self.pres.relations}
-        lengths = {len(w) for w in words}
-        for r in self.pres.relations:
-            n = len(r)
-            for i in range(n):
-                for k in lengths:
-                    if k < n and i + k <= n and r.arrows[i : i + k] in words:
-                        raise self._error("generating set is not minimal on a path", r)
+        """No relation may be a proper factor of another.  The greedy
+        recursion relies on it: along a path a minimal generating set is
+        totally ordered, two relations sharing a source or a target would
+        divide one another.  The error names the first such multiple in
+        relation order."""
+        rels = self.pres.relations
+        bad = [j for i, j in non_minimal_pairs(self.pres)
+               if len(rels[i]) < len(rels[j])]
+        if bad:
+            raise self._error("generating set is not minimal on a path",
+                              rels[min(bad)])
 
     def _chain_run(self, cap: int, mirrored: bool) -> list[dict[Word, tuple[Path, ...]]]:
         """One greedy run: per degree from 2, support word -> chain.
@@ -279,8 +279,35 @@ class Resolution:
 
     # -- divisors and the unique splitting --------------------------------
 
+    def occurrences_in(self, n: int, target: Path) -> list[tuple[Path, ApElement, Path]]:
+        """Every (left, e, right) with e in AP_n and target = left *
+        e.support * right, in AP order and then left to right; [] outside
+        0..top.  A trivial support occurs at every visit of target to its
+        vertex.  Only the elements starting with the arrow at a position
+        of target (the vertex, in degree 0) are matched there, from an
+        index of AP_n built on the first call for n."""
+        if not 0 <= n < len(self.ap):
+            return []
+        index = self._divisor_index.get(n)
+        if index is None:
+            index = self._divisor_index[n] = {}
+            for pos, e in enumerate(self.ap[n]):
+                key = e.support.arrows[0] if n else e.support.source
+                index.setdefault(key, []).append((pos, e.support.arrows))
+        hits = []
+        starts = target.arrows if n else target.vertices
+        for i, key in enumerate(starts):
+            for pos, word in index.get(key, ()):
+                if target.arrows[i : i + len(word)] == word:
+                    hits.append((pos, i, i + len(word)))
+        hits.sort()
+        layer = self.ap[n]
+        return [(target.prefix(i), layer[pos], target.suffix(j))
+                for pos, i, j in hits]
+
     def sub(self, w: ApElement) -> list[SubDivisor]:
-        """The degree n-1 elements dividing w, with cofactors, left to right.
+        """The degree n-1 elements dividing w, with cofactors, left to
+        right, from occurrences_in.
 
         Division is strict, but equal supports across consecutive degrees
         cannot happen (the greedy chain is recoverable from the support),
@@ -292,12 +319,9 @@ class Resolution:
         if hit is not None:
             return hit
         assert w.degree >= 1
-        out = []
-        if w.degree - 1 < len(self.ap):
-            for e in self.ap[w.degree - 1]:
-                for left, right in occurrences(e.support, w.support):
-                    if len(left) + len(right) > 0:
-                        out.append(SubDivisor(e, left, right))
+        out = [SubDivisor(e, left, right)
+               for left, e, right in self.occurrences_in(w.degree - 1, w.support)
+               if len(left) + len(right) > 0]
         out.sort(key=lambda d: (len(d.left), d.element.support.sort_key))
         if w.degree >= 3 and w.degree % 2 == 1:
             _require_two_flush(out)

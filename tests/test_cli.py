@@ -303,6 +303,29 @@ def test_auditor_refuses_invalid_presentation():
         checks.Auditor(pres)
 
 
+def counting(monkeypatch, module, name):
+    """Wrap module.name to count its calls; patched through sys.modules,
+    since the package namespace can shadow a module with a function."""
+    calls = []
+    real = getattr(sys.modules[module], name)
+    monkeypatch.setattr(sys.modules[module], name,
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    return calls
+
+
+def test_check_validates_once(a_file, monkeypatch, capsys):
+    calls = (counting(monkeypatch, "stringcoh.cli", "validate"),
+             counting(monkeypatch, "stringcoh.checks", "validate"))
+    assert main(["check", a_file(3), "--json"]) == 0
+    assert [len(c) for c in calls] == [1, 0]
+
+
+def test_auditor_without_report_validates(monkeypatch):
+    calls = counting(monkeypatch, "stringcoh.checks", "validate")
+    auditor = checks.Auditor(parse(a_n_text(3)))
+    assert len(calls) == 1 and auditor.report.passed
+
+
 def test_check_degenerate_degrees(a_file, capsys):
     assert main(["check", a_file(1)]) == 0
 

@@ -13,7 +13,6 @@ import pytest
 import stringcoh
 from conftest import a_n_text
 from stringcoh import CertificateError, Resolution, basis_P, parse
-from stringcoh import resolution
 from stringcoh.checks import Auditor
 from stringcoh.cli import main
 from stringcoh.generate import generate_dsl
@@ -148,10 +147,12 @@ def test_odd_degree_with_three_divisors_raises(monkeypatch):
 
 
 def test_sub_without_two_flush_divisors_raises(monkeypatch):
+    """sub finds its divisors through occurrences_in; doubling every hit
+    leaves an odd-degree element with four."""
     res = fresh(a_n_text(3))
-    real = resolution.occurrences
-    monkeypatch.setattr(resolution, "occurrences",
-                        lambda a, b: real(a, b) * 2)
+    real = Resolution.occurrences_in
+    monkeypatch.setattr(Resolution, "occurrences_in",
+                        lambda self, n, t: real(self, n, t) * 2)
     with pytest.raises(CertificateError, match="two flush divisors"):
         res.sub(res.ap[3][0])
 
@@ -172,12 +173,39 @@ except CertificateError as exc:
 """
 
 
-def test_three_divisors_raise_under_optimize():
+_DOUBLED_HITS = """
+import sys
+from stringcoh import CertificateError, Resolution, basis_P, parse
+if __debug__:
+    sys.exit("asserts are still on")
+text = sys.stdin.read()
+pres = parse(text)
+real = Resolution.occurrences_in
+Resolution.occurrences_in = lambda self, n, t: real(self, n, t) * 2
+res = Resolution(pres, basis_P(pres))
+try:
+    res.sub(res.ap[3][0])
+except CertificateError as exc:
+    print(exc)
+"""
+
+
+def run_optimized(script, text):
     src = os.path.dirname(os.path.dirname(stringcoh.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    run = subprocess.run(
-        [sys.executable, "-O", "-c", _THREE_DIVISORS], input=a_n_text(3),
+    return subprocess.run(
+        [sys.executable, "-O", "-c", script], input=text,
         capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_three_divisors_raise_under_optimize():
+    run = run_optimized(_THREE_DIVISORS, a_n_text(3))
+    assert run.returncode == 0, run.stderr
+    assert "two flush divisors" in run.stdout
+
+
+def test_doubled_divisor_hits_raise_under_optimize():
+    run = run_optimized(_DOUBLED_HITS, a_n_text(3))
     assert run.returncode == 0, run.stderr
     assert "two flush divisors" in run.stdout

@@ -1,4 +1,8 @@
+import json
+
+from conftest import a_n_text
 from stringcoh import CochainComplex, Resolution, basis_P, parse
+from stringcoh.cli import main
 
 
 def tower(text):
@@ -174,3 +178,35 @@ def test_non_tree_has_first_cohomology(corpus):
         dims = cx.hh_matrix()
         cycles = pres.quiver.num_arrows - pres.quiver.num_vertices + 1
         assert len(dims) > 1 and dims[1] >= cycles >= 1
+
+
+def test_class_counts_counted_once_and_copied(monkeypatch):
+    _, _, _, cx = tower(a_n_text(4))
+    first = cx.class_counts(2)
+    monkeypatch.setattr(cx, "pairs", lambda n: [])
+    first["(0,0)"] += 100
+    first.clear()
+    again = cx.class_counts(2)
+    assert again is not first and again == tower(a_n_text(4))[3].class_counts(2)
+    assert sum(again.values()) > 0
+
+
+def test_hh_table_built_once(monkeypatch):
+    _, _, _, cx = tower(a_n_text(4))
+    table = cx.hh_table()
+    monkeypatch.setattr(cx, "hh_formula", None)
+    assert cx.hh_table() is table
+
+
+def test_trimmed_hh_leaves_the_table(tmp_path, monkeypatch, capsys):
+    """hh --max-degree trims a new table, not the cached one."""
+    built = []
+    real = CochainComplex.hh_table
+    monkeypatch.setattr(CochainComplex, "hh_table",
+                        lambda self: built.append(real(self)) or built[-1])
+    path = tmp_path / "a4.quiver"
+    path.write_text(a_n_text(4))
+    assert main(["hh", str(path), "--max-degree", "1", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert [r["degree"] for r in doc["hh"]["rows"]] == [0, 1]
+    assert [r.degree for r in built[0].rows] == [0, 1, 2]

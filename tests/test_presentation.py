@@ -2,7 +2,9 @@ import pytest
 
 from conftest import a_n_text
 from stringcoh import ParseError, basis_P, parse, validate
-from stringcoh.quiver import compose
+from stringcoh.generate import generate
+from stringcoh.quiver import compose, occurrences
+from tests_support import scan_non_minimal_pairs
 
 
 def test_parse_two_parallel_arrows():
@@ -99,6 +101,45 @@ def test_validate_non_minimal_generators():
             "relation a b\nrelation a b c")
     report = validate(parse(text))
     assert any(name == "minimal-generators" for name, _ in report.failures())
+
+
+NESTED = ("vertex 0 1 2 3 4\narrow a 0 1\narrow b 1 2\narrow c 2 3\n"
+          "arrow d 3 4\n")
+
+
+def minimal_generators_detail(pres):
+    return next(detail for name, _, detail in validate(pres).checks
+                if name == "minimal-generators")
+
+
+@pytest.mark.parametrize("relations, detail", [
+    ("relation a b\nrelation a b c\n", "a*b divides a*b*c"),
+    ("relation b c d\nrelation a b c\nrelation b c\nrelation a b\n",
+     "a*b divides a*b*c; b*c divides a*b*c; b*c divides b*c*d"),
+])
+def test_minimal_generators_detail(relations, detail):
+    pres = parse(NESTED + relations)
+    assert minimal_generators_detail(pres) == detail
+    fmt = pres.format_path
+    assert detail == "; ".join(f"{fmt(a)} divides {fmt(b)}"
+                               for a, b in scan_non_minimal_pairs(pres))
+
+
+def test_minimal_generators_passes_on_corpus(corpus):
+    for seed, pres, *_ in corpus:
+        assert not scan_non_minimal_pairs(pres), seed
+        assert minimal_generators_detail(pres) == "", seed
+
+
+@pytest.mark.parametrize("seed", [0, 3, 5])
+def test_in_ideal_matches_scan(seed):
+    """Seeds with paths of length 4 and relations of length up to 5."""
+    pres = generate(seed, max_vertices=24, max_arrows=48)
+    paths = pres.quiver.enumerate_paths(4)
+    assert any(len(p) == 4 for p in paths)
+    for p in paths:
+        assert pres.in_ideal(p) == any(occurrences(r, p)
+                                       for r in pres.relations)
 
 
 def test_in_ideal_relation_itself():

@@ -13,7 +13,7 @@ from stringcoh.cup import (
     is_cocycle,
 )
 from stringcoh.linalg import CertificateError, RationalMatrix
-from stringcoh.quiver import compose
+from stringcoh.quiver import compose, occurrences
 from stringcoh.resolution import apply_map
 
 
@@ -175,6 +175,20 @@ def scan_terms_at(cx, f, support) -> list:
     pairs = cx.pairs(f.degree)
     return [(c, pairs[i].gamma) for i, c in sorted(f.coeffs.items())
             if pairs[i].rho.support == support]
+
+
+def scan_occurrences(res, n: int, target) -> list:
+    """Resolution.occurrences_in by scanning all of AP_n with occurrences,
+    as sub, divisors and division_positions once did."""
+    layer = res.ap[n] if 0 <= n < len(res.ap) else []
+    return [(l, e, r) for e in layer for l, r in occurrences(e.support, target)]
+
+
+def scan_non_minimal_pairs(pres) -> list:
+    """The minimal-generators witnesses by comparing every pair of
+    relations: (r, r2) where r divides r2, in relation order."""
+    return [(r, r2) for r in pres.relations for r2 in pres.relations
+            if r is not r2 and occurrences(r, r2)]
 
 
 def _block_rank(mat, row_paths, col_paths) -> int:
