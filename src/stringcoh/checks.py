@@ -54,7 +54,7 @@ def ap_duality_witnesses(res: Resolution) -> list[str]:
 class Auditor:
     """Builds the full tower over one presentation and runs every audit."""
 
-    def __init__(self, pres: Presentation, max_degree: int | None = None,
+    def __init__(self, pres: Presentation,
                  report: ValidationReport | None = None):
         """report is pres's validation report when the caller already has
         one; without it the presentation is validated here."""
@@ -67,7 +67,7 @@ class Auditor:
                 + "; ".join(f"{n}: {d}" for n, d in self.report.failures())
             )
         self.basis = basis_P(pres)
-        self.res = Resolution(pres, self.basis, max_degree)
+        self.res = Resolution(pres, self.basis)
         self.cx = CochainComplex(self.res)
 
     def run_all(self) -> list[CheckResult]:

@@ -33,7 +33,7 @@ from fractions import Fraction
 from .hochschild import CochainComplex, ParallelPair, require_lift_degree
 from .linalg import CertificateError, RationalMatrix
 from .quiver import Path, compose
-from .resolution import ApElement, apply_map, augment
+from .resolution import ApElement, BimoduleTerm, apply_map, augment, memo
 
 
 @dataclass
@@ -91,14 +91,6 @@ class Cochain:
         return cls(degree, {i: Fraction(v) for i, v in enumerate(vec) if v})
 
 
-@dataclass(frozen=True)
-class ComparisonTerm:
-    coeff: Fraction
-    left: Path
-    middle: ApElement
-    right: Path
-
-
 def is_cocycle(cx: CochainComplex, f: Cochain) -> bool:
     """Whether the next cochain map sends f to zero: the sum of its
     columns (cached per degree) over the support of f."""
@@ -122,7 +114,7 @@ def _require_cocycle(cx: CochainComplex, f: Cochain):
 
 
 def comparison_terms(cx: CochainComplex, f: Cochain, n: int,
-                     w: ApElement) -> list[ComparisonTerm]:
+                     w: ApElement) -> list[BimoduleTerm]:
     """The displayed (paper's) formula for the degree-n lift of the
     cocycle f, applied to 1 (x) w (x) 1.
 
@@ -141,7 +133,7 @@ def comparison_terms(cx: CochainComplex, f: Cochain, n: int,
         vals = f.terms_at(cx, w.support)
         e = res.quiver.trivial_path(w.support.source)
         mid = res.by_support[0][e]
-        return [ComparisonTerm(c, e, mid, gamma) for c, gamma in vals]
+        return [BimoduleTerm(c, e, mid, gamma) for c, gamma in vals]
     head, u, tail = res.decompose(w, n, m)
     vals = f.terms_at(cx, tail.support)
     if not vals:
@@ -151,12 +143,12 @@ def comparison_terms(cx: CochainComplex, f: Cochain, n: int,
         for c, gamma in vals:
             rg = cx.basis.mult(right, gamma)
             if rg is not None:
-                out.append(ComparisonTerm(c, left, psi, rg))
+                out.append(BimoduleTerm(c, left, psi, rg))
     return out
 
 
 def lift_terms(cx: CochainComplex, f: Cochain, n: int,
-               w: ApElement) -> list[ComparisonTerm]:
+               w: ApElement) -> list[BimoduleTerm]:
     """The degree-n chain-map lift of the cocycle f, applied to
     1 (x) w (x) 1.
 
@@ -187,7 +179,7 @@ def lift_terms(cx: CochainComplex, f: Cochain, n: int,
                 right = cx.basis.mult3(sup.subpath(start, j), gamma,
                                        sup.suffix(j + 1))
                 if right is not None:
-                    out.append(ComparisonTerm(c, left, psi, right))
+                    out.append(BimoduleTerm(c, left, psi, right))
     return out
 
 
@@ -374,44 +366,39 @@ def _pair_at(cx: CochainComplex, degree: int, support: Path, gamma: Path,
     return idx, pair
 
 
+# The labels phi slides from -> the labels it slides to; phi_inv inverts.
+_SLIDES = {"(1,0)+": "+(0,1)", "(1,0)-+": "+-(0,1)"}
+_SLIDES_BACK = {target: label for label, target in _SLIDES.items()}
+
+
 def phi(cx: CochainComplex, pair: ParallelPair) -> tuple[int, ParallelPair]:
-    """Slide a shared-first-arrow pair to a shared-last-arrow pair by
-    stripping the shared arrow and appending the unique surviving
-    continuation of gamma."""
-    assert pair.label == "(1,0)+"
-    beta = _unique_surviving_successor(cx, pair.gamma)
+    """Slide a (1,0)+ pair to a +(0,1) pair, or a (1,0)-+ pair to a
+    +-(0,1) pair: strip the shared first arrow and append the unique
+    surviving continuation of gamma or, for (1,0)-+, where gamma's own
+    continuation dies, of gamma without its first arrow."""
+    target = _SLIDES[pair.label]
+    stripped = pair.gamma.strip_first()
+    beta = _unique_surviving_successor(
+        cx, pair.gamma if pair.label == "(1,0)+" else stripped)
     sup = compose(pair.rho.support.strip_first(), beta)
-    gam = compose(pair.gamma.strip_first(), beta)
-    return _pair_at(cx, pair.degree, sup, gam, "+(0,1)")
-
-
-def psi(cx: CochainComplex, pair: ParallelPair) -> tuple[int, ParallelPair]:
-    """The companion slide when gamma's own continuation dies but the
-    stripped path still extends."""
-    assert pair.label == "(1,0)-+"
-    beta = _unique_surviving_successor(cx, pair.gamma.strip_first())
-    sup = compose(pair.rho.support.strip_first(), beta)
-    gam = compose(pair.gamma.strip_first(), beta)
-    return _pair_at(cx, pair.degree, sup, gam, "+-(0,1)")
+    return _pair_at(cx, pair.degree, sup, compose(stripped, beta), target)
 
 
 def phi_inv(cx: CochainComplex, pair: ParallelPair) -> tuple[int, ParallelPair]:
-    assert pair.label == "+(0,1)"
-    alpha = _unique_surviving_predecessor(cx, pair.gamma)
+    """The mirror of phi, from +(0,1) to (1,0)+ and from +-(0,1) to
+    (1,0)-+: strip the shared last arrow and prepend the unique surviving
+    predecessor of gamma or, for +-(0,1), of gamma without its last
+    arrow."""
+    target = _SLIDES_BACK[pair.label]
+    stripped = pair.gamma.strip_last()
+    alpha = _unique_surviving_predecessor(
+        cx, pair.gamma if pair.label == "+(0,1)" else stripped)
     sup = compose(alpha, pair.rho.support.strip_last())
-    gam = compose(alpha, pair.gamma.strip_last())
-    return _pair_at(cx, pair.degree, sup, gam, "(1,0)+")
+    return _pair_at(cx, pair.degree, sup, compose(alpha, stripped), target)
 
 
-def psi_inv(cx: CochainComplex, pair: ParallelPair) -> tuple[int, ParallelPair]:
-    assert pair.label == "+-(0,1)"
-    alpha = _unique_surviving_predecessor(cx, pair.gamma.strip_last())
-    sup = compose(alpha, pair.rho.support.strip_last())
-    gam = compose(alpha, pair.gamma.strip_last())
-    return _pair_at(cx, pair.degree, sup, gam, "(1,0)-+")
-
-
-def _normalize(cx: CochainComplex, f: Cochain, keep_classes, rewrite) -> Cochain:
+def _normalize(cx: CochainComplex, f: Cochain, keep_classes, dead: str,
+               slide) -> Cochain:
     m = f.degree
     sign = Fraction(-1) if m % 2 == 0 else Fraction(1)  # (-1)^(m-1)
     out: dict[int, Fraction] = {}
@@ -435,10 +422,8 @@ def _normalize(cx: CochainComplex, f: Cochain, keep_classes, rewrite) -> Cochain
             # so they are kept; from degree 2 up they are coboundaries.
             if m == 1:
                 put(i, c)
-        else:
-            target = rewrite(cx, pair)
-            if target is not None:
-                put(target[0], c * sign)
+        elif pair.label != dead:
+            put(slide(cx, pair)[0], c * sign)
     return Cochain(m, out)
 
 
@@ -446,32 +431,14 @@ def normalize_leq(cx: CochainComplex, f: Cochain) -> Cochain:
     """Rewrite a cochain, modulo coboundaries, to one supported away from
     the shared-first-arrow pairs.  Linear on the pair basis; the
     difference from the input is a coboundary termwise, so cocycles keep
-    their class."""
-
-    def rewrite(cx, pair):
-        if pair.label == "(1,0)+":
-            return phi(cx, pair)
-        if pair.label == "(1,0)-+":
-            return psi(cx, pair)
-        assert pair.label == "(1,0)--"
-        return None
-
-    return _normalize(cx, f, ("(0,0)", "(0,1)"), rewrite)
+    their class.  The (1,0)-- pairs, which do not slide, are dropped."""
+    return _normalize(cx, f, ("(0,0)", "(0,1)"), "(1,0)--", phi)
 
 
 def normalize_geq(cx: CochainComplex, f: Cochain) -> Cochain:
     """Rewrite a cochain, modulo coboundaries, to one supported away from
     the shared-last-arrow pairs.  Mirror image of normalize_leq."""
-
-    def rewrite(cx, pair):
-        if pair.label == "+(0,1)":
-            return phi_inv(cx, pair)
-        if pair.label == "+-(0,1)":
-            return psi_inv(cx, pair)
-        assert pair.label == "--(0,1)"
-        return None
-
-    return _normalize(cx, f, ("(0,0)", "(1,0)"), rewrite)
+    return _normalize(cx, f, ("(0,0)", "(1,0)"), "--(0,1)", phi_inv)
 
 
 def is_coboundary(cx: CochainComplex, f: Cochain):
@@ -486,14 +453,12 @@ def is_coboundary(cx: CochainComplex, f: Cochain):
     return cx.matrix(m).in_column_space(f.vector(cx))
 
 
+@memo
 def cocycle_basis(cx: CochainComplex, m: int) -> list[Cochain]:
     """The canonical kernel basis of the degree m+1 cochain map, cached
     on cx; do not change its cochains."""
-    hit = cx.cocycles.get(m)
-    if hit is None:
-        vecs = cx.matrix(m + 1).nullspace() if m <= cx.top else []
-        hit = cx.cocycles[m] = [Cochain.from_vector(m, v) for v in vecs]
-    return hit
+    vecs = cx.matrix(m + 1).nullspace() if m <= cx.top else []
+    return [Cochain.from_vector(m, v) for v in vecs]
 
 
 def cohomology_basis(cx: CochainComplex, m: int) -> list[Cochain]:

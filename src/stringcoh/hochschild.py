@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from .linalg import CertificateError, RationalMatrix
 from .presentation import PathBasis
 from .quiver import Path
-from .resolution import ApElement, Resolution
+from .resolution import ApElement, Resolution, memo
 
 
 @dataclass(frozen=True)
@@ -183,28 +183,13 @@ class CochainComplex:
         self.basis = res.basis
         self.quiver = res.quiver
         self.top = res.top
-        self._pairs: dict[int, list[ParallelPair]] = {}
-        self._index: dict[int, dict[tuple[Path, Path], int]] = {}
-        self._matrices: dict[int, RationalMatrix] = {}
-        self._columns: dict[int, list[dict[int, int]]] = {}
-        self._ranks: dict[int, int] = {}
-        self._counts: dict[int, dict[str, int]] = {}
-        self._hh_table: HHTable | None = None
-        self._divisors: dict[tuple[int, Path], list[tuple[Path, ApElement, Path]]] = {}
-        self._tails: dict[tuple[int, int], dict[Path, list[int]]] = {}
-        self._interior: dict[int, dict[int, list[int]]] = {}
-        self._cofaces: dict[int, dict[ApElement, list[int]]] = {}
-        # filled by cup: cocycle_basis per degree
-        self.cocycles: dict[int, list] = {}
 
     # -- bases -----------------------------------------------------------
 
+    @memo
     def pairs(self, n: int) -> list[ParallelPair]:
         """All parallel pairs in degree n, rho in support order then gamma
         in basis order."""
-        hit = self._pairs.get(n)
-        if hit is not None:
-            return hit
         out: list[ParallelPair] = []
         if 0 <= n <= self.top:
             for elem in self.res.ap[n]:
@@ -215,100 +200,86 @@ class CochainComplex:
                         out.append(ParallelPair(elem, gamma))
                     else:
                         out.append(classify(self.basis, elem, gamma))
-        self._pairs[n] = out
-        self._index[n] = {(p.rho.support, p.gamma): i for i, p in enumerate(out)}
         return out
 
+    @memo
     def pair_index(self, n: int) -> dict[tuple[Path, Path], int]:
-        self.pairs(n)
-        return self._index[n]
+        return {(p.rho.support, p.gamma): i for i, p in enumerate(self.pairs(n))}
 
+    @memo
     def divisors(self, n: int, target: Path) -> list[tuple[Path, ApElement, Path]]:
         """Every occurrence L * psi * R of an element psi of AP_n inside
         target whose left cofactor L survives in the algebra, as
         (L, psi, R), in the order of Resolution.occurrences_in.  Cached:
         comparison lifts ask for the same targets for every cocycle."""
-        key = (n, target)
-        hit = self._divisors.get(key)
-        if hit is None:
-            hit = self._divisors[key] = [
-                (left, psi, right)
+        return [(left, psi, right)
                 for left, psi, right in self.res.occurrences_in(n, target)
-                if self.basis.reduce(left) is not None
-            ]
-        return hit
+                if self.basis.reduce(left) is not None]
 
     # -- where comparison lifts can be nonzero ------------------------------
     # Positions in AP_{n+m}, shared by every cocycle and both lift formulas.
 
+    @memo
     def lift_tails(self, n: int, m: int) -> dict[Path, list[int]]:
         """Support of the degree-m tail of w -> the positions of those w
         in AP_{n+m}: the tail from Resolution.decompose, and w itself for
         n = 0.  A degree-n lift of a cocycle f takes its value at w from
         f(tail), so it can be nonzero only where the tail supports f.
         Every element of AP_{n+m} is checked to have degree n + m."""
-        key = (n, m)
-        hit = self._tails.get(key)
-        if hit is None:
-            hit = {}
-            for i, w in enumerate(self.res.ap[n + m]):
-                require_lift_degree(n, m, w)
-                tail = w if n == 0 else self.res.decompose(w, n, m)[2]
-                hit.setdefault(tail.support, []).append(i)
-            self._tails[key] = hit
-        return hit
+        out: dict[Path, list[int]] = {}
+        for i, w in enumerate(self.res.ap[n + m]):
+            require_lift_degree(n, m, w)
+            tail = w if n == 0 else self.res.decompose(w, n, m)[2]
+            out.setdefault(tail.support, []).append(i)
+        return out
 
+    @memo
     def interior_arrows(self, k: int) -> dict[int, list[int]]:
         """Arrow id -> the positions in AP_k of the w carrying that arrow
         strictly inside their support, where the Leibniz terms of a
         degree-1 lift sit."""
-        hit = self._interior.get(k)
-        if hit is None:
-            hit = {}
-            for i, w in enumerate(self.res.ap[k]):
-                for a in w.support.arrows[1:-1]:
-                    hit.setdefault(a, []).append(i)
-            self._interior[k] = hit
-        return hit
+        out: dict[int, list[int]] = {}
+        for i, w in enumerate(self.res.ap[k]):
+            for a in w.support.arrows[1:-1]:
+                out.setdefault(a, []).append(i)
+        return out
 
+    @memo
     def cofaces(self, k: int) -> dict[ApElement, list[int]]:
         """psi in AP_{k-1} -> the positions in AP_k of the w whose
         differential d_k(1 (x) w (x) 1) has a term with middle psi."""
-        hit = self._cofaces.get(k)
-        if hit is None:
-            hit = {}
-            diff = self.res.differential(k)
-            for i, w in enumerate(self.res.ap[k]):
-                for t in diff[w]:
-                    hit.setdefault(t.middle, []).append(i)
-            self._cofaces[k] = hit
-        return hit
+        out: dict[ApElement, list[int]] = {}
+        diff = self.res.differential(k)
+        for i, w in enumerate(self.res.ap[k]):
+            for t in diff[w]:
+                out.setdefault(t.middle, []).append(i)
+        return out
 
     def class_counts(self, n: int) -> dict[str, int]:
         """Pairs per class and decoration in degree n (all zero in degree
         0), counted once per degree; each call returns a fresh copy."""
-        counts = self._counts.get(n)
-        if counts is None:
-            counts = self._counts[n] = {k: 0 for k in COUNT_KEYS}
-            for p in self.pairs(n) if n >= 1 else ():
-                counts[p.class_label] += 1
-                if p.label != p.class_label:
-                    counts[p.label] += 1
-                if p.class_label == "(1,0)" and p.right_dead:
-                    counts["(1,0)-"] += 1
-                if p.class_label == "(0,1)" and p.left_dead:
-                    counts["-(0,1)"] += 1
-        return dict(counts)
+        return dict(self._class_counts(n))
+
+    @memo
+    def _class_counts(self, n: int) -> dict[str, int]:
+        counts = {k: 0 for k in COUNT_KEYS}
+        for p in self.pairs(n) if n >= 1 else ():
+            counts[p.class_label] += 1
+            if p.label != p.class_label:
+                counts[p.label] += 1
+            if p.class_label == "(1,0)" and p.right_dead:
+                counts["(1,0)-"] += 1
+            if p.class_label == "(0,1)" and p.left_dead:
+                counts["-(0,1)"] += 1
+        return counts
 
     # -- the cochain maps --------------------------------------------------
 
+    @memo
     def matrix(self, n: int) -> RationalMatrix:
         """The degree-n cochain map on the pair bases (columns in degree
         n-1, rows in degree n).  An entry survives only when the evaluated
         cofactor product stays out of the ideal."""
-        hit = self._matrices.get(n)
-        if hit is not None:
-            return hit
         assert n >= 1
         rows = self.pairs(n)
         cols = self.pairs(n - 1)
@@ -348,24 +319,20 @@ class CochainComplex:
                             coeff = -1
                         if prod is not None:
                             mat.add_at(row_index[(w.support, prod)], j, coeff)
-        self._matrices[n] = mat
         return mat
 
+    @memo
     def columns(self, n: int) -> list[dict[int, int]]:
-        """The columns of matrix(n) as {row: value} dicts, cached."""
-        hit = self._columns.get(n)
-        if hit is None:
-            mat = self.matrix(n)
-            hit = self._columns[n] = [{} for _ in range(mat.cols)]
-            for i, j, v in mat.items():
-                hit[j][i] = v
-        return hit
+        """The columns of matrix(n) as {row: value} dicts."""
+        mat = self.matrix(n)
+        out: list[dict[int, int]] = [{} for _ in range(mat.cols)]
+        for i, j, v in mat.items():
+            out[j][i] = v
+        return out
 
+    @memo
     def rank(self, n: int) -> int:
-        hit = self._ranks.get(n)
-        if hit is None:
-            hit = self._ranks[n] = self.matrix(n).rank()
-        return hit
+        return self.matrix(n).rank()
 
     def nullity(self, n: int) -> int:
         return self.matrix(n).cols - self.rank(n)
@@ -398,18 +365,15 @@ class CochainComplex:
             dims.append(cn["+-(0,1)"] + cn["-(0,0)-"])
         return dims
 
+    @memo
     def hh_table(self) -> HHTable:
         """Both dimension columns and the class counts per degree, built
         once; callers that trim rows build a new table."""
-        if self._hh_table is None:
-            formula = self.hh_formula()
-            matrix = self.hh_matrix()
-            rows = [
-                HHRow(n, formula[n], matrix[n], self.class_counts(n))
-                for n in range(self.top + 1)
-            ]
-            self._hh_table = HHTable(rows, self.top)
-        return self._hh_table
+        formula = self.hh_formula()
+        matrix = self.hh_matrix()
+        rows = [HHRow(n, formula[n], matrix[n], self.class_counts(n))
+                for n in range(self.top + 1)]
+        return HHTable(rows, self.top)
 
     # -- kernel/image audit --------------------------------------------------
 

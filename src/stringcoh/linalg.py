@@ -73,19 +73,6 @@ class RationalMatrix:
     def is_zero(self) -> bool:
         return all(not r for r in self._rows)
 
-    def to_dense(self) -> list[list[Fraction]]:
-        return [
-            [Fraction(self._rows[i].get(j, 0)) for j in range(self.cols)]
-            for i in range(self.rows)
-        ]
-
-    def transpose(self) -> "RationalMatrix":
-        t = RationalMatrix(self.cols, self.rows)
-        for i, row in enumerate(self._rows):
-            for j, v in row.items():
-                t._rows[j][i] = v
-        return t
-
     def __eq__(self, other):
         if not isinstance(other, RationalMatrix):
             return NotImplemented
@@ -111,14 +98,6 @@ class RationalMatrix:
                     else:
                         del acc[k]
             out._rows[i] = acc
-        return out
-
-    def apply(self, vec) -> list[Fraction]:
-        """Matrix-vector product, vec indexed by columns."""
-        assert len(vec) == self.cols
-        out = []
-        for row in self._rows:
-            out.append(sum((v * vec[j] for j, v in row.items()), Fraction(0)))
         return out
 
     def rank(self) -> int:

@@ -99,11 +99,6 @@ def occurrences(w_sub: Path, w: Path) -> list[tuple[Path, Path]]:
     return out
 
 
-def divides(w_sub: Path, w: Path) -> bool:
-    """Strict division: w = L * w_sub * R with |L| + |R| > 0."""
-    return any(len(l) + len(r) > 0 for l, r in occurrences(w_sub, w))
-
-
 class Quiver:
     """A finite quiver with labelled vertices and arrows.
 
@@ -164,20 +159,11 @@ class Quiver:
 
     def is_acyclic(self) -> bool:
         """True iff there is no oriented cycle (loops count as cycles)."""
-        indeg = [0] * self.num_vertices
-        for t in self.arrow_target:
-            indeg[t] += 1
-        stack = [v for v in range(self.num_vertices) if indeg[v] == 0]
-        seen = 0
-        while stack:
-            v = stack.pop()
-            seen += 1
-            for a in self._out[v]:
-                t = self.arrow_target[a]
-                indeg[t] -= 1
-                if indeg[t] == 0:
-                    stack.append(t)
-        return seen == self.num_vertices
+        try:
+            self._topological_order()
+        except CyclicQuiverError:
+            return False
+        return True
 
     def is_connected(self) -> bool:
         """Connectedness of the underlying undirected graph."""
@@ -201,31 +187,9 @@ class Quiver:
         """True iff the underlying undirected graph is a tree."""
         return self.is_connected() and self.num_arrows == self.num_vertices - 1
 
-    def enumerate_paths(self, max_length: int | None = None) -> list[Path]:
-        """Every path of the quiver, ordered by (length, arrow ids).
-
-        Includes all trivial paths.  Requires acyclicity, which bounds the
-        enumeration by the longest path.
-        """
-        if not self.is_acyclic():
-            raise CyclicQuiverError("path enumeration needs an acyclic quiver")
-        frontier = [self.trivial_path(v) for v in range(self.num_vertices)]
-        out = list(frontier)
-        length = 0
-        while frontier and (max_length is None or length < max_length):
-            nxt = []
-            for p in sorted(frontier, key=lambda q: q.arrows):
-                for a in sorted(self._out[p.target]):
-                    nxt.append(compose(p, self.arrow_path(a)))
-            out.extend(nxt)
-            frontier = nxt
-            length += 1
-        return out
-
     def longest_path_length(self) -> int:
-        """Length of the longest directed path (0 for arrowless quivers)."""
-        if not self.is_acyclic():
-            raise CyclicQuiverError("longest path undefined on cyclic quivers")
+        """Length of the longest directed path (0 for arrowless quivers);
+        CyclicQuiverError on a cyclic quiver."""
         order = self._topological_order()
         best = [0] * self.num_vertices
         for v in reversed(order):

@@ -30,10 +30,54 @@ in which one relation contains another raise ApConstructionError.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import wraps
 
 from .linalg import CertificateError, RationalMatrix
 from .presentation import PathBasis, Presentation, non_minimal_pairs
 from .quiver import Path
+
+
+_MISSING = object()
+
+
+def memo(method):
+    """Cache a method's results per instance, keyed by its positional
+    arguments.  The table lives in the instance's own __dict__, so it is
+    freed with the tower, and it is never invalidated: the tower does not
+    change after it is built.  It sits on the class, where a caller can
+    still wrap or patch the method; a function whose first argument is a
+    tower caches on that tower the same way.
+
+    A method of one argument is keyed by that argument through a wrapper
+    of fixed signature: most cached calls are of that kind, and a hit
+    there costs about half as much as through *args.  Lookups use get,
+    not try/except: on small towers about one call in five misses, and a
+    miss through a caught KeyError costs three times one through get."""
+    slot = f"_memo_{method.__name__}"
+
+    if method.__code__.co_argcount == 2:
+        @wraps(method)
+        def cached(self, arg):
+            hits = self.__dict__.get(slot)
+            if hits is None:
+                hits = self.__dict__[slot] = {}
+            hit = hits.get(arg, _MISSING)
+            if hit is _MISSING:
+                hit = hits[arg] = method(self, arg)
+            return hit
+    else:
+        @wraps(method)
+        def cached(self, *args):
+            hits = self.__dict__.get(slot)
+            if hits is None:
+                hits = self.__dict__[slot] = {}
+            hit = hits.get(args, _MISSING)
+            if hit is _MISSING:
+                hit = hits[args] = method(self, *args)
+            return hit
+
+    return cached
 
 
 @dataclass(frozen=True)
@@ -81,10 +125,11 @@ class BimoduleTerm:
     """One term c * (left (x) middle (x) right) of a bimodule map image.
 
     The term is zero in A (x) kAP (x) A unless both cofactors avoid the
-    ideal; matrix builders drop such terms during reduction.
+    ideal; matrix builders drop such terms during reduction.  Lift
+    values carry Fraction coefficients.
     """
 
-    coeff: int
+    coeff: int | Fraction
     left: Path
     middle: ApElement
     right: Path
@@ -162,19 +207,10 @@ class Resolution:
         if max_degree is not None:
             cap = min(cap, max_degree)
         self.cap = cap
-        self.ap, self._op_ap = self._build_ap(cap)
+        self.ap = self._build_ap(cap)
         self.by_support: list[dict[Path, ApElement]] = [
             {e.support: e for e in layer} for layer in self.ap
         ]
-        self._divisor_index: dict[int, dict[int, list[tuple[int, Word]]]] = {}
-        self._sub_cache: dict[tuple[int, Path], list[SubDivisor]] = {}
-        self._diff_cache: dict[int, dict[ApElement, list[BimoduleTerm]]] = {}
-        self._space_cache: dict[int, tuple[list, dict]] = {}
-        self._decompose_cache: dict[tuple[Path, int, int],
-                                    tuple[ApElement, Path, ApElement]] = {}
-        self._dmat_cache: dict[int, RationalMatrix] = {}
-        self._mu_cache: RationalMatrix | None = None
-        self._homology: list[dict[int, int]] | None = None
 
     # -- construction ---------------------------------------------------
 
@@ -186,9 +222,9 @@ class Resolution:
     def degrees(self) -> range:
         return range(len(self.ap))
 
-    def _build_ap(self, cap: int) -> tuple[list[list[ApElement]], list[list[ApElement]]]:
-        """The forward and the mirrored AP layers, each joined by support
-        with the other run's chains."""
+    def _build_ap(self, cap: int) -> list[list[ApElement]]:
+        """The AP layers, each support with its chain from the forward run
+        and its dual chain from the mirrored run."""
         q = self.quiver
         base: list[list[ApElement]] = [
             [ApElement(0, q.trivial_path(v), (), ()) for v in range(q.num_vertices)]
@@ -202,8 +238,7 @@ class Resolution:
         self._check_minimal()
         forward = self._chain_run(cap, mirrored=False)
         mirror = self._chain_run(cap, mirrored=True)
-        return (base + self._join(forward, forward, mirror),
-                base + self._join(mirror, forward, mirror))
+        return base + self._join(forward, mirror)
 
     def _error(self, reason: str, support: Path) -> ApConstructionError:
         return ApConstructionError(reason, support, self.quiver.format_path(support))
@@ -248,34 +283,36 @@ class Resolution:
         targets = tuple(map(q.arrow_target.__getitem__, word))
         return Path((q.arrow_source[word[0]],) + targets, word)
 
-    def _join(self, supports, forward, mirror) -> list[list[ApElement]]:
-        """AP layers from degree 2 over the supports of one run, in
-        canonical order, with the chain of each from the forward run and
-        the dual chain from the mirrored run."""
-        layers = []
-        for i, words in enumerate(supports):
-            fwd = forward[i] if i < len(forward) else {}
-            mir = mirror[i] if i < len(mirror) else {}
-            layer = []
-            # (length, arrows) is Path.sort_key on nonempty paths
-            for word in sorted(words, key=lambda w: (len(w), w)):
-                if word not in mir:
-                    raise self._error("forward support with no mirrored chain",
-                                      self._path(word))
-                if word not in fwd:
-                    raise self._error("mirrored support with no forward chain",
-                                      self._path(word))
-                layer.append(ApElement(i + 2, self._path(word), fwd[word], mir[word]))
-            layers.append(layer)
-        return layers
+    def _join(self, forward, mirror) -> list[list[ApElement]]:
+        """AP layers from degree 2, in canonical order, with the chain of
+        each support from the forward run and the dual chain from the
+        mirrored run.  The runs must find the same supports in every
+        degree; the error names the first support found by the forward
+        run only, else the first found by the mirrored run only."""
+        # (length, arrows) is Path.sort_key on nonempty paths
+        def key(w):
+            return (len(w), w)
+
+        for one, other, reason in (
+                (forward, mirror, "forward support with no mirrored chain"),
+                (mirror, forward, "mirrored support with no forward chain")):
+            for i, layer in enumerate(one):
+                extra = layer.keys() - (other[i] if i < len(other) else {}).keys()
+                if extra:
+                    raise self._error(reason, self._path(min(extra, key=key)))
+        return [[ApElement(i + 2, self._path(w), fwd[w], mirror[i][w])
+                 for w in sorted(fwd, key=key)]
+                for i, fwd in enumerate(forward)]
 
     def op_ap_sets(self) -> list[list[ApElement]]:
-        """AP sets in the order of the mirrored run, for cross-checks.
+        """The AP sets, copied layer by layer, for the duality cross-check.
 
-        Elements carry the dual chain from the mirrored run and the
-        left-greedy chain of the same support from the forward run.
+        Both runs were checked to find the same supports when the AP sets
+        were built, and every element already carries the left-greedy
+        chain from the forward run and the dual chain from the mirrored
+        run, so these equal ``ap``.
         """
-        return [list(layer) for layer in self._op_ap]
+        return [list(layer) for layer in self.ap]
 
     # -- divisors and the unique splitting --------------------------------
 
@@ -284,16 +321,11 @@ class Resolution:
         e.support * right, in AP order and then left to right; [] outside
         0..top.  A trivial support occurs at every visit of target to its
         vertex.  Only the elements starting with the arrow at a position
-        of target (the vertex, in degree 0) are matched there, from an
-        index of AP_n built on the first call for n."""
+        of target (the vertex, in degree 0) are matched there, from
+        _first_arrows(n)."""
         if not 0 <= n < len(self.ap):
             return []
-        index = self._divisor_index.get(n)
-        if index is None:
-            index = self._divisor_index[n] = {}
-            for pos, e in enumerate(self.ap[n]):
-                key = e.support.arrows[0] if n else e.support.source
-                index.setdefault(key, []).append((pos, e.support.arrows))
+        index = self._first_arrows(n)
         hits = []
         starts = target.arrows if n else target.vertices
         for i, key in enumerate(starts):
@@ -305,6 +337,17 @@ class Resolution:
         return [(target.prefix(i), layer[pos], target.suffix(j))
                 for pos, i, j in hits]
 
+    @memo
+    def _first_arrows(self, n: int) -> dict[int, list[tuple[int, Word]]]:
+        """First arrow (the vertex, in degree 0) -> the (position, arrow
+        word) of the elements of AP_n whose support starts there."""
+        index: dict[int, list[tuple[int, Word]]] = {}
+        for pos, e in enumerate(self.ap[n]):
+            key = e.support.arrows[0] if n else e.support.source
+            index.setdefault(key, []).append((pos, e.support.arrows))
+        return index
+
+    @memo
     def sub(self, w: ApElement) -> list[SubDivisor]:
         """The degree n-1 elements dividing w, with cofactors, left to
         right, from occurrences_in.
@@ -314,10 +357,6 @@ class Resolution:
         so any occurrence qualifies.  Odd degrees >= 3 always yield
         exactly two divisors, one flush right and one flush left.
         """
-        key = (w.degree, w.support)
-        hit = self._sub_cache.get(key)
-        if hit is not None:
-            return hit
         assert w.degree >= 1
         out = [SubDivisor(e, left, right)
                for left, e, right in self.occurrences_in(w.degree - 1, w.support)
@@ -325,17 +364,13 @@ class Resolution:
         out.sort(key=lambda d: (len(d.left), d.element.support.sort_key))
         if w.degree >= 3 and w.degree % 2 == 1:
             _require_two_flush(out)
-        self._sub_cache[key] = out
         return out
 
+    @memo
     def decompose(self, w: ApElement, n: int, m: int) -> tuple[ApElement, Path, ApElement]:
         """The unique splitting support = head * u * tail with head of
         degree n (a chain prefix), tail of degree m (a dual-chain suffix),
         and u a basis path.  Cached: it does not depend on any cochain."""
-        key = (w.support, n, m)
-        hit = self._decompose_cache.get(key)
-        if hit is not None:
-            return hit
         assert n >= 0 and m >= 0 and n + m == w.degree and n + m >= 2
         sup = w.support
         if n == 0:
@@ -362,11 +397,11 @@ class Resolution:
         u = sup.subpath(i, j)
         if u not in self.basis:
             raise CertificateError("middle of the splitting is not a basis path")
-        hit = self._decompose_cache[key] = (head, u, tail)
-        return hit
+        return head, u, tail
 
     # -- differentials ----------------------------------------------------
 
+    @memo
     def differential(self, n: int) -> dict[ApElement, list[BimoduleTerm]]:
         """The degree-n map of the resolution as formal bimodule terms.
 
@@ -375,9 +410,6 @@ class Resolution:
         degree 1 is alpha (x) e (x) 1 - 1 (x) e (x) alpha.
         """
         assert n >= 1
-        hit = self._diff_cache.get(n)
-        if hit is not None:
-            return hit
         q = self.quiver
         out: dict[ApElement, list[BimoduleTerm]] = {}
         if n < len(self.ap):
@@ -401,19 +433,16 @@ class Resolution:
                         BimoduleTerm(1, second.left, second.element, second.right),
                         BimoduleTerm(-1, first.left, first.element, first.right),
                     ]
-        self._diff_cache[n] = out
         return out
 
     # -- the realized complex ---------------------------------------------
     # No check builds it.  The test oracles and the benchmark's
     # resolution.bimodule_dim / d_nnz counter read it.
 
+    @memo
     def bimodule_space(self, n: int):
         """Basis of A (x) kAP_n (x) A: triples (l, w, r) of basis paths
         around each support, with matching endpoints."""
-        hit = self._space_cache.get(n)
-        if hit is not None:
-            return hit
         basis = []
         if 0 <= n < len(self.ap):
             for w in self.ap[n]:
@@ -421,14 +450,11 @@ class Resolution:
                     for r in self.basis.starting_at(w.support.target):
                         basis.append((l, w, r))
         index = {trip: i for i, trip in enumerate(basis)}
-        self._space_cache[n] = (basis, index)
         return basis, index
 
+    @memo
     def d_matrix(self, n: int) -> RationalMatrix:
         """The degree-n differential on the realized bases."""
-        hit = self._dmat_cache.get(n)
-        if hit is not None:
-            return hit
         rows, row_index = self.bimodule_space(n - 1)
         cols, _ = self.bimodule_space(n)
         mat = RationalMatrix(len(rows), len(cols))
@@ -437,19 +463,16 @@ class Resolution:
             image = apply_map(self.basis, [BimoduleTerm(1, l, w, r)], diff)
             for key, c in image.items():
                 mat.add_at(row_index[key], j, c)
-        self._dmat_cache[n] = mat
         return mat
 
+    @memo
     def mu_matrix(self) -> RationalMatrix:
         """The augmentation A (x) kAP_0 (x) A -> A, (l, e, r) -> l r."""
-        if self._mu_cache is not None:
-            return self._mu_cache
         cols, _ = self.bimodule_space(0)
         mat = RationalMatrix(self.basis.dim, len(cols))
         for j, (l, w, r) in enumerate(cols):
             for p, c in augment(self.basis, [BimoduleTerm(1, l, w, r)]).items():
                 mat.add_at(self.basis.index[p], j, c)
-        self._mu_cache = mat
         return mat
 
     def homology_dims(self) -> list[int]:
@@ -458,16 +481,14 @@ class Resolution:
         a resolution."""
         return [0] + [sum(h.values()) for h in self.homology_by_vertex()]
 
+    @memo
     def homology_by_vertex(self) -> list[dict[int, int]]:
         """Per degree n, vertex x -> homology of P (x)_A S_x at P_n.  With
         d o d = 0, all zero iff P is exact (docs/one-sided-exactness.md)."""
-        if self._homology is None:
-            per = [self._one_sided(n) for n in self.degrees()] + [{}]
-            self._homology = [
-                {x: d - r - per[n + 1].get(x, (0, 0))[1]
+        per = [self._one_sided(n) for n in self.degrees()] + [{}]
+        return [{x: d - r - per[n + 1].get(x, (0, 0))[1]
                  for x, (d, r) in per[n].items()}
                 for n in self.degrees()]
-        return self._homology
 
     def _one_sided(self, n: int) -> dict[int, tuple[int, int]]:
         """Vertex x -> (dimension, rank of d_n) of P_n (x)_A S_x, with
@@ -515,7 +536,7 @@ def apply_map(basis: PathBasis, terms, images) -> dict:
     element sum c (L (x) psi (x) R) over terms: the sum of
     c L images[psi] R, keyed by (left, middle, right) with zero entries
     dropped.  A psi missing from images has value zero.  Terms and values
-    are ComparisonTerm or BimoduleTerm."""
+    are BimoduleTerm."""
     out: dict = {}
     mul = basis.mult
     for t in terms:

@@ -25,6 +25,7 @@ from conftest import a_n_text, build_tower
 from stringcoh.generate import generate
 from stringcoh.linalg import CertificateError, RationalMatrix
 from tests_support import (
+    apply,
     bimodule_extension,
     comparison_matrix,
     cup_with_lift,
@@ -292,7 +293,7 @@ def test_cup_of_coboundary_is_coboundary(a_n):
     pres, basis, res, cx = a_n[3]
     # a coboundary: the image of a degree-1 basis cochain under the map
     h = basis_cochain(cx, 1, "a1", "b1")
-    img = cx.matrix(2).apply(h.vector(cx))
+    img = apply(cx.matrix(2), h.vector(cx))
     g = Cochain.from_vector(2, img)
     assert is_cocycle(cx, g) and is_coboundary(cx, g)[0]
     for f in cocycle_basis(cx, 1):

@@ -4,7 +4,7 @@ from conftest import a_n_text
 from stringcoh import ParseError, basis_P, parse, validate
 from stringcoh.generate import generate
 from stringcoh.quiver import compose, occurrences
-from tests_support import scan_non_minimal_pairs
+from tests_support import enumerate_paths, scan_non_minimal_pairs
 
 
 def test_parse_two_parallel_arrows():
@@ -135,7 +135,7 @@ def test_minimal_generators_passes_on_corpus(corpus):
 def test_in_ideal_matches_scan(seed):
     """Seeds with paths of length 4 and relations of length up to 5."""
     pres = generate(seed, max_vertices=24, max_arrows=48)
-    paths = pres.quiver.enumerate_paths(4)
+    paths = enumerate_paths(pres.quiver, 4)
     assert any(len(p) == 4 for p in paths)
     for p in paths:
         assert pres.in_ideal(p) == any(occurrences(r, p)
@@ -195,13 +195,13 @@ def test_basis_factor_closed_and_ordered(corpus):
 
 def test_basis_agrees_with_ideal_scan(corpus):
     for _, pres, basis, _, _ in corpus[:25]:
-        for p in pres.quiver.enumerate_paths():
+        for p in enumerate_paths(pres.quiver):
             assert (p in basis) == (not pres.in_ideal(p))
 
 
 def test_ideal_absorbs_products(corpus):
     for _, pres, basis, _, _ in corpus[:25]:
-        paths = pres.quiver.enumerate_paths()
+        paths = enumerate_paths(pres.quiver)
         for u in paths:
             for v in paths:
                 if u.target != v.source:

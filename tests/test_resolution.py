@@ -6,7 +6,7 @@ from conftest import a_n_text
 from stringcoh import ApConstructionError, Resolution, ap_sets, basis_P, parse
 from stringcoh import resolution
 from stringcoh.quiver import compose
-from tests_support import blocks
+from tests_support import blocks, enumerate_paths
 
 
 def fmt(pres, p):
@@ -69,7 +69,7 @@ def brute_force_ap(pres):
     with t.  Tries every directed path of the quiver, with an independent
     scan.  Returns degree -> {support: chain}."""
     found = {}
-    for t in pres.quiver.enumerate_paths():
+    for t in enumerate_paths(pres.quiver):
         occ = _relations_along(t, pres)
         chain = [o for o in occ if o[0] == 0]
         while chain and chain[-1][1] < len(t):
@@ -90,7 +90,7 @@ def brute_force_op_ap(pres):
     the relation at its end, must end flush with the start of t.  Returns
     degree -> {support: dual chain, left to right}."""
     found = {}
-    for t in pres.quiver.enumerate_paths():
+    for t in enumerate_paths(pres.quiver):
         occ = _relations_along(t, pres)
         chain = [o for o in occ if o[1] == len(t)]  # right to left
         while chain and chain[-1][0] > 0:

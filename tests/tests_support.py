@@ -6,15 +6,61 @@ from itertools import product
 
 from stringcoh.cup import (
     Cochain,
-    ComparisonTerm,
     _augments_to,
     _require_cocycle,
     comparison_terms,
     is_cocycle,
 )
 from stringcoh.linalg import CertificateError, RationalMatrix
-from stringcoh.quiver import compose, occurrences
-from stringcoh.resolution import apply_map
+from stringcoh.quiver import CyclicQuiverError, compose, occurrences
+from stringcoh.resolution import BimoduleTerm, apply_map
+
+
+def apply(mat, vec) -> list[Fraction]:
+    """Matrix-vector product, vec indexed by columns."""
+    assert len(vec) == mat.cols
+    out = [Fraction(0)] * mat.rows
+    for i, j, v in mat.items():
+        out[i] += v * vec[j]
+    return out
+
+
+def to_dense(mat) -> list[list[Fraction]]:
+    return [[mat.get(i, j) for j in range(mat.cols)] for i in range(mat.rows)]
+
+
+def transpose(mat) -> RationalMatrix:
+    t = RationalMatrix(mat.cols, mat.rows)
+    for i, j, v in mat.items():
+        t.add_at(j, i, v)
+    return t
+
+
+def divides(w_sub, w) -> bool:
+    """Strict division: w = L * w_sub * R with |L| + |R| > 0."""
+    return any(len(l) + len(r) > 0 for l, r in occurrences(w_sub, w))
+
+
+def enumerate_paths(quiver, max_length: int | None = None) -> list:
+    """Every path of the quiver, ordered by (length, arrow ids).
+
+    Includes all trivial paths.  Requires acyclicity, which bounds the
+    enumeration by the longest path.
+    """
+    if not quiver.is_acyclic():
+        raise CyclicQuiverError("path enumeration needs an acyclic quiver")
+    frontier = [quiver.trivial_path(v) for v in range(quiver.num_vertices)]
+    out = list(frontier)
+    length = 0
+    while frontier and (max_length is None or length < max_length):
+        nxt = []
+        for p in sorted(frontier, key=lambda q: q.arrows):
+            for a in sorted(quiver.out_arrows(p.target)):
+                nxt.append(compose(p, quiver.arrow_path(a)))
+        out.extend(nxt)
+        frontier = nxt
+        length += 1
+    return out
 
 
 def bar_dims(basis, up_to: int) -> list[int]:
@@ -166,7 +212,7 @@ def dense_is_cocycle(cx, f) -> bool:
     full coefficient vector of f."""
     if f.degree >= cx.top:
         return True
-    return all(v == 0 for v in cx.matrix(f.degree + 1).apply(f.vector(cx)))
+    return all(v == 0 for v in apply(cx.matrix(f.degree + 1), f.vector(cx)))
 
 
 def scan_terms_at(cx, f, support) -> list:
@@ -337,7 +383,7 @@ def _solve_in_blocks(cx, n: int, rhs: dict) -> list:
         for j, c in enumerate(x):
             if c:
                 l, psi, r = cols_all[cols[j]]
-                out.append(ComparisonTerm(c, l, psi, r))
+                out.append(BimoduleTerm(c, l, psi, r))
     return out
 
 
