@@ -457,7 +457,7 @@ def is_coboundary(cx: CochainComplex, f: Cochain):
 def cocycle_basis(cx: CochainComplex, m: int) -> list[Cochain]:
     """The canonical kernel basis of the degree m+1 cochain map, cached
     on cx; do not change its cochains."""
-    vecs = cx.matrix(m + 1).nullspace() if m <= cx.top else []
+    vecs = cx.echelon(m + 1).nullspace() if m <= cx.top else []
     return [Cochain.from_vector(m, v) for v in vecs]
 
 

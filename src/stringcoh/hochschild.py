@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .linalg import CertificateError, RationalMatrix
+from .linalg import CertificateError, Echelon, RationalMatrix
 from .presentation import PathBasis
 from .quiver import Path
 from .resolution import ApElement, Resolution, memo
@@ -92,6 +92,7 @@ def classify(basis: PathBasis, rho: ApElement, gamma: Path) -> ParallelPair:
     return ParallelPair(rho, gamma, shares_first, shares_last, left, right, inner)
 
 
+@memo
 def _left_dead(basis: PathBasis, gamma: Path) -> bool:
     q = basis.pres.quiver
     return all(
@@ -100,6 +101,7 @@ def _left_dead(basis: PathBasis, gamma: Path) -> bool:
     )
 
 
+@memo
 def _right_dead(basis: PathBasis, gamma: Path) -> bool:
     q = basis.pres.quiver
     return all(
@@ -331,8 +333,13 @@ class CochainComplex:
         return out
 
     @memo
+    def echelon(self, n: int) -> Echelon:
+        """The one elimination of matrix(n): its rank here, its kernel in
+        cup.cocycle_basis."""
+        return self.matrix(n).echelon()
+
     def rank(self, n: int) -> int:
-        return self.matrix(n).rank()
+        return self.echelon(n).rank
 
     def nullity(self, n: int) -> int:
         return self.matrix(n).cols - self.rank(n)

@@ -2,25 +2,33 @@
 column-space membership.
 
 The elimination core is fraction-free (Bareiss): rows are cleared to
-integers once, then every update is
+integers once (a row of ints is copied as is), then every update is
 ``row <- (pivot * row - row[j] * pivot_row) / previous_pivot`` with an
 exact integer division.  Arbitrary-precision integers make this safe at
 any size; pivots are chosen small and sparse to contain growth.  The
-matrices produced upstream have entries in {-1, 0, 1} and are very
-sparse, so rows are stored as column->value dicts.
+matrices produced upstream have entries in {-1, 0, 1}, are very sparse
+and fall into many small blocks, so rows are stored as column->value
+dicts and the elimination runs once per connected block of the
+row-column graph, with that block's own previous pivot; a one-row block
+is its own pivot.  Every pivot candidate of a column lies in its block,
+and the rows a global sweep would update there all carry one common
+scale, so the pivots are those of one global elimination.
 
-All four queries run that one elimination.  Column-space membership
-eliminates [M | v | I] with pivots in M's columns: a row left without a
-pivot but with an entry under v is a left-null certificate, read off the
-identity columns.  Kernel vectors and preimages come from one back
-substitution, seeded with a free column set to 1 or with v's column set
-to -1.
+All four queries run that one elimination, which `RationalMatrix.echelon`
+keeps for callers that ask a matrix more than one question.  Column-space
+membership eliminates [M | v | I] with pivots in M's columns: a row left
+without a pivot but with an entry under v is a left-null certificate,
+read off the identity columns.  Kernel vectors and preimages come from one
+back substitution, seeded with a free column set to 1 or with v's column
+set to -1; a kernel vector is solved over the pivots of its own block.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+
+_ZERO = Fraction(0)
 
 
 class CertificateError(RuntimeError):
@@ -45,7 +53,7 @@ class RationalMatrix:
         for i, row in enumerate(data):
             for j, v in enumerate(row):
                 if v:
-                    m._rows[i][j] = Fraction(v)
+                    m._rows[i][j] = v if type(v) is int else Fraction(v)
         return m
 
     def add_at(self, r: int, c: int, v):
@@ -74,16 +82,11 @@ class RationalMatrix:
         return all(not r for r in self._rows)
 
     def __eq__(self, other):
+        # no entry is stored as zero, and an int equals its Fraction
         if not isinstance(other, RationalMatrix):
             return NotImplemented
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            return False
-        for a, b in zip(self._rows, other._rows):
-            if {c: Fraction(v) for c, v in a.items()} != {
-                c: Fraction(v) for c, v in b.items()
-            }:
-                return False
-        return True
+        return ((self.rows, self.cols, self._rows)
+                == (other.rows, other.cols, other._rows))
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         assert self.cols == other.rows, "dimension mismatch"
@@ -100,22 +103,20 @@ class RationalMatrix:
             out._rows[i] = acc
         return out
 
+    def echelon(self) -> "Echelon":
+        """One elimination of the matrix, for its rank, pivot columns and
+        kernel."""
+        pivots, rows = _bareiss(_integer_rows(self._rows), self.cols)
+        return Echelon(self.cols, pivots, rows)
+
     def rank(self) -> int:
-        pivots, _ = _bareiss(_integer_rows(self._rows), self.cols)
-        return len(pivots)
+        return self.echelon().rank
 
     def nullspace(self) -> list[tuple[Fraction, ...]]:
-        """Echelon-canonical kernel basis: one vector per free column, in
-        column order, with a 1 in its free coordinate."""
-        pivots, rows = _bareiss(_integer_rows(self._rows), self.cols)
-        pivot_cols = {c for _, c in pivots}
-        return [tuple(_solve(rows, pivots, {f: Fraction(1)}, self.cols))
-                for f in range(self.cols) if f not in pivot_cols]
+        return self.echelon().nullspace()
 
     def pivot_columns(self) -> list[int]:
-        """Pivot columns of the row echelon form, in column order."""
-        pivots, _ = _bareiss(_integer_rows(self._rows), self.cols)
-        return [c for _, c in pivots]
+        return self.echelon().pivot_columns()
 
     def in_column_space(self, vec):
         """Decide whether vec lies in the column span.
@@ -149,82 +150,181 @@ class RationalMatrix:
                         "a left-null certificate must clear every column")
                 return False, [Fraction(row.get(n + 1 + k, 0))
                                for k in range(self.rows)]
-        return True, _solve(rows, pivots, {n: Fraction(-1)}, n)
+        x = _solve(rows, pivots, {n: Fraction(-1)})
+        return True, [x.get(c, _ZERO) for c in range(n)]
+
+
+class Echelon:
+    """One elimination of a matrix with ``cols`` columns: its pivots as
+    (row index, column) sorted by column, and its eliminated integer
+    rows."""
+
+    __slots__ = ("cols", "pivots", "rows")
+
+    def __init__(self, cols: int, pivots: list[tuple[int, int]],
+                 rows: list[dict[int, int]]):
+        self.cols = cols
+        self.pivots = pivots
+        self.rows = rows
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def pivot_columns(self) -> list[int]:
+        """Pivot columns of the row echelon form, in column order."""
+        return [c for _, c in self.pivots]
+
+    def nullspace(self) -> list[tuple[Fraction, ...]]:
+        """Echelon-canonical kernel basis: one vector per free column, in
+        column order, with a 1 in its free coordinate.  Each is solved
+        over the pivots of its own block of the eliminated rows; a free
+        column in no block is a unit vector."""
+        n = self.cols
+        pivot_of = {r: c for r, c in self.pivots}
+        block_pivots: dict[int, list[tuple[int, int]]] = {}
+        for block in _blocks(self.rows, n):
+            # only pivot rows keep entries in the first n columns
+            pivots = sorted(((r, pivot_of[r]) for r in block), key=_column)
+            for r in block:
+                for c in self.rows[r]:
+                    if c < n:
+                        block_pivots[c] = pivots
+        pivot_cols = set(pivot_of.values())
+        out = []
+        for f in range(n):
+            if f not in pivot_cols:
+                vec = [_ZERO] * n
+                for c, v in _solve(self.rows, block_pivots.get(f, ()),
+                                   {f: Fraction(1)}).items():
+                    vec[c] = v
+                out.append(tuple(vec))
+        return out
 
 
 def _integer_rows(rows) -> list[dict[int, int]]:
-    """Row-scaled integer copy.  Row scaling preserves rank, nullspace and
-    the solutions of [M | v]; identity columns scale along, so the
-    combinations read off them are of the unscaled rows."""
+    """Row-scaled integer copy; a row of ints is copied as is.  Row
+    scaling preserves rank, nullspace and the solutions of [M | v];
+    identity columns scale along, so the combinations read off them are
+    of the unscaled rows."""
     out = []
     for row in rows:
+        if all(type(v) is int for v in row.values()):
+            out.append(dict(row))
+            continue
         fracs = {c: Fraction(v) for c, v in row.items()}
         scale = lcm(*(f.denominator for f in fracs.values())) if fracs else 1
         out.append({c: int(f * scale) for c, f in fracs.items()})
     return out
 
 
-def _solve(rows, pivots, seed: dict[int, Fraction], ncols: int) -> list[Fraction]:
+def _solve(rows, pivots, seed: dict[int, Fraction]) -> dict[int, Fraction]:
     """Back substitution through the eliminated rows: start from the seed
     coordinates (a free column set to 1, or the right side set to -1) and
-    solve each pivot row for its pivot so the row is zero on x.  Entries
-    of x in columns outside the seed and the pivots stay zero."""
+    solve each pivot row for its pivot so the row is zero on x.  Returns
+    x's nonzero coordinates; columns outside the seed and the pivots stay
+    zero."""
     x = dict(seed)
     for r, c in reversed(pivots):
         row = rows[r]
-        s = Fraction(0)
+        s = _ZERO
         for cc, v in row.items():
             if cc != c and cc in x:
                 s += v * x[cc]
-        x[c] = -s / row[c]
-    return [x.get(c, Fraction(0)) for c in range(ncols)]
+        if s:
+            x[c] = -s / row[c]
+    return x
+
+
+def _column(pivot: tuple[int, int]) -> int:
+    return pivot[1]
+
+
+def _blocks(rows, ncols: int) -> list[list[int]]:
+    """The connected blocks of the row-column graph over the first
+    ``ncols`` columns: ascending lists of row indices, in the order of
+    their first rows.  A row with no entry in those columns is in no
+    block.  One union-find pass over the entries, each root its block's
+    first row."""
+    root = list(range(len(rows)))
+
+    def find(r: int) -> int:
+        while root[r] != r:
+            root[r] = r = root[root[r]]
+        return r
+
+    owner: dict[int, int] = {}
+    members = []
+    for i, row in enumerate(rows):
+        cols = [c for c in row if c < ncols]
+        if cols:
+            members.append(i)
+        for c in cols:
+            j = owner.setdefault(c, i)
+            if j != i:
+                a, b = find(i), find(j)
+                if a != b:
+                    root[max(a, b)] = min(a, b)
+    blocks: dict[int, list[int]] = {}
+    for i in members:
+        blocks.setdefault(find(i), []).append(i)
+    return list(blocks.values())
 
 
 def _bareiss(rows: list[dict[int, int]], ncols: int):
-    """Fraction-free row elimination in place.
+    """Fraction-free row elimination in place, one connected block of the
+    first ``ncols`` columns at a time (see ``_blocks``); columns past
+    ``ncols`` ride along and join no block.  A one-row block is its own
+    pivot, at its first column.
 
-    Pivot columns are scanned left to right through the first ``ncols``
-    columns; within a column the pivot row is the one with the smallest
-    |entry| (ties broken by sparsity), which keeps the exact-division
-    intermediates small.  Every active row is updated with the Bareiss
-    rule each step, in every column it or the pivot row has, so all
-    intermediate values are minors of the (permuted, scaled) input and
-    the divisions are exact.  Columns past ``ncols`` ride along.
+    Within a block, pivot columns are scanned left to right; within a
+    column the pivot row is the one with the smallest |entry| (ties
+    broken by sparsity, then by row order), which keeps the exact-division
+    intermediates small.  Every active row of the block is updated with
+    the Bareiss rule each step, in every column it or the pivot row has,
+    so all intermediate values are minors of the (permuted, scaled) block
+    and the divisions are exact.
 
-    Returns (pivots, rows): pivots as (row index, column) in elimination
-    order.
+    Returns (pivots, rows): pivots as (row index, column), sorted by
+    column.
     """
-    active = list(range(len(rows)))
     pivots: list[tuple[int, int]] = []
-    prev = 1
-    for j in range(ncols):
-        best = None
-        for r in active:
-            a = rows[r].get(j)
-            if a:
-                key = (abs(a), len(rows[r]))
-                if best is None or key < best[0]:
-                    best = (key, r)
-        if best is None:
+    for block in _blocks(rows, ncols):
+        if len(block) == 1:
+            r = block[0]
+            pivots.append((r, min(c for c in rows[r] if c < ncols)))
             continue
-        r0 = best[1]
-        active.remove(r0)
-        pivots.append((r0, j))
-        piv = rows[r0][j]
-        prow = rows[r0]
-        for r in active:
-            row = rows[r]
-            a = row.get(j, 0)
-            new: dict[int, int] = {}
-            for c in row.keys() | (prow.keys() if a else ()):
-                v = row.get(c, 0) * piv - a * prow.get(c, 0)
-                if v:
-                    q, rem = divmod(v, prev)
-                    if rem:
-                        raise CertificateError(
-                            "fraction-free division must be exact")
-                    new[c] = q
-            new.pop(j, None)
-            rows[r] = new
-        prev = piv
+        active = block
+        prev = 1
+        for j in sorted({c for r in block for c in rows[r] if c < ncols}):
+            best = None
+            for r in active:
+                a = rows[r].get(j)
+                if a:
+                    key = (abs(a), len(rows[r]))
+                    if best is None or key < best[0]:
+                        best = (key, r)
+            if best is None:
+                continue
+            r0 = best[1]
+            active.remove(r0)
+            pivots.append((r0, j))
+            piv = rows[r0][j]
+            prow = rows[r0]
+            for r in active:
+                row = rows[r]
+                a = row.get(j, 0)
+                new: dict[int, int] = {}
+                for c in row.keys() | (prow.keys() if a else ()):
+                    v = row.get(c, 0) * piv - a * prow.get(c, 0)
+                    if v:
+                        q, rem = divmod(v, prev)
+                        if rem:
+                            raise CertificateError(
+                                "fraction-free division must be exact")
+                        new[c] = q
+                new.pop(j, None)
+                rows[r] = new
+            prev = piv
+    pivots.sort(key=_column)
     return pivots, rows

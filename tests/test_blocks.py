@@ -1,0 +1,120 @@
+"""The connected blocks of the cochain maps: each lies in one arrow-weight
+class, and the elimination never sweeps a row with pivots outside its own
+block or eliminates a cochain map twice."""
+
+from collections import Counter
+
+import pytest
+
+from conftest import a_n_text, build_tower
+from stringcoh import CochainComplex, linalg, parse
+from stringcoh.cli import main
+from stringcoh.cup import cohomology_basis
+from stringcoh.generate import generate_dsl
+from stringcoh.linalg import RationalMatrix
+from tests_support import connected_blocks
+
+
+def weight(pair) -> frozenset:
+    """The arrow weight arrows(gamma) - arrows(rho) of a pair, as a signed
+    multiset."""
+    w = Counter(pair.gamma.arrows)
+    w.subtract(pair.rho.support.arrows)
+    return frozenset((a, k) for a, k in w.items() if k)
+
+
+def assert_graded(cx: CochainComplex):
+    for n in range(1, cx.top + 1):
+        mat = cx.matrix(n)
+        rows = [weight(p) for p in cx.pairs(n)]
+        cols = [weight(p) for p in cx.pairs(n - 1)]
+        entries = [{} for _ in range(mat.rows)]
+        for i, j, v in mat.items():
+            assert rows[i] == cols[j], (n, i, j)
+            entries[i][j] = v
+        for block in connected_blocks(entries, mat.cols):
+            classes = {rows[i] for i in block}
+            classes |= {cols[j] for i in block for j in entries[i]}
+            assert len(classes) == 1, (n, sorted(block))
+
+
+def test_cochain_maps_are_graded_on_corpus(corpus):
+    """Every entry of every cochain map joins two pairs of one arrow
+    weight, so every connected block lies in one weight class.  The
+    library does not rely on this; its blocks come from the matrices."""
+    for _, _, _, _, cx in corpus:
+        assert_graded(cx)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_cochain_maps_are_graded_on_lanes(n):
+    _, _, cx = build_tower(parse(a_n_text(n)))
+    assert_graded(cx)
+
+
+class _CountingRows(list):
+    """Rows of an elimination, counting the updates of each row."""
+
+    def __init__(self, rows):
+        super().__init__(rows)
+        self.updates = Counter()
+
+    def __setitem__(self, i, row):
+        self.updates[i] += 1
+        super().__setitem__(i, row)
+
+
+def test_rows_are_swept_only_by_their_own_block(monkeypatch):
+    """On a_n(12), a row is updated at most once per other row of its
+    connected block, so no elimination runs on more rows than the
+    largest block of its matrix."""
+    real = linalg._bareiss
+    swept = []
+
+    def counted(rows, ncols):
+        blocks = connected_blocks(rows, ncols)
+        rows = _CountingRows(rows)
+        out = real(rows, ncols)
+        size = {i: len(block) for block in blocks for i in block}
+        for i, k in rows.updates.items():
+            assert k <= size[i] - 1, (i, k, size[i])
+        swept.append(sum(rows.updates.values()))
+        return out
+
+    monkeypatch.setattr(linalg, "_bareiss", counted)
+    _, _, cx = build_tower(parse(a_n_text(12)))
+    cx.hh_table()
+    for m in range(1, cx.top + 1):
+        cohomology_basis(cx, m)
+    assert len(swept) > cx.top and any(swept)
+
+
+@pytest.mark.parametrize("text", [
+    a_n_text(7), generate_dsl(5, max_vertices=24, max_arrows=48)],
+    ids=["a_n(7)", "generate_dsl(5, 24, 48)"])
+def test_check_eliminates_each_cochain_map_once(text, tmp_path, monkeypatch,
+                                                capsys):
+    """rank(n) and cocycle_basis(n - 1) share one elimination of
+    matrix(n); column-space membership runs its own on [M | v | I]."""
+    path = tmp_path / "input.quiver"
+    path.write_text(text)
+    towers = []
+
+    def init(self, res, real=CochainComplex.__init__):
+        real(self, res)
+        towers.append(self)
+
+    eliminated = []
+
+    def echelon(self, real=RationalMatrix.echelon):
+        eliminated.append(self)
+        return real(self)
+
+    monkeypatch.setattr(CochainComplex, "__init__", init)
+    monkeypatch.setattr(RationalMatrix, "echelon", echelon)
+    main(["check", str(path), "--json"])
+    capsys.readouterr()
+    (cx,) = towers
+    counts = [sum(m is cx.matrix(n) for m in eliminated)
+              for n in range(1, cx.top + 2)]
+    assert counts == [1] * len(counts)

@@ -7,7 +7,14 @@ from hypothesis import given, settings, strategies as st
 import stringcoh
 from stringcoh import linalg
 from stringcoh.linalg import CertificateError, RationalMatrix
-from tests_support import apply, to_dense, transpose
+from tests_support import (
+    apply,
+    global_in_column_space,
+    global_nullspace,
+    global_pivot_columns,
+    to_dense,
+    transpose,
+)
 
 
 def dense_rank_oracle(rows):
@@ -181,6 +188,69 @@ def test_fractional_entries():
     assert all(sum(y[i] * m.get(i, j) for i in range(m.rows)) == 0
                for j in range(m.cols))
     assert sum(y[i] * outside[i] for i in range(m.rows)) != 0
+
+
+entries = st.one_of(
+    st.just(0),
+    st.integers(-3, 3),
+    st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)),
+)
+
+
+@st.composite
+def block_diagonal(draw):
+    """A block-diagonal matrix with its rows and columns shuffled, built
+    with add_at so that int and Fraction entries both stay as drawn.  A
+    block without columns gives empty rows, one without rows empty
+    columns."""
+    shapes = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                           min_size=1, max_size=5))
+    nrows = sum(h for h, _ in shapes)
+    ncols = sum(w for _, w in shapes)
+    row_at = draw(st.permutations(range(nrows)))
+    col_at = draw(st.permutations(range(ncols)))
+    m = RationalMatrix(nrows, ncols)
+    r0 = c0 = 0
+    for h, w in shapes:
+        for i in range(h):
+            for j in range(w):
+                m.add_at(row_at[r0 + i], col_at[c0 + j], draw(entries))
+        r0 += h
+        c0 += w
+    return m
+
+
+@settings(max_examples=200, deadline=None)
+@given(block_diagonal())
+def test_blockwise_elimination_matches_global_oracle(m):
+    pivots = global_pivot_columns(m)
+    assert m.pivot_columns() == pivots
+    assert m.rank() == len(pivots)
+    assert m.nullspace() == global_nullspace(m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(block_diagonal(), st.data())
+def test_blockwise_column_space_matches_global_oracle(m, data):
+    coeffs = data.draw(st.lists(entries, min_size=m.cols, max_size=m.cols))
+    inside = apply(m, coeffs)
+    ok, x = m.in_column_space(inside)
+    assert ok and (True, x) == global_in_column_space(m, inside)
+
+    vec = data.draw(st.lists(entries, min_size=m.rows, max_size=m.rows))
+    ok, w = m.in_column_space(vec)
+    oracle_ok, oracle_w = global_in_column_space(m, vec)
+    assert ok == oracle_ok
+    if ok:
+        assert w == oracle_w
+        return
+    # the certificate: y M = 0, y.vec != 0, a multiple of the oracle's
+    assert all(sum(w[i] * m.get(i, j) for i in range(m.rows)) == 0
+               for j in range(m.cols))
+    assert sum(w[i] * vec[i] for i in range(m.rows)) != 0
+    k = next(i for i, v in enumerate(oracle_w) if v)
+    ratio = w[k] / oracle_w[k]
+    assert ratio and all(a == ratio * b for a, b in zip(w, oracle_w))
 
 
 def test_certificate_error_is_one_class():

@@ -1,9 +1,11 @@
 """The one per-tower memo behind every cached method of Resolution and
-CochainComplex, and behind cup.cocycle_basis."""
+CochainComplex, behind cup.cocycle_basis, and behind the side
+decorations of a basis path."""
 
 import functools
 import gc
 import importlib
+import types
 import weakref
 
 import pytest
@@ -11,6 +13,7 @@ import pytest
 from conftest import a_n_text, build_tower
 from stringcoh import parse
 from stringcoh.cli import main
+from stringcoh import hochschild
 from stringcoh.generate import generate_dsl
 from stringcoh.hochschild import CochainComplex
 from stringcoh.resolution import Resolution, memo
@@ -37,16 +40,24 @@ MEMOIZED = [
     (CochainComplex, "_class_counts", "cx", lambda res, cx: (2,)),
     (CochainComplex, "matrix", "cx", lambda res, cx: (2,)),
     (CochainComplex, "columns", "cx", lambda res, cx: (2,)),
-    (CochainComplex, "rank", "cx", lambda res, cx: (2,)),
+    (CochainComplex, "echelon", "cx", lambda res, cx: (2,)),
     (CochainComplex, "hh_table", "cx", lambda res, cx: ()),
     (cup, "cocycle_basis", "cx", lambda res, cx: (1,)),
+    (hochschild, "_left_dead", "basis",
+     lambda res, cx: (res.ap[1][0].support,)),
+    (hochschild, "_right_dead", "basis",
+     lambda res, cx: (res.ap[1][0].support,)),
 ]
 
 
 def call(owner, name, target, args):
-    if owner is cup:
-        return getattr(cup, name)(target, *args)
+    if isinstance(owner, types.ModuleType):
+        return getattr(owner, name)(target, *args)
     return getattr(target, name)(*args)
+
+
+def pick(which, res, cx):
+    return {"res": res, "cx": cx, "basis": res.basis}[which]
 
 
 @pytest.mark.parametrize("owner,name,which,make_args", MEMOIZED,
@@ -57,7 +68,7 @@ def test_second_call_returns_the_cached_object(owner, name, which, make_args,
     assert method.__code__ is memo(method.__wrapped__).__code__
 
     _, res, cx = build_tower(parse(a_n_text(4)))
-    target = res if which == "res" else cx
+    target = pick(which, res, cx)
     args = make_args(res, cx)
     first = call(owner, name, target, args)
     assert call(owner, name, target, args) is first
@@ -72,7 +83,7 @@ def test_second_call_returns_the_cached_object(owner, name, which, make_args,
 
     monkeypatch.setattr(owner, name, memo(counted))
     _, res, cx = build_tower(parse(a_n_text(4)))
-    target = res if which == "res" else cx
+    target = pick(which, res, cx)
     args = make_args(res, cx)
     first = call(owner, name, target, args)
     assert call(owner, name, target, args) is first

@@ -3,6 +3,7 @@ they are meant to check."""
 
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 from stringcoh.cup import (
     Cochain,
@@ -34,6 +35,132 @@ def transpose(mat) -> RationalMatrix:
     for i, j, v in mat.items():
         t.add_at(j, i, v)
     return t
+
+
+def global_bareiss(rows: list[dict[int, int]], ncols: int):
+    """Fraction-free elimination of the whole matrix at once: every active
+    row is swept on every pivot, whatever block it lies in.  Pivot choice
+    as in linalg (smallest |entry|, then sparsity, then row order); the
+    oracle for the blockwise elimination.  Returns (pivots, rows), pivots
+    in elimination order."""
+    rows = [dict(r) for r in rows]
+    active = list(range(len(rows)))
+    pivots: list[tuple[int, int]] = []
+    prev = 1
+    for j in range(ncols):
+        best = None
+        for r in active:
+            a = rows[r].get(j)
+            if a:
+                key = (abs(a), len(rows[r]))
+                if best is None or key < best[0]:
+                    best = (key, r)
+        if best is None:
+            continue
+        r0 = best[1]
+        active.remove(r0)
+        pivots.append((r0, j))
+        piv = rows[r0][j]
+        prow = rows[r0]
+        for r in active:
+            row = rows[r]
+            a = row.get(j, 0)
+            new: dict[int, int] = {}
+            for c in row.keys() | (prow.keys() if a else ()):
+                v = row.get(c, 0) * piv - a * prow.get(c, 0)
+                if v:
+                    q, rem = divmod(v, prev)
+                    assert not rem, "fraction-free division must be exact"
+                    new[c] = q
+            new.pop(j, None)
+            rows[r] = new
+        prev = piv
+    return pivots, rows
+
+
+def _scaled_rows(rows) -> list[dict[int, int]]:
+    out = []
+    for row in rows:
+        fracs = {c: Fraction(v) for c, v in row.items()}
+        scale = lcm(*(f.denominator for f in fracs.values())) if fracs else 1
+        out.append({c: int(f * scale) for c, f in fracs.items()})
+    return out
+
+
+def _global_solve(rows, pivots, seed: dict, ncols: int) -> list[Fraction]:
+    """Back substitution through every pivot, in reverse elimination order."""
+    x = dict(seed)
+    for r, c in reversed(pivots):
+        s = sum((v * x[cc] for cc, v in rows[r].items()
+                 if cc != c and cc in x), Fraction(0))
+        x[c] = -s / rows[r][c]
+    return [x.get(c, Fraction(0)) for c in range(ncols)]
+
+
+def _row_dicts(mat) -> list[dict]:
+    rows = [{} for _ in range(mat.rows)]
+    for i, j, v in mat.items():
+        rows[i][j] = v
+    return rows
+
+
+def global_pivot_columns(mat) -> list[int]:
+    pivots, _ = global_bareiss(_scaled_rows(_row_dicts(mat)), mat.cols)
+    return [c for _, c in pivots]
+
+
+def global_nullspace(mat) -> list[tuple[Fraction, ...]]:
+    """One kernel vector per free column, with a 1 there, solved over
+    every pivot of the global elimination."""
+    pivots, rows = global_bareiss(_scaled_rows(_row_dicts(mat)), mat.cols)
+    used = {c for _, c in pivots}
+    return [tuple(_global_solve(rows, pivots, {f: Fraction(1)}, mat.cols))
+            for f in range(mat.cols) if f not in used]
+
+
+def global_in_column_space(mat, vec):
+    """(True, preimage zero off the pivot columns) or (False, y) with
+    y M = 0 and y.vec != 0, from one global elimination of [M | vec | I]."""
+    n = mat.cols
+    rows = _row_dicts(mat)
+    for i, row in enumerate(rows):
+        if vec[i]:
+            row[n] = vec[i]
+        row[n + 1 + i] = 1
+    pivots, rows = global_bareiss(_scaled_rows(rows), n)
+    used = {r for r, _ in pivots}
+    for i, row in enumerate(rows):
+        if i not in used and row.get(n):
+            return False, [Fraction(row.get(n + 1 + k, 0))
+                           for k in range(mat.rows)]
+    return True, _global_solve(rows, pivots, {n: Fraction(-1)}, n)
+
+
+def connected_blocks(rows, ncols: int) -> list[set[int]]:
+    """Row sets of the connected components of the row-column graph over
+    the first ncols columns, by breadth-first search; rows without an
+    entry there are left out."""
+    by_col: dict[int, list[int]] = {}
+    for i, row in enumerate(rows):
+        for c in row:
+            if c < ncols:
+                by_col.setdefault(c, []).append(i)
+    seen: set[int] = set()
+    out = []
+    for start in range(len(rows)):
+        if start in seen or not any(c < ncols for c in rows[start]):
+            continue
+        block, queue = {start}, [start]
+        while queue:
+            i = queue.pop()
+            for c in rows[i]:
+                for k in by_col.get(c, ()):
+                    if k not in block:
+                        block.add(k)
+                        queue.append(k)
+        seen |= block
+        out.append(block)
+    return out
 
 
 def divides(w_sub, w) -> bool:
