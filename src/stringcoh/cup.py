@@ -17,7 +17,9 @@ resolution: every map involved is a bimodule map, so its values on
 generators determine it.  The audit visits only the generators where a
 side of a square can be nonzero, found from the cocycle's support through
 indexes that CochainComplex builds once (docs/comparison-lift.md, "Which
-generators the audit visits"), and keeps only the nonzero values.
+generators the audit visits"), and keeps only the nonzero values.  The
+walk speaks ids throughout: basis paths by PathBasis id, AP elements by
+position, so a value is keyed by the int triple (left, psi, right).
 
 cup_table certifies each product once: the right factor's lift is
 audited as a chain map, and the product evaluated on those audited
@@ -39,13 +41,18 @@ from .resolution import ApElement, BimoduleTerm, apply_map, augment, memo
 @dataclass
 class Cochain:
     """A cochain in the parallel-pair basis: degree plus sparse coefficients
-    indexed by position in the canonical pair list of that degree.  Fill
-    coeffs before the first terms_at or supports, which index them once."""
+    indexed by position in the canonical pair list of that degree, ints
+    where integral.  Fill coeffs before the first terms_at or supports,
+    which index them once.  A cochain belongs to one complex: it keeps
+    that index, and the walked values of its chain-map lift when it is a
+    cohomology representative (_chain_map_lift)."""
 
     degree: int
-    coeffs: dict[int, Fraction] = field(default_factory=dict)
+    coeffs: dict[int, int | Fraction] = field(default_factory=dict)
     _by_support: dict | None = field(default=None, init=False, repr=False,
                                      compare=False)
+    _lift: list | None = field(default=None, init=False, repr=False,
+                               compare=False)
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -56,22 +63,23 @@ class Cochain:
             out[i] = c
         return out
 
-    def terms_at(self, cx: CochainComplex, support: Path):
-        """The (coefficient, gamma) values this cochain takes on a support,
-        in pair order."""
-        return self._values(cx).get(support, ())
+    def terms_at(self, cx: CochainComplex, pos: int):
+        """The (coefficient, gamma id) values this cochain takes on the
+        element at position pos of its degree's AP set, in pair order."""
+        return self._values(cx).get(pos, ())
 
     def supports(self, cx: CochainComplex):
-        """The supports where this cochain has a value."""
+        """The positions of the AP elements where this cochain has a
+        value."""
         return self._values(cx).keys()
 
     def _values(self, cx: CochainComplex) -> dict:
         if self._by_support is None:
-            pairs = cx.pairs(self.degree)
-            index: dict[Path, list[tuple[Fraction, Path]]] = {}
+            keys = cx.pair_keys(self.degree)
+            index: dict[int, list[tuple[int | Fraction, int]]] = {}
             for i, c in sorted(self.coeffs.items()):
-                index.setdefault(pairs[i].rho.support, []).append(
-                    (c, pairs[i].gamma))
+                rho, gamma = keys[i]
+                index.setdefault(rho, []).append((c, gamma))
             self._by_support = index
         return self._by_support
 
@@ -79,7 +87,7 @@ class Cochain:
         assert self.degree == other.degree
         out = dict(self.coeffs)
         for i, c in other.coeffs.items():
-            v = out.get(i, Fraction(0)) - c
+            v = out.get(i, 0) - c
             if v:
                 out[i] = v
             else:
@@ -88,7 +96,15 @@ class Cochain:
 
     @classmethod
     def from_vector(cls, degree: int, vec) -> "Cochain":
-        return cls(degree, {i: Fraction(v) for i, v in enumerate(vec) if v})
+        """The cochain with these coefficients; an integral one is kept as
+        an int."""
+        return cls(degree, {i: _exact(v) for i, v in enumerate(vec) if v})
+
+
+def _exact(v) -> int | Fraction:
+    """v as an int when it is integral, else as a Fraction."""
+    v = Fraction(v)
+    return v.numerator if v.denominator == 1 else v
 
 
 def is_cocycle(cx: CochainComplex, f: Cochain) -> bool:
@@ -128,20 +144,19 @@ def comparison_terms(cx: CochainComplex, f: Cochain, n: int,
     """
     m = f.degree
     require_lift_degree(n, m, w)
-    res = cx.res
     if n == 0:
-        vals = f.terms_at(cx, w.support)
-        e = res.quiver.trivial_path(w.support.source)
-        mid = res.by_support[0][e]
-        return [BimoduleTerm(c, e, mid, gamma) for c, gamma in vals]
-    head, u, tail = res.decompose(w, n, m)
-    vals = f.terms_at(cx, tail.support)
+        x = w.support.source  # e_x is basis path x and element x of AP_0
+        return [BimoduleTerm(c, x, x, gamma)
+                for c, gamma in f.terms_at(cx, w.pos)]
+    tail, divisors = cx.splittings(n, m)[w.pos]
+    vals = f.terms_at(cx, tail)
     if not vals:
         return []
+    mult = cx.basis.mult
     out = []
-    for left, psi, right in cx.divisors(n, compose(head.support, u)):
+    for left, psi, right in divisors:
         for c, gamma in vals:
-            rg = cx.basis.mult(right, gamma)
+            rg = mult(right, gamma)
             if rg is not None:
                 out.append(BimoduleTerm(c, left, psi, rg))
     return out
@@ -164,22 +179,14 @@ def lift_terms(cx: CochainComplex, f: Cochain, n: int,
     out = comparison_terms(cx, f, n, w)
     if f.degree != 1 or n == 0:
         return out
-    sup = w.support
-    pairs = cx.pairs(1)
-    valued = {pairs[i].rho.support.arrows[0] for i in f.coeffs}
-    # position 0 never contributes: psi has at least one arrow
-    values = {j: f.terms_at(cx, sup.subpath(j, j + 1))
-              for j in range(1, len(sup) - 1) if sup.arrows[j] in valued}
-    if not values:
-        return out
-    for left, psi, _ in cx.divisors(n, sup.strip_last()):
-        start = len(left) + len(psi.support)
-        for j in range(start, len(sup) - 1):
-            for c, gamma in values.get(j, ()):
-                right = cx.basis.mult3(sup.subpath(start, j), gamma,
-                                       sup.suffix(j + 1))
-                if right is not None:
-                    out.append(BimoduleTerm(c, left, psi, right))
+    mult3 = cx.basis.mult3
+    # f keeps its value at an arrow alpha under alpha's position in AP_1,
+    # which is alpha itself
+    for left, psi, alpha, mid, rest in cx.leibniz_slots(n)[w.pos]:
+        for c, gamma in f.terms_at(cx, alpha):
+            right = mult3(mid, gamma, rest)
+            if right is not None:
+                out.append(BimoduleTerm(c, left, psi, right))
     return out
 
 
@@ -196,7 +203,7 @@ def _augments_to(cx: CochainComplex, f: Cochain, w: ApElement, terms) -> bool:
     """Whether the augmentation mu(L (x) e (x) R) = L R sends the
     degree-0 lift terms of w to f(w)."""
     return (augment(cx.basis, terms)
-            == {gamma: c for c, gamma in f.terms_at(cx, w.support)})
+            == {gamma: c for c, gamma in f.terms_at(cx, w.pos)})
 
 
 def _lift_support(cx: CochainComplex, f: Cochain, n: int) -> set[int]:
@@ -208,15 +215,17 @@ def _lift_support(cx: CochainComplex, f: Cochain, n: int) -> set[int]:
     tails = cx.lift_tails(n, f.degree)
     out = {i for s in f.supports(cx) for i in tails.get(s, ())}
     if f.degree == 1 and n >= 1:
+        # a degree-1 support is an arrow, at its own position in AP_1
         inner = cx.interior_arrows(n + 1)
-        out.update(i for s in f.supports(cx) for i in inner.get(s.arrows[0], ()))
+        out.update(i for s in f.supports(cx) for i in inner.get(s, ()))
     return out
 
 
 def _lift_values(cx: CochainComplex, f: Cochain, terms):
     """The nonzero generator values F_n(1 (x) w (x) 1) = terms(cx, f, n, w)
-    of a lift of f, one dict per degree n with n + m <= top, each checked
-    on generators: mu F_0 (1 (x) w (x) 1) = f(w) for w in AP_m, and
+    of a lift of f, one dict per degree n with n + m <= top from the
+    position of w in AP_{n+m}, each checked on generators:
+    mu F_0 (1 (x) w (x) 1) = f(w) for w in AP_m, and
     d_n F_n (1 (x) w (x) 1) = F_{n-1} d_{n+m} (1 (x) w (x) 1) for w in
     AP_{n+m}.  None if the augmentation or a square fails.
 
@@ -242,31 +251,49 @@ def _lift_values(cx: CochainComplex, f: Cochain, terms):
         layer = res.ap[n + m]
         cur = {}
         for i in sorted(visit):
-            w = layer[i]
-            val = terms(cx, f, n, w)
+            val = terms(cx, f, n, layer[i])
             if n:
                 holds = (apply_map(cx.basis, val, d_n)
-                         == apply_map(cx.basis, d_nm[w], values[-1]))
+                         == apply_map(cx.basis, d_nm[i], values[-1]))
             else:
-                holds = _augments_to(cx, f, w, val)
+                holds = _augments_to(cx, f, layer[i], val)
             if not holds:
                 return None
             if val:
-                cur[w] = val
+                cur[i] = val
         values.append(cur)
+    return values
+
+
+def _chain_map_lift(cx: CochainComplex, f: Cochain):
+    """_lift_values of f on lift_terms.  The walk of a cohomology
+    representative (cohomology_basis) is kept on it, for cup_table to
+    evaluate products on: check_chain_maps walks this lift for every
+    cocycle of degree >= 2 (formula_audit), before cup_table audits the
+    representatives.  Other cochains keep nothing, so the walks of a
+    whole cocycle basis are not held at once."""
+    if f._lift is not None:
+        return f._lift
+    values = _lift_values(cx, f, lift_terms)
+    if values is not None and any(f is r for r in
+                                  cohomology_basis(cx, f.degree)):
+        f._lift = values
     return values
 
 
 def chain_map_audit(cx: CochainComplex, f: Cochain) -> bool:
     """Verify the lift (lift_terms) that cup evaluates is a chain map."""
-    return _lift_values(cx, f, lift_terms) is not None
+    return _chain_map_lift(cx, f) is not None
 
 
 def formula_audit(cx: CochainComplex, f: Cochain) -> bool:
     """Whether the displayed formula (comparison_terms) is a chain map
     for f.  It is not for degree-1 cocycles with a value on an arrow
     strictly inside a relation of length >= 3; see
-    docs/comparison-lift.md."""
+    docs/comparison-lift.md.  Above degree 1 the displayed formula is
+    lift_terms, so this is chain_map_audit's walk."""
+    if f.degree >= 2:
+        return chain_map_audit(cx, f)
     return _lift_values(cx, f, comparison_terms) is not None
 
 
@@ -274,7 +301,7 @@ def _audited_lift(cx: CochainComplex, f: Cochain) -> list[dict]:
     """The generator values of the chain-map lift of f (lift_terms), per
     degree, after chain_map_audit's walk has passed on them.  The lift is
     a chain map by docs/comparison-lift.md, so a failed audit raises."""
-    values = _lift_values(cx, f, lift_terms)
+    values = _chain_map_lift(cx, f)
     if values is None:
         raise CertificateError(
             f"the lift of a degree-{f.degree} cocycle is not a chain map")
@@ -295,33 +322,34 @@ def cup(cx: CochainComplex, g: Cochain, f: Cochain) -> Cochain:
     lift = {}
     if n + m <= cx.top:
         layer = cx.res.ap[n + m]
-        lift = {layer[i]: lift_terms(cx, f, n, layer[i])
+        lift = {i: lift_terms(cx, f, n, layer[i])
                 for i in sorted(_lift_support(cx, f, n))}
     return _evaluate(cx, g, m, lift)
 
 
 def _evaluate(cx: CochainComplex, g: Cochain, m: int, lift: dict) -> Cochain:
-    """g cup f for a degree-m cocycle f, from lift: w -> the terms of the
-    degree-(deg g) lift of f at 1 (x) w (x) 1, for every w of
-    AP_{deg g + m} where they are nonzero."""
+    """g cup f for a degree-m cocycle f, from lift: position of w -> the
+    terms of the degree-(deg g) lift of f at 1 (x) w (x) 1, for every w
+    of AP_{deg g + m} where they are nonzero."""
     _require_cocycle(cx, g)
     total = g.degree + m
     index = cx.pair_index(total)
-    coeffs: dict[int, Fraction] = {}
+    mult3 = cx.basis.mult3
+    coeffs: dict[int, int | Fraction] = {}
     for w, terms in lift.items():
-        acc: dict[Path, Fraction] = {}
+        acc: dict[int, int | Fraction] = {}
         for t in terms:
-            for cg, gam in g.terms_at(cx, t.middle.support):
-                prod = cx.basis.mult3(t.left, gam, t.right)
+            for cg, gam in g.terms_at(cx, t.middle):
+                prod = mult3(t.left, gam, t.right)
                 if prod is None:
                     continue
-                v = acc.get(prod, Fraction(0)) + t.coeff * cg
+                v = acc.get(prod, 0) + t.coeff * cg
                 if v:
                     acc[prod] = v
                 else:
                     del acc[prod]
         for path, v in acc.items():
-            coeffs[index[(w.support, path)]] = v
+            coeffs[index[(w, path)]] = v
     out = Cochain(total, coeffs)
     if not is_cocycle(cx, out):
         raise CertificateError("a product of cocycles must be a cocycle")
@@ -331,11 +359,12 @@ def _evaluate(cx: CochainComplex, g: Cochain, m: int, lift: dict) -> Cochain:
 # -- normalization ---------------------------------------------------------
 
 def _unique_surviving_successor(cx: CochainComplex, gamma: Path) -> Path:
-    q = cx.quiver
+    q, index = cx.quiver, cx.basis.index
     assert not gamma.is_trivial
+    g = index[gamma]
     cands = [
         q.arrow_path(b) for b in q.out_arrows(gamma.target)
-        if cx.basis.mult(gamma, q.arrow_path(b)) is not None
+        if cx.basis.mult(g, index[q.arrow_path(b)]) is not None
     ]
     if len(cands) != 1:
         raise CertificateError("surviving continuation is not unique")
@@ -343,11 +372,12 @@ def _unique_surviving_successor(cx: CochainComplex, gamma: Path) -> Path:
 
 
 def _unique_surviving_predecessor(cx: CochainComplex, gamma: Path) -> Path:
-    q = cx.quiver
+    q, index = cx.quiver, cx.basis.index
     assert not gamma.is_trivial
+    g = index[gamma]
     cands = [
         q.arrow_path(b) for b in q.in_arrows(gamma.source)
-        if cx.basis.mult(q.arrow_path(b), gamma) is not None
+        if cx.basis.mult(index[q.arrow_path(b)], g) is not None
     ]
     if len(cands) != 1:
         raise CertificateError("surviving predecessor is not unique")
@@ -356,9 +386,10 @@ def _unique_surviving_predecessor(cx: CochainComplex, gamma: Path) -> Path:
 
 def _pair_at(cx: CochainComplex, degree: int, support: Path, gamma: Path,
              want_label: str) -> tuple[int, ParallelPair]:
-    if cx.res.by_support[degree].get(support) is None:
+    elem = cx.res.by_support[degree].get(support)
+    if elem is None:
         raise CertificateError("rewritten support left the computed AP sets")
-    idx = cx.pair_index(degree)[(support, gamma)]
+    idx = cx.pair_index(degree)[(elem.pos, cx.basis.index[gamma])]
     pair = cx.pairs(degree)[idx]
     if pair.label != want_label:
         raise CertificateError(
@@ -400,11 +431,11 @@ def phi_inv(cx: CochainComplex, pair: ParallelPair) -> tuple[int, ParallelPair]:
 def _normalize(cx: CochainComplex, f: Cochain, keep_classes, dead: str,
                slide) -> Cochain:
     m = f.degree
-    sign = Fraction(-1) if m % 2 == 0 else Fraction(1)  # (-1)^(m-1)
-    out: dict[int, Fraction] = {}
+    sign = -1 if m % 2 == 0 else 1  # (-1)^(m-1)
+    out: dict[int, int | Fraction] = {}
 
     def put(i, v):
-        s = out.get(i, Fraction(0)) + v
+        s = out.get(i, 0) + v
         if s:
             out[i] = s
         else:
@@ -461,10 +492,12 @@ def cocycle_basis(cx: CochainComplex, m: int) -> list[Cochain]:
     return [Cochain.from_vector(m, v) for v in vecs]
 
 
+@memo
 def cohomology_basis(cx: CochainComplex, m: int) -> list[Cochain]:
     """Cocycles whose classes form a basis of degree-m cohomology, chosen
     as the echelon-first subset of the canonical kernel basis that stays
-    independent modulo coboundaries."""
+    independent modulo coboundaries.  Cached on cx; these are cochains of
+    cocycle_basis(cx, m) itself."""
     cocycles = cocycle_basis(cx, m)
     if not cocycles:
         return []

@@ -94,18 +94,20 @@ def classify(basis: PathBasis, rho: ApElement, gamma: Path) -> ParallelPair:
 
 @memo
 def _left_dead(basis: PathBasis, gamma: Path) -> bool:
-    q = basis.pres.quiver
+    q, index = basis.pres.quiver, basis.index
+    g = index[gamma]
     return all(
-        basis.mult(q.arrow_path(b), gamma) is None
+        basis.mult(index[q.arrow_path(b)], g) is None
         for b in q.in_arrows(gamma.source)
     )
 
 
 @memo
 def _right_dead(basis: PathBasis, gamma: Path) -> bool:
-    q = basis.pres.quiver
+    q, index = basis.pres.quiver, basis.index
+    g = index[gamma]
     return all(
-        basis.mult(gamma, q.arrow_path(b)) is None
+        basis.mult(g, index[q.arrow_path(b)]) is None
         for b in q.out_arrows(gamma.target)
     )
 
@@ -193,10 +195,12 @@ class CochainComplex:
         """All parallel pairs in degree n, rho in support order then gamma
         in basis order."""
         out: list[ParallelPair] = []
+        paths = self.basis.paths
         if 0 <= n <= self.top:
             for elem in self.res.ap[n]:
                 sup = elem.support
-                for gamma in self.basis.between(sup.source, sup.target):
+                for g in self.basis.between(sup.source, sup.target):
+                    gamma = paths[g]
                     if n == 0:
                         assert gamma.is_trivial
                         out.append(ParallelPair(elem, gamma))
@@ -205,41 +209,91 @@ class CochainComplex:
         return out
 
     @memo
-    def pair_index(self, n: int) -> dict[tuple[Path, Path], int]:
-        return {(p.rho.support, p.gamma): i for i, p in enumerate(self.pairs(n))}
+    def pair_keys(self, n: int) -> list[tuple[int, int]]:
+        """(position of rho in AP_n, id of gamma) of each pair of
+        pairs(n), in that order."""
+        index = self.basis.index
+        return [(p.rho.pos, index[p.gamma]) for p in self.pairs(n)]
 
     @memo
-    def divisors(self, n: int, target: Path) -> list[tuple[Path, ApElement, Path]]:
-        """Every occurrence L * psi * R of an element psi of AP_n inside
-        target whose left cofactor L survives in the algebra, as
-        (L, psi, R), in the order of Resolution.occurrences_in.  Cached:
-        comparison lifts ask for the same targets for every cocycle."""
-        return [(left, psi, right)
-                for left, psi, right in self.res.occurrences_in(n, target)
-                if self.basis.reduce(left) is not None]
+    def pair_index(self, n: int) -> dict[tuple[int, int], int]:
+        """The inverse of pair_keys(n)."""
+        return {key: i for i, key in enumerate(self.pair_keys(n))}
 
-    # -- where comparison lifts can be nonzero ------------------------------
-    # Positions in AP_{n+m}, shared by every cocycle and both lift formulas.
+    # -- where and how comparison lifts are nonzero ---------------------------
+    # Per position in AP_{n+m}, in ids, shared by every cocycle and both
+    # lift formulas.
 
     @memo
-    def lift_tails(self, n: int, m: int) -> dict[Path, list[int]]:
-        """Support of the degree-m tail of w -> the positions of those w
-        in AP_{n+m}: the tail from Resolution.decompose, and w itself for
-        n = 0.  A degree-n lift of a cocycle f takes its value at w from
-        f(tail), so it can be nonzero only where the tail supports f.
-        Every element of AP_{n+m} is checked to have degree n + m."""
-        out: dict[Path, list[int]] = {}
-        for i, w in enumerate(self.res.ap[n + m]):
+    def splittings(self, n: int, m: int) -> list[tuple[int, tuple]]:
+        """Per w in AP_{n+m}, by position: the position in AP_m of its
+        degree-m tail, and every occurrence L * psi * R of an element psi
+        of AP_n inside head * u (Resolution.decompose) with both cofactors
+        in the basis, as (id of L, position of psi, id of R), in the order
+        of Resolution.occurrences_in.  For n = 0 the tail is w itself and
+        there are none.  An occurrence with a cofactor in the ideal
+        adds nothing to a comparison lift.  Every element of AP_{n+m} is
+        checked to have degree n + m."""
+        index = self.basis.index
+        out = []
+        for w in self.res.ap[n + m]:
             require_lift_degree(n, m, w)
-            tail = w if n == 0 else self.res.decompose(w, n, m)[2]
-            out.setdefault(tail.support, []).append(i)
+            if n == 0:
+                out.append((w.pos, ()))
+                continue
+            _, _, tail = self.res.decompose(w, n, m)
+            head_u = w.support.prefix(len(w.support) - len(tail.support))
+            divisors = []
+            for left, psi, right in self.res.occurrences_in(n, head_u):
+                left, right = index.get(left), index.get(right)
+                if left is not None and right is not None:
+                    divisors.append((left, psi.pos, right))
+            out.append((tail.pos, tuple(divisors)))
+        return out
+
+    @memo
+    def lift_tails(self, n: int, m: int) -> dict[int, list[int]]:
+        """Position of the degree-m tail of w in AP_m -> the positions of
+        those w in AP_{n+m}, from splittings(n, m).  A degree-n lift of a
+        cocycle f takes its value at w from f(tail), so it can be nonzero
+        only where the tail supports f."""
+        out: dict[int, list[int]] = {}
+        for i, (tail, _) in enumerate(self.splittings(n, m)):
+            out.setdefault(tail, []).append(i)
+        return out
+
+    @memo
+    def leibniz_slots(self, n: int) -> list[tuple]:
+        """Per w in AP_{n+1}, by position: where the Leibniz terms of a
+        degree-1 lift (cup.lift_terms) can sit.  Each slot is an
+        occurrence L * psi * P * alpha * S = w with psi in AP_n, L in the
+        basis and alpha an arrow other than the last of w, as (id of L, position of
+        psi, alpha, id of P, id of S), by occurrence and then by the
+        position of alpha.  A slot whose P or S falls in the ideal adds
+        nothing and is left out."""
+        index = self.basis.index
+        out = []
+        for w in self.res.ap[n + 1]:
+            sup = w.support
+            slots = []
+            for left, psi, _ in self.res.occurrences_in(n, sup.strip_last()):
+                left_id = index.get(left)
+                if left_id is None:
+                    continue
+                start = len(left) + len(psi.support)
+                for j in range(start, len(sup) - 1):
+                    mid = index.get(sup.subpath(start, j))
+                    rest = index.get(sup.suffix(j + 1))
+                    if mid is not None and rest is not None:
+                        slots.append((left_id, psi.pos, sup.arrows[j], mid, rest))
+            out.append(tuple(slots))
         return out
 
     @memo
     def interior_arrows(self, k: int) -> dict[int, list[int]]:
-        """Arrow id -> the positions in AP_k of the w carrying that arrow
-        strictly inside their support, where the Leibniz terms of a
-        degree-1 lift sit."""
+        """Arrow id (its position in AP_1) -> the positions in AP_k of the
+        w carrying that arrow strictly inside their support, where the
+        Leibniz terms of a degree-1 lift sit."""
         out: dict[int, list[int]] = {}
         for i, w in enumerate(self.res.ap[k]):
             for a in w.support.arrows[1:-1]:
@@ -247,13 +301,12 @@ class CochainComplex:
         return out
 
     @memo
-    def cofaces(self, k: int) -> dict[ApElement, list[int]]:
-        """psi in AP_{k-1} -> the positions in AP_k of the w whose
-        differential d_k(1 (x) w (x) 1) has a term with middle psi."""
-        out: dict[ApElement, list[int]] = {}
-        diff = self.res.differential(k)
-        for i, w in enumerate(self.res.ap[k]):
-            for t in diff[w]:
+    def cofaces(self, k: int) -> dict[int, list[int]]:
+        """Position of psi in AP_{k-1} -> the positions in AP_k of the w
+        whose differential d_k(1 (x) w (x) 1) has a term with middle psi."""
+        out: dict[int, list[int]] = {}
+        for i, terms in self.res.differential(k).items():
+            for t in terms:
                 out.setdefault(t.middle, []).append(i)
         return out
 
@@ -289,38 +342,43 @@ class CochainComplex:
         mat = RationalMatrix(len(rows), len(cols))
         if n == 1:
             q = self.quiver
+            # arrow a is element a of AP_1
+            arrows = [self.basis.index[q.arrow_path(a)]
+                      for a in range(q.num_arrows)]
             for j, pair in enumerate(cols):
                 x = pair.rho.support.source
                 for a in range(q.num_arrows):
                     c = int(q.arrow_target[a] == x) - int(q.arrow_source[a] == x)
                     if c:
-                        ap = q.arrow_path(a)
-                        mat.add_at(row_index[(ap, ap)], j, c)
+                        mat.add_at(row_index[(a, arrows[a])], j, c)
         else:
-            cols_by_support: dict[Path, list[tuple[int, Path]]] = {}
-            for j, pair in enumerate(cols):
-                cols_by_support.setdefault(pair.rho.support, []).append(
-                    (j, pair.gamma)
-                )
+            cols_by_support: dict[int, list[tuple[int, int]]] = {}
+            for j, (rho, gamma) in enumerate(self.pair_keys(n - 1)):
+                cols_by_support.setdefault(rho, []).append((j, gamma))
+            index = self.basis.index
+            mult, mult3 = self.basis.mult, self.basis.mult3
             even = n % 2 == 0
             for w in self.res.ap[n] if n <= self.top else []:
                 for d in self.res.sub(w):
-                    targets = cols_by_support.get(d.element.support)
+                    targets = cols_by_support.get(d.element.pos)
                     if not targets:
                         continue
+                    left, right = index.get(d.left), index.get(d.right)
+                    if left is None or right is None:
+                        continue  # a cofactor in the ideal: every entry is 0
                     for j, gamma in targets:
                         if even:
-                            prod = self.basis.mult3(d.left, gamma, d.right)
+                            prod = mult3(left, gamma, right)
                             coeff = 1
                         elif d.right.is_trivial:
-                            prod = self.basis.mult(d.left, gamma)
+                            prod = mult(left, gamma)
                             coeff = 1
                         else:
                             assert d.left.is_trivial
-                            prod = self.basis.mult(gamma, d.right)
+                            prod = mult(gamma, right)
                             coeff = -1
                         if prod is not None:
-                            mat.add_at(row_index[(w.support, prod)], j, coeff)
+                            mat.add_at(row_index[(w.pos, prod)], j, coeff)
         return mat
 
     @memo

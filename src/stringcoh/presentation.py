@@ -220,11 +220,18 @@ def non_minimal_pairs(pres: Presentation) -> list[tuple[int, int]]:
                    for i in pres.relation_factors(r) if i != j})
 
 
+_UNSET = object()
+
+
 class PathBasis:
     """The ideal-free paths, in canonical order: the monomial basis of A.
 
     A path lies in the basis iff no relation divides it, so membership in
-    the relation ideal is exactly absence from this set.
+    the relation ideal is exactly absence from this set.  A basis path's
+    id is its position in ``paths`` (``index`` maps back); the trivial
+    path at vertex v comes first, with id v.  Products are taken on ids
+    (``mult``), through one table that fills on first use: building the
+    basis computes no product.
     """
 
     def __init__(self, pres: Presentation):
@@ -249,13 +256,14 @@ class PathBasis:
         self.pres = pres
         self.paths = tuple(paths)
         self.index = {p: i for i, p in enumerate(paths)}
-        self._by_endpoints: dict[tuple[int, int], list[Path]] = {}
-        self._ending_at: dict[int, list[Path]] = {}
-        self._starting_at: dict[int, list[Path]] = {}
-        for p in paths:
-            self._by_endpoints.setdefault((p.source, p.target), []).append(p)
-            self._ending_at.setdefault(p.target, []).append(p)
-            self._starting_at.setdefault(p.source, []).append(p)
+        self._products: dict[tuple[int, int], int | None] = {}
+        self._by_endpoints: dict[tuple[int, int], list[int]] = {}
+        self._ending_at: dict[int, list[int]] = {}
+        self._starting_at: dict[int, list[int]] = {}
+        for i, p in enumerate(paths):
+            self._by_endpoints.setdefault((p.source, p.target), []).append(i)
+            self._ending_at.setdefault(p.target, []).append(i)
+            self._starting_at.setdefault(p.source, []).append(i)
 
     @property
     def dim(self) -> int:
@@ -264,28 +272,39 @@ class PathBasis:
     def __contains__(self, p: Path) -> bool:
         return p in self.index
 
-    def between(self, s: int, t: int) -> list[Path]:
+    def between(self, s: int, t: int) -> list[int]:
+        """Ids of the basis paths from s to t, in basis order."""
         return self._by_endpoints.get((s, t), [])
 
-    def ending_at(self, v: int) -> list[Path]:
+    def ending_at(self, v: int) -> list[int]:
         return self._ending_at.get(v, [])
 
-    def starting_at(self, v: int) -> list[Path]:
+    def starting_at(self, v: int) -> list[int]:
         return self._starting_at.get(v, [])
 
-    def reduce(self, p: Path) -> Path | None:
-        """The image of a path in A: itself if ideal-free, else None (zero)."""
-        return p if p in self.index else None
+    def mult(self, i: int, j: int) -> int | None:
+        """Id of the product of the basis paths with ids i and j in A; None
+        when it is zero: the paths do not compose, or their concatenation
+        falls in the ideal.  Each product is computed once, then read from
+        the table."""
+        key = (i, j)
+        prod = self._products.get(key, _UNSET)
+        if prod is _UNSET:
+            p, q = self.paths[i], self.paths[j]
+            if p.target != q.source:
+                prod = None
+            elif not q.arrows:
+                prod = i
+            elif not p.arrows:
+                prod = j
+            else:
+                prod = self.index.get(compose(p, q))
+            self._products[key] = prod
+        return prod
 
-    def mult(self, p: Path, q: Path) -> Path | None:
-        """Product of two basis paths in A; None when it falls in the ideal."""
-        if p.target != q.source:
-            return None
-        return self.reduce(compose(p, q))
-
-    def mult3(self, p: Path, q: Path, r: Path) -> Path | None:
-        pq = self.mult(p, q)
-        return None if pq is None else self.mult(pq, r)
+    def mult3(self, i: int, j: int, k: int) -> int | None:
+        ij = self.mult(i, j)
+        return None if ij is None else self.mult(ij, k)
 
 
 def _dies_at_end(w: Path, relations) -> bool:

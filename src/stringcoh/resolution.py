@@ -87,13 +87,16 @@ class ApElement:
     ``chain`` lists the overlapping relations (p_1, ..., p_{n-1}) of the
     left-greedy construction; ``op_chain`` the (q^1, ..., q^{n-1}) of the
     dual one, indexed left to right along the support.  Degrees 0 and 1
-    have empty chains.
+    have empty chains.  ``pos`` is the element's position in AP_n, its id:
+    bimodule terms and generator values name it by that.  In degree 0 it
+    is the vertex of the support and in degree 1 the arrow.
     """
 
     degree: int
     support: Path
     chain: tuple[Path, ...]
     op_chain: tuple[Path, ...]
+    pos: int
 
     def __hash__(self):
         # Within a degree the support determines the chains (a second chain
@@ -120,19 +123,20 @@ class SubDivisor:
     right: Path
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class BimoduleTerm:
     """One term c * (left (x) middle (x) right) of a bimodule map image.
 
-    The term is zero in A (x) kAP (x) A unless both cofactors avoid the
-    ideal; matrix builders drop such terms during reduction.  Lift
-    values carry Fraction coefficients.
+    left and right are ids of basis paths (PathBasis) and middle is the
+    position of an element of the AP set of the term's degree.  A
+    cofactor in the ideal makes a term zero in A (x) kAP (x) A, and such a
+    term is never built.  Coefficients are ints where integral.
     """
 
     coeff: int | Fraction
-    left: Path
-    middle: ApElement
-    right: Path
+    left: int
+    middle: int
+    right: int
 
 
 class ApConstructionError(ValueError):
@@ -227,14 +231,13 @@ class Resolution:
         and its dual chain from the mirrored run."""
         q = self.quiver
         base: list[list[ApElement]] = [
-            [ApElement(0, q.trivial_path(v), (), ()) for v in range(q.num_vertices)]
+            [ApElement(0, q.trivial_path(v), (), (), v)
+             for v in range(q.num_vertices)]
         ]
         if cap >= 1 and q.num_arrows:
-            arrows = sorted(
-                (q.arrow_path(a) for a in range(q.num_arrows)),
-                key=lambda p: p.sort_key,
-            )
-            base.append([ApElement(1, p, (), ()) for p in arrows])
+            # arrow order is the canonical order (Path.sort_key) on arrows
+            base.append([ApElement(1, q.arrow_path(a), (), (), a)
+                         for a in range(q.num_arrows)])
         self._check_minimal()
         forward = self._chain_run(cap, mirrored=False)
         mirror = self._chain_run(cap, mirrored=True)
@@ -300,8 +303,8 @@ class Resolution:
                 extra = layer.keys() - (other[i] if i < len(other) else {}).keys()
                 if extra:
                     raise self._error(reason, self._path(min(extra, key=key)))
-        return [[ApElement(i + 2, self._path(w), fwd[w], mirror[i][w])
-                 for w in sorted(fwd, key=key)]
+        return [[ApElement(i + 2, self._path(w), fwd[w], mirror[i][w], pos)
+                 for pos, w in enumerate(sorted(fwd, key=key))]
                 for i, fwd in enumerate(forward)]
 
     def op_ap_sets(self) -> list[list[ApElement]]:
@@ -366,11 +369,11 @@ class Resolution:
             _require_two_flush(out)
         return out
 
-    @memo
     def decompose(self, w: ApElement, n: int, m: int) -> tuple[ApElement, Path, ApElement]:
         """The unique splitting support = head * u * tail with head of
         degree n (a chain prefix), tail of degree m (a dual-chain suffix),
-        and u a basis path.  Cached: it does not depend on any cochain."""
+        and u a basis path.  Not cached: CochainComplex.splittings keeps
+        what the lifts read of it, in ids."""
         assert n >= 0 and m >= 0 and n + m == w.degree and n + m >= 2
         sup = w.support
         if n == 0:
@@ -402,37 +405,36 @@ class Resolution:
     # -- differentials ----------------------------------------------------
 
     @memo
-    def differential(self, n: int) -> dict[ApElement, list[BimoduleTerm]]:
-        """The degree-n map of the resolution as formal bimodule terms.
+    def differential(self, n: int) -> dict[int, list[BimoduleTerm]]:
+        """The degree-n map of the resolution as formal bimodule terms, per
+        generator 1 (x) w (x) 1 keyed by the position of w in AP_n.
 
         Even degrees sum over all divisors with their cofactors; odd
         degrees take the flush-right divisor minus the flush-left one;
-        degree 1 is alpha (x) e (x) 1 - 1 (x) e (x) alpha.
+        degree 1 is alpha (x) e (x) 1 - 1 (x) e (x) alpha.  A divisor with
+        a cofactor in the ideal gives a zero term, which is left out.
         """
         assert n >= 1
-        q = self.quiver
-        out: dict[ApElement, list[BimoduleTerm]] = {}
+        index = self.basis.index
+        out: dict[int, list[BimoduleTerm]] = {}
         if n < len(self.ap):
             for w in self.ap[n]:
                 if n == 1:
-                    a = w.support
-                    e_t = self.by_support[0][q.trivial_path(a.target)]
-                    e_s = self.by_support[0][q.trivial_path(a.source)]
-                    out[w] = [
-                        BimoduleTerm(1, a, e_t, q.trivial_path(a.target)),
-                        BimoduleTerm(-1, q.trivial_path(a.source), e_s, a),
-                    ]
-                elif n % 2 == 0:
-                    out[w] = [
-                        BimoduleTerm(1, d.left, d.element, d.right)
-                        for d in self.sub(w)
-                    ]
+                    # e_x is basis path x and element x of AP_0
+                    a, x, y = index[w.support], w.support.source, w.support.target
+                    out[w.pos] = [BimoduleTerm(1, a, y, y),
+                                  BimoduleTerm(-1, x, x, a)]
+                    continue
+                if n % 2 == 0:
+                    signed = [(1, d) for d in self.sub(w)]
                 else:
                     first, second = _require_two_flush(self.sub(w))
-                    out[w] = [
-                        BimoduleTerm(1, second.left, second.element, second.right),
-                        BimoduleTerm(-1, first.left, first.element, first.right),
-                    ]
+                    signed = [(1, second), (-1, first)]
+                terms = out[w.pos] = []
+                for c, d in signed:
+                    left, right = index.get(d.left), index.get(d.right)
+                    if left is not None and right is not None:
+                        terms.append(BimoduleTerm(c, left, d.element.pos, right))
         return out
 
     # -- the realized complex ---------------------------------------------
@@ -441,14 +443,14 @@ class Resolution:
 
     @memo
     def bimodule_space(self, n: int):
-        """Basis of A (x) kAP_n (x) A: triples (l, w, r) of basis paths
-        around each support, with matching endpoints."""
+        """Basis of A (x) kAP_n (x) A: triples (l, w, r) of basis path ids
+        around the position w of each element, with matching endpoints."""
         basis = []
         if 0 <= n < len(self.ap):
             for w in self.ap[n]:
                 for l in self.basis.ending_at(w.support.source):
                     for r in self.basis.starting_at(w.support.target):
-                        basis.append((l, w, r))
+                        basis.append((l, w.pos, r))
         index = {trip: i for i, trip in enumerate(basis)}
         return basis, index
 
@@ -472,7 +474,7 @@ class Resolution:
         mat = RationalMatrix(self.basis.dim, len(cols))
         for j, (l, w, r) in enumerate(cols):
             for p, c in augment(self.basis, [BimoduleTerm(1, l, w, r)]).items():
-                mat.add_at(self.basis.index[p], j, c)
+                mat.add_at(p, j, c)
         return mat
 
     def homology_dims(self) -> list[int]:
@@ -500,17 +502,20 @@ class Resolution:
         for w in self.ap[n]:
             by_target.setdefault(w.support.target, []).append(w)
         diff = self.differential(n) if n else {}
+        paths, mult = self.basis.paths, self.basis.mult
         out = {}
         for x, layer in by_target.items():
             blocks: dict[Word, list[dict]] = {}
             for w in layer:
-                kept = [t for t in diff.get(w, ()) if t.right.is_trivial]
+                kept = [t for t in diff.get(w.pos, ())
+                        if paths[t.right].is_trivial]
                 for l in self.basis.ending_at(w.support.source):
                     col = {}
                     for t in kept:
-                        if self.basis.mult(l, t.left) is not None:
+                        if mult(l, t.left) is not None:
                             col[t.middle] = col.get(t.middle, 0) + t.coeff
-                    blocks.setdefault(l.arrows + w.support.arrows, []).append(col)
+                    blocks.setdefault(paths[l].arrows + w.support.arrows,
+                                      []).append(col)
             rank = int(n == 0)
             for cols in blocks.values():
                 psis = {p for c in cols for p in c}
@@ -534,9 +539,10 @@ class Resolution:
 def apply_map(basis: PathBasis, terms, images) -> dict:
     """The bimodule map with generator values images applied to the
     element sum c (L (x) psi (x) R) over terms: the sum of
-    c L images[psi] R, keyed by (left, middle, right) with zero entries
-    dropped.  A psi missing from images has value zero.  Terms and values
-    are BimoduleTerm."""
+    c L images[psi] R, keyed by the id triple (left, middle, right) with
+    zero entries dropped.  images maps the position of psi to its value;
+    a psi missing from images has value zero.  Terms and values are
+    BimoduleTerm."""
     out: dict = {}
     mul = basis.mult
     for t in terms:
@@ -558,8 +564,8 @@ def apply_map(basis: PathBasis, terms, images) -> dict:
 
 def augment(basis: PathBasis, terms) -> dict:
     """The augmentation mu(L (x) e (x) R) = L R applied to the element
-    sum c (L (x) e (x) R) over terms: path -> coefficient, zero entries
-    dropped."""
+    sum c (L (x) e (x) R) over terms: basis path id -> coefficient, zero
+    entries dropped."""
     out: dict = {}
     for t in terms:
         p = basis.mult(t.left, t.right)

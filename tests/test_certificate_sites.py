@@ -90,7 +90,7 @@ def rewritten_pair_with_wrong_label():
     _, _, cx = tower()
     pair = pair_labelled(cx, "(1,0)+")
     index = cx.pair_index(2)
-    here = index[(pair.rho.support, pair.gamma)]
+    here = index[(pair.rho.pos, cx.basis.index[pair.gamma])]
     index.update((key, here) for key in index)
     phi(cx, pair)
 

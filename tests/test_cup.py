@@ -26,12 +26,15 @@ from stringcoh.generate import generate
 from stringcoh.linalg import CertificateError, RationalMatrix
 from tests_support import (
     apply,
+    basis_label,
     bimodule_extension,
     comparison_matrix,
     cup_with_lift,
     dense_is_cocycle,
     dense_lift_values,
     global_lift_audit,
+    middle_label,
+    path_mult,
     scan_terms_at,
     solved_lift_matrices,
 )
@@ -55,8 +58,9 @@ def test_comparison_degree_zero_single_term(a_n):
     terms = comparison_terms(cx, f, 0, w)
     assert len(terms) == 1
     t = terms[0]
-    assert t.left.is_trivial and t.middle.support.is_trivial
-    assert pres.format_path(t.right) == "b2*a3"
+    assert basis.paths[t.left].is_trivial
+    assert res.ap[0][t.middle].support.is_trivial
+    assert basis_label(res, t.right) == "b2*a3"
 
 
 def test_comparison_vanishes_off_support(a_n):
@@ -74,9 +78,9 @@ def test_comparison_worked_example(a_n):
     terms = comparison_terms(cx, f, 1, w)
     assert len(terms) == 1
     t = terms[0]
-    assert t.left.is_trivial
-    assert pres.format_path(t.middle.support) == "a1"
-    assert pres.format_path(t.right) == "b2*a3"
+    assert basis.paths[t.left].is_trivial
+    assert middle_label(res, 1, t) == "a1"
+    assert basis_label(res, t.right) == "b2*a3"
     # that basis cochain is not a cocycle, so the audit refuses it ...
     assert not is_cocycle(cx, f)
     with pytest.raises(ValueError):
@@ -96,17 +100,18 @@ def test_comparison_even_degree_collapses(corpus):
                 for n in range(2, res.top - m + 1, 2):
                     for w in res.ap[n + m]:
                         head, u, tail = res.decompose(w, n, m)
-                        vals = f.terms_at(cx, tail.support)
+                        vals = scan_terms_at(cx, f, tail.support)
                         terms = comparison_terms(cx, f, n, w)
                         expect = set()
                         for c, gamma in vals:
-                            rg = cx.basis.mult(u, gamma)
+                            rg = path_mult(cx.basis, u, cx.basis.paths[gamma])
                             if rg is not None:
                                 expect.add((c, head.support, rg))
-                        got = {(t.coeff, t.middle.support, t.right)
-                               for t in terms}
+                        got = {(t.coeff, res.ap[n][t.middle].support,
+                                cx.basis.paths[t.right]) for t in terms}
                         assert got == expect
-                        assert all(t.left.is_trivial for t in terms)
+                        assert all(cx.basis.paths[t.left].is_trivial
+                                   for t in terms)
 
 
 def test_chain_map_audit_all_basis_cocycles_quadratic(a_n):
@@ -149,9 +154,9 @@ def test_formula_lift_gap_on_interior_diagonal():
     (rel,) = res.ap[2]
     assert comparison_terms(cx, f, 1, rel) == []
     (t,) = lift_terms(cx, f, 1, rel)
-    assert t.coeff == 1 and t.left.is_trivial
-    assert pres.format_path(t.middle.support) == "u"
-    assert pres.format_path(t.right) == "v*w"
+    assert t.coeff == 1 and basis.paths[t.left].is_trivial
+    assert middle_label(res, 1, t) == "u"
+    assert basis_label(res, t.right) == "v*w"
     lifts = solved_lift_matrices(cx, f)
     for n in range(1, len(lifts)):
         lhs = res.d_matrix(n) @ lifts[n]
@@ -507,7 +512,7 @@ def test_terms_at_matches_scan(certified):
             if f.degree > cx.top:
                 continue
             for w in cx.res.ap[f.degree]:
-                assert (list(f.terms_at(cx, w.support))
+                assert (list(f.terms_at(cx, w.pos))
                         == scan_terms_at(cx, f, w.support)), name
 
 
@@ -595,10 +600,11 @@ def test_cup_table_audits_each_lift_it_evaluates(monkeypatch):
         calls[lift_terms].clear()
 
 
-def test_broken_lift_raises_instead_of_certifying(monkeypatch, a_n):
+def test_broken_lift_raises_instead_of_certifying(monkeypatch):
     """A lift that is not a chain map makes cup_table raise: on seed 88
     the displayed formula in place of lift_terms, and on a_n(3) a lift
-    with one coefficient flipped."""
+    with one coefficient flipped.  Both towers are fresh: a cohomology
+    representative keeps the lift it was audited on."""
     monkeypatch.setattr(cup_module, "lift_terms", comparison_terms)
     with pytest.raises(CertificateError, match="not a chain map"):
         cup_table(build_tower(generate(88))[2])
@@ -611,7 +617,7 @@ def test_broken_lift_raises_instead_of_certifying(monkeypatch, a_n):
 
     monkeypatch.setattr(cup_module, "lift_terms", flipped)
     with pytest.raises(CertificateError, match="not a chain map"):
-        cup_table(a_n[3][3])
+        cup_table(build_tower(parse(a_n_text(3)))[2])
 
 
 def test_normalization_leaving_the_class_names_each_cocycle(monkeypatch, a_n):

@@ -1,4 +1,4 @@
-"""Resolution.occurrences_in, the AP divisor index behind sub, divisors
+"""Resolution.occurrences_in, the AP divisor index behind sub, splittings
 and division_positions, against a scan of the whole AP layer."""
 
 import pytest

@@ -72,7 +72,8 @@ def test_matrix_empty_when_no_degree_two(a_n):
 def test_matrix_single_entry_column(a_n):
     pres, basis, res, cx = a_n[3]
     m = cx.matrix(2)
-    col = cx.pair_index(1)[(pres.quiver.arrow_path(0), pres.quiver.arrow_path(1))]
+    a1, b1 = pres.quiver.arrow_path(0), pres.quiver.arrow_path(1)
+    col = cx.pair_index(1)[(res.by_support[1][a1].pos, basis.index[b1])]
     entries = [(i, v) for i, j, v in m.items() if j == col]
     assert len(entries) == 1
     ((i, v),) = entries
@@ -85,9 +86,14 @@ def test_matrix_single_entry_column(a_n):
 def test_matrix_degree_one_single_arrow():
     pres, basis, res, cx = tower("vertex 0 1\narrow a 0 1")
     m = cx.matrix(1)
-    row = cx.pair_index(1)[(pres.quiver.arrow_path(0), pres.quiver.arrow_path(0))]
-    col0 = cx.pair_index(0)[(pres.quiver.trivial_path(0), pres.quiver.trivial_path(0))]
-    col1 = cx.pair_index(0)[(pres.quiver.trivial_path(1), pres.quiver.trivial_path(1))]
+    q = pres.quiver
+
+    def key(n, support):
+        return (res.by_support[n][support].pos, basis.index[support])
+
+    row = cx.pair_index(1)[key(1, q.arrow_path(0))]
+    col0 = cx.pair_index(0)[key(0, q.trivial_path(0))]
+    col1 = cx.pair_index(0)[key(0, q.trivial_path(1))]
     assert m.get(row, col0) == -1
     assert m.get(row, col1) == 1
 

@@ -24,17 +24,17 @@ cup = importlib.import_module("stringcoh.cup")
 MEMOIZED = [
     (Resolution, "_first_arrows", "res", lambda res, cx: (2,)),
     (Resolution, "sub", "res", lambda res, cx: (res.ap[3][0],)),
-    (Resolution, "decompose", "res", lambda res, cx: (res.ap[3][0], 1, 2)),
     (Resolution, "differential", "res", lambda res, cx: (3,)),
     (Resolution, "bimodule_space", "res", lambda res, cx: (1,)),
     (Resolution, "d_matrix", "res", lambda res, cx: (2,)),
     (Resolution, "mu_matrix", "res", lambda res, cx: ()),
     (Resolution, "homology_by_vertex", "res", lambda res, cx: ()),
     (CochainComplex, "pairs", "cx", lambda res, cx: (2,)),
+    (CochainComplex, "pair_keys", "cx", lambda res, cx: (2,)),
     (CochainComplex, "pair_index", "cx", lambda res, cx: (2,)),
-    (CochainComplex, "divisors", "cx",
-     lambda res, cx: (1, res.ap[3][0].support)),
+    (CochainComplex, "splittings", "cx", lambda res, cx: (1, 2)),
     (CochainComplex, "lift_tails", "cx", lambda res, cx: (1, 2)),
+    (CochainComplex, "leibniz_slots", "cx", lambda res, cx: (2,)),
     (CochainComplex, "interior_arrows", "cx", lambda res, cx: (3,)),
     (CochainComplex, "cofaces", "cx", lambda res, cx: (3,)),
     (CochainComplex, "_class_counts", "cx", lambda res, cx: (2,)),
@@ -43,6 +43,7 @@ MEMOIZED = [
     (CochainComplex, "echelon", "cx", lambda res, cx: (2,)),
     (CochainComplex, "hh_table", "cx", lambda res, cx: ()),
     (cup, "cocycle_basis", "cx", lambda res, cx: (1,)),
+    (cup, "cohomology_basis", "cx", lambda res, cx: (1,)),
     (hochschild, "_left_dead", "basis",
      lambda res, cx: (res.ap[1][0].support,)),
     (hochschild, "_right_dead", "basis",

@@ -1,0 +1,160 @@
+"""Ids for basis paths and AP elements: the product table on ids against
+the Path-level product it replaced, the id layout the walk relies on, and
+the differential's terms in ids."""
+
+from collections import Counter
+
+import pytest
+
+from conftest import a_n_text, build_tower
+from stringcoh import Resolution, parse
+from stringcoh.checks import Auditor
+from stringcoh.generate import generate, generate_dsl
+from stringcoh.resolution import SubDivisor
+from tests_support import path_mult, path_mult3
+
+
+def lanes(ns):
+    return [(f"a_n({n})",) + build_tower(parse(a_n_text(n))) for n in ns]
+
+
+def corpus_towers(corpus):
+    return [(f"seed {seed}", basis, res, cx)
+            for seed, _, basis, res, cx in corpus]
+
+
+def product_kind(p, q, product) -> str:
+    if p.target != q.source:
+        return "apart"
+    return "ideal" if product is None else "basis"
+
+
+def test_id_product_matches_path_product(corpus):
+    """mult on ids agrees with compose + reduce on every ordered pair of
+    basis paths, among them pairs that do not compose and pairs whose
+    product falls in the ideal."""
+    kinds = Counter()
+    for name, basis, _, _ in corpus_towers(corpus) + lanes(range(1, 9)):
+        paths = basis.paths
+        for i, p in enumerate(paths):
+            for j, q in enumerate(paths):
+                want = path_mult(basis, p, q)
+                got = basis.mult(i, j)
+                assert got == (None if want is None else basis.index[want]), (
+                    name, i, j)
+                kinds[product_kind(p, q, want)] += 1
+    assert kinds["apart"] and kinds["ideal"] and kinds["basis"]
+
+
+def test_id_triple_product_matches_path_product(corpus):
+    """mult3 on ids agrees with the Path-level triple product on every
+    ordered triple of basis paths."""
+    kinds = Counter()
+    for name, basis, _, _ in corpus_towers(corpus) + lanes(range(1, 9)):
+        paths = basis.paths
+        for i, p in enumerate(paths):
+            for j, q in enumerate(paths):
+                pq = path_mult(basis, p, q)
+                for k, r in enumerate(paths):
+                    want = path_mult3(basis, p, q, r)
+                    got = basis.mult3(i, j, k)
+                    assert got == (None if want is None
+                                   else basis.index[want]), (name, i, j, k)
+                    if pq is not None:
+                        kinds[product_kind(pq, r, want)] += 1
+    assert kinds["apart"] and kinds["ideal"] and kinds["basis"]
+
+
+def test_ids_follow_the_canonical_orders(corpus):
+    """The trivial path at vertex v is basis path v and element v of AP_0;
+    arrow a is element a of AP_1; every element's id is its position in
+    its layer."""
+    for name, basis, res, _ in corpus_towers(corpus) + lanes(range(1, 6)):
+        q = res.quiver
+        for v in range(q.num_vertices):
+            assert basis.index[q.trivial_path(v)] == v, name
+            assert res.ap[0][v].support == q.trivial_path(v), name
+        if len(res.ap) > 1:
+            assert [w.support for w in res.ap[1]] == [
+                q.arrow_path(a) for a in range(q.num_arrows)], name
+        for layer in res.ap:
+            assert [w.pos for w in layer] == list(range(len(layer))), name
+
+
+def differential_towers(corpus):
+    towers = [(name, res) for name, _, res, _ in corpus_towers(corpus)]
+    towers += [(f"seed {s} at 24/48",
+                build_tower(generate(s, max_vertices=24, max_arrows=48))[1])
+               for s in range(13)]
+    towers += [(name, res) for name, _, res, _ in lanes(range(1, 13))]
+    return towers
+
+
+def test_differential_terms_have_basis_cofactors(corpus):
+    """On the 100-seed corpus, generate_dsl(0..12, 24, 48) and
+    a_n(1..12), every divisor behind a differential term has both
+    cofactors in the basis, so no term is dropped, and each term names
+    the divisor's cofactors and element by their ids."""
+    total = 0
+    for name, res in differential_towers(corpus):
+        paths = res.basis.paths
+        for n in range(1, res.top + 1):
+            d = res.differential(n)
+            assert list(d) == [w.pos for w in res.ap[n]], name
+            for w in res.ap[n]:
+                got = [(t.coeff, paths[t.left], res.ap[n - 1][t.middle],
+                        paths[t.right]) for t in d[w.pos]]
+                total += len(got)
+                if n == 1:
+                    q = res.quiver
+                    source = q.trivial_path(w.support.source)
+                    target = q.trivial_path(w.support.target)
+                    assert got == [(1, w.support, res.ap[0][target.source],
+                                    target),
+                                   (-1, source, res.ap[0][source.source],
+                                    w.support)], name
+                    continue
+                subs = res.sub(w)
+                assert all(s.left in res.basis and s.right in res.basis
+                           for s in subs), name
+                signed = ([(1, s) for s in subs] if n % 2 == 0
+                          else [(1, subs[1]), (-1, subs[0])])
+                assert got == [(c, s.left, s.element, s.right)
+                               for c, s in signed], name
+    assert total == 4482
+
+
+def test_divisor_with_a_cofactor_in_the_ideal_is_dropped(monkeypatch):
+    """A divisor whose cofactor falls in the ideal is zero in
+    A (x) kAP (x) A: the differential and the cochain map leave it out
+    instead of keying it by some other id."""
+    pres = parse(a_n_text(4))
+    _, res, cx = build_tower(pres)
+    real_d2, real_matrix = res.differential(2), cx.matrix(2)
+    real_sub = Resolution.sub
+    relation = pres.relations[0]
+
+    def with_dead_divisor(self, w):
+        subs = real_sub(self, w)
+        if w.degree % 2:
+            return subs
+        dead = SubDivisor(subs[0].element, relation,
+                          self.quiver.trivial_path(relation.target))
+        return [dead] + subs
+
+    monkeypatch.setattr(Resolution, "sub", with_dead_divisor)
+    _, res, cx = build_tower(pres)
+    assert relation not in res.basis
+    assert res.differential(2) == real_d2
+    assert cx.matrix(2) == real_matrix
+
+
+@pytest.mark.parametrize("text", [a_n_text(7), generate_dsl(0)],
+                         ids=["a_n(7)", "generate_dsl(0)"])
+def test_auditor_fills_no_product_before_the_first(text):
+    """Building the tower takes no product: the table fills on first
+    use, so a small input pays only for the products it takes."""
+    auditor = Auditor(parse(text))
+    assert not auditor.basis._products
+    assert auditor.check_d_squared().passed
+    assert auditor.basis._products

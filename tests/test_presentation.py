@@ -218,8 +218,9 @@ def test_unique_continuation_propagates_to_basis(corpus):
         for gamma in basis.paths:
             if gamma.is_trivial:
                 continue
+            g = basis.index[gamma]
             succ = [b for b in q.out_arrows(gamma.target)
-                    if basis.mult(gamma, q.arrow_path(b)) is not None]
+                    if basis.mult(g, basis.index[q.arrow_path(b)]) is not None]
             pred = [b for b in q.in_arrows(gamma.source)
-                    if basis.mult(q.arrow_path(b), gamma) is not None]
+                    if basis.mult(basis.index[q.arrow_path(b)], g) is not None]
             assert len(succ) <= 1 and len(pred) <= 1

@@ -6,7 +6,13 @@ from conftest import a_n_text
 from stringcoh import ApConstructionError, Resolution, ap_sets, basis_P, parse
 from stringcoh import resolution
 from stringcoh.quiver import compose
-from tests_support import blocks, enumerate_paths
+from tests_support import (
+    basis_label,
+    blocks,
+    enumerate_paths,
+    full_path,
+    middle_label,
+)
 
 
 def fmt(pres, p):
@@ -163,7 +169,7 @@ def test_ap_element_hash_is_degree_and_support(corpus, a_n):
             index = {w: i for i, w in enumerate(layer)}
             for i, w in enumerate(layer):
                 copy = resolution.ApElement(w.degree, w.support, w.chain,
-                                            w.op_chain)
+                                            w.op_chain, w.pos)
                 assert copy == w and hash(copy) == hash(w)
                 assert hash(w) == hash((n, w.support))
                 assert res.by_support[n][copy.support] is w
@@ -233,11 +239,11 @@ def test_differential_degree_one(a_n):
     pres, basis, res, cx = a_n[1]
     terms = res.differential(1)
     (alpha,) = [e for e in res.ap[1] if fmt(pres, e.support) == "a1"]
-    t1, t2 = terms[alpha]
-    assert (t1.coeff, fmt(pres, t1.left), fmt(pres, t1.middle.support)) == (
+    t1, t2 = terms[alpha.pos]
+    assert (t1.coeff, basis_label(res, t1.left), middle_label(res, 0, t1)) == (
         1, "a1", "e_1",
     )
-    assert (t2.coeff, fmt(pres, t2.middle.support), fmt(pres, t2.right)) == (
+    assert (t2.coeff, middle_label(res, 0, t2), basis_label(res, t2.right)) == (
         -1, "e_0", "a1",
     )
 
@@ -246,8 +252,8 @@ def test_differential_degree_two(a_n):
     pres, basis, res, cx = a_n[3]
     terms = res.differential(2)
     (w,) = [e for e in res.ap[2] if fmt(pres, e.support) == "a1*a2"]
-    got = {(t.coeff, fmt(pres, t.left), fmt(pres, t.middle.support),
-            fmt(pres, t.right)) for t in terms[w]}
+    got = {(t.coeff, basis_label(res, t.left), middle_label(res, 1, t),
+            basis_label(res, t.right)) for t in terms[w.pos]}
     assert got == {(1, "e_0", "a1", "a2"), (1, "a1", "a2", "e_2")}
 
 
@@ -255,8 +261,8 @@ def test_differential_degree_three_signs(a_n):
     pres, basis, res, cx = a_n[3]
     terms = res.differential(3)
     (w,) = [e for e in res.ap[3] if fmt(pres, e.support) == "a1*a2*a3"]
-    got = [(t.coeff, fmt(pres, t.left), fmt(pres, t.middle.support),
-            fmt(pres, t.right)) for t in terms[w]]
+    got = [(t.coeff, basis_label(res, t.left), middle_label(res, 2, t),
+            basis_label(res, t.right)) for t in terms[w.pos]]
     assert got == [
         (1, "a1", "a2*a3", "e_3"),
         (-1, "e_0", "a1*a2", "a3"),
@@ -385,7 +391,7 @@ def test_maps_preserve_blocks(corpus, a_n):
         full = []
         for n in res.degrees():
             space = res.bimodule_space(n)[0]
-            full.append([compose(compose(l, w.support), r) for l, w, r in space])
+            full.append([full_path(res, n, t) for t in space])
             by_path = blocks(res, n)
             assert set(by_path) == set(full[n]), name
             assert (sorted(j for js in by_path.values() for j in js)

@@ -163,6 +163,32 @@ def connected_blocks(rows, ncols: int) -> list[set[int]]:
     return out
 
 
+def path_mult(basis, p, q):
+    """The product of two basis paths in A, as a path: their
+    concatenation, or None when they do not compose or it falls in the
+    ideal.  The Path-level product that PathBasis.mult once was, kept as
+    the oracle for its product on ids."""
+    if p.target != q.source:
+        return None
+    pq = compose(p, q)
+    return pq if pq in basis else None
+
+
+def path_mult3(basis, p, q, r):
+    pq = path_mult(basis, p, q)
+    return None if pq is None else path_mult(basis, pq, r)
+
+
+def basis_label(res, i: int) -> str:
+    """The label of the basis path with id i."""
+    return res.pres.format_path(res.basis.paths[i])
+
+
+def middle_label(res, n: int, term) -> str:
+    """The label of the support of a term's middle, an element of AP_n."""
+    return res.pres.format_path(res.ap[n][term.middle].support)
+
+
 def divides(w_sub, w) -> bool:
     """Strict division: w = L * w_sub * R with |L| + |R| > 0."""
     return any(len(l) + len(r) > 0 for l, r in occurrences(w_sub, w))
@@ -195,13 +221,16 @@ def bar_dims(basis, up_to: int) -> list[int]:
     complex Hom(A^(tensor n), A) with its alternating-sum differential.
 
     Only the multiplication table of the algebra is used: mult(p, q) is a
-    basis path or None.  Tuples are NOT required to be composable (the
-    tensor power is over the ground field).
+    basis path or None, from the Path-level oracle path_mult.  Tuples are
+    NOT required to be composable (the tensor power is over the ground
+    field).
     """
     paths = list(basis.paths)
     d = len(paths)
     index = {p: i for i, p in enumerate(paths)}
-    mult = basis.mult
+
+    def mult(p, q):
+        return path_mult(basis, p, q)
 
     def delta(n: int) -> RationalMatrix:
         """The map from n-cochains to (n+1)-cochains."""
@@ -267,17 +296,17 @@ def dense_lift_values(cx, f, terms):
     _require_cocycle(cx, f)
     m = f.degree
     res = cx.res
-    values = [{w: terms(cx, f, 0, w)
-               for w in (res.ap[m] if m <= res.top else ())}]
-    if not all(_augments_to(cx, f, w, val) for w, val in values[0].items()):
+    layer = res.ap[m] if m <= res.top else ()
+    values = [{w.pos: terms(cx, f, 0, w) for w in layer}]
+    if not all(_augments_to(cx, f, w, values[0][w.pos]) for w in layer):
         return None
     for n in range(1, res.top - m + 1):
         d_n, d_nm = res.differential(n), res.differential(n + m)
         cur = {}
         for w in res.ap[n + m]:
-            val = cur[w] = terms(cx, f, n, w)
+            val = cur[w.pos] = terms(cx, f, n, w)
             if (apply_map(cx.basis, val, d_n)
-                    != apply_map(cx.basis, d_nm[w], values[-1])):
+                    != apply_map(cx.basis, d_nm[w.pos], values[-1])):
                 return None
         values.append(cur)
     return values
@@ -295,10 +324,10 @@ def global_lift_audit(cx, f, terms) -> bool:
     cols, _ = res.bimodule_space(m)
     f_map = RationalMatrix(cx.basis.dim, len(cols))
     for j, (l, w, r) in enumerate(cols):
-        for c, gamma in f.terms_at(cx, w.support):
+        for c, gamma in f.terms_at(cx, w):
             prod = cx.basis.mult3(l, gamma, r)
             if prod is not None:
-                f_map.add_at(cx.basis.index[prod], j, c)
+                f_map.add_at(prod, j, c)
     prev = comparison_matrix(cx, f, 0, terms)
     if res.mu_matrix() @ prev != f_map:
         return False
@@ -323,15 +352,23 @@ def bimodule_extension(res, mat, n: int, k: int) -> RationalMatrix:
         by_col.setdefault(j, []).append((i, v))
     out = RationalMatrix(len(rows), len(cols))
     for j, (l, w, r) in enumerate(cols):
-        sup = w.support
-        gen = col_index[(res.quiver.trivial_path(sup.source), w,
-                         res.quiver.trivial_path(sup.target))]
+        source, target = _trivial_ends(res, k, w)
+        gen = col_index[(source, w, target)]
         for i, v in by_col.get(gen, ()):
             left, psi, right = rows[i]
             lp, rp = mult(l, left), mult(right, r)
             if lp is not None and rp is not None:
                 out.add_at(row_index[(lp, psi, rp)], j, v)
     return out
+
+
+def _trivial_ends(res, n: int, w: int):
+    """Basis ids of the trivial paths at the two ends of the support of
+    element w of AP_n."""
+    sup = res.ap[n][w].support
+    q, index = res.quiver, res.basis.index
+    return (index[q.trivial_path(sup.source)],
+            index[q.trivial_path(sup.target)])
 
 
 def dense_is_cocycle(cx, f) -> bool:
@@ -343,10 +380,11 @@ def dense_is_cocycle(cx, f) -> bool:
 
 
 def scan_terms_at(cx, f, support) -> list:
-    """Cochain.terms_at by a scan over every coefficient of f, in pair
-    order."""
+    """Cochain.terms_at at the element with this support by a scan over
+    every coefficient of f, in pair order, gamma as a basis id."""
     pairs = cx.pairs(f.degree)
-    return [(c, pairs[i].gamma) for i, c in sorted(f.coeffs.items())
+    return [(c, cx.basis.index[pairs[i].gamma])
+            for i, c in sorted(f.coeffs.items())
             if pairs[i].rho.support == support]
 
 
@@ -387,7 +425,7 @@ def global_homology_dims(res) -> list[int]:
     one entry per spot: index 0 at A, index n+1 at degree n.  Ranks are
     taken block by block over the full paths l * w * r, which the
     differentials and the augmentation preserve."""
-    spaces = [[full_path(t) for t in res.bimodule_space(n)[0]]
+    spaces = [[full_path(res, n, t) for t in res.bimodule_space(n)[0]]
               for n in res.degrees()]
     ranks = [_block_rank(res.mu_matrix(), res.basis.paths, spaces[0])]
     for n in range(1, len(spaces)):
@@ -418,7 +456,7 @@ def comparison_matrix(cx, f, n: int, terms) -> RationalMatrix:
     cols, _ = res.bimodule_space(n + m)
     mat = RationalMatrix(len(rows), len(cols))
     terms_by_w = {
-        w: terms(cx, f, n, w) for w in res.ap[n + m]
+        w.pos: terms(cx, f, n, w) for w in res.ap[n + m]
     } if n + m <= res.top else {}
     mul = cx.basis.mult
     for j, (l, w, r) in enumerate(cols):
@@ -433,12 +471,13 @@ def comparison_matrix(cx, f, n: int, terms) -> RationalMatrix:
     return mat
 
 
-def full_path(triple):
+def full_path(res, n: int, triple):
     """The path l * w * r of the quiver for a basis triple (l, w, r) of
-    A (x) kAP (x) A, before reduction modulo the ideal: the block that
+    A (x) kAP_n (x) A, before reduction modulo the ideal: the block that
     the triple lies in."""
     l, w, r = triple
-    return compose(compose(l, w.support), r)
+    paths = res.basis.paths
+    return compose(compose(paths[l], res.ap[n][w].support), paths[r])
 
 
 def blocks(res, n: int) -> dict:
@@ -448,14 +487,14 @@ def blocks(res, n: int) -> dict:
     block of the same path one degree down."""
     out = {}
     for j, triple in enumerate(res.bimodule_space(n)[0]):
-        out.setdefault(full_path(triple), []).append(j)
+        out.setdefault(full_path(res, n, triple), []).append(j)
     return out
 
 
 def solved_lift(cx, f) -> list[dict]:
     """A chain-map lift of f found independently of lift_terms, degree by
     degree: per degree n, w -> its value F_n(1 (x) w (x) 1) as terms,
-    over AP_{n + deg f}.
+    over AP_{n + deg f}, keyed by the position of w.
 
     Each generator 1 (x) w (x) 1 first tries the displayed formula
     (comparison_terms).  Where that fails its commuting square (degree-1
@@ -467,28 +506,29 @@ def solved_lift(cx, f) -> list[dict]:
     """
     m = f.degree
     res = cx.res
-    values = [{w: comparison_terms(cx, f, 0, w)
-               for w in (res.ap[m] if m <= res.top else ())}]
-    if not all(_augments_to(cx, f, w, val) for w, val in values[0].items()):
+    layer = res.ap[m] if m <= res.top else ()
+    values = [{w.pos: comparison_terms(cx, f, 0, w) for w in layer}]
+    if not all(_augments_to(cx, f, w, values[0][w.pos]) for w in layer):
         raise CertificateError("the degree-0 lift does not augment to f")
     for n in range(1, res.top - m + 1):
         d_n, d_nm = res.differential(n), res.differential(n + m)
         cur = {}
         for w in res.ap[n + m]:
-            rhs = apply_map(cx.basis, d_nm[w], values[-1])
+            rhs = apply_map(cx.basis, d_nm[w.pos], values[-1])
             val = comparison_terms(cx, f, n, w)
             if apply_map(cx.basis, val, d_n) != rhs:
                 val = _solve_in_blocks(cx, n, rhs)
-            cur[w] = val
+            cur[w.pos] = val
         values.append(cur)
     return values
 
 
 def _solve_in_blocks(cx, n: int, rhs: dict) -> list:
     """Some x with d_n x = rhs, for rhs an element of degree n-1 of the
-    resolution keyed by (left, middle, right).  d_n preserves the full
-    path of every triple, so the system splits into one system per full
-    path that rhs touches, each with one right-hand column."""
+    resolution keyed by the id triple (left, middle, right).  d_n
+    preserves the full path of every triple, so the system splits into
+    one system per full path that rhs touches, each with one right-hand
+    column."""
     res = cx.res
     cols_all, _ = res.bimodule_space(n)
     _, row_index = res.bimodule_space(n - 1)
@@ -496,7 +536,7 @@ def _solve_in_blocks(cx, n: int, rhs: dict) -> list:
     rows_of, cols_of = blocks(res, n - 1), blocks(res, n)
     parts = {}
     for triple, c in rhs.items():
-        parts.setdefault(full_path(triple), {})[row_index[triple]] = c
+        parts.setdefault(full_path(res, n - 1, triple), {})[row_index[triple]] = c
     out = []
     for full, part in parts.items():
         rows, cols = rows_of[full], cols_of.get(full, [])
@@ -517,7 +557,7 @@ def _solve_in_blocks(cx, n: int, rhs: dict) -> list:
 def solved_lift_matrices(cx, f) -> list[RationalMatrix]:
     """solved_lift realized on the bimodule bases, one matrix per degree."""
     values = solved_lift(cx, f)
-    return [comparison_matrix(cx, f, n, lambda _cx, _f, k, w: values[k][w])
+    return [comparison_matrix(cx, f, n, lambda _cx, _f, k, w: values[k][w.pos])
             for n in range(len(values))]
 
 
@@ -536,20 +576,19 @@ def cup_with_lift(cx, g, lifts: list[RationalMatrix], f_degree: int):
         by_col.setdefault(j, []).append((i, v))
     index = cx.pair_index(total)
     coeffs = {}
-    q = res.quiver
     for w in res.ap[total]:
-        j = col_index[(q.trivial_path(w.support.source), w,
-                       q.trivial_path(w.support.target))]
+        source, target = _trivial_ends(res, total, w.pos)
+        j = col_index[(source, w.pos, target)]
         acc = {}
         for i, v in by_col.get(j, []):
             l, psi, r = rows_basis[i]
-            for cg, gam in g.terms_at(cx, psi.support):
+            for cg, gam in g.terms_at(cx, psi):
                 prod = cx.basis.mult3(l, gam, r)
                 if prod is not None:
                     acc[prod] = acc.get(prod, Fraction(0)) + v * cg
         for path, v in acc.items():
             if v:
-                coeffs[index[(w.support, path)]] = v
+                coeffs[index[(w.pos, path)]] = v
     out = Cochain(total, coeffs)
     if not is_cocycle(cx, out):
         raise CertificateError("a product of cocycles must be a cocycle")
