@@ -148,7 +148,7 @@ def comparison_terms(cx: CochainComplex, f: Cochain, n: int,
         x = w.support.source  # e_x is basis path x and element x of AP_0
         return [BimoduleTerm(c, x, x, gamma)
                 for c, gamma in f.terms_at(cx, w.pos)]
-    tail, divisors = cx.splittings(n, m)[w.pos]
+    tail, divisors, _ = cx.splittings(n, m)[w.pos]
     vals = f.terms_at(cx, tail)
     if not vals:
         return []
@@ -188,15 +188,6 @@ def lift_terms(cx: CochainComplex, f: Cochain, n: int,
             if right is not None:
                 out.append(BimoduleTerm(c, left, psi, right))
     return out
-
-
-def division_positions(cx: CochainComplex, n: int, w: ApElement) -> int:
-    """Number of degree-n divisor positions in the comparison sum at w:
-    the occurrences of AP_n in head * u, whether or not their left
-    cofactor survives, read from Resolution.occurrences_in."""
-    res = cx.res
-    head, u, _ = res.decompose(w, n, w.degree - n)
-    return len(res.occurrences_in(n, compose(head.support, u)))
 
 
 def _augments_to(cx: CochainComplex, f: Cochain, w: ApElement, terms) -> bool:
@@ -575,8 +566,7 @@ def cup_table(cx: CochainComplex) -> CupReport:
         for m, fs in reps.items():
             total = n + m
             if total <= cx.top and n % 2 == 1 and gs and fs:
-                for w in cx.res.ap[total]:
-                    odd_max = max(odd_max, division_positions(cx, n, w))
+                odd_max = max([odd_max] + [c for _, _, c in cx.splittings(n, m)])
             for i, g in enumerate(gs):
                 for j in range(len(fs)):
                     if total > cx.top:

@@ -225,30 +225,32 @@ class CochainComplex:
     # lift formulas.
 
     @memo
-    def splittings(self, n: int, m: int) -> list[tuple[int, tuple]]:
+    def splittings(self, n: int, m: int) -> list[tuple[int, tuple, int]]:
         """Per w in AP_{n+m}, by position: the position in AP_m of its
-        degree-m tail, and every occurrence L * psi * R of an element psi
+        degree-m tail, every occurrence L * psi * R of an element psi
         of AP_n inside head * u (Resolution.decompose) with both cofactors
         in the basis, as (id of L, position of psi, id of R), in the order
-        of Resolution.occurrences_in.  For n = 0 the tail is w itself and
-        there are none.  An occurrence with a cofactor in the ideal
-        adds nothing to a comparison lift.  Every element of AP_{n+m} is
-        checked to have degree n + m."""
+        of Resolution.occurrences_in, and the count of all occurrences.
+        For n = 0 the tail is w itself and there are none.  An occurrence
+        with a cofactor in the ideal adds nothing to a comparison lift but
+        is counted.  Every element of AP_{n+m} is checked to have degree
+        n + m."""
         index = self.basis.index
         out = []
         for w in self.res.ap[n + m]:
             require_lift_degree(n, m, w)
             if n == 0:
-                out.append((w.pos, ()))
+                out.append((w.pos, (), 0))
                 continue
             _, _, tail = self.res.decompose(w, n, m)
             head_u = w.support.prefix(len(w.support) - len(tail.support))
+            occurrences = self.res.occurrences_in(n, head_u)
             divisors = []
-            for left, psi, right in self.res.occurrences_in(n, head_u):
+            for left, psi, right in occurrences:
                 left, right = index.get(left), index.get(right)
                 if left is not None and right is not None:
                     divisors.append((left, psi.pos, right))
-            out.append((tail.pos, tuple(divisors)))
+            out.append((tail.pos, tuple(divisors), len(occurrences)))
         return out
 
     @memo
@@ -258,7 +260,7 @@ class CochainComplex:
         cocycle f takes its value at w from f(tail), so it can be nonzero
         only where the tail supports f."""
         out: dict[int, list[int]] = {}
-        for i, (tail, _) in enumerate(self.splittings(n, m)):
+        for i, (tail, _, _) in enumerate(self.splittings(n, m)):
             out.setdefault(tail, []).append(i)
         return out
 

@@ -22,9 +22,11 @@ The dual, right-greedy construction is the same recursion run on the
 reversed relation words: reversal maps its window (start q_j,
 start q_{j-1}] onto [end p_{j-1}, end p_j) and its maximal-end pick onto
 the minimal-start one.  Each support takes its chain from the forward run
-and its dual chain from the mirrored run.  A support found by only one
-run, a support reached with two different chains, and a generating set
-in which one relation contains another raise ApConstructionError.
+and its dual chain from the mirrored run (Resolution.op_ap_sets).  A
+support found by only one run, a support reached with two different
+chains, and a generating set in which one relation contains another
+raise ApConstructionError; a disagreement of the runs lists every
+support that one run found alone.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import wraps
+from itertools import zip_longest
 
 from .linalg import CertificateError, RationalMatrix
 from .presentation import PathBasis, Presentation, non_minimal_pairs
@@ -143,12 +146,16 @@ class ApConstructionError(ValueError):
     """The AP construction met a configuration the theory rules out.
 
     ``support`` is the path where it happened: a relation that contains
-    another relation, or a support on which the two greedy runs disagree.
+    another relation, a support with two chains, or the first support on
+    which the two greedy runs disagree.  ``witnesses`` then names every
+    support that one run found alone; it is empty for other errors.
     """
 
-    def __init__(self, reason: str, support: Path, label: str):
+    def __init__(self, reason: str, support: Path, label: str,
+                 witnesses: list[str] | None = None):
         super().__init__(f"{reason} (support {label})")
         self.support = support
+        self.witnesses = witnesses or []
 
 
 Word = tuple[int, ...]
@@ -211,7 +218,7 @@ class Resolution:
         if max_degree is not None:
             cap = min(cap, max_degree)
         self.cap = cap
-        self.ap = self._build_ap(cap)
+        self.ap = self._build_ap()
         self.by_support: list[dict[Path, ApElement]] = [
             {e.support: e for e in layer} for layer in self.ap
         ]
@@ -226,7 +233,7 @@ class Resolution:
     def degrees(self) -> range:
         return range(len(self.ap))
 
-    def _build_ap(self, cap: int) -> list[list[ApElement]]:
+    def _build_ap(self) -> list[list[ApElement]]:
         """The AP layers, each support with its chain from the forward run
         and its dual chain from the mirrored run."""
         q = self.quiver
@@ -234,17 +241,18 @@ class Resolution:
             [ApElement(0, q.trivial_path(v), (), (), v)
              for v in range(q.num_vertices)]
         ]
-        if cap >= 1 and q.num_arrows:
+        if self.cap >= 1 and q.num_arrows:
             # arrow order is the canonical order (Path.sort_key) on arrows
             base.append([ApElement(1, q.arrow_path(a), (), (), a)
                          for a in range(q.num_arrows)])
         self._check_minimal()
-        forward = self._chain_run(cap, mirrored=False)
-        mirror = self._chain_run(cap, mirrored=True)
-        return base + self._join(forward, mirror)
+        forward = self._chain_run(self.cap, mirrored=False)
+        return base + self._join(forward, self.op_ap_sets())
 
-    def _error(self, reason: str, support: Path) -> ApConstructionError:
-        return ApConstructionError(reason, support, self.quiver.format_path(support))
+    def _error(self, reason: str, support: Path,
+               witnesses: list[str] | None = None) -> ApConstructionError:
+        return ApConstructionError(reason, support,
+                                   self.quiver.format_path(support), witnesses)
 
     def _check_minimal(self):
         """No relation may be a proper factor of another.  The greedy
@@ -290,32 +298,33 @@ class Resolution:
         """AP layers from degree 2, in canonical order, with the chain of
         each support from the forward run and the dual chain from the
         mirrored run.  The runs must find the same supports in every
-        degree; the error names the first support found by the forward
-        run only, else the first found by the mirrored run only."""
+        degree; the error lists every support found by one run only, in
+        degree and then canonical order, and names the first."""
         # (length, arrows) is Path.sort_key on nonempty paths
         def key(w):
             return (len(w), w)
 
-        for one, other, reason in (
-                (forward, mirror, "forward support with no mirrored chain"),
-                (mirror, forward, "mirrored support with no forward chain")):
-            for i, layer in enumerate(one):
-                extra = layer.keys() - (other[i] if i < len(other) else {}).keys()
-                if extra:
-                    raise self._error(reason, self._path(min(extra, key=key)))
+        lone = [(n, self._path(w), w in fwd)
+                for n, (fwd, mir) in enumerate(
+                    zip_longest(forward, mirror, fillvalue={}), 2)
+                for w in sorted(fwd.keys() ^ mir.keys(), key=key)]
+        if lone:
+            fmt = self.quiver.format_path
+            _, support, first = lone[0]
+            reason = ("forward support with no mirrored chain" if first
+                      else "mirrored support with no forward chain")
+            raise self._error(reason, support, [
+                f"degree {n} {fmt(p)}: {'forward' if f else 'mirrored'} "
+                "run only" for n, p, f in lone])
         return [[ApElement(i + 2, self._path(w), fwd[w], mirror[i][w], pos)
                  for pos, w in enumerate(sorted(fwd, key=key))]
                 for i, fwd in enumerate(forward)]
 
-    def op_ap_sets(self) -> list[list[ApElement]]:
-        """The AP sets, copied layer by layer, for the duality cross-check.
-
-        Both runs were checked to find the same supports when the AP sets
-        were built, and every element already carries the left-greedy
-        chain from the forward run and the dual chain from the mirrored
-        run, so these equal ``ap``.
-        """
-        return [list(layer) for layer in self.ap]
+    def op_ap_sets(self) -> list[dict[Word, tuple[Path, ...]]]:
+        """The mirrored, right-greedy run up to the tower's cap: per degree
+        from 2, support word -> dual chain (q^1, ..., q^{n-1}), left to
+        right.  _build_ap joins it with the forward run."""
+        return self._chain_run(self.cap, mirrored=True)
 
     # -- divisors and the unique splitting --------------------------------
 

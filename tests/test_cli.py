@@ -9,6 +9,7 @@ import pytest
 import stringcoh
 from conftest import CORPUS_SIZE, a_n_text
 from stringcoh import (
+    ApConstructionError,
     CertificateError,
     CochainComplex,
     Resolution,
@@ -16,7 +17,7 @@ from stringcoh import (
     checks,
     parse,
 )
-from stringcoh import cli
+from stringcoh import cli, resolution
 from stringcoh.cli import main
 from stringcoh.cup import cohomology_basis, comparison_terms, lift_terms
 from stringcoh.generate import generate, generate_dsl
@@ -206,26 +207,72 @@ def test_failed_certificate_exits_3(a_file, monkeypatch, capsys):
     assert "certificate failed: exactness guarantees a lift" in capsys.readouterr().err
 
 
-def test_ap_and_check_name_every_dual_witness(a_file, monkeypatch, capsys):
+DUAL_WITNESSES = ["degree 2 a1*a2: forward run only",
+                  "degree 3 b1*b2*b3: forward run only"]
+
+
+def skew_mirrored_run(monkeypatch):
+    """The mirrored run loses its lowest arrow word of degree 2 and its
+    highest of degree 3: on a_n(3), a1*a2 and b1*b2*b3 (DUAL_WITNESSES)."""
     real = Resolution.op_ap_sets
 
     def skewed(self):
         layers = real(self)
-        layers[2] = layers[2][1:]
-        layers[3] = layers[3][:1]
+        del layers[0][min(layers[0])]
+        del layers[1][max(layers[1])]
         return layers
 
     monkeypatch.setattr(Resolution, "op_ap_sets", skewed)
-    expected = ["degree 2 a1*a2: forward run only",
-                "degree 3 b1*b2*b3: forward run only"]
-    assert main(["ap", a_file(3)]) == 3
+
+
+def assert_names_dual_witnesses(argv, capsys):
+    """argv exits 3 while building its tower, printing nothing on stdout
+    and every duality witness on stderr."""
+    assert main(argv) == 3
     captured = capsys.readouterr()
-    assert "dual construction matches: False" in captured.out
+    assert captured.out == ""
     assert [line for line in captured.err.splitlines()
-            if line.startswith("witness: ")] == [f"witness: {w}" for w in expected]
-    result = checks.Auditor(parse(a_n_text(3))).check_ap_duality()
-    assert not result.passed
-    assert result.detail == "; ".join(expected)
+            if line.startswith("witness: ")] == [f"witness: {w}"
+                                                 for w in DUAL_WITNESSES]
+
+
+def test_ap_and_check_name_every_dual_witness(a_file, monkeypatch, capsys):
+    skew_mirrored_run(monkeypatch)
+    assert_names_dual_witnesses(["ap", a_file(3)], capsys)
+    assert_names_dual_witnesses(["check", a_file(3), "--json"], capsys)
+    with pytest.raises(ApConstructionError,
+                       match="forward support with no mirrored chain") as err:
+        checks.Auditor(parse(a_n_text(3)))
+    assert err.value.witnesses == DUAL_WITNESSES
+
+
+def test_hh_and_cup_name_every_dual_witness(a_file, monkeypatch, capsys):
+    skew_mirrored_run(monkeypatch)
+    assert_names_dual_witnesses(["hh", a_file(3)], capsys)
+    assert_names_dual_witnesses(["cup", a_file(3), "--json"], capsys)
+
+
+def test_other_ap_construction_errors_name_no_witness(a_file, monkeypatch,
+                                                      capsys):
+    """An ApConstructionError that is not a duality mismatch carries no
+    witnesses, and main prints its one line as before."""
+    real = resolution._greedy_chains
+
+    def doubled(relations, cap):
+        layers = real(relations, cap)
+        support, chain = layers[-1][0]
+        layers[-1].append((support, chain[::-1]))
+        return layers
+
+    monkeypatch.setattr(resolution, "_greedy_chains", doubled)
+    with pytest.raises(ApConstructionError) as err:
+        checks.Auditor(parse(a_n_text(3)))
+    assert err.value.witnesses == []
+    for command in ("ap", "hh", "cup", "check"):
+        assert main([command, a_file(3)]) == 3
+        assert capsys.readouterr().err == (
+            "AP construction failed: one support, two different chains "
+            "(support a1*a2*a3)\n")
 
 
 def test_check_names_every_witness(monkeypatch):

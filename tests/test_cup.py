@@ -22,7 +22,7 @@ from stringcoh.cup import (
     normalize_leq,
 )
 from conftest import a_n_text, build_tower
-from stringcoh.generate import generate
+from stringcoh.generate import generate, generate_dsl
 from stringcoh.linalg import CertificateError, RationalMatrix
 from tests_support import (
     apply,
@@ -34,6 +34,7 @@ from tests_support import (
     dense_lift_values,
     global_lift_audit,
     middle_label,
+    odd_positions_max,
     path_mult,
     scan_terms_at,
     solved_lift_matrices,
@@ -380,6 +381,18 @@ def test_cup_table_three_steps(a_n):
     assert report.all_zero
     assert report.class_dims == {1: 3, 2: 0, 3: 2}
     assert report.pairs_checked == 25
+
+
+def test_odd_divisor_positions_max_matches_oracle(corpus):
+    """The cup report's odd_positions_max, read off the splittings scan,
+    equals a fresh decompose-and-count at every w on generate(0..99),
+    generate_dsl(0..12, 24, 48) and a_n(1..8)."""
+    towers = [cx for _, _, _, _, cx in corpus]
+    towers += [build_tower(parse(generate_dsl(
+        seed, max_vertices=24, max_arrows=48)))[2] for seed in range(13)]
+    towers += [build_tower(parse(a_n_text(n)))[2] for n in range(1, 9)]
+    for cx in towers:
+        assert cup_table(cx).odd_positions_max == odd_positions_max(cx)
 
 
 def test_cup_table_tree_is_vacuous(tree_corpus):

@@ -1,5 +1,5 @@
-"""Resolution.occurrences_in, the AP divisor index behind sub, splittings
-and division_positions, against a scan of the whole AP layer."""
+"""Resolution.occurrences_in, the AP divisor index behind sub and
+splittings, against a scan of the whole AP layer."""
 
 import pytest
 

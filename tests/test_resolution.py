@@ -114,15 +114,19 @@ def brute_force_op_ap(pres):
 
 
 def assert_matches_oracles(pres, basis, res):
-    """Supports, chains and dual chains of both AP runs equal the
-    oracles' in every degree, uncapped and under a degree cap."""
+    """In every degree, uncapped and under a degree cap, the supports and
+    chains of the forward run (in ap) equal the left-greedy oracle's, and
+    the dual chains, in ap and in the mirrored run's own tables
+    (op_ap_sets, keyed by arrow word), equal the right-greedy oracle's."""
     forward, dual = brute_force_ap(pres), brute_force_op_ap(pres)
     for built in (res, Resolution(pres, basis, max_degree=3)):
-        for layers in (built.ap, built.op_ap_sets()):
-            for n in range(2, built.cap + 1):
-                layer = layers[n] if n < len(layers) else []
-                assert {e.support: e.chain for e in layer} == forward.get(n, {}), n
-                assert {e.support: e.op_chain for e in layer} == dual.get(n, {}), n
+        mirror = built.op_ap_sets()
+        for n in range(2, built.cap + 1):
+            layer = built.ap[n] if n < len(built.ap) else []
+            run = mirror[n - 2] if n - 2 < len(mirror) else {}
+            assert {e.support: e.chain for e in layer} == forward.get(n, {}), n
+            assert {e.support: e.op_chain for e in layer} == dual.get(n, {}), n
+            assert run == {p.arrows: c for p, c in dual.get(n, {}).items()}, n
 
 
 def test_ap_against_all_paths_oracle(corpus):
@@ -149,14 +153,12 @@ def test_ap_dense_lines_against_oracles(n, rel_len, step):
 
 
 def test_op_sets_match_everywhere(a_n, corpus):
-    for pres, basis, res, cx in a_n.values():
-        dual = res.op_ap_sets()
-        assert [len(l) for l in dual] == [len(l) for l in res.ap]
-    for _, _, _, res, _ in corpus:
-        dual = res.op_ap_sets()
-        assert len(dual) == len(res.ap)
-        for n in range(len(res.ap)):
-            assert {e.support for e in dual[n]} == supports(res, n)
+    """The forward run (ap) and the mirrored run (op_ap_sets) find the
+    same supports, as arrow words, in every degree from 2."""
+    towers = [t[2] for t in a_n.values()] + [t[3] for t in corpus]
+    for res in towers:
+        assert [set(layer) for layer in res.op_ap_sets()] == [
+            {e.support.arrows for e in layer} for layer in res.ap[2:]]
 
 
 def test_ap_element_hash_is_degree_and_support(corpus, a_n):

@@ -194,6 +194,26 @@ def divides(w_sub, w) -> bool:
     return any(len(l) + len(r) > 0 for l, r in occurrences(w_sub, w))
 
 
+def division_positions(cx, n: int, w) -> int:
+    """Number of degree-n divisor positions in the comparison sum at w:
+    the occurrences of AP_n in head * u, whether or not their cofactors
+    survive, by a fresh Resolution.decompose and occurrences_in."""
+    res = cx.res
+    head, u, _ = res.decompose(w, n, w.degree - n)
+    return len(res.occurrences_in(n, compose(head.support, u)))
+
+
+def odd_positions_max(cx) -> int:
+    """CupReport.odd_positions_max by division_positions: the most
+    divisor positions of odd degree n at any w in AP_{n+m}, over the
+    degrees n and m <= top - n with nonzero cohomology."""
+    dims = cx.hh_matrix()
+    return max((division_positions(cx, n, w)
+                for n in range(1, cx.top + 1, 2) if dims[n]
+                for m in range(1, cx.top - n + 1) if dims[m]
+                for w in cx.res.ap[n + m]), default=0)
+
+
 def enumerate_paths(quiver, max_length: int | None = None) -> list:
     """Every path of the quiver, ordered by (length, arrow ids).
 
