@@ -163,8 +163,8 @@ class Auditor:
         return _verdict("strip-to-lower-degree", witnesses)
 
     def _is_00_pair(self, degree, rho_support, gamma) -> bool:
-        elem = self.res.by_support[degree].get(rho_support)
-        if elem is None or gamma not in self.basis:
+        if (rho_support.arrows not in self.res.positions(degree)
+                or gamma not in self.basis):
             return False
         if (gamma.source, gamma.target) != (rho_support.source, rho_support.target):
             return False

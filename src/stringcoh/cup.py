@@ -377,10 +377,10 @@ def _unique_surviving_predecessor(cx: CochainComplex, gamma: Path) -> Path:
 
 def _pair_at(cx: CochainComplex, degree: int, support: Path, gamma: Path,
              want_label: str) -> tuple[int, ParallelPair]:
-    elem = cx.res.by_support[degree].get(support)
-    if elem is None:
+    pos = cx.res.positions(degree).get(support.arrows)
+    if pos is None:
         raise CertificateError("rewritten support left the computed AP sets")
-    idx = cx.pair_index(degree)[(elem.pos, cx.basis.index[gamma])]
+    idx = cx.pair_index(degree)[(pos, cx.basis.index[gamma])]
     pair = cx.pairs(degree)[idx]
     if pair.label != want_label:
         raise CertificateError(

@@ -82,34 +82,35 @@ def classify(basis: PathBasis, rho: ApElement, gamma: Path) -> ParallelPair:
         assert not gamma.is_trivial, "trivial path parallel to a cycle-free support"
         shares_first = gamma.arrows[0] == sup.arrows[0]
         shares_last = gamma.arrows[-1] == sup.arrows[-1]
-    left = _left_dead(basis, gamma)
-    right = _right_dead(basis, gamma)
+    g, words = basis.index[gamma], basis.word_index
+    left = _left_dead(basis, g)
+    right = _right_dead(basis, g)
     inner = None
+    # gamma with its first or last arrow stripped, by id: the vertex left
+    # over when gamma is a single arrow
     if n >= 2 and shares_first and not shares_last and right:
-        inner = _right_dead(basis, gamma.strip_first())
+        inner = _right_dead(basis, words.get(gamma.arrows[1:], gamma.target))
     if n >= 2 and shares_last and not shares_first and left:
-        inner = _left_dead(basis, gamma.strip_last())
+        inner = _left_dead(basis, words.get(gamma.arrows[:-1], gamma.source))
     return ParallelPair(rho, gamma, shares_first, shares_last, left, right, inner)
 
 
 @memo
-def _left_dead(basis: PathBasis, gamma: Path) -> bool:
-    q, index = basis.pres.quiver, basis.index
-    g = index[gamma]
-    return all(
-        basis.mult(index[q.arrow_path(b)], g) is None
-        for b in q.in_arrows(gamma.source)
-    )
+def _left_dead(basis: PathBasis, g: int) -> bool:
+    """Whether b * gamma is in the ideal for every arrow b into the
+    source of the basis path gamma with id g."""
+    q, words = basis.pres.quiver, basis.word_index
+    return all(basis.mult(words[(b,)], g) is None
+               for b in q.in_arrows(basis.paths[g].source))
 
 
 @memo
-def _right_dead(basis: PathBasis, gamma: Path) -> bool:
-    q, index = basis.pres.quiver, basis.index
-    g = index[gamma]
-    return all(
-        basis.mult(g, index[q.arrow_path(b)]) is None
-        for b in q.out_arrows(gamma.target)
-    )
+def _right_dead(basis: PathBasis, g: int) -> bool:
+    """Whether gamma * b is in the ideal for every arrow b out of the
+    target of the basis path gamma with id g."""
+    q, words = basis.pres.quiver, basis.word_index
+    return all(basis.mult(g, words[(b,)]) is None
+               for b in q.out_arrows(basis.paths[g].target))
 
 
 COUNT_KEYS = (
@@ -228,29 +229,35 @@ class CochainComplex:
     def splittings(self, n: int, m: int) -> list[tuple[int, tuple, int]]:
         """Per w in AP_{n+m}, by position: the position in AP_m of its
         degree-m tail, every occurrence L * psi * R of an element psi
-        of AP_n inside head * u (Resolution.decompose) with both cofactors
+        of AP_n inside head * u (Resolution.split) with both cofactors
         in the basis, as (id of L, position of psi, id of R), in the order
         of Resolution.occurrences_in, and the count of all occurrences.
         For n = 0 the tail is w itself and there are none.  An occurrence
         with a cofactor in the ideal adds nothing to a comparison lift but
         is counted.  Every element of AP_{n+m} is checked to have degree
-        n + m."""
-        index = self.basis.index
+        n + m.  A cofactor is one lookup in PathBasis.word_index, or the
+        vertex at its offset when trivial."""
+        res = self.res
+        ids = self.basis.word_index
+        target = self.quiver.arrow_target
         out = []
-        for w in self.res.ap[n + m]:
+        for w in res.ap[n + m]:
             require_lift_degree(n, m, w)
             if n == 0:
                 out.append((w.pos, (), 0))
                 continue
-            _, _, tail = self.res.decompose(w, n, m)
-            head_u = w.support.prefix(len(w.support) - len(tail.support))
-            occurrences = self.res.occurrences_in(n, head_u)
+            j, tail = res.split(w, n, m)
+            word, source = w.support.arrows, w.support.source
+            # head * u = word[:j] holds the head, of at least one arrow
+            at_j = target[word[j - 1]]
+            occurrences = res.occurrences_in(n, word[:j], source)
             divisors = []
-            for left, psi, right in occurrences:
-                left, right = index.get(left), index.get(right)
+            for psi, a, b in occurrences:
+                left = ids.get(word[:a]) if a else source
+                right = ids.get(word[b:j]) if b < j else at_j
                 if left is not None and right is not None:
-                    divisors.append((left, psi.pos, right))
-            out.append((tail.pos, tuple(divisors), len(occurrences)))
+                    divisors.append((left, psi, right))
+            out.append((tail, tuple(divisors), len(occurrences)))
         return out
 
     @memo
@@ -273,21 +280,23 @@ class CochainComplex:
         psi, alpha, id of P, id of S), by occurrence and then by the
         position of alpha.  A slot whose P or S falls in the ideal adds
         nothing and is left out."""
-        index = self.basis.index
+        ids = self.basis.word_index
+        target = self.quiver.arrow_target
         out = []
         for w in self.res.ap[n + 1]:
-            sup = w.support
+            word, source = w.support.arrows, w.support.source
+            last = len(word) - 1
             slots = []
-            for left, psi, _ in self.res.occurrences_in(n, sup.strip_last()):
-                left_id = index.get(left)
-                if left_id is None:
+            for psi, a, b in self.res.occurrences_in(n, word[:last], source):
+                left = ids.get(word[:a]) if a else source
+                if left is None:
                     continue
-                start = len(left) + len(psi.support)
-                for j in range(start, len(sup) - 1):
-                    mid = index.get(sup.subpath(start, j))
-                    rest = index.get(sup.suffix(j + 1))
+                at_b = target[word[b - 1]] if b else source
+                for j in range(b, last):
+                    mid = ids.get(word[b:j]) if j > b else at_b
+                    rest = ids.get(word[j + 1 :])
                     if mid is not None and rest is not None:
-                        slots.append((left_id, psi.pos, sup.arrows[j], mid, rest))
+                        slots.append((left, psi, word[j], mid, rest))
             out.append(tuple(slots))
         return out
 
@@ -345,7 +354,7 @@ class CochainComplex:
         if n == 1:
             q = self.quiver
             # arrow a is element a of AP_1
-            arrows = [self.basis.index[q.arrow_path(a)]
+            arrows = [self.basis.word_index[(a,)]
                       for a in range(q.num_arrows)]
             for j, pair in enumerate(cols):
                 x = pair.rho.support.source
@@ -357,26 +366,28 @@ class CochainComplex:
             cols_by_support: dict[int, list[tuple[int, int]]] = {}
             for j, (rho, gamma) in enumerate(self.pair_keys(n - 1)):
                 cols_by_support.setdefault(rho, []).append((j, gamma))
-            index = self.basis.index
             mult, mult3 = self.basis.mult, self.basis.mult3
             even = n % 2 == 0
             for w in self.res.ap[n] if n <= self.top else []:
+                length = len(w.support)
                 for d in self.res.sub(w):
-                    targets = cols_by_support.get(d.element.pos)
-                    if not targets:
-                        continue
-                    left, right = index.get(d.left), index.get(d.right)
-                    if left is None or right is None:
-                        continue  # a cofactor in the ideal: every entry is 0
+                    # odd degrees: + L gamma at the flush-right divisor,
+                    # - gamma R at the flush-left one
+                    if not even and d.end != length and d.start != 0:
+                        raise CertificateError(
+                            "odd-degree divisor is flush at neither end")
+                    targets = cols_by_support.get(d.pos)
+                    left, right = d.left, d.right
+                    if not targets or left is None or right is None:
+                        continue  # no column, or a cofactor in the ideal: all 0
                     for j, gamma in targets:
                         if even:
                             prod = mult3(left, gamma, right)
                             coeff = 1
-                        elif d.right.is_trivial:
+                        elif d.end == length:
                             prod = mult(left, gamma)
                             coeff = 1
                         else:
-                            assert d.left.is_trivial
                             prod = mult(gamma, right)
                             coeff = -1
                         if prod is not None:

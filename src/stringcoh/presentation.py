@@ -229,7 +229,9 @@ class PathBasis:
     A path lies in the basis iff no relation divides it, so membership in
     the relation ideal is exactly absence from this set.  A basis path's
     id is its position in ``paths`` (``index`` maps back); the trivial
-    path at vertex v comes first, with id v.  Products are taken on ids
+    path at vertex v comes first, with id v.  A nontrivial path is fixed
+    by its arrow word, and ``word_index`` maps the word of each
+    nontrivial basis path to its id.  Products are taken on ids
     (``mult``), through one table that fills on first use: building the
     basis computes no product.
     """
@@ -256,6 +258,7 @@ class PathBasis:
         self.pres = pres
         self.paths = tuple(paths)
         self.index = {p: i for i, p in enumerate(paths)}
+        self.word_index = {p.arrows: i for i, p in enumerate(paths) if p.arrows}
         self._products: dict[tuple[int, int], int | None] = {}
         self._by_endpoints: dict[tuple[int, int], list[int]] = {}
         self._ending_at: dict[int, list[int]] = {}
@@ -298,7 +301,7 @@ class PathBasis:
             elif not p.arrows:
                 prod = j
             else:
-                prod = self.index.get(compose(p, q))
+                prod = self.word_index.get(p.arrows + q.arrows)
             self._products[key] = prod
         return prod
 

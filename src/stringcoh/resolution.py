@@ -117,13 +117,19 @@ class ApElement:
             assert len(self.support) == self.degree
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SubDivisor:
-    """An AP_{n-1} element dividing a support, with its cofactors."""
+    """An occurrence L * psi * R of an element psi of AP_{n-1} in the
+    support of an element of AP_n: psi by its position, the occurrence by
+    its arrow offsets [start, end) in the support, and L and R by basis
+    id, None for a cofactor in the ideal.  start == 0 when the divisor is
+    flush left, end == the support's length when it is flush right."""
 
-    element: ApElement
-    left: Path
-    right: Path
+    pos: int
+    start: int
+    end: int
+    left: int | None
+    right: int | None
 
 
 @dataclass(slots=True)
@@ -219,9 +225,6 @@ class Resolution:
             cap = min(cap, max_degree)
         self.cap = cap
         self.ap = self._build_ap()
-        self.by_support: list[dict[Path, ApElement]] = [
-            {e.support: e for e in layer} for layer in self.ap
-        ]
 
     # -- construction ---------------------------------------------------
 
@@ -326,28 +329,30 @@ class Resolution:
         right.  _build_ap joins it with the forward run."""
         return self._chain_run(self.cap, mirrored=True)
 
-    # -- divisors and the unique splitting --------------------------------
+    # -- divisors and the unique splitting, on arrow words -----------------
 
-    def occurrences_in(self, n: int, target: Path) -> list[tuple[Path, ApElement, Path]]:
-        """Every (left, e, right) with e in AP_n and target = left *
-        e.support * right, in AP order and then left to right; [] outside
-        0..top.  A trivial support occurs at every visit of target to its
-        vertex.  Only the elements starting with the arrow at a position
-        of target (the vertex, in degree 0) are matched there, from
-        _first_arrows(n)."""
+    def occurrences_in(self, n: int, word: Word, source: int) -> list[tuple[int, int, int]]:
+        """Every occurrence of an element psi of AP_n in the path with
+        this arrow word and source, as (position of psi, start, end) with
+        word[start:end] the support of psi, sorted; [] outside 0..top.  A
+        trivial support occurs at every visit of the path to its vertex.
+        Only the elements starting with the arrow at an offset (the
+        vertex, in degree 0) are matched there, from _first_arrows(n)."""
         if not 0 <= n < len(self.ap):
             return []
         index = self._first_arrows(n)
         hits = []
-        starts = target.arrows if n else target.vertices
-        for i, key in enumerate(starts):
-            for pos, word in index.get(key, ()):
-                if target.arrows[i : i + len(word)] == word:
-                    hits.append((pos, i, i + len(word)))
+        # degree 0 keys by the vertex at each offset
+        keys = word if n else (source,) + tuple(
+            map(self.quiver.arrow_target.__getitem__, word))
+        # a support of degree n has at least n arrows
+        for i in range(len(word) - n + 1):
+            for pos, sub in index.get(keys[i], ()):
+                j = i + len(sub)
+                if word[i:j] == sub:
+                    hits.append((pos, i, j))
         hits.sort()
-        layer = self.ap[n]
-        return [(target.prefix(i), layer[pos], target.suffix(j))
-                for pos, i, j in hits]
+        return hits
 
     @memo
     def _first_arrows(self, n: int) -> dict[int, list[tuple[int, Word]]]:
@@ -360,56 +365,62 @@ class Resolution:
         return index
 
     @memo
+    def positions(self, k: int) -> dict[Word, int]:
+        """Support word -> position of each element of AP_k, for k >= 1,
+        where a nonempty word fixes its path.  (Element v of AP_0 is the
+        vertex v.)"""
+        return {e.support.arrows: e.pos for e in self.ap[k]}
+
+    @memo
     def sub(self, w: ApElement) -> list[SubDivisor]:
         """The degree n-1 elements dividing w, with cofactors, left to
-        right, from occurrences_in.
+        right and then in AP order, from occurrences_in.
 
         Division is strict, but equal supports across consecutive degrees
         cannot happen (the greedy chain is recoverable from the support),
         so any occurrence qualifies.  Odd degrees >= 3 always yield
         exactly two divisors, one flush right and one flush left.
         """
-        assert w.degree >= 1
-        out = [SubDivisor(e, left, right)
-               for left, e, right in self.occurrences_in(w.degree - 1, w.support)
-               if len(left) + len(right) > 0]
-        out.sort(key=lambda d: (len(d.left), d.element.support.sort_key))
+        word, sup = w.support.arrows, w.support
+        k = len(word)
+        ids = self.basis.word_index
+        out = [SubDivisor(pos, i, j,
+                          ids.get(word[:i]) if i else sup.source,
+                          ids.get(word[j:]) if j < k else sup.target)
+               for pos, i, j in self.occurrences_in(w.degree - 1, word,
+                                                    sup.source)
+               if j - i < k]
+        out.sort(key=lambda d: (d.start, d.pos))
         if w.degree >= 3 and w.degree % 2 == 1:
-            _require_two_flush(out)
+            _require_two_flush(out, k)
         return out
 
-    def decompose(self, w: ApElement, n: int, m: int) -> tuple[ApElement, Path, ApElement]:
+    def split(self, w: ApElement, n: int, m: int) -> tuple[int, int]:
         """The unique splitting support = head * u * tail with head of
-        degree n (a chain prefix), tail of degree m (a dual-chain suffix),
-        and u a basis path.  Not cached: CochainComplex.splittings keeps
-        what the lifts read of it, in ids."""
-        assert n >= 0 and m >= 0 and n + m == w.degree and n + m >= 2
-        sup = w.support
-        if n == 0:
-            head_sup = sup.prefix(0)
-        elif n == 1:
-            head_sup = sup.prefix(1)
+        degree n >= 1 (a chain prefix), tail of degree m >= 1 (a
+        dual-chain suffix) and u a basis path, as (j, position of the
+        tail in AP_m): on the support's arrow word, head * u is word[:j]
+        and the tail word[j:].  Not cached: CochainComplex.splittings
+        keeps what the lifts read of it."""
+        word = w.support.arrows
+        if n == 1:
+            i = 1
         else:
-            rel = w.chain[n - 2]
-            head_sup = sup.prefix(_occurrence_start(rel, sup) + len(rel))
-        if m == 0:
-            tail_sup = sup.suffix(len(sup))
-        elif m == 1:
-            tail_sup = sup.suffix(len(sup) - 1)
+            rel = w.chain[n - 2].arrows
+            i = _occurrence_start(rel, word) + len(rel)
+        if m == 1:
+            j = len(word) - 1
         else:
-            tail_start = _occurrence_start(w.op_chain[n], sup)
-            tail_sup = sup.suffix(tail_start)
-        head = self.by_support[n].get(head_sup)
-        tail = self.by_support[m].get(tail_sup)
+            j = _occurrence_start(w.op_chain[n].arrows, word)
+        head = self.positions(n).get(word[:i])
+        tail = self.positions(m).get(word[j:])
         if head is None or tail is None:
             raise CertificateError("splitting fell outside the computed AP sets")
-        i, j = len(head_sup), len(sup) - len(tail_sup)
         if i > j:
             raise CertificateError("head and tail of the splitting overlap")
-        u = sup.subpath(i, j)
-        if u not in self.basis:
+        if i < j and word[i:j] not in self.basis.word_index:
             raise CertificateError("middle of the splitting is not a basis path")
-        return head, u, tail
+        return j, tail
 
     # -- differentials ----------------------------------------------------
 
@@ -437,13 +448,12 @@ class Resolution:
                 if n % 2 == 0:
                     signed = [(1, d) for d in self.sub(w)]
                 else:
-                    first, second = _require_two_flush(self.sub(w))
+                    first, second = _require_two_flush(self.sub(w),
+                                                       len(w.support))
                     signed = [(1, second), (-1, first)]
-                terms = out[w.pos] = []
-                for c, d in signed:
-                    left, right = index.get(d.left), index.get(d.right)
-                    if left is not None and right is not None:
-                        terms.append(BimoduleTerm(c, left, d.element.pos, right))
+                out[w.pos] = [BimoduleTerm(c, d.left, d.pos, d.right)
+                              for c, d in signed
+                              if d.left is not None and d.right is not None]
         return out
 
     # -- the realized complex ---------------------------------------------
@@ -595,19 +605,23 @@ def ap_sets(pres: Presentation, max_degree: int | None = None):
     return Resolution(pres, basis_P(pres), max_degree).ap
 
 
-def _require_two_flush(subs: list[SubDivisor]) -> list[SubDivisor]:
+def _require_two_flush(subs: list[SubDivisor], length: int) -> list[SubDivisor]:
     """The flush-left and flush-right divisors of an odd-degree element
-    (Bardzell), which its differential takes."""
-    if len(subs) != 2 or not (subs[0].left.is_trivial
-                              and subs[1].right.is_trivial):
+    with a support of this length (Bardzell), which its differential
+    takes."""
+    if len(subs) != 2 or not (subs[0].start == 0 and subs[1].end == length):
         raise CertificateError("odd-degree element without two flush divisors")
     return subs
 
 
-def _occurrence_start(rel: Path, w: Path) -> int:
-    """Start position of the first occurrence of rel inside w."""
-    k = len(rel)
-    for i in range(len(w) - k + 1):
-        if w.arrows[i : i + k] == rel.arrows:
-            return i
-    raise CertificateError("chain relation does not occur in its support")
+def _occurrence_start(rel: Word, word: Word) -> int:
+    """Offset of the occurrence of the relation word rel in word.  A path
+    of an acyclic quiver passes each arrow at most once, so the first
+    arrow of rel fixes the only candidate offset."""
+    try:
+        i = word.index(rel[0])
+    except ValueError:
+        i = -1
+    if i < 0 or word[i : i + len(rel)] != rel:
+        raise CertificateError("chain relation does not occur in its support")
+    return i

@@ -12,7 +12,7 @@ import pytest
 
 import stringcoh
 from conftest import a_n_text, build_tower
-from stringcoh import (CertificateError, PathBasis, Quiver, occurrences, parse,
+from stringcoh import (CertificateError, Quiver, Resolution, occurrences, parse,
                        resolution)
 from stringcoh.cup import chain_map_audit, cocycle_basis, is_cocycle, phi, phi_inv
 
@@ -26,9 +26,9 @@ def pair_labelled(cx, label):
 
 
 def splitting_outside_ap_sets():
-    _, res, _ = tower()
-    res.by_support[1] = {}
-    res.decompose(res.ap[3][0], 1, 2)
+    _, _, cx = tower()
+    with mock.patch.object(Resolution, "positions", lambda self, k: {}):
+        cx.splittings(1, 2)
 
 
 class _AnyKey(dict):
@@ -41,24 +41,54 @@ class _AnyKey(dict):
 
 
 def splitting_head_and_tail_overlap():
-    _, res, _ = tower()
-    res.by_support[2] = _AnyKey(res.ap[2][0])
-    with mock.patch.object(resolution, "_occurrence_start", lambda rel, w: 0):
-        res.decompose(res.ap[3][0], 1, 2)
+    _, _, cx = tower()
+    with mock.patch.object(Resolution, "positions",
+                           lambda self, k: _AnyKey(0)), \
+            mock.patch.object(resolution, "_occurrence_start",
+                              lambda rel, word: 0):
+        cx.splittings(1, 2)
 
 
 def chain_relation_outside_support():
-    _, res, _ = tower()
+    _, res, cx = tower()
     w = res.ap[3][0]
     stranger = next(r for r in res.pres.relations
                     if not occurrences(r, w.support))
-    res.decompose(dataclasses.replace(w, chain=(w.chain[0], stranger)), 3, 0)
+    res.ap[3][0] = dataclasses.replace(w, chain=(stranger, w.chain[1]))
+    cx.splittings(2, 1)
+
+
+# x1 x2 x3 x4 splits as x1 * x2 * (x3 x4) in degrees 1 and 2: the
+# middle is an arrow, not a vertex
+_LONG_MIDDLE = """vertex 0 1 2 3 4
+arrow x1 0 1
+arrow x2 1 2
+arrow x3 2 3
+arrow x4 3 4
+relation x1 x2 x3
+relation x3 x4
+"""
 
 
 def splitting_middle_outside_basis():
-    _, res, _ = tower()
-    with mock.patch.object(PathBasis, "__contains__", lambda self, p: False):
-        res.decompose(res.ap[3][0], 1, 2)
+    basis, _, cx = build_tower(parse(_LONG_MIDDLE))
+    with mock.patch.dict(basis.word_index, clear=True):
+        cx.splittings(1, 2)
+
+
+def odd_divisor_flush_at_neither_end():
+    _, _, cx = tower()
+    real = Resolution.sub
+
+    def shifted(self, w):
+        subs = real(self, w)
+        if w.degree % 2 == 0:
+            return subs
+        first, second = subs
+        return [dataclasses.replace(first, start=1), second]
+
+    with mock.patch.object(Resolution, "sub", shifted):
+        cx.matrix(3)
 
 
 def doubled(real):
@@ -82,8 +112,8 @@ def predecessor_not_unique():
 def rewritten_support_outside_ap_sets():
     _, res, cx = tower()
     pair = pair_labelled(cx, "(1,0)+")
-    res.by_support[2] = {}
-    phi(cx, pair)
+    with mock.patch.object(Resolution, "positions", lambda self, k: {}):
+        phi(cx, pair)
 
 
 def rewritten_pair_with_wrong_label():
@@ -113,6 +143,8 @@ SITES = {
         (chain_relation_outside_support, "does not occur in its support"),
     "middle outside the basis":
         (splitting_middle_outside_basis, "middle of the splitting"),
+    "odd-degree divisor flush at neither end":
+        (odd_divisor_flush_at_neither_end, "flush at neither end"),
     "successor not unique":
         (successor_not_unique, "continuation is not unique"),
     "predecessor not unique":

@@ -1,0 +1,82 @@
+"""The CLI output on three corpora, pinned by one SHA-256 per (command,
+input).  Each digest covers the exit code, stderr and stdout of one
+``main`` call, with the value of ``elapsed_ms`` blanked.  A change that
+should not move any output, such as a faster route to the same tables,
+keeps every digest.
+
+To record the digests of the current code (only when an output change
+is intended, and say so where the change is described)::
+
+    PYTHONPATH=src python tests/test_cli_digests.py --write
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import re
+import sys
+import tempfile
+
+from conftest import CORPUS_SIZE, a_n_text
+from stringcoh.cli import main
+from stringcoh.generate import generate_dsl
+
+DIGESTS = os.path.join(os.path.dirname(__file__), "data", "cli_digests.json")
+
+# the text output of hh, ap and cup prints what their JSON holds
+RUNS = [(command, "--json") for command in ("hh", "ap", "cup", "check")]
+RUNS.append(("check",))
+
+_ELAPSED = re.compile(r'("elapsed_ms": )-?\d+')
+
+
+def inputs() -> dict[str, str]:
+    """Input name -> presentation text: generate(0..99), the 24/48
+    generated corpus and the two-lane lines a_n(1..12)."""
+    out = {f"generate({s})": generate_dsl(s) for s in range(CORPUS_SIZE)}
+    out.update((f"generate_dsl({s}, 24, 48)",
+                generate_dsl(s, max_vertices=24, max_arrows=48))
+               for s in range(13))
+    out.update((f"a_n({n})", a_n_text(n)) for n in range(1, 13))
+    return out
+
+
+def run(argv: tuple, path: str) -> str:
+    """The SHA-256 of the exit code, stderr and stdout of one run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([argv[0], path, *argv[1:]])
+    stdout = _ELAPSED.sub(r"\g<1>0", out.getvalue())
+    blob = f"{code}\n{err.getvalue()}\n{stdout}"
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def digests() -> dict[str, str]:
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in inputs().items():
+            path = os.path.join(tmp, "input.quiver")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            for argv in RUNS:
+                out[" ".join(argv + (name,))] = run(argv, path)
+    return out
+
+
+def test_cli_output_matches_recorded_digests():
+    with open(DIGESTS, encoding="utf-8") as fh:
+        want = json.load(fh)
+    got = digests()
+    assert got.keys() == want.keys()
+    moved = [key for key in want if got[key] != want[key]]
+    assert not moved, f"{len(moved)} outputs changed, first: {moved[:5]}"
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit(__doc__)
+    with open(DIGESTS, "w", encoding="utf-8") as fh:
+        json.dump(digests(), fh, indent=0, sort_keys=True)
+        fh.write("\n")

@@ -30,6 +30,7 @@ from tests_support import (
     bimodule_extension,
     comparison_matrix,
     cup_with_lift,
+    decompose,
     dense_is_cocycle,
     dense_lift_values,
     global_lift_audit,
@@ -100,7 +101,7 @@ def test_comparison_even_degree_collapses(corpus):
             for f in cocycle_basis(cx, m)[:3]:
                 for n in range(2, res.top - m + 1, 2):
                     for w in res.ap[n + m]:
-                        head, u, tail = res.decompose(w, n, m)
+                        head, u, tail = decompose(res, w, n, m)
                         vals = scan_terms_at(cx, f, tail.support)
                         terms = comparison_terms(cx, f, n, w)
                         expect = set()

@@ -1,11 +1,15 @@
 """Resolution.occurrences_in, the AP divisor index behind sub and
 splittings, against a scan of the whole AP layer."""
 
+from unittest import mock
+
 import pytest
 
 from conftest import a_n_text, build_tower
 from stringcoh import parse
-from tests_support import scan_occurrences
+from stringcoh.generate import generate, generate_dsl
+from stringcoh.quiver import Path
+from tests_support import path_splittings, scan_occurrences
 
 
 def targets(res):
@@ -15,11 +19,17 @@ def targets(res):
     return sorted(out, key=lambda p: p.sort_key)
 
 
+def scanned(res, n, t):
+    """scan_occurrences as (position, start, end) int triples."""
+    return [(e.pos, len(left), len(t) - len(right))
+            for left, e, right in scan_occurrences(res, n, t)]
+
+
 def assert_matches_scan(res):
     for t in targets(res):
         for n in range(-1, res.top + 3):
-            assert res.occurrences_in(n, t) == scan_occurrences(res, n, t), (
-                n, res.pres.format_path(t))
+            assert (res.occurrences_in(n, t.arrows, t.source)
+                    == scanned(res, n, t)), (n, res.pres.format_path(t))
 
 
 def test_index_matches_scan_on_corpus(corpus):
@@ -36,16 +46,59 @@ def test_index_matches_scan_on_lanes(n):
 def test_trivial_support_occurs_at_every_visit():
     _, res, _ = build_tower(parse(a_n_text(4)))
     t = max(res.basis.paths, key=len)
-    hits = res.occurrences_in(0, t)
+    hits = res.occurrences_in(0, t.arrows, t.source)
     assert len(hits) == len(t) + 1
-    for i, (left, e, right) in enumerate(hits):
-        assert e.support == res.quiver.trivial_path(t.vertices[i])
-        assert (left, right) == (t.prefix(i), t.suffix(i))
+    for i, (pos, start, end) in enumerate(hits):
+        assert res.ap[0][pos].support == res.quiver.trivial_path(t.vertices[i])
+        assert (start, end) == (i, i)
 
 
 def test_degrees_outside_the_resolution_are_empty():
     _, res, _ = build_tower(parse(a_n_text(4)))
     t = res.ap[res.top][0].support
-    assert res.occurrences_in(res.top, t)
+    assert res.occurrences_in(res.top, t.arrows, t.source)
     for n in (-1, res.top + 1, res.top + 5):
-        assert res.occurrences_in(n, t) == []
+        assert res.occurrences_in(n, t.arrows, t.source) == []
+
+
+def test_splittings_match_the_path_oracle(corpus):
+    """Every entry of CochainComplex.splittings(n, m), n >= 0 and m >= 1
+    with n + m <= top, equals the Path-level route it replaced on
+    generate(0..99), generate_dsl(0..12, 24, 48) and a_n(1..12)."""
+    towers = [cx for _, _, _, _, cx in corpus]
+    towers += [build_tower(generate(s, max_vertices=24, max_arrows=48))[2]
+               for s in range(13)]
+    towers += [build_tower(parse(a_n_text(n)))[2] for n in range(1, 13)]
+    entries = 0
+    for cx in towers:
+        for m in range(1, cx.top + 1):
+            for n in range(cx.top - m + 1):
+                assert cx.splittings(n, m) == path_splittings(cx, n, m), (n, m)
+                entries += len(cx.splittings(n, m))
+    assert entries == 5758
+
+
+@pytest.mark.parametrize(
+    "text", [a_n_text(6), generate_dsl(0, max_vertices=24, max_arrows=48)],
+    ids=["a_n(6)", "generate_dsl(0, 24, 48)"])
+def test_divisor_route_builds_no_path(text):
+    """On a built tower, filling sub, differential, matrix, leibniz_slots
+    and splittings for every degree constructs no Path: the divisor route
+    runs on arrow words, offsets and ids."""
+    _, res, cx = build_tower(parse(text))
+    top = res.top
+    with mock.patch.object(Path, "__post_init__", autospec=True,
+                           side_effect=Path.__post_init__) as made:
+        res.quiver.trivial_path(0)
+        assert made.call_count == 1  # the counter sees a Path being made
+        for k in range(1, top + 1):
+            for w in res.ap[k]:
+                res.sub(w)
+            res.differential(k)
+            cx.leibniz_slots(k - 1)
+            for n in range(top - k + 1):
+                cx.splittings(n, k)
+        for k in range(1, top + 2):
+            cx.matrix(k)
+    assert made.call_count == 1
+    assert top >= 4

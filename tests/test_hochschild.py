@@ -73,7 +73,7 @@ def test_matrix_single_entry_column(a_n):
     pres, basis, res, cx = a_n[3]
     m = cx.matrix(2)
     a1, b1 = pres.quiver.arrow_path(0), pres.quiver.arrow_path(1)
-    col = cx.pair_index(1)[(res.by_support[1][a1].pos, basis.index[b1])]
+    col = cx.pair_index(1)[(res.positions(1)[a1.arrows], basis.index[b1])]
     entries = [(i, v) for i, j, v in m.items() if j == col]
     assert len(entries) == 1
     ((i, v),) = entries
@@ -89,7 +89,8 @@ def test_matrix_degree_one_single_arrow():
     q = pres.quiver
 
     def key(n, support):
-        return (res.by_support[n][support].pos, basis.index[support])
+        pos = res.positions(n)[support.arrows] if n else support.source
+        return (pos, basis.index[support])
 
     row = cx.pair_index(1)[key(1, q.arrow_path(0))]
     col0 = cx.pair_index(0)[key(0, q.trivial_path(0))]

@@ -23,6 +23,7 @@ cup = importlib.import_module("stringcoh.cup")
 # (owner, name, which tower object is called, its arguments from (res, cx))
 MEMOIZED = [
     (Resolution, "_first_arrows", "res", lambda res, cx: (2,)),
+    (Resolution, "positions", "res", lambda res, cx: (2,)),
     (Resolution, "sub", "res", lambda res, cx: (res.ap[3][0],)),
     (Resolution, "differential", "res", lambda res, cx: (3,)),
     (Resolution, "bimodule_space", "res", lambda res, cx: (1,)),
@@ -45,9 +46,9 @@ MEMOIZED = [
     (cup, "cocycle_basis", "cx", lambda res, cx: (1,)),
     (cup, "cohomology_basis", "cx", lambda res, cx: (1,)),
     (hochschild, "_left_dead", "basis",
-     lambda res, cx: (res.ap[1][0].support,)),
+     lambda res, cx: (res.basis.index[res.ap[1][0].support],)),
     (hochschild, "_right_dead", "basis",
-     lambda res, cx: (res.ap[1][0].support,)),
+     lambda res, cx: (res.basis.index[res.ap[1][0].support],)),
 ]
 
 

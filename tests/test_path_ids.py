@@ -115,12 +115,15 @@ def test_differential_terms_have_basis_cofactors(corpus):
                                     w.support)], name
                     continue
                 subs = res.sub(w)
-                assert all(s.left in res.basis and s.right in res.basis
+                assert all(s.left is not None and s.right is not None
                            for s in subs), name
+                assert [(paths[s.left], paths[s.right]) for s in subs] == [
+                    (w.support.prefix(s.start), w.support.suffix(s.end))
+                    for s in subs], name
                 signed = ([(1, s) for s in subs] if n % 2 == 0
                           else [(1, subs[1]), (-1, subs[0])])
-                assert got == [(c, s.left, s.element, s.right)
-                               for c, s in signed], name
+                assert got == [(c, paths[s.left], res.ap[n - 1][s.pos],
+                                paths[s.right]) for c, s in signed], name
     assert total == 4482
 
 
@@ -138,8 +141,11 @@ def test_divisor_with_a_cofactor_in_the_ideal_is_dropped(monkeypatch):
         subs = real_sub(self, w)
         if w.degree % 2:
             return subs
-        dead = SubDivisor(subs[0].element, relation,
-                          self.quiver.trivial_path(relation.target))
+        # the relation as a left cofactor: its word has no basis id
+        dead = SubDivisor(subs[0].pos, len(relation),
+                          len(relation) + subs[0].end - subs[0].start,
+                          self.basis.word_index.get(relation.arrows),
+                          relation.target)
         return [dead] + subs
 
     monkeypatch.setattr(Resolution, "sub", with_dead_divisor)

@@ -9,6 +9,7 @@ from stringcoh.quiver import compose
 from tests_support import (
     basis_label,
     blocks,
+    decompose,
     enumerate_paths,
     full_path,
     middle_label,
@@ -163,8 +164,9 @@ def test_op_sets_match_everywhere(a_n, corpus):
 
 def test_ap_element_hash_is_degree_and_support(corpus, a_n):
     """An AP element hashes as (degree, support).  Equal elements hash
-    equal and by_support and element-keyed lookups still hit; an element
-    with the same degree and support but another chain stays unequal."""
+    equal and element-keyed lookups still hit; an element with the same
+    degree and support but another chain stays unequal.  The word of a
+    support of degree >= 1 finds its position."""
     towers = [res for _, _, _, res, _ in corpus] + [a_n[5][2]]
     for res in towers:
         for n, layer in enumerate(res.ap):
@@ -174,7 +176,8 @@ def test_ap_element_hash_is_degree_and_support(corpus, a_n):
                                             w.op_chain, w.pos)
                 assert copy == w and hash(copy) == hash(w)
                 assert hash(w) == hash((n, w.support))
-                assert res.by_support[n][copy.support] is w
+                if n:
+                    assert res.positions(n)[copy.support.arrows] == w.pos
                 assert index[copy] == i
     w = a_n[5][2].ap[3][0]
     other = dataclasses.replace(w, chain=(w.support,) * 2)
@@ -187,16 +190,17 @@ def test_sub_of_degree_three_element(a_n):
     pres, basis, res, cx = a_n[3]
     (w,) = [e for e in res.ap[3] if fmt(pres, e.support) == "a1*a2*a3"]
     subs = res.sub(w)
-    assert [fmt(pres, d.element.support) for d in subs] == ["a1*a2", "a2*a3"]
-    assert subs[0].left.is_trivial and not subs[0].right.is_trivial
-    assert subs[1].right.is_trivial and not subs[1].left.is_trivial
+    assert [fmt(pres, res.ap[2][d.pos].support) for d in subs] == ["a1*a2", "a2*a3"]
+    assert [(d.start, d.end) for d in subs] == [(0, 2), (1, 3)]
+    assert [(basis_label(res, d.left), basis_label(res, d.right))
+            for d in subs] == [("e_0", "a3"), ("a1", "e_3")]
 
 
 def test_sub_of_relation_is_its_arrows(a_n):
     pres, basis, res, cx = a_n[3]
     (w,) = [e for e in res.ap[2] if fmt(pres, e.support) == "a1*a2"]
     subs = res.sub(w)
-    assert [fmt(pres, d.element.support) for d in subs] == ["a1", "a2"]
+    assert [fmt(pres, res.ap[1][d.pos].support) for d in subs] == ["a1", "a2"]
 
 
 def test_sub_two_for_odd_and_quadratic(corpus):
@@ -211,16 +215,16 @@ def test_sub_two_for_odd_and_quadratic(corpus):
 def test_decompose_examples(a_n):
     pres, basis, res, cx = a_n[3]
     (w3,) = [e for e in res.ap[3] if fmt(pres, e.support) == "a1*a2*a3"]
-    head, u, tail = res.decompose(w3, 2, 1)
+    head, u, tail = decompose(res, w3, 2, 1)
     assert (fmt(pres, head.support), fmt(pres, u), fmt(pres, tail.support)) == (
         "a1*a2", "e_2", "a3",
     )
-    head, u, tail = res.decompose(w3, 1, 2)
+    head, u, tail = decompose(res, w3, 1, 2)
     assert (fmt(pres, head.support), fmt(pres, u), fmt(pres, tail.support)) == (
         "a1", "e_1", "a2*a3",
     )
     (w2,) = [e for e in res.ap[2] if fmt(pres, e.support) == "a1*a2"]
-    head, u, tail = res.decompose(w2, 1, 1)
+    head, u, tail = decompose(res, w2, 1, 1)
     assert (fmt(pres, head.support), fmt(pres, u), fmt(pres, tail.support)) == (
         "a1", "e_1", "a2",
     )
@@ -231,7 +235,7 @@ def test_decompose_reassembles(corpus):
         for n in range(2, res.top + 1):
             for w in res.ap[n]:
                 for k in range(n + 1):
-                    head, u, tail = res.decompose(w, k, n - k)
+                    head, u, tail = decompose(res, w, k, n - k)
                     rebuilt = compose(compose(head.support, u), tail.support)
                     assert rebuilt == w.support
                     assert u in basis

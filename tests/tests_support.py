@@ -194,13 +194,70 @@ def divides(w_sub, w) -> bool:
     return any(len(l) + len(r) > 0 for l, r in occurrences(w_sub, w))
 
 
+def decompose(res, w, n: int, m: int):
+    """The unique splitting support = head * u * tail of w in
+    AP_{n+m}, n + m >= 2, as (head, u, tail): head the element of AP_n
+    that is a chain prefix, tail the element of AP_m that is a dual-chain
+    suffix, u a basis path.  The Path-level route that Resolution.split
+    replaced, with the same CertificateErrors."""
+    assert n >= 0 and m >= 0 and n + m == w.degree and n + m >= 2
+    sup = w.support
+    if n <= 1:
+        head_sup = sup.prefix(n)
+    else:
+        rel = w.chain[n - 2]
+        head_sup = sup.prefix(_path_start(rel, sup) + len(rel))
+    if m <= 1:
+        tail_sup = sup.suffix(len(sup) - m)
+    else:
+        tail_sup = sup.suffix(_path_start(w.op_chain[n], sup))
+    head = next((e for e in res.ap[n] if e.support == head_sup), None)
+    tail = next((e for e in res.ap[m] if e.support == tail_sup), None)
+    if head is None or tail is None:
+        raise CertificateError("splitting fell outside the computed AP sets")
+    i, j = len(head_sup), len(sup) - len(tail_sup)
+    if i > j:
+        raise CertificateError("head and tail of the splitting overlap")
+    u = sup.subpath(i, j)
+    if u not in res.basis:
+        raise CertificateError("middle of the splitting is not a basis path")
+    return head, u, tail
+
+
+def _path_start(rel, w) -> int:
+    """Start of the first occurrence of the path rel inside the path w."""
+    for left, _ in occurrences(rel, w):
+        return len(left)
+    raise CertificateError("chain relation does not occur in its support")
+
+
+def path_splittings(cx, n: int, m: int) -> list:
+    """CochainComplex.splittings(n, m) on Paths: decompose, then the
+    occurrences of AP_n in head * u by scan_occurrences, cofactors looked
+    up in PathBasis.index."""
+    index = cx.basis.index
+    out = []
+    for w in cx.res.ap[n + m]:
+        if n == 0:
+            out.append((w.pos, (), 0))
+            continue
+        head, u, tail = decompose(cx.res, w, n, m)
+        found = scan_occurrences(cx.res, n, compose(head.support, u))
+        divisors = []
+        for left, psi, right in found:
+            left, right = index.get(left), index.get(right)
+            if left is not None and right is not None:
+                divisors.append((left, psi.pos, right))
+        out.append((tail.pos, tuple(divisors), len(found)))
+    return out
+
+
 def division_positions(cx, n: int, w) -> int:
     """Number of degree-n divisor positions in the comparison sum at w:
     the occurrences of AP_n in head * u, whether or not their cofactors
-    survive, by a fresh Resolution.decompose and occurrences_in."""
-    res = cx.res
-    head, u, _ = res.decompose(w, n, w.degree - n)
-    return len(res.occurrences_in(n, compose(head.support, u)))
+    survive, by a fresh decompose and scan_occurrences."""
+    head, u, _ = decompose(cx.res, w, n, w.degree - n)
+    return len(scan_occurrences(cx.res, n, compose(head.support, u)))
 
 
 def odd_positions_max(cx) -> int:
@@ -409,8 +466,10 @@ def scan_terms_at(cx, f, support) -> list:
 
 
 def scan_occurrences(res, n: int, target) -> list:
-    """Resolution.occurrences_in by scanning all of AP_n with occurrences,
-    as sub, divisors and division_positions once did."""
+    """Every (left, e, right) with e in AP_n and target = left *
+    e.support * right, in AP order and then left to right, by scanning
+    all of AP_n with occurrences, as sub, divisors and
+    division_positions once did."""
     layer = res.ap[n] if 0 <= n < len(res.ap) else []
     return [(l, e, r) for e in layer for l, r in occurrences(e.support, target)]
 
