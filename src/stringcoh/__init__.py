@@ -17,7 +17,7 @@ from .cup import (
     normalize_geq,
     normalize_leq,
 )
-from .hochschild import CochainComplex, ParallelPair, classify
+from .hochschild import CochainComplex, ParallelPair
 from .linalg import RationalMatrix
 from .presentation import (
     ParseError,
@@ -57,7 +57,6 @@ __all__ = [
     "ap_sets",
     "basis_P",
     "chain_map_audit",
-    "classify",
     "compose",
     "cup",
     "cup_table",

@@ -8,11 +8,31 @@ arrow extensions of gamma on a side fall into the ideal.  The cohomology
 dimensions are computed twice: from ranks of the cochain maps, and by
 pure counting over that partition.  The two columns must agree in every
 degree; a disagreement is reported, never repaired.
+
+Pairs are built on ids: each is classified once, from its support's
+first and last arrows and a per-basis-path table (_pair_kinds), and
+carries its class and decorated label.  In degree >= 1 the labels are
+a function of five flags, shares_first (f), shares_last (l),
+left_dead (L), right_dead (R) and inner_dead (I), one table (_LABELS):
+
+    f l  class   label
+    0 0  (0,0)   -(0,0)-, -(0,0)+, +(0,0)-, +(0,0)+: a sign per side,
+                 - for L (left) and R (right), + otherwise
+    1 0  (1,0)   (1,0)+ when not R; with R, (1,0)-- when I, else (1,0)-+
+    0 1  (0,1)   +(0,1) when not L; with L, --(0,1) when I, else +-(0,1)
+    1 1  (1,1)   (1,1)
+
+I is read only where it decides the label, and is None elsewhere.  The
+16 COUNT_KEYS count each pair under its class and its label, the (1,0)
+pairs with R once more under (1,0)-, and the (0,1) pairs with L under
+-(0,1).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
+from typing import NamedTuple
 
 from .linalg import CertificateError, Echelon, RationalMatrix
 from .presentation import PathBasis
@@ -20,97 +40,108 @@ from .quiver import Path
 from .resolution import ApElement, Resolution, memo
 
 
-@dataclass(frozen=True)
-class ParallelPair:
-    """A cochain basis element: a support together with a parallel basis path.
+class ParallelPair(NamedTuple):
+    """A cochain basis element: a support together with a parallel basis
+    path, classified once, when CochainComplex.pairs builds its degree.
 
-    Classification flags are None in degree 0, where the partition is not
-    defined (the only pairs are (e_x, e_x)).
+    gamma_id is gamma's id in the basis.  The flags and both labels are
+    None in degree 0, where the partition is not defined (the only pairs
+    are (e_x, e_x)); from degree 1 on, the labels are _LABELS of the five
+    flags, e.g. ``-(0,0)+`` or ``(1,0)--`` or ``+-(0,1)``.
     """
 
     rho: ApElement
     gamma: Path
+    gamma_id: int
     shares_first: bool | None = None
     shares_last: bool | None = None
     left_dead: bool | None = None
     right_dead: bool | None = None
     inner_dead: bool | None = None
+    class_label: str | None = None
+    label: str | None = None
 
     @property
     def degree(self) -> int:
         return self.rho.degree
 
-    @property
-    def class_label(self) -> str:
-        assert self.shares_first is not None
-        return f"({int(self.shares_first)},{int(self.shares_last)})"
 
-    @property
-    def label(self) -> str:
-        """Decorated name, e.g. ``-(0,0)+`` or ``(1,0)--`` or ``+-(0,1)``."""
-        cls = self.class_label
-        left = "-" if self.left_dead else "+"
-        right = "-" if self.right_dead else "+"
-        if cls == "(0,0)":
-            return f"{left}{cls}{right}"
-        if cls == "(1,0)":
-            if not self.right_dead:
-                return f"{cls}+"
-            return f"{cls}-{'-' if self.inner_dead else '+'}"
-        if cls == "(0,1)":
-            if not self.left_dead:
-                return f"+{cls}"
-            return f"{'-' if self.inner_dead else '+'}-{cls}"
-        return cls
+def _sign(dead: bool) -> str:
+    return "-" if dead else "+"
 
 
-def classify(basis: PathBasis, rho: ApElement, gamma: Path) -> ParallelPair:
-    """Fill the partition class and decorations of one parallel pair.
+def _label_table() -> dict[tuple, tuple[str, str]]:
+    """(shares_first, shares_last, left_dead, right_dead, inner_dead) ->
+    (class_label, label), for every flag combination a pair of degree >= 1
+    can carry; x and y run over both values of a free flag."""
+    table = {}
+    for x in (False, True):
+        for y in (False, True):
+            table[(False, False, x, y, None)] = (
+                "(0,0)", f"{_sign(x)}(0,0){_sign(y)}")
+            table[(True, True, x, y, None)] = ("(1,1)", "(1,1)")
+            table[(True, False, x, False, None)] = ("(1,0)", "(1,0)+")
+            table[(True, False, x, True, y)] = ("(1,0)", f"(1,0)-{_sign(y)}")
+            table[(False, True, False, x, None)] = ("(0,1)", "+(0,1)")
+            table[(False, True, True, x, y)] = ("(0,1)", f"{_sign(y)}-(0,1)")
+    return table
 
-    Only defined in degree >= 1.  In degree 1 the classes are (1,1) for
-    (alpha, alpha) and (0,0) otherwise.  A side decoration is dead when
-    every arrow extension of gamma on that side falls into the ideal
-    (vacuously dead when no arrow composes).  The inner decoration strips
-    the shared arrow and asks the same question one step in.
-    """
-    n = rho.degree
-    assert n >= 1
-    sup = rho.support
-    if n == 1:
-        shares_first = shares_last = gamma == sup
-    else:
-        assert not gamma.is_trivial, "trivial path parallel to a cycle-free support"
-        shares_first = gamma.arrows[0] == sup.arrows[0]
-        shares_last = gamma.arrows[-1] == sup.arrows[-1]
-    g, words = basis.index[gamma], basis.word_index
-    left = _left_dead(basis, g)
-    right = _right_dead(basis, g)
-    inner = None
-    # gamma with its first or last arrow stripped, by id: the vertex left
-    # over when gamma is a single arrow
-    if n >= 2 and shares_first and not shares_last and right:
-        inner = _right_dead(basis, words.get(gamma.arrows[1:], gamma.target))
-    if n >= 2 and shares_last and not shares_first and left:
-        inner = _left_dead(basis, words.get(gamma.arrows[:-1], gamma.source))
-    return ParallelPair(rho, gamma, shares_first, shares_last, left, right, inner)
+
+_LABELS = _label_table()
+
+
+def _kind(left: bool, right: bool, inner_left: bool,
+          inner_right: bool) -> tuple[tuple, ...]:
+    """The pair fields from shares_first on (the five flags, then both
+    labels) of a gamma with these side decorations, for each way of
+    sharing arrows with the support, indexed by 2 * shares_first +
+    shares_last.  A pair sharing exactly one end arrow, dead on the other
+    side, takes as inner decoration that side's decoration of gamma with
+    the shared arrow stripped."""
+    out = []
+    for first in (False, True):
+        for last in (False, True):
+            inner = None
+            if first and not last and right:
+                inner = inner_right
+            elif last and not first and left:
+                inner = inner_left
+            flags = (first, last, left, right, inner)
+            out.append(flags + _LABELS[flags])
+    return tuple(out)
+
+
+# (left, right, inner left, inner right decoration) -> _kind of them
+_KINDS = {sides: _kind(*sides)
+          for sides in product((False, True), repeat=4)}
 
 
 @memo
-def _left_dead(basis: PathBasis, g: int) -> bool:
-    """Whether b * gamma is in the ideal for every arrow b into the
-    source of the basis path gamma with id g."""
-    q, words = basis.pres.quiver, basis.word_index
-    return all(basis.mult(words[(b,)], g) is None
-               for b in q.in_arrows(basis.paths[g].source))
+def _pair_kinds(basis: PathBasis) -> list[tuple | None]:
+    """Per basis id: None for a vertex; for a nontrivial gamma, its first
+    arrow, its last arrow and its _kind.
 
-
-@memo
-def _right_dead(basis: PathBasis, g: int) -> bool:
-    """Whether gamma * b is in the ideal for every arrow b out of the
-    target of the basis path gamma with id g."""
+    A side of gamma is dead when every arrow extension of gamma on that
+    side falls into the ideal (vacuously dead when no arrow composes).
+    An extension b * gamma in the basis has gamma as its suffix, so the
+    live left sides are the ids of every basis path without its first
+    arrow, and the live right sides those without its last: one pass
+    over the basis.  The inner decorations ask the same question of gamma
+    without its first arrow (on the right) or its last (on the left)."""
     q, words = basis.pres.quiver, basis.word_index
-    return all(basis.mult(g, words[(b,)]) is None
-               for b in q.out_arrows(basis.paths[g].target))
+    # (id without the first arrow, id without the last) per nontrivial
+    # basis path; word_index lists them in id order
+    stripped = [(words[w[1:]], words[w[:-1]]) if len(w) > 1
+                else (q.arrow_target[w[0]], q.arrow_source[w[0]])
+                for w in words]
+    live_left = {rest for rest, _ in stripped}
+    live_right = {init for _, init in stripped}
+    out: list[tuple | None] = [None] * q.num_vertices
+    out += [(w[0], w[-1], _KINDS[(g not in live_left, g not in live_right,
+                                  init not in live_left,
+                                  rest not in live_right)])
+            for (w, g), (rest, init) in zip(words.items(), stripped)]
+    return out
 
 
 COUNT_KEYS = (
@@ -194,27 +225,45 @@ class CochainComplex:
     @memo
     def pairs(self, n: int) -> list[ParallelPair]:
         """All parallel pairs in degree n, rho in support order then gamma
-        in basis order."""
+        in basis order, each classified from its support's first and last
+        arrows and gamma's row of _pair_kinds.  CertificateError when a
+        vertex has a nontrivial parallel basis path or a support of
+        degree >= 1 a trivial one: both would be cycles."""
+        if not 0 <= n <= self.top:
+            return []
+        basis = self.basis
+        paths, between = basis.paths, basis.between
         out: list[ParallelPair] = []
-        paths = self.basis.paths
-        if 0 <= n <= self.top:
-            for elem in self.res.ap[n]:
-                sup = elem.support
-                for g in self.basis.between(sup.source, sup.target):
-                    gamma = paths[g]
-                    if n == 0:
-                        assert gamma.is_trivial
-                        out.append(ParallelPair(elem, gamma))
-                    else:
-                        out.append(classify(self.basis, elem, gamma))
+        if n == 0:
+            for elem in self.res.ap[0]:
+                x = elem.support.source
+                if between(x, x) != [x]:
+                    raise CertificateError(
+                        "a nontrivial basis path is parallel to a vertex")
+                out.append(ParallelPair(elem, paths[x], x))
+            return out
+        kinds = _pair_kinds(basis)
+        nv = self.quiver.num_vertices
+        new = tuple.__new__  # ParallelPair from all its fields at once
+        for elem in self.res.ap[n]:
+            sup = elem.support
+            head, last = sup.arrows[0], sup.arrows[-1]
+            ids = between(sup.source, sup.target)
+            # ids ascend and the vertices come first
+            if ids and ids[0] < nv:
+                raise CertificateError(
+                    "a trivial path is parallel to a cycle-free support")
+            for g in ids:
+                first, final, kind = kinds[g]
+                out.append(new(ParallelPair, (elem, paths[g], g)
+                               + kind[2 * (first == head) + (final == last)]))
         return out
 
     @memo
     def pair_keys(self, n: int) -> list[tuple[int, int]]:
         """(position of rho in AP_n, id of gamma) of each pair of
         pairs(n), in that order."""
-        index = self.basis.index
-        return [(p.rho.pos, index[p.gamma]) for p in self.pairs(n)]
+        return [(p.rho.pos, p.gamma_id) for p in self.pairs(n)]
 
     @memo
     def pair_index(self, n: int) -> dict[tuple[int, int], int]:
@@ -346,22 +395,20 @@ class CochainComplex:
         """The degree-n cochain map on the pair bases (columns in degree
         n-1, rows in degree n).  An entry survives only when the evaluated
         cofactor product stays out of the ideal."""
-        assert n >= 1
-        rows = self.pairs(n)
-        cols = self.pairs(n - 1)
+        if n < 1:
+            raise ValueError(f"cochain maps start in degree 1, not {n}")
         row_index = self.pair_index(n)
-        mat = RationalMatrix(len(rows), len(cols))
+        mat = RationalMatrix(len(self.pairs(n)), len(self.pairs(n - 1)))
         if n == 1:
-            q = self.quiver
-            # arrow a is element a of AP_1
-            arrows = [self.basis.word_index[(a,)]
-                      for a in range(q.num_arrows)]
-            for j, pair in enumerate(cols):
-                x = pair.rho.support.source
-                for a in range(q.num_arrows):
-                    c = int(q.arrow_target[a] == x) - int(q.arrow_source[a] == x)
-                    if c:
-                        mat.add_at(row_index[(a, arrows[a])], j, c)
+            q, words = self.quiver, self.basis.word_index
+            cols = self.pair_index(0)
+            # arrow a is element a of AP_1, and vertex x element x of AP_0
+            # and basis path x: the pair (a, a) takes e_target - e_source
+            for a in range(q.num_arrows):
+                i = row_index[(a, words[(a,)])]
+                s, t = q.arrow_source[a], q.arrow_target[a]
+                mat.add_at(i, cols[(s, s)], -1)
+                mat.add_at(i, cols[(t, t)], 1)
         else:
             cols_by_support: dict[int, list[tuple[int, int]]] = {}
             for j, (rho, gamma) in enumerate(self.pair_keys(n - 1)):
@@ -459,7 +506,9 @@ class CochainComplex:
         """Compare ranks against the counting description of the kernel and
         image of the degree-n cochain map, and check the extension
         bijections between decorated classes degree by degree."""
-        assert 2 <= n <= self.top + 1
+        if not 2 <= n <= self.top + 1:
+            raise ValueError(
+                f"the audit runs in degrees 2..{self.top + 1}, not {n}")
         prev = self.class_counts(n - 1)
         cur = self.class_counts(n)
         audit = KerImAudit(n)

@@ -12,8 +12,8 @@ import pytest
 
 import stringcoh
 from conftest import a_n_text, build_tower
-from stringcoh import (CertificateError, Quiver, Resolution, occurrences, parse,
-                       resolution)
+from stringcoh import (CertificateError, PathBasis, Quiver, Resolution,
+                       occurrences, parse, resolution)
 from stringcoh.cup import chain_map_audit, cocycle_basis, is_cocycle, phi, phi_inv
 
 
@@ -91,6 +91,25 @@ def odd_divisor_flush_at_neither_end():
         cx.matrix(3)
 
 
+def trivial_path_parallel_to_a_support():
+    _, _, cx = tower()
+    real = PathBasis.between
+    # the vertex at the source, as if it were a cycle back to itself
+    with mock.patch.object(PathBasis, "between",
+                           lambda self, s, t: [s] + real(self, s, t)):
+        cx.pairs(2)
+
+
+def nontrivial_path_parallel_to_a_vertex():
+    basis, _, cx = tower()
+    real = PathBasis.between
+    longest = basis.dim - 1
+    with mock.patch.object(
+            PathBasis, "between",
+            lambda self, s, t: real(self, s, t) + [longest] * (s == t)):
+        cx.pairs(0)
+
+
 def doubled(real):
     return lambda self, v: real(self, v) * 2
 
@@ -143,6 +162,10 @@ SITES = {
         (chain_relation_outside_support, "does not occur in its support"),
     "middle outside the basis":
         (splitting_middle_outside_basis, "middle of the splitting"),
+    "trivial path parallel to a support":
+        (trivial_path_parallel_to_a_support, "parallel to a cycle-free support"),
+    "nontrivial path parallel to a vertex":
+        (nontrivial_path_parallel_to_a_vertex, "parallel to a vertex"),
     "odd-degree divisor flush at neither end":
         (odd_divisor_flush_at_neither_end, "flush at neither end"),
     "successor not unique":

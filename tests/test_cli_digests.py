@@ -1,6 +1,7 @@
-"""The CLI output on three corpora, pinned by one SHA-256 per (command,
-input).  Each digest covers the exit code, stderr and stdout of one
-``main`` call, with the value of ``elapsed_ms`` blanked.  A change that
+"""The CLI output on three corpora, and the ``hh`` output on four larger
+inputs, pinned by one SHA-256 per (command, input).  Each digest covers
+the exit code, stderr and stdout of one ``main`` call, with the value of
+``elapsed_ms`` blanked.  A change that
 should not move any output, such as a faster route to the same tables,
 keeps every digest.
 
@@ -28,6 +29,8 @@ DIGESTS = os.path.join(os.path.dirname(__file__), "data", "cli_digests.json")
 # the text output of hh, ap and cup prints what their JSON holds
 RUNS = [(command, "--json") for command in ("hh", "ap", "cup", "check")]
 RUNS.append(("check",))
+# hh alone on the larger inputs, where supports are long and pairs many
+LARGE_RUNS = [("hh", "--json")]
 
 _ELAPSED = re.compile(r'("elapsed_ms": )-?\d+')
 
@@ -40,6 +43,16 @@ def inputs() -> dict[str, str]:
                 generate_dsl(s, max_vertices=24, max_arrows=48))
                for s in range(13))
     out.update((f"a_n({n})", a_n_text(n)) for n in range(1, 13))
+    return out
+
+
+def large_inputs() -> dict[str, str]:
+    """Input name -> presentation text: a_n(20), a_n(40) and
+    generate_dsl(0|2, max_vertices=120, max_arrows=240)."""
+    out = {f"a_n({n})": a_n_text(n) for n in (20, 40)}
+    out.update((f"generate_dsl({s}, 120, 240)",
+                generate_dsl(s, max_vertices=120, max_arrows=240))
+               for s in (0, 2))
     return out
 
 
@@ -56,12 +69,13 @@ def run(argv: tuple, path: str) -> str:
 def digests() -> dict[str, str]:
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for name, text in inputs().items():
-            path = os.path.join(tmp, "input.quiver")
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-            for argv in RUNS:
-                out[" ".join(argv + (name,))] = run(argv, path)
+        path = os.path.join(tmp, "input.quiver")
+        for texts, runs in ((inputs(), RUNS), (large_inputs(), LARGE_RUNS)):
+            for name, text in texts.items():
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+                for argv in runs:
+                    out[" ".join(argv + (name,))] = run(argv, path)
     return out
 
 

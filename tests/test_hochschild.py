@@ -1,8 +1,12 @@
 import json
 
-from conftest import a_n_text
+import pytest
+
+from conftest import a_n_text, build_tower
 from stringcoh import CochainComplex, Resolution, basis_P, parse
 from stringcoh.cli import main
+from stringcoh.generate import generate
+from tests_support import path_class_counts, path_pairs
 
 
 def tower(text):
@@ -34,9 +38,55 @@ def test_pairs_degree_zero_is_diagonal(corpus):
         assert all(p.gamma == p.rho.support for p in pairs)
 
 
+def test_degree_zero_pairs_are_unclassified(a_n):
+    """The partition starts in degree 1: a degree-0 pair carries no flag
+    and no label."""
+    pairs = a_n[3][3].pairs(0)
+    assert pairs and all(
+        p.degree == 0 and p.gamma_id == p.rho.pos and
+        (p.shares_first, p.shares_last, p.left_dead, p.right_dead,
+         p.inner_dead, p.class_label, p.label) == (None,) * 7
+        for p in pairs)
+
+
+def test_bad_degree_arguments_raise_value_error(a_n):
+    cx = a_n[3][3]
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="start in degree 1"):
+            cx.matrix(n)
+    for n in (1, cx.top + 2):
+        with pytest.raises(ValueError, match="runs in degrees 2..4"):
+            cx.ker_im_audit(n)
+
+
 def test_pairs_top_degree_count(a_n):
     pres, basis, res, cx = a_n[3]
     assert len(cx.pairs(3)) == 4
+
+
+def test_pairs_match_the_path_oracle(corpus):
+    """Every pair of every degree carries the flags and both labels that
+    the Path-level classification gives it, pair_keys reads the same ids,
+    and class_counts tallies what the oracle counts, on generate(0..99),
+    generate_dsl(0..12, 24, 48), a_n(1..12) and
+    generate_dsl(0|2, max_vertices=120, max_arrows=240)."""
+    towers = [cx for _, _, _, _, cx in corpus]
+    towers += [build_tower(generate(s, max_vertices=24, max_arrows=48))[2]
+               for s in range(13)]
+    towers += [build_tower(parse(a_n_text(n)))[2] for n in range(1, 13)]
+    towers += [build_tower(generate(s, max_vertices=120, max_arrows=240))[2]
+               for s in (0, 2)]
+    seen = 0
+    for cx in towers:
+        for n in range(cx.top + 2):
+            want = path_pairs(cx, n)
+            assert [(p.rho, p.gamma, p.gamma_id, p.shares_first,
+                     p.shares_last, p.left_dead, p.right_dead, p.inner_dead,
+                     p.class_label, p.label) for p in cx.pairs(n)] == want, n
+            assert cx.pair_keys(n) == [(w[0].pos, w[2]) for w in want], n
+            assert cx.class_counts(n) == path_class_counts(cx, n), n
+            seen += len(want)
+    assert seen == 3858
 
 
 def test_classify_fully_dead_off_diagonal(a_n):

@@ -1,6 +1,6 @@
 """The one per-tower memo behind every cached method of Resolution and
-CochainComplex, behind cup.cocycle_basis, and behind the side
-decorations of a basis path."""
+CochainComplex, behind cup.cocycle_basis, and behind the per-basis-path
+table the parallel pairs are classified from."""
 
 import functools
 import gc
@@ -45,10 +45,7 @@ MEMOIZED = [
     (CochainComplex, "hh_table", "cx", lambda res, cx: ()),
     (cup, "cocycle_basis", "cx", lambda res, cx: (1,)),
     (cup, "cohomology_basis", "cx", lambda res, cx: (1,)),
-    (hochschild, "_left_dead", "basis",
-     lambda res, cx: (res.basis.index[res.ap[1][0].support],)),
-    (hochschild, "_right_dead", "basis",
-     lambda res, cx: (res.basis.index[res.ap[1][0].support],)),
+    (hochschild, "_pair_kinds", "basis", lambda res, cx: ()),
 ]
 
 

@@ -3,12 +3,14 @@ the Path-level product it replaced, the id layout the walk relies on, and
 the differential's terms in ids."""
 
 from collections import Counter
+from unittest import mock
 
 import pytest
 
 from conftest import a_n_text, build_tower
 from stringcoh import Resolution, parse
 from stringcoh.checks import Auditor
+from stringcoh.cup import cup_table
 from stringcoh.generate import generate, generate_dsl
 from stringcoh.resolution import SubDivisor
 from tests_support import path_mult, path_mult3
@@ -153,6 +155,40 @@ def test_divisor_with_a_cofactor_in_the_ideal_is_dropped(monkeypatch):
     assert relation not in res.basis
     assert res.differential(2) == real_d2
     assert cx.matrix(2) == real_matrix
+
+
+def test_occurrence_with_a_cofactor_in_the_ideal_is_counted():
+    """The third field of CochainComplex.splittings counts every
+    occurrence of AP_n in head * u, also one whose cofactor falls in the
+    ideal, which the divisor list drops, and cup_table's
+    odd_positions_max reads that count.  No corpus input has such an
+    occurrence, so one is injected: the word of one cofactor is hidden
+    from PathBasis.word_index while splittings(1, 1) is built."""
+    pres = generate(3, max_vertices=24, max_arrows=48)
+    ref = build_tower(pres)[2]
+    rows = ref.splittings(1, 1)
+    most = max(count for _, _, count in rows)
+    i = next(k for k, (_, _, count) in enumerate(rows) if count == most)
+    # w is the only generator with that many odd-degree positions
+    odd = [count for n in range(1, ref.top + 1, 2)
+           for m in range(1, ref.top - n + 1)
+           for _, _, count in ref.splittings(n, m)]
+    assert odd.count(most) == 1 and cup_table(ref).odd_positions_max == most
+
+    basis, res, cx = build_tower(pres)
+    w = res.ap[2][i]
+    word, source = w.support.arrows, w.support.source
+    j, _ = res.split(w, 1, 1)
+    occurrences = res.occurrences_in(1, word[:j], source)
+    psi, a, _ = next(occ for occ in occurrences if occ[1] > 0)
+    with mock.patch.dict(basis.word_index):
+        del basis.word_index[word[:a]]
+        tail, divisors, count = cx.splittings(1, 1)[i]
+    assert (tail, count) == (rows[i][0], len(occurrences)) == (rows[i][0], most)
+    dropped = (ref.basis.word_index[word[:a]], psi)
+    assert [d[:2] for d in rows[i][1]].count(dropped) == 1
+    assert list(divisors) == [d for d in rows[i][1] if d[:2] != dropped]
+    assert cup_table(cx).odd_positions_max == count > len(divisors)
 
 
 @pytest.mark.parametrize("text", [a_n_text(7), generate_dsl(0)],

@@ -12,6 +12,7 @@ from stringcoh.cup import (
     comparison_terms,
     is_cocycle,
 )
+from stringcoh.hochschild import COUNT_KEYS
 from stringcoh.linalg import CertificateError, RationalMatrix
 from stringcoh.quiver import CyclicQuiverError, compose, occurrences
 from stringcoh.resolution import BimoduleTerm, apply_map
@@ -177,6 +178,102 @@ def path_mult(basis, p, q):
 def path_mult3(basis, p, q, r):
     pq = path_mult(basis, p, q)
     return None if pq is None else path_mult(basis, pq, r)
+
+
+def _path_left_dead(basis, gamma) -> bool:
+    """Whether b * gamma is in the ideal for every arrow b into gamma's
+    source, by path_mult."""
+    q = basis.pres.quiver
+    return all(path_mult(basis, q.arrow_path(b), gamma) is None
+               for b in q.in_arrows(gamma.source))
+
+
+def _path_right_dead(basis, gamma) -> bool:
+    """Whether gamma * b is in the ideal for every arrow b out of gamma's
+    target, by path_mult."""
+    q = basis.pres.quiver
+    return all(path_mult(basis, gamma, q.arrow_path(b)) is None
+               for b in q.out_arrows(gamma.target))
+
+
+def path_label(shares_first, shares_last, left, right, inner) -> str:
+    """The decorated label of a pair from its flags, spelled out case by
+    case: ``-(0,0)+``, ``(1,0)--``, ``+-(0,1)`` and so on."""
+    cls = f"({int(shares_first)},{int(shares_last)})"
+    sign = {True: "-", False: "+"}
+    if cls == "(0,0)":
+        return f"{sign[left]}{cls}{sign[right]}"
+    if cls == "(1,0)":
+        if not right:
+            return f"{cls}+"
+        return f"{cls}-{sign[inner]}"
+    if cls == "(0,1)":
+        if not left:
+            return f"+{cls}"
+        return f"{sign[inner]}-{cls}"
+    return cls
+
+
+def path_classify(basis, rho, gamma) -> tuple:
+    """The oracle for one pair of degree >= 1, on Paths: (shares_first,
+    shares_last, left_dead, right_dead, inner_dead, class_label, label).
+    In degree 1 a pair shares both arrows exactly when gamma is the
+    support; above it, when gamma's first (last) arrow is the support's.
+    The inner decoration strips the shared arrow and asks the dead-side
+    question one step in, where the side next to it is dead."""
+    sup = rho.support
+    if rho.degree == 1:
+        shares_first = shares_last = gamma == sup
+    else:
+        shares_first = gamma.arrows[0] == sup.arrows[0]
+        shares_last = gamma.arrows[-1] == sup.arrows[-1]
+    left = _path_left_dead(basis, gamma)
+    right = _path_right_dead(basis, gamma)
+    inner = None
+    if rho.degree >= 2 and shares_first and not shares_last and right:
+        inner = _path_right_dead(basis, gamma.strip_first())
+    if rho.degree >= 2 and shares_last and not shares_first and left:
+        inner = _path_left_dead(basis, gamma.strip_last())
+    flags = (shares_first, shares_last, left, right, inner)
+    return flags + (f"({int(shares_first)},{int(shares_last)})",
+                    path_label(*flags))
+
+
+def path_pairs(cx, n: int) -> list[tuple]:
+    """The oracle for CochainComplex.pairs(n), by enumerating every basis
+    path parallel to each support: (rho, gamma, id of gamma) followed by
+    path_classify's fields, or five flags and two labels of None in
+    degree 0."""
+    basis = cx.basis
+    parallel: dict[tuple[int, int], list] = {}
+    for g, gamma in enumerate(basis.paths):
+        parallel.setdefault((gamma.source, gamma.target), []).append(g)
+    out = []
+    for rho in cx.res.ap[n] if 0 <= n <= cx.top else ():
+        sup = rho.support
+        for g in parallel.get((sup.source, sup.target), ()):
+            gamma = basis.paths[g]
+            fields = (path_classify(basis, rho, gamma) if n
+                      else (None,) * 7)
+            out.append((rho, gamma, g) + fields)
+    return out
+
+
+def path_class_counts(cx, n: int) -> dict[str, int]:
+    """The oracle for CochainComplex.class_counts(n): every pair counted
+    under its class, its decorated label when that differs, and the
+    dead-side refinements (1,0)- and -(0,1) from its flags."""
+    counts = {k: 0 for k in COUNT_KEYS}
+    for _, _, _, _, _, left, right, _, cls, label in (path_pairs(cx, n)
+                                                      if n else ()):
+        counts[cls] += 1
+        if label != cls:
+            counts[label] += 1
+        if cls == "(1,0)" and right:
+            counts["(1,0)-"] += 1
+        if cls == "(0,1)" and left:
+            counts["-(0,1)"] += 1
+    return counts
 
 
 def basis_label(res, i: int) -> str:
