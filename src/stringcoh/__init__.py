@@ -29,7 +29,7 @@ from .presentation import (
     parse_file,
     validate,
 )
-from .quiver import CompositionError, CyclicQuiverError, Path, Quiver, compose, occurrences
+from .quiver import CompositionError, CyclicQuiverError, Path, Quiver, compose
 from .resolution import (
     ApConstructionError,
     ApElement,
@@ -63,7 +63,6 @@ __all__ = [
     "is_coboundary",
     "normalize_geq",
     "normalize_leq",
-    "occurrences",
     "parse",
     "parse_file",
     "validate",

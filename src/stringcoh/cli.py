@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 validation failure, 2 parse failure, 3 a
+Exit codes: 0 success, 1 validation failure, 2 parse or usage failure, 3 a
 computed property that the theory guarantees failed to hold (a bug
 witness, never silent).
 """
@@ -61,7 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hh", help="cohomology dimension table")
     p.add_argument("file")
-    p.add_argument("--max-degree", type=int, default=None)
+    p.add_argument("--max-degree", type=_at_least(0), default=None)
     p.add_argument("--method", choices=("formula", "matrix", "both"),
                    default="both")
     p.add_argument("--json", action="store_true")
@@ -69,7 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ap", help="list the resolution's support sets")
     p.add_argument("file")
-    p.add_argument("--max-degree", type=int, default=None)
+    p.add_argument("--max-degree", type=_at_least(0), default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_ap)
 
@@ -85,13 +85,27 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="emit a random valid presentation")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--vertices", type=int, default=8)
+    p.add_argument("--vertices", type=_at_least(2), default=8)
     p.add_argument("--arrows", type=int, default=10)
     p.add_argument("--tree", action="store_true")
     p.add_argument("--quadratic", action="store_true")
     p.set_defaults(func=cmd_gen)
 
     return parser
+
+
+def _at_least(low: int):
+    """An argparse int type with a lower bound: a smaller value is a
+    usage error that names its option, exit 2."""
+    def bounded(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {low}, got {value}")
+        return value
+
+    bounded.__name__ = "int"  # argparse's "invalid int value" message
+    return bounded
 
 
 def _load(args):

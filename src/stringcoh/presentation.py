@@ -146,7 +146,8 @@ def validate(pres: Presentation) -> ValidationReport:
     """Check the triangular-string hypotheses, one report entry per check.
 
     Failures are report entries, not exceptions.  The checks: acyclicity;
-    connectedness of the underlying graph; relation lengths >= 2;
+    connectedness of the underlying graph, which needs a vertex;
+    relation lengths >= 2;
     minimality of the generating set (no relation divides another); at
     most two arrows in and out of every vertex; and for every arrow a
     unique surviving continuation on each side modulo the ideal.
@@ -157,9 +158,12 @@ def validate(pres: Presentation) -> ValidationReport:
     acyclic = q.is_acyclic()
     report.add("acyclic", acyclic, "" if acyclic else "oriented cycle found")
 
-    connected = q.is_connected()
-    report.add("connected", connected,
-               "" if connected else "underlying graph is disconnected")
+    if q.num_vertices:
+        connected = q.is_connected()
+        report.add("connected", connected,
+                   "" if connected else "underlying graph is disconnected")
+    else:
+        report.add("connected", False, "no vertices")
 
     short = [r for r in pres.relations if len(r) < 2]
     report.add(

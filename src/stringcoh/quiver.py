@@ -84,21 +84,6 @@ def compose(p: Path, q: Path) -> Path:
     return Path(p.vertices + q.vertices[1:], p.arrows + q.arrows)
 
 
-def occurrences(w_sub: Path, w: Path) -> list[tuple[Path, Path]]:
-    """All factorizations w = L * w_sub * R, in left-to-right order.
-
-    Trivial cofactors are allowed here; division in the strict sense
-    additionally requires |L| + |R| > 0, which callers filter.  A trivial
-    w_sub occurs at every visit of w to its base vertex.
-    """
-    out = []
-    k = len(w_sub)
-    for i in range(len(w) - k + 1):
-        if w.arrows[i : i + k] == w_sub.arrows and w.vertices[i] == w_sub.source:
-            out.append((w.prefix(i), w.suffix(i + k)))
-    return out
-
-
 class Quiver:
     """A finite quiver with labelled vertices and arrows.
 

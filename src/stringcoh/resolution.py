@@ -31,6 +31,7 @@ support that one run found alone.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import wraps
@@ -514,35 +515,31 @@ class Resolution:
     def _one_sided(self, n: int) -> dict[int, tuple[int, int]]:
         """Vertex x -> (dimension, rank of d_n) of P_n (x)_A S_x, with
         basis (l, w): w in AP_n ends at x, l ends at its source.  d_0 is
-        the augmentation, of rank 1 from (e_x, e_x).  Terms of d_n with a
-        trivial right cofactor survive and keep the full path l * w, so
-        d_n is ranked per full path; psi names a row of that block."""
-        by_target: dict[int, list[ApElement]] = {}
-        for w in self.ap[n]:
-            by_target.setdefault(w.support.target, []).append(w)
+        the augmentation, of rank 1 from (e_x, e_x).  A term of d_n with a
+        trivial right cofactor sends column (l, w) to row (l L, psi) of one
+        matrix over every x, eliminated once.  Its blocks keep the full
+        path l * w, which fixes x, so each pivot counts at its column's x."""
         diff = self.differential(n) if n else {}
-        paths, mult = self.basis.paths, self.basis.mult
-        out = {}
-        for x, layer in by_target.items():
-            blocks: dict[Word, list[dict]] = {}
-            for w in layer:
-                kept = [t for t in diff.get(w.pos, ())
-                        if paths[t.right].is_trivial]
-                for l in self.basis.ending_at(w.support.source):
-                    col = {}
-                    for t in kept:
-                        if mult(l, t.left) is not None:
-                            col[t.middle] = col.get(t.middle, 0) + t.coeff
-                    blocks.setdefault(paths[l].arrows + w.support.arrows,
-                                      []).append(col)
-            rank = int(n == 0)
-            for cols in blocks.values():
-                psis = {p for c in cols for p in c}
-                rows = [[c.get(p, 0) for p in psis] for c in cols]
-                rank += (any(rows[0]) if len(rows) == 1
-                         else RationalMatrix.from_rows(rows).rank())
-            out[x] = (sum(map(len, blocks.values())), rank)
-        return out
+        ending_at, mult = self.basis.ending_at, self.basis.mult
+        trivial = self.quiver.num_vertices  # a trivial path's id is its vertex
+        targets, rows, entries = [], {}, []
+        for w in self.ap[n]:
+            ls = ending_at(w.support.source)
+            for t in diff.get(w.pos, ()):
+                if t.right < trivial:
+                    left, psi, c = t.left, t.middle, t.coeff
+                    for col, l in enumerate(ls, len(targets)):
+                        ll = mult(l, left)
+                        if ll is not None:
+                            row = rows.setdefault((ll, psi), len(rows))
+                            entries.append((row, col, c))
+            targets += [w.support.target] * len(ls)
+        mat = RationalMatrix(len(rows), len(targets))
+        for r, c, v in entries:
+            mat.add_at(r, c, v)
+        ranks = Counter(targets[c] for _, c in mat.echelon().pivots)
+        return {x: (d, ranks[x] + int(n == 0))
+                for x, d in Counter(targets).items()}
 
     def d_squared_is_zero(self) -> bool:
         """mu d_1 = 0 and d_{n-1} d_n = 0 on every generator 1 (x) w (x) 1,

@@ -13,8 +13,9 @@ import pytest
 import stringcoh
 from conftest import a_n_text, build_tower
 from stringcoh import (CertificateError, PathBasis, Quiver, Resolution,
-                       occurrences, parse, resolution)
+                       parse, resolution)
 from stringcoh.cup import chain_map_audit, cocycle_basis, is_cocycle, phi, phi_inv
+from tests_support import occurrences
 
 
 def tower():

@@ -389,6 +389,46 @@ def test_check_stops_on_invalid_presentation(tmp_path, capsys):
     assert "minimal-generators" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["validate", "hh", "ap", "cup", "check"])
+def test_presentation_without_vertices_fails_validation(tmp_path, capsys,
+                                                        command):
+    """An empty quiver is not connected: every command stops at
+    validation instead of computing on it."""
+    path = tmp_path / "empty.quiver"
+    path.write_text("# no vertices\n")
+    assert main([command, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "connected" in captured.out + captured.err
+    assert "no vertices" in captured.out + captured.err
+
+
+@pytest.mark.parametrize("argv, option, low", [
+    (["hh", "--max-degree", "-1"], "--max-degree", 0),
+    (["ap", "--max-degree", "-2"], "--max-degree", 0),
+    (["gen", "--vertices", "1"], "--vertices", 2),
+    (["gen", "--vertices", "0"], "--vertices", 2),
+])
+def test_out_of_range_options_are_usage_errors(a_file, capsys, argv, option,
+                                               low):
+    if argv[0] != "gen":
+        argv = [argv[0], a_file(2)] + argv[1:]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {option}: must be at least {low}" in err
+    assert "Traceback" not in err
+
+
+def test_smallest_allowed_options_run(a_file, capsys):
+    assert main(["hh", a_file(2), "--max-degree", "0"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "HH: 1 0"
+    assert main(["ap", a_file(2), "--max-degree", "0"]) == 0
+    assert "degree 1" not in capsys.readouterr().out
+    assert main(["gen", "--vertices", "2"]) == 0
+    assert capsys.readouterr().out.startswith("vertex 0 1\n")
+
+
 def test_check_reports_formula_lift_gap(tmp_path, capsys):
     """A presentation with a long relation and a live interior diagonal
     class makes the literal lift formula fail its audit; the check

@@ -17,7 +17,8 @@ from stringcoh.checks import Auditor
 from stringcoh.cli import main
 from stringcoh.generate import generate_dsl
 from stringcoh.linalg import RationalMatrix
-from tests_support import global_d_squared_is_zero, global_homology_dims
+from tests_support import (global_d_squared_is_zero, global_homology_dims,
+                           one_sided_by_full_path)
 
 
 def fresh(text):
@@ -25,21 +26,36 @@ def fresh(text):
     return Resolution(pres, basis_P(pres))
 
 
+def towers(corpus):
+    """generate(0..99), the 13 check-generated inputs and a_n(1..12)."""
+    out = [(f"seed {seed}", res) for seed, _, _, res, _ in corpus]
+    out += [(f"generated {s}", fresh(generate_dsl(
+        s, max_vertices=24, max_arrows=48))) for s in range(13)]
+    out += [(f"a_n({n})", fresh(a_n_text(n))) for n in range(1, 13)]
+    return out
+
+
 def test_one_sided_verdicts_match_the_oracle(corpus):
     """The same exactness and d o d = 0 verdicts as the realized bimodule
-    complex on generate(0..99), the 13 check-generated inputs and
-    a_n(1..12); all are exact, so the per-spot lists agree too."""
-    towers = [(f"seed {seed}", res) for seed, _, _, res, _ in corpus]
-    towers += [(f"generated {s}", fresh(generate_dsl(
-        s, max_vertices=24, max_arrows=48))) for s in range(13)]
-    towers += [(f"a_n({n})", fresh(a_n_text(n))) for n in range(1, 13)]
-    for name, res in towers:
+    complex on every input of towers; all are exact, so the per-spot
+    lists agree too."""
+    for name, res in towers(corpus):
         dims, oracle = res.homology_dims(), global_homology_dims(res)
         assert any(dims) == any(oracle), name
         if not any(dims):
             assert dims == oracle, name
         assert res.d_squared_is_zero() == global_d_squared_is_zero(res), name
         assert res.d_squared_is_zero(), name
+
+
+def test_one_sided_matches_the_per_full_path_ranking(corpus):
+    """The one elimination per degree gives the same per-vertex dimension
+    and rank as ranking every full path on its own, in every degree of
+    every input of towers."""
+    for name, res in towers(corpus):
+        for n in res.degrees():
+            assert res._one_sided(n) == one_sided_by_full_path(res, n), (
+                name, n)
 
 
 def zeroed_degree_two_image():
@@ -94,18 +110,18 @@ def test_sign_flip_turns_both_d_squared_checks_red(text):
 
 def test_repeated_columns_of_one_block_are_ranked(monkeypatch):
     """Every block of one full path holds a single column on the inputs
-    that occur; a block with more goes through RationalMatrix.rank.
-    Listing each degree-2 element twice doubles every block there: the
-    dimensions double and the ranks stay."""
+    that occur.  Listing each degree-2 element twice doubles every block
+    there, and the one elimination of the degree ranks the doubled
+    blocks: the dimensions double and the ranks stay."""
     res = fresh(a_n_text(4))
     expected = {x: (2 * d, r) for x, (d, r) in res._one_sided(2).items()}
     res.ap[2] = res.ap[2] + res.ap[2]
     calls = []
-    real = RationalMatrix.rank
-    monkeypatch.setattr(RationalMatrix, "rank",
+    real = RationalMatrix.echelon
+    monkeypatch.setattr(RationalMatrix, "echelon",
                         lambda self: calls.append(1) or real(self))
     assert res._one_sided(2) == expected
-    assert calls
+    assert calls == [1]
 
 
 def no_bimodule_basis(self, n):

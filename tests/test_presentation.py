@@ -3,8 +3,8 @@ import pytest
 from conftest import a_n_text
 from stringcoh import ParseError, basis_P, parse, validate
 from stringcoh.generate import generate
-from stringcoh.quiver import compose, occurrences
-from tests_support import enumerate_paths, scan_non_minimal_pairs
+from stringcoh.quiver import compose
+from tests_support import enumerate_paths, occurrences, scan_non_minimal_pairs
 
 
 def test_parse_two_parallel_arrows():

@@ -7,9 +7,8 @@ from stringcoh.quiver import (
     Path,
     Quiver,
     compose,
-    occurrences,
 )
-from tests_support import divides, enumerate_paths
+from tests_support import divides, enumerate_paths, occurrences
 
 
 def two_lane(n):

@@ -14,7 +14,7 @@ from stringcoh.cup import (
 )
 from stringcoh.hochschild import COUNT_KEYS
 from stringcoh.linalg import CertificateError, RationalMatrix
-from stringcoh.quiver import CyclicQuiverError, compose, occurrences
+from stringcoh.quiver import CyclicQuiverError, Path, compose
 from stringcoh.resolution import BimoduleTerm, apply_map
 
 
@@ -284,6 +284,21 @@ def basis_label(res, i: int) -> str:
 def middle_label(res, n: int, term) -> str:
     """The label of the support of a term's middle, an element of AP_n."""
     return res.pres.format_path(res.ap[n][term.middle].support)
+
+
+def occurrences(w_sub: Path, w: Path) -> list[tuple[Path, Path]]:
+    """All factorizations w = L * w_sub * R, in left-to-right order.
+
+    Trivial cofactors are allowed here; division in the strict sense
+    additionally requires |L| + |R| > 0, which callers filter.  A trivial
+    w_sub occurs at every visit of w to its base vertex.
+    """
+    out = []
+    k = len(w_sub)
+    for i in range(len(w) - k + 1):
+        if w.arrows[i : i + k] == w_sub.arrows and w.vertices[i] == w_sub.source:
+            out.append((w.prefix(i), w.suffix(i + k)))
+    return out
 
 
 def divides(w_sub, w) -> bool:
@@ -619,6 +634,39 @@ def global_d_squared_is_zero(res) -> bool:
         if not (res.d_matrix(n - 1) @ res.d_matrix(n)).is_zero():
             return False
     return len(res.ap) < 2 or (res.mu_matrix() @ res.d_matrix(1)).is_zero()
+
+
+def one_sided_by_full_path(res, n: int) -> dict[int, tuple[int, int]]:
+    """Resolution._one_sided(n) ranked per vertex x and per full path:
+    vertex x -> (dimension, rank of d_n) of P_n (x)_A S_x.  Terms of d_n
+    with a trivial right cofactor keep the full path l * w, so each block
+    of one full path is ranked on its own, a row per (l, w) and a column
+    per psi; d_0 is the augmentation, of rank 1."""
+    by_target: dict = {}
+    for w in res.ap[n]:
+        by_target.setdefault(w.support.target, []).append(w)
+    diff = res.differential(n) if n else {}
+    paths, mult = res.basis.paths, res.basis.mult
+    out = {}
+    for x, layer in by_target.items():
+        blocks: dict = {}
+        for w in layer:
+            kept = [t for t in diff.get(w.pos, ())
+                    if paths[t.right].is_trivial]
+            for l in res.basis.ending_at(w.support.source):
+                col = {}
+                for t in kept:
+                    if mult(l, t.left) is not None:
+                        col[t.middle] = col.get(t.middle, 0) + t.coeff
+                blocks.setdefault(paths[l].arrows + w.support.arrows,
+                                  []).append(col)
+        rank = int(n == 0)
+        for cols in blocks.values():
+            psis = {p for c in cols for p in c}
+            rank += RationalMatrix.from_rows(
+                [[c.get(p, 0) for p in psis] for c in cols]).rank()
+        out[x] = (sum(map(len, blocks.values())), rank)
+    return out
 
 
 def comparison_matrix(cx, f, n: int, terms) -> RationalMatrix:
