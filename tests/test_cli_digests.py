@@ -3,7 +3,9 @@ inputs, pinned by one SHA-256 per (command, input).  Each digest covers
 the exit code, stderr and stdout of one ``main`` call, with the value of
 ``elapsed_ms`` blanked.  A change that
 should not move any output, such as a faster route to the same tables,
-keeps every digest.
+keeps every digest.  The text of every generated input is pinned too,
+under ``text <input>``, so a generator change shows as moved text digests
+rather than only as moved outputs.
 
 To record the digests of the current code (only when an output change
 is intended, and say so where the change is described)::
@@ -66,8 +68,15 @@ def run(argv: tuple, path: str) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
+def text_digests() -> dict[str, str]:
+    """``text <input>`` -> the SHA-256 of each generated input's text."""
+    return {f"text {name}": hashlib.sha256(text.encode()).hexdigest()
+            for texts in (inputs(), large_inputs())
+            for name, text in texts.items() if name.startswith("generate")}
+
+
 def digests() -> dict[str, str]:
-    out = {}
+    out = text_digests()
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "input.quiver")
         for texts, runs in ((inputs(), RUNS), (large_inputs(), LARGE_RUNS)):
@@ -79,13 +88,29 @@ def digests() -> dict[str, str]:
     return out
 
 
-def test_cli_output_matches_recorded_digests():
+def _recorded(texts: bool) -> dict[str, str]:
+    """The recorded text digests, or the recorded output digests."""
     with open(DIGESTS, encoding="utf-8") as fh:
-        want = json.load(fh)
-    got = digests()
+        return {key: value for key, value in json.load(fh).items()
+                if key.startswith("text ") == texts}
+
+
+def test_cli_output_matches_recorded_digests():
+    want = _recorded(texts=False)
+    got = {key: value for key, value in digests().items()
+           if not key.startswith("text ")}
     assert got.keys() == want.keys()
     moved = [key for key in want if got[key] != want[key]]
     assert not moved, f"{len(moved)} outputs changed, first: {moved[:5]}"
+
+
+def test_generated_inputs_match_recorded_digests():
+    want = _recorded(texts=True)
+    got = text_digests()
+    assert len(got) == CORPUS_SIZE + 13 + 2
+    assert got.keys() == want.keys()
+    moved = [key for key in want if got[key] != want[key]]
+    assert not moved, f"{len(moved)} inputs changed, first: {moved[:5]}"
 
 
 if __name__ == "__main__":
