@@ -34,7 +34,6 @@ from .resolution import (
     ApConstructionError,
     ApElement,
     Resolution,
-    ap_sets,
 )
 
 __all__ = [
@@ -54,7 +53,6 @@ __all__ = [
     "RationalMatrix",
     "Resolution",
     "ValidationReport",
-    "ap_sets",
     "basis_P",
     "chain_map_audit",
     "compose",

@@ -7,7 +7,6 @@ short witness description.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .cup import (
@@ -18,17 +17,10 @@ from .cup import (
     normalize_geq,
     normalize_leq,
 )
-from .hochschild import CochainComplex
+from .hochschild import CheckResult, CochainComplex
 from .linalg import RationalMatrix
 from .presentation import Presentation, ValidationReport, basis_P, validate
 from .resolution import Resolution
-
-
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
 
 
 class Auditor:
@@ -141,46 +133,45 @@ class Auditor:
         """Shared arrows strip off: a shared-first-arrow pair loses its
         first arrow to a lower-degree pair sharing neither end, and
         likewise on the right and on both sides at once."""
+        words = self.basis.words
         witnesses = []
         for n in range(2, self.res.top + 1):
             for p in self.cx.pairs(n):
+                rho, gamma = p.rho.support.arrows, words[p.gamma_id]
                 if p.class_label == "(1,0)":
-                    rho2 = p.rho.support.strip_first()
-                    gam2 = p.gamma.strip_first()
-                    ok = self._is_00_pair(n - 1, rho2, gam2)
+                    ok = self._is_00_pair(n - 1, rho[1:], gamma[1:])
                 elif p.class_label == "(0,1)":
-                    rho2 = p.rho.support.strip_last()
-                    gam2 = p.gamma.strip_last()
-                    ok = self._is_00_pair(n - 1, rho2, gam2)
+                    ok = self._is_00_pair(n - 1, rho[:-1], gamma[:-1])
                 elif p.class_label == "(1,1)" and n >= 3:
-                    rho2 = p.rho.support.strip_first().strip_last()
-                    gam2 = p.gamma.strip_first().strip_last()
-                    ok = self._is_00_pair(n - 2, rho2, gam2)
+                    ok = self._is_00_pair(n - 2, rho[1:-1], gamma[1:-1])
                 else:
                     continue
                 if not ok:
                     witnesses.append(f"degree {n} {p.label} does not strip")
         return _verdict("strip-to-lower-degree", witnesses)
 
-    def _is_00_pair(self, degree, rho_support, gamma) -> bool:
-        if (rho_support.arrows not in self.res.positions(degree)
-                or gamma not in self.basis):
+    def _is_00_pair(self, degree, rho, gamma) -> bool:
+        """Whether the arrow words rho and gamma are a support of this
+        degree and a parallel nontrivial basis path sharing neither end
+        arrow with it (in degree 1, differing from it)."""
+        if (rho not in self.res.positions(degree)
+                or gamma not in self.basis.word_index):
             return False
-        if (gamma.source, gamma.target) != (rho_support.source, rho_support.target):
+        q = self.pres.quiver
+        if (q.arrow_source[gamma[0]] != q.arrow_source[rho[0]]
+                or q.arrow_target[gamma[-1]] != q.arrow_target[rho[-1]]):
             return False
         if degree == 1:
-            return gamma != rho_support
-        if gamma.is_trivial:
-            return False
-        return (gamma.arrows[0] != rho_support.arrows[0]
-                and gamma.arrows[-1] != rho_support.arrows[-1])
+            return gamma != rho
+        return gamma[0] != rho[0] and gamma[-1] != rho[-1]
 
     def check_shared_arrow_bound(self) -> CheckResult:
         """Parallel pairs share at most one leading and one trailing arrow."""
+        words = self.basis.words
         witnesses = []
         for n in range(1, self.res.top + 1):
             for p in self.cx.pairs(n):
-                a, b = p.rho.support.arrows, p.gamma.arrows
+                a, b = p.rho.support.arrows, words[p.gamma_id]
                 pref = _common_prefix(a, b)
                 suf = _common_prefix(a[::-1], b[::-1])
                 limit = len(a) if a == b else 1

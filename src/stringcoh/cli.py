@@ -86,7 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="emit a random valid presentation")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--vertices", type=_at_least(2), default=8)
-    p.add_argument("--arrows", type=int, default=10)
+    p.add_argument("--arrows", type=_at_least(1), default=10)
     p.add_argument("--tree", action="store_true")
     p.add_argument("--quadratic", action="store_true")
     p.set_defaults(func=cmd_gen)

@@ -34,8 +34,7 @@ from fractions import Fraction
 
 from .hochschild import CochainComplex, ParallelPair, require_lift_degree
 from .linalg import CertificateError, RationalMatrix
-from .quiver import Path, compose
-from .resolution import ApElement, BimoduleTerm, apply_map, augment, memo
+from .resolution import ApElement, BimoduleTerm, Word, apply_map, augment, memo
 
 
 @dataclass
@@ -349,38 +348,34 @@ def _evaluate(cx: CochainComplex, g: Cochain, m: int, lift: dict) -> Cochain:
 
 # -- normalization ---------------------------------------------------------
 
-def _unique_surviving_successor(cx: CochainComplex, gamma: Path) -> Path:
-    q, index = cx.quiver, cx.basis.index
-    assert not gamma.is_trivial
-    g = index[gamma]
-    cands = [
-        q.arrow_path(b) for b in q.out_arrows(gamma.target)
-        if cx.basis.mult(g, index[q.arrow_path(b)]) is not None
-    ]
+def _unique_surviving_successor(cx: CochainComplex, gamma: Word) -> int:
+    """The one arrow b with gamma * b in the basis, for the word of a
+    nontrivial basis path."""
+    q, words = cx.quiver, cx.basis.word_index
+    cands = [b for b in q.out_arrows(q.arrow_target[gamma[-1]])
+             if gamma + (b,) in words]
     if len(cands) != 1:
         raise CertificateError("surviving continuation is not unique")
     return cands[0]
 
 
-def _unique_surviving_predecessor(cx: CochainComplex, gamma: Path) -> Path:
-    q, index = cx.quiver, cx.basis.index
-    assert not gamma.is_trivial
-    g = index[gamma]
-    cands = [
-        q.arrow_path(b) for b in q.in_arrows(gamma.source)
-        if cx.basis.mult(index[q.arrow_path(b)], g) is not None
-    ]
+def _unique_surviving_predecessor(cx: CochainComplex, gamma: Word) -> int:
+    """The one arrow b with b * gamma in the basis, for the word of a
+    nontrivial basis path."""
+    q, words = cx.quiver, cx.basis.word_index
+    cands = [b for b in q.in_arrows(q.arrow_source[gamma[0]])
+             if (b,) + gamma in words]
     if len(cands) != 1:
         raise CertificateError("surviving predecessor is not unique")
     return cands[0]
 
 
-def _pair_at(cx: CochainComplex, degree: int, support: Path, gamma: Path,
+def _pair_at(cx: CochainComplex, degree: int, support: Word, gamma: Word,
              want_label: str) -> tuple[int, ParallelPair]:
-    pos = cx.res.positions(degree).get(support.arrows)
+    pos = cx.res.positions(degree).get(support)
     if pos is None:
         raise CertificateError("rewritten support left the computed AP sets")
-    idx = cx.pair_index(degree)[(pos, cx.basis.index[gamma])]
+    idx = cx.pair_index(degree)[(pos, cx.basis.word_index[gamma])]
     pair = cx.pairs(degree)[idx]
     if pair.label != want_label:
         raise CertificateError(
@@ -399,11 +394,11 @@ def phi(cx: CochainComplex, pair: ParallelPair) -> tuple[int, ParallelPair]:
     surviving continuation of gamma or, for (1,0)-+, where gamma's own
     continuation dies, of gamma without its first arrow."""
     target = _SLIDES[pair.label]
-    stripped = pair.gamma.strip_first()
+    gamma = cx.basis.words[pair.gamma_id]
     beta = _unique_surviving_successor(
-        cx, pair.gamma if pair.label == "(1,0)+" else stripped)
-    sup = compose(pair.rho.support.strip_first(), beta)
-    return _pair_at(cx, pair.degree, sup, compose(stripped, beta), target)
+        cx, gamma if pair.label == "(1,0)+" else gamma[1:])
+    return _pair_at(cx, pair.degree, pair.rho.support.arrows[1:] + (beta,),
+                    gamma[1:] + (beta,), target)
 
 
 def phi_inv(cx: CochainComplex, pair: ParallelPair) -> tuple[int, ParallelPair]:
@@ -412,11 +407,11 @@ def phi_inv(cx: CochainComplex, pair: ParallelPair) -> tuple[int, ParallelPair]:
     predecessor of gamma or, for +-(0,1), of gamma without its last
     arrow."""
     target = _SLIDES_BACK[pair.label]
-    stripped = pair.gamma.strip_last()
+    gamma = cx.basis.words[pair.gamma_id]
     alpha = _unique_surviving_predecessor(
-        cx, pair.gamma if pair.label == "+(0,1)" else stripped)
-    sup = compose(alpha, pair.rho.support.strip_last())
-    return _pair_at(cx, pair.degree, sup, compose(alpha, stripped), target)
+        cx, gamma if pair.label == "+(0,1)" else gamma[:-1])
+    return _pair_at(cx, pair.degree, (alpha,) + pair.rho.support.arrows[:-1],
+                    (alpha,) + gamma[:-1], target)
 
 
 def _normalize(cx: CochainComplex, f: Cochain, keep_classes, dead: str,

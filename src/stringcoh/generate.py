@@ -35,7 +35,8 @@ def generate(seed: int, **kwargs) -> Presentation:
 
 
 def _try_generate(rng, max_vertices, max_arrows, tree, quadratic):
-    nv = rng.randint(2, max_vertices)
+    # a spanning tree of nv vertices has nv - 1 arrows
+    nv = rng.randint(2, min(max_vertices, max_arrows + 1))
     out_deg = [0] * nv
     in_deg = [0] * nv
     edges: list[tuple[int, int]] = []

@@ -36,22 +36,21 @@ from typing import NamedTuple
 
 from .linalg import CertificateError, Echelon, RationalMatrix
 from .presentation import PathBasis
-from .quiver import Path
 from .resolution import ApElement, Resolution, memo
 
 
 class ParallelPair(NamedTuple):
     """A cochain basis element: a support together with a parallel basis
-    path, classified once, when CochainComplex.pairs builds its degree.
+    path gamma, named by its id in the basis, classified once, when
+    CochainComplex.pairs builds its degree.
 
-    gamma_id is gamma's id in the basis.  The flags and both labels are
-    None in degree 0, where the partition is not defined (the only pairs
-    are (e_x, e_x)); from degree 1 on, the labels are _LABELS of the five
-    flags, e.g. ``-(0,0)+`` or ``(1,0)--`` or ``+-(0,1)``.
+    The flags and both labels are None in degree 0, where the partition
+    is not defined (the only pairs are (e_x, e_x)); from degree 1 on, the
+    labels are _LABELS of the five flags, e.g. ``-(0,0)+`` or ``(1,0)--``
+    or ``+-(0,1)``.
     """
 
     rho: ApElement
-    gamma: Path
     gamma_id: int
     shares_first: bool | None = None
     shares_last: bool | None = None
@@ -183,7 +182,10 @@ class HHTable:
 
 
 @dataclass
-class AuditCheck:
+class CheckResult:
+    """One named pass/fail verdict with a witness description: an entry
+    of a KerImAudit, and the result of each check of checks.Auditor."""
+
     name: str
     passed: bool
     detail: str = ""
@@ -192,10 +194,10 @@ class AuditCheck:
 @dataclass
 class KerImAudit:
     degree: int
-    checks: list[AuditCheck] = field(default_factory=list)
+    checks: list[CheckResult] = field(default_factory=list)
 
     def add(self, name, passed, detail=""):
-        self.checks.append(AuditCheck(name, passed, detail))
+        self.checks.append(CheckResult(name, passed, detail))
 
     @property
     def passed(self) -> bool:
@@ -232,7 +234,7 @@ class CochainComplex:
         if not 0 <= n <= self.top:
             return []
         basis = self.basis
-        paths, between = basis.paths, basis.between
+        between = basis.between
         out: list[ParallelPair] = []
         if n == 0:
             for elem in self.res.ap[0]:
@@ -240,7 +242,7 @@ class CochainComplex:
                 if between(x, x) != [x]:
                     raise CertificateError(
                         "a nontrivial basis path is parallel to a vertex")
-                out.append(ParallelPair(elem, paths[x], x))
+                out.append(ParallelPair(elem, x))
             return out
         kinds = _pair_kinds(basis)
         nv = self.quiver.num_vertices
@@ -255,7 +257,7 @@ class CochainComplex:
                     "a trivial path is parallel to a cycle-free support")
             for g in ids:
                 first, final, kind = kinds[g]
-                out.append(new(ParallelPair, (elem, paths[g], g)
+                out.append(new(ParallelPair, (elem, g)
                                + kind[2 * (first == head) + (final == last)]))
         return out
 

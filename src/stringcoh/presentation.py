@@ -226,58 +226,64 @@ def non_minimal_pairs(pres: Presentation) -> list[tuple[int, int]]:
 
 _UNSET = object()
 
+Word = tuple[int, ...]
+
 
 class PathBasis:
     """The ideal-free paths, in canonical order: the monomial basis of A.
 
     A path lies in the basis iff no relation divides it, so membership in
-    the relation ideal is exactly absence from this set.  A basis path's
-    id is its position in ``paths`` (``index`` maps back); the trivial
-    path at vertex v comes first, with id v.  A nontrivial path is fixed
-    by its arrow word, and ``word_index`` maps the word of each
-    nontrivial basis path to its id.  Products are taken on ids
-    (``mult``), through one table that fills on first use: building the
-    basis computes no product.
+    the relation ideal is exactly absence from this set.  A basis path is
+    named by its id: the trivial path at vertex v has id v, and the
+    nontrivial ones follow by length and then arrow word.  Per id the
+    basis keeps the arrow word (``words``, empty for a vertex) and the
+    end vertices (``sources``, ``targets``); ``word_index`` maps the word
+    of each nontrivial basis path back to its id.  Products are taken on
+    ids (``mult``), through one table that fills on first use: building
+    the basis computes no product.
     """
 
     def __init__(self, pres: Presentation):
         q = pres.quiver
-        ending_with: dict[int, list[Path]] = {}
+        ending_with: dict[int, list[Word]] = {}
         for r in pres.relations:
-            ending_with.setdefault(r.arrows[-1], []).append(r)
-        paths: list[Path] = []
-        frontier = [q.trivial_path(v) for v in range(q.num_vertices)]
+            ending_with.setdefault(r.arrows[-1], []).append(r.arrows)
+        words: list[Word] = []
+        sources: list[int] = []
+        targets: list[int] = []
+        frontier = [((), v, v) for v in range(q.num_vertices)]
         while frontier:
-            paths.extend(frontier)
             nxt = []
-            for p in frontier:
-                for a in q.out_arrows(p.target):
-                    ext = compose(p, q.arrow_path(a))
-                    # p is already ideal-free, so only a relation ending at
-                    # the new last arrow can kill the extension.
-                    if not _dies_at_end(ext, ending_with.get(a, ())):
-                        nxt.append(ext)
-            nxt.sort(key=lambda p: p.sort_key)
+            for word, s, t in frontier:
+                words.append(word)
+                sources.append(s)
+                targets.append(t)
+                for a in q.out_arrows(t):
+                    ext = word + (a,)
+                    # word is already ideal-free, so only a relation ending
+                    # at the new last arrow can kill the extension.
+                    if not any(ext[-len(r):] == r
+                               for r in ending_with.get(a, ())):
+                        nxt.append((ext, s, q.arrow_target[a]))
+            nxt.sort()  # one length, and a nonempty word fixes its source
             frontier = nxt
         self.pres = pres
-        self.paths = tuple(paths)
-        self.index = {p: i for i, p in enumerate(paths)}
-        self.word_index = {p.arrows: i for i, p in enumerate(paths) if p.arrows}
+        self.words = tuple(words)
+        self.sources = tuple(sources)
+        self.targets = tuple(targets)
+        self.word_index = {w: i for i, w in enumerate(words) if w}
         self._products: dict[tuple[int, int], int | None] = {}
         self._by_endpoints: dict[tuple[int, int], list[int]] = {}
         self._ending_at: dict[int, list[int]] = {}
         self._starting_at: dict[int, list[int]] = {}
-        for i, p in enumerate(paths):
-            self._by_endpoints.setdefault((p.source, p.target), []).append(i)
-            self._ending_at.setdefault(p.target, []).append(i)
-            self._starting_at.setdefault(p.source, []).append(i)
+        for i, (s, t) in enumerate(zip(sources, targets)):
+            self._by_endpoints.setdefault((s, t), []).append(i)
+            self._ending_at.setdefault(t, []).append(i)
+            self._starting_at.setdefault(s, []).append(i)
 
     @property
     def dim(self) -> int:
-        return len(self.paths)
-
-    def __contains__(self, p: Path) -> bool:
-        return p in self.index
+        return len(self.words)
 
     def between(self, s: int, t: int) -> list[int]:
         """Ids of the basis paths from s to t, in basis order."""
@@ -297,31 +303,21 @@ class PathBasis:
         key = (i, j)
         prod = self._products.get(key, _UNSET)
         if prod is _UNSET:
-            p, q = self.paths[i], self.paths[j]
-            if p.target != q.source:
+            left, right = self.words[i], self.words[j]
+            if self.targets[i] != self.sources[j]:
                 prod = None
-            elif not q.arrows:
+            elif not right:
                 prod = i
-            elif not p.arrows:
+            elif not left:
                 prod = j
             else:
-                prod = self.word_index.get(p.arrows + q.arrows)
+                prod = self.word_index.get(left + right)
             self._products[key] = prod
         return prod
 
     def mult3(self, i: int, j: int, k: int) -> int | None:
         ij = self.mult(i, j)
         return None if ij is None else self.mult(ij, k)
-
-
-def _dies_at_end(w: Path, relations) -> bool:
-    """True iff some relation is a suffix of w (w's proper prefixes are free)."""
-    n = len(w)
-    for r in relations:
-        k = len(r)
-        if k <= n and w.arrows[n - k :] == r.arrows:
-            return True
-    return False
 
 
 def basis_P(pres: Presentation) -> PathBasis:

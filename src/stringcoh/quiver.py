@@ -61,14 +61,6 @@ class Path:
     def suffix(self, i: int) -> "Path":
         return self.subpath(i, len(self.arrows))
 
-    def strip_first(self) -> "Path":
-        assert self.arrows
-        return self.suffix(1)
-
-    def strip_last(self) -> "Path":
-        assert self.arrows
-        return self.prefix(len(self.arrows) - 1)
-
     @property
     def sort_key(self):
         """Canonical order: by length, then arrow ids, then base vertex."""

@@ -38,7 +38,7 @@ from functools import wraps
 from itertools import zip_longest
 
 from .linalg import CertificateError, RationalMatrix
-from .presentation import PathBasis, Presentation, non_minimal_pairs
+from .presentation import PathBasis, Presentation, Word, non_minimal_pairs
 from .quiver import Path
 
 
@@ -163,9 +163,6 @@ class ApConstructionError(ValueError):
         super().__init__(f"{reason} (support {label})")
         self.support = support
         self.witnesses = witnesses or []
-
-
-Word = tuple[int, ...]
 
 
 def _greedy_chains(relations: list[Word], cap: int) -> list[list[tuple[Word, Word]]]:
@@ -436,13 +433,14 @@ class Resolution:
         a cofactor in the ideal gives a zero term, which is left out.
         """
         assert n >= 1
-        index = self.basis.index
+        words = self.basis.word_index
         out: dict[int, list[BimoduleTerm]] = {}
         if n < len(self.ap):
             for w in self.ap[n]:
                 if n == 1:
                     # e_x is basis path x and element x of AP_0
-                    a, x, y = index[w.support], w.support.source, w.support.target
+                    x, y = w.support.source, w.support.target
+                    a = words[w.support.arrows]
                     out[w.pos] = [BimoduleTerm(1, a, y, y),
                                   BimoduleTerm(-1, x, x, a)]
                     continue
@@ -593,13 +591,6 @@ def augment(basis: PathBasis, terms) -> dict:
         else:
             del out[p]
     return out
-
-
-def ap_sets(pres: Presentation, max_degree: int | None = None):
-    """Per-degree support sets of the resolution, left-greedy construction."""
-    from .presentation import basis_P
-
-    return Resolution(pres, basis_P(pres), max_degree).ap
 
 
 def _require_two_flush(subs: list[SubDivisor], length: int) -> list[SubDivisor]:

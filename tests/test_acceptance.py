@@ -15,6 +15,7 @@ from stringcoh.cup import (
     normalize_geq,
     normalize_leq,
 )
+from tests_support import basis_path
 
 
 def padded(dims, length):
@@ -167,7 +168,8 @@ def test_criterion_9_partition_sanity(corpus):
             total = sum(counts[k] for k in ("(0,0)", "(1,0)", "(0,1)", "(1,1)"))
             assert total == len(pairs), f"seed {seed} degree {n}"
             for p in pairs:
-                a, b = p.rho.support.arrows, p.gamma.arrows
+                a = p.rho.support.arrows
+                b = basis_path(cx.basis, p.gamma_id).arrows
                 if a == b:
                     continue
                 shared_front = len(a) > 0 and len(b) > 0 and a[0] == b[0]

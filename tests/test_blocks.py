@@ -12,13 +12,13 @@ from stringcoh.cli import main
 from stringcoh.cup import cohomology_basis
 from stringcoh.generate import generate_dsl
 from stringcoh.linalg import RationalMatrix
-from tests_support import connected_blocks
+from tests_support import basis_path, connected_blocks
 
 
-def weight(pair) -> frozenset:
+def weight(cx, pair) -> frozenset:
     """The arrow weight arrows(gamma) - arrows(rho) of a pair, as a signed
     multiset."""
-    w = Counter(pair.gamma.arrows)
+    w = Counter(basis_path(cx.basis, pair.gamma_id).arrows)
     w.subtract(pair.rho.support.arrows)
     return frozenset((a, k) for a, k in w.items() if k)
 
@@ -26,8 +26,8 @@ def weight(pair) -> frozenset:
 def assert_graded(cx: CochainComplex):
     for n in range(1, cx.top + 1):
         mat = cx.matrix(n)
-        rows = [weight(p) for p in cx.pairs(n)]
-        cols = [weight(p) for p in cx.pairs(n - 1)]
+        rows = [weight(cx, p) for p in cx.pairs(n)]
+        cols = [weight(cx, p) for p in cx.pairs(n - 1)]
         entries = [{} for _ in range(mat.rows)]
         for i, j, v in mat.items():
             assert rows[i] == cols[j], (n, i, j)

@@ -140,7 +140,7 @@ def rewritten_pair_with_wrong_label():
     _, _, cx = tower()
     pair = pair_labelled(cx, "(1,0)+")
     index = cx.pair_index(2)
-    here = index[(pair.rho.pos, cx.basis.index[pair.gamma])]
+    here = index[(pair.rho.pos, pair.gamma_id)]
     index.update((key, here) for key in index)
     phi(cx, pair)
 

@@ -407,6 +407,7 @@ def test_presentation_without_vertices_fails_validation(tmp_path, capsys,
     (["ap", "--max-degree", "-2"], "--max-degree", 0),
     (["gen", "--vertices", "1"], "--vertices", 2),
     (["gen", "--vertices", "0"], "--vertices", 2),
+    (["gen", "--arrows", "0"], "--arrows", 1),
 ])
 def test_out_of_range_options_are_usage_errors(a_file, capsys, argv, option,
                                                low):

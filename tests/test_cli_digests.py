@@ -76,7 +76,7 @@ def text_digests() -> dict[str, str]:
 
 
 def digests() -> dict[str, str]:
-    out = text_digests()
+    out = {}
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "input.quiver")
         for texts, runs in ((inputs(), RUNS), (large_inputs(), LARGE_RUNS)):
@@ -97,8 +97,7 @@ def _recorded(texts: bool) -> dict[str, str]:
 
 def test_cli_output_matches_recorded_digests():
     want = _recorded(texts=False)
-    got = {key: value for key, value in digests().items()
-           if not key.startswith("text ")}
+    got = digests()
     assert got.keys() == want.keys()
     moved = [key for key in want if got[key] != want[key]]
     assert not moved, f"{len(moved)} outputs changed, first: {moved[:5]}"
@@ -117,5 +116,5 @@ if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit(__doc__)
     with open(DIGESTS, "w", encoding="utf-8") as fh:
-        json.dump(digests(), fh, indent=0, sort_keys=True)
+        json.dump(text_digests() | digests(), fh, indent=0, sort_keys=True)
         fh.write("\n")

@@ -1,21 +1,26 @@
 """Resolution.occurrences_in, the AP divisor index behind sub and
 splittings, against a scan of the whole AP layer."""
 
+from importlib import import_module
 from unittest import mock
 
 import pytest
 
 from conftest import a_n_text, build_tower
-from stringcoh import parse
+from stringcoh import basis_P, parse
+from stringcoh.checks import Auditor
 from stringcoh.generate import generate, generate_dsl
 from stringcoh.quiver import Path
-from tests_support import path_splittings, scan_occurrences
+from tests_support import basis_paths, path_splittings, scan_occurrences
+
+# the package exports the function cup, which shadows the module
+cup = import_module("stringcoh.cup")
 
 
 def targets(res):
     """Every AP support of every degree and every basis path."""
     out = {e.support for layer in res.ap for e in layer}
-    out.update(res.basis.paths)
+    out.update(basis_paths(res.basis))
     return sorted(out, key=lambda p: p.sort_key)
 
 
@@ -45,7 +50,7 @@ def test_index_matches_scan_on_lanes(n):
 
 def test_trivial_support_occurs_at_every_visit():
     _, res, _ = build_tower(parse(a_n_text(4)))
-    t = max(res.basis.paths, key=len)
+    t = max(basis_paths(res.basis), key=len)
     hits = res.occurrences_in(0, t.arrows, t.source)
     assert len(hits) == len(t) + 1
     for i, (pos, start, end) in enumerate(hits):
@@ -102,3 +107,37 @@ def test_divisor_route_builds_no_path(text):
             cx.matrix(k)
     assert made.call_count == 1
     assert top >= 4
+
+
+@pytest.mark.parametrize(
+    "text, slides",
+    [(a_n_text(6), True),
+     (generate_dsl(0, max_vertices=24, max_arrows=48), False)],
+    ids=["a_n(6)", "generate_dsl(0, 24, 48)"])
+def test_basis_and_slide_routes_build_no_path(text, slides):
+    """Building the basis, the pairs of every degree, both normalizations
+    of every basis cocycle and the strip and shared-arrow checks
+    constructs no Path: a basis path is named by its id and read as an
+    arrow word.  On a_n(6) the normalizations slide pairs through phi and
+    phi_inv; generate_dsl(0, 24, 48) has no pair to slide."""
+    pres = parse(text)
+    auditor = Auditor(pres)
+    cx = auditor.cx
+    with mock.patch.object(Path, "__post_init__", autospec=True,
+                           side_effect=Path.__post_init__) as made, \
+            mock.patch.object(cup, "phi", wraps=cup.phi) as phi, \
+            mock.patch.object(cup, "phi_inv", wraps=cup.phi_inv) as phi_inv:
+        pres.quiver.trivial_path(0)
+        assert made.call_count == 1  # the counter sees a Path being made
+        basis_P(pres)
+        for n in range(cx.top + 2):
+            cx.pairs(n)
+        for m in range(1, cx.top + 1):
+            for f in cup.cocycle_basis(cx, m):
+                cup.normalize_leq(cx, f)
+                cup.normalize_geq(cx, f)
+        assert auditor.check_strip().passed
+        assert auditor.check_shared_arrow_bound().passed
+    assert made.call_count == 1
+    assert (phi.call_count > 0 and phi_inv.call_count > 0) == slides
+    assert cx.top >= 4

@@ -14,10 +14,12 @@ def test_output_parses_and_validates():
 
 
 def test_size_bounds():
-    for seed in range(30):
-        pres = generate(seed, max_vertices=8, max_arrows=10)
-        assert 2 <= pres.quiver.num_vertices <= 8
-        assert pres.quiver.num_arrows <= 10
+    for max_vertices, max_arrows in ((8, 10), (8, 3)):
+        for seed in range(30):
+            pres = generate(seed, max_vertices=max_vertices,
+                            max_arrows=max_arrows)
+            assert 2 <= pres.quiver.num_vertices <= max_vertices
+            assert pres.quiver.num_arrows <= max_arrows
 
 
 def test_tree_mode():

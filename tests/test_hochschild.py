@@ -6,7 +6,7 @@ from conftest import a_n_text, build_tower
 from stringcoh import CochainComplex, Resolution, basis_P, parse
 from stringcoh.cli import main
 from stringcoh.generate import generate
-from tests_support import path_class_counts, path_pairs
+from tests_support import basis_id, basis_path, path_class_counts, path_pairs
 
 
 def tower(text):
@@ -19,23 +19,25 @@ def tower(text):
 def pair_labels(cx, n):
     return {
         (cx.res.pres.format_path(p.rho.support),
-         cx.res.pres.format_path(p.gamma)): p.label
+         cx.res.pres.format_path(basis_path(cx.basis, p.gamma_id))): p.label
         for p in cx.pairs(n)
     }
 
 
 def test_pairs_two_parallel_arrows_degree_one(a_n):
     pres, basis, res, cx = a_n[1]
-    got = {(pres.format_path(p.rho.support), pres.format_path(p.gamma))
+    got = {(pres.format_path(p.rho.support),
+            pres.format_path(basis_path(basis, p.gamma_id)))
            for p in cx.pairs(1)}
     assert got == {("a1", "a1"), ("a1", "b1"), ("b1", "a1"), ("b1", "b1")}
 
 
 def test_pairs_degree_zero_is_diagonal(corpus):
-    for _, pres, _, _, cx in corpus[:20]:
+    for _, pres, basis, _, cx in corpus[:20]:
         pairs = cx.pairs(0)
         assert len(pairs) == pres.quiver.num_vertices
-        assert all(p.gamma == p.rho.support for p in pairs)
+        assert all(basis_path(basis, p.gamma_id) == p.rho.support
+                   for p in pairs)
 
 
 def test_degree_zero_pairs_are_unclassified(a_n):
@@ -80,7 +82,8 @@ def test_pairs_match_the_path_oracle(corpus):
     for cx in towers:
         for n in range(cx.top + 2):
             want = path_pairs(cx, n)
-            assert [(p.rho, p.gamma, p.gamma_id, p.shares_first,
+            assert [(p.rho, basis_path(cx.basis, p.gamma_id), p.gamma_id,
+                     p.shares_first,
                      p.shares_last, p.left_dead, p.right_dead, p.inner_dead,
                      p.class_label, p.label) for p in cx.pairs(n)] == want, n
             assert cx.pair_keys(n) == [(w[0].pos, w[2]) for w in want], n
@@ -123,14 +126,14 @@ def test_matrix_single_entry_column(a_n):
     pres, basis, res, cx = a_n[3]
     m = cx.matrix(2)
     a1, b1 = pres.quiver.arrow_path(0), pres.quiver.arrow_path(1)
-    col = cx.pair_index(1)[(res.positions(1)[a1.arrows], basis.index[b1])]
+    col = cx.pair_index(1)[(res.positions(1)[a1.arrows], basis_id(basis, b1))]
     entries = [(i, v) for i, j, v in m.items() if j == col]
     assert len(entries) == 1
     ((i, v),) = entries
     row_pair = cx.pairs(2)[i]
     assert v == 1
     assert pres.format_path(row_pair.rho.support) == "a1*a2"
-    assert pres.format_path(row_pair.gamma) == "b1*a2"
+    assert pres.format_path(basis_path(basis, row_pair.gamma_id)) == "b1*a2"
 
 
 def test_matrix_degree_one_single_arrow():
@@ -140,7 +143,7 @@ def test_matrix_degree_one_single_arrow():
 
     def key(n, support):
         pos = res.positions(n)[support.arrows] if n else support.source
-        return (pos, basis.index[support])
+        return (pos, basis_id(basis, support))
 
     row = cx.pair_index(1)[key(1, q.arrow_path(0))]
     col0 = cx.pair_index(0)[key(0, q.trivial_path(0))]

@@ -4,7 +4,13 @@ from conftest import a_n_text
 from stringcoh import ParseError, basis_P, parse, validate
 from stringcoh.generate import generate
 from stringcoh.quiver import compose
-from tests_support import enumerate_paths, occurrences, scan_non_minimal_pairs
+from tests_support import (
+    basis_id,
+    basis_paths,
+    enumerate_paths,
+    occurrences,
+    scan_non_minimal_pairs,
+)
 
 
 def test_parse_two_parallel_arrows():
@@ -176,18 +182,18 @@ def test_basis_two_lane_three_steps():
     basis = basis_P(pres)
     assert basis.dim == 16
     by_len = {}
-    for p in basis.paths:
+    for p in basis_paths(basis):
         by_len[len(p)] = by_len.get(len(p), 0) + 1
     assert by_len == {0: 4, 1: 6, 2: 4, 3: 2}
 
 
 def test_basis_factor_closed_and_ordered(corpus):
     for _, pres, basis, _, _ in corpus[:25]:
-        paths = set(basis.paths)
-        for p in basis.paths:
+        paths = set(basis_paths(basis))
+        for p in paths:
             assert p.prefix(len(p) - 1) in paths if len(p) else True
             assert p.suffix(1) in paths if len(p) else True
-        keys = [p.sort_key for p in basis.paths]
+        keys = [p.sort_key for p in basis_paths(basis)]
         assert keys == sorted(keys)
         assert all(pres.quiver.trivial_path(v) in paths
                    for v in range(pres.quiver.num_vertices))
@@ -196,7 +202,8 @@ def test_basis_factor_closed_and_ordered(corpus):
 def test_basis_agrees_with_ideal_scan(corpus):
     for _, pres, basis, _, _ in corpus[:25]:
         for p in enumerate_paths(pres.quiver):
-            assert (p in basis) == (not pres.in_ideal(p))
+            assert ((basis_id(basis, p) is not None)
+                    == (not pres.in_ideal(p)))
 
 
 def test_ideal_absorbs_products(corpus):
@@ -215,12 +222,14 @@ def test_unique_continuation_propagates_to_basis(corpus):
     falling into the ideal."""
     for _, pres, basis, _, _ in corpus[:25]:
         q = pres.quiver
-        for gamma in basis.paths:
+        for gamma in basis_paths(basis):
             if gamma.is_trivial:
                 continue
-            g = basis.index[gamma]
+            g = basis_id(basis, gamma)
             succ = [b for b in q.out_arrows(gamma.target)
-                    if basis.mult(g, basis.index[q.arrow_path(b)]) is not None]
+                    if basis.mult(g, basis_id(basis, q.arrow_path(b)))
+                    is not None]
             pred = [b for b in q.in_arrows(gamma.source)
-                    if basis.mult(basis.index[q.arrow_path(b)], g) is not None]
+                    if basis.mult(basis_id(basis, q.arrow_path(b)), g)
+                    is not None]
             assert len(succ) <= 1 and len(pred) <= 1

@@ -14,8 +14,31 @@ from stringcoh.cup import (
 )
 from stringcoh.hochschild import COUNT_KEYS
 from stringcoh.linalg import CertificateError, RationalMatrix
+from stringcoh.presentation import basis_P
 from stringcoh.quiver import CyclicQuiverError, Path, compose
-from stringcoh.resolution import BimoduleTerm, apply_map
+from stringcoh.resolution import BimoduleTerm, Resolution, apply_map
+
+
+def basis_path(basis, i: int) -> Path:
+    """The basis path with id i as a Path, built from the quiver."""
+    return basis.pres.quiver.path(basis.sources[i], basis.words[i])
+
+
+def basis_paths(basis) -> list[Path]:
+    """Every basis path as a Path, in id order."""
+    return [basis_path(basis, i) for i in range(basis.dim)]
+
+
+def basis_id(basis, p: Path) -> int | None:
+    """The id of the path p in the basis, or None when p is not a basis
+    path."""
+    return basis.word_index.get(p.arrows) if p.arrows else p.source
+
+
+def ap_sets(pres, max_degree: int | None = None):
+    """Per-degree AP layers of the resolution of pres, left-greedy
+    construction."""
+    return Resolution(pres, basis_P(pres), max_degree).ap
 
 
 def apply(mat, vec) -> list[Fraction]:
@@ -172,7 +195,7 @@ def path_mult(basis, p, q):
     if p.target != q.source:
         return None
     pq = compose(p, q)
-    return pq if pq in basis else None
+    return pq if basis_id(basis, pq) is not None else None
 
 
 def path_mult3(basis, p, q, r):
@@ -231,9 +254,9 @@ def path_classify(basis, rho, gamma) -> tuple:
     right = _path_right_dead(basis, gamma)
     inner = None
     if rho.degree >= 2 and shares_first and not shares_last and right:
-        inner = _path_right_dead(basis, gamma.strip_first())
+        inner = _path_right_dead(basis, gamma.suffix(1))
     if rho.degree >= 2 and shares_last and not shares_first and left:
-        inner = _path_left_dead(basis, gamma.strip_last())
+        inner = _path_left_dead(basis, gamma.prefix(len(gamma) - 1))
     flags = (shares_first, shares_last, left, right, inner)
     return flags + (f"({int(shares_first)},{int(shares_last)})",
                     path_label(*flags))
@@ -245,14 +268,15 @@ def path_pairs(cx, n: int) -> list[tuple]:
     path_classify's fields, or five flags and two labels of None in
     degree 0."""
     basis = cx.basis
+    paths = basis_paths(basis)
     parallel: dict[tuple[int, int], list] = {}
-    for g, gamma in enumerate(basis.paths):
+    for g, gamma in enumerate(paths):
         parallel.setdefault((gamma.source, gamma.target), []).append(g)
     out = []
     for rho in cx.res.ap[n] if 0 <= n <= cx.top else ():
         sup = rho.support
         for g in parallel.get((sup.source, sup.target), ()):
-            gamma = basis.paths[g]
+            gamma = paths[g]
             fields = (path_classify(basis, rho, gamma) if n
                       else (None,) * 7)
             out.append((rho, gamma, g) + fields)
@@ -278,7 +302,7 @@ def path_class_counts(cx, n: int) -> dict[str, int]:
 
 def basis_label(res, i: int) -> str:
     """The label of the basis path with id i."""
-    return res.pres.format_path(res.basis.paths[i])
+    return res.pres.format_path(basis_path(res.basis, i))
 
 
 def middle_label(res, n: int, term) -> str:
@@ -331,7 +355,7 @@ def decompose(res, w, n: int, m: int):
     if i > j:
         raise CertificateError("head and tail of the splitting overlap")
     u = sup.subpath(i, j)
-    if u not in res.basis:
+    if basis_id(res.basis, u) is None:
         raise CertificateError("middle of the splitting is not a basis path")
     return head, u, tail
 
@@ -346,8 +370,7 @@ def _path_start(rel, w) -> int:
 def path_splittings(cx, n: int, m: int) -> list:
     """CochainComplex.splittings(n, m) on Paths: decompose, then the
     occurrences of AP_n in head * u by scan_occurrences, cofactors looked
-    up in PathBasis.index."""
-    index = cx.basis.index
+    up by basis_id."""
     out = []
     for w in cx.res.ap[n + m]:
         if n == 0:
@@ -357,7 +380,7 @@ def path_splittings(cx, n: int, m: int) -> list:
         found = scan_occurrences(cx.res, n, compose(head.support, u))
         divisors = []
         for left, psi, right in found:
-            left, right = index.get(left), index.get(right)
+            left, right = basis_id(cx.basis, left), basis_id(cx.basis, right)
             if left is not None and right is not None:
                 divisors.append((left, psi.pos, right))
         out.append((tail.pos, tuple(divisors), len(found)))
@@ -414,7 +437,7 @@ def bar_dims(basis, up_to: int) -> list[int]:
     NOT required to be composable (the tensor power is over the ground
     field).
     """
-    paths = list(basis.paths)
+    paths = basis_paths(basis)
     d = len(paths)
     index = {p: i for i, p in enumerate(paths)}
 
@@ -555,9 +578,9 @@ def _trivial_ends(res, n: int, w: int):
     """Basis ids of the trivial paths at the two ends of the support of
     element w of AP_n."""
     sup = res.ap[n][w].support
-    q, index = res.quiver, res.basis.index
-    return (index[q.trivial_path(sup.source)],
-            index[q.trivial_path(sup.target)])
+    q = res.quiver
+    return (basis_id(res.basis, q.trivial_path(sup.source)),
+            basis_id(res.basis, q.trivial_path(sup.target)))
 
 
 def dense_is_cocycle(cx, f) -> bool:
@@ -572,7 +595,7 @@ def scan_terms_at(cx, f, support) -> list:
     """Cochain.terms_at at the element with this support by a scan over
     every coefficient of f, in pair order, gamma as a basis id."""
     pairs = cx.pairs(f.degree)
-    return [(c, cx.basis.index[pairs[i].gamma])
+    return [(c, pairs[i].gamma_id)
             for i, c in sorted(f.coeffs.items())
             if pairs[i].rho.support == support]
 
@@ -618,7 +641,7 @@ def global_homology_dims(res) -> list[int]:
     differentials and the augmentation preserve."""
     spaces = [[full_path(res, n, t) for t in res.bimodule_space(n)[0]]
               for n in res.degrees()]
-    ranks = [_block_rank(res.mu_matrix(), res.basis.paths, spaces[0])]
+    ranks = [_block_rank(res.mu_matrix(), basis_paths(res.basis), spaces[0])]
     for n in range(1, len(spaces)):
         ranks.append(_block_rank(res.d_matrix(n), spaces[n - 1], spaces[n]))
     ranks.append(0)
@@ -646,7 +669,7 @@ def one_sided_by_full_path(res, n: int) -> dict[int, tuple[int, int]]:
     for w in res.ap[n]:
         by_target.setdefault(w.support.target, []).append(w)
     diff = res.differential(n) if n else {}
-    paths, mult = res.basis.paths, res.basis.mult
+    paths, mult = basis_paths(res.basis), res.basis.mult
     out = {}
     for x, layer in by_target.items():
         blocks: dict = {}
@@ -700,8 +723,8 @@ def full_path(res, n: int, triple):
     A (x) kAP_n (x) A, before reduction modulo the ideal: the block that
     the triple lies in."""
     l, w, r = triple
-    paths = res.basis.paths
-    return compose(compose(paths[l], res.ap[n][w].support), paths[r])
+    return compose(compose(basis_path(res.basis, l), res.ap[n][w].support),
+                   basis_path(res.basis, r))
 
 
 def blocks(res, n: int) -> dict:
