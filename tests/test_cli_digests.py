@@ -1,4 +1,5 @@
-"""The CLI output on three corpora, and the ``hh`` output on four larger
+"""The CLI output on three corpora, the ``hh`` output on four larger
+inputs, and the ``validate``/``hh``/``ap`` output on a few invalid
 inputs, pinned by one SHA-256 per (command, input).  Each digest covers
 the exit code, stderr and stdout of one ``main`` call, with the value of
 ``elapsed_ms`` blanked.  A change that
@@ -28,11 +29,26 @@ from stringcoh.generate import generate_dsl
 
 DIGESTS = os.path.join(os.path.dirname(__file__), "data", "cli_digests.json")
 
-# the text output of hh, ap and cup prints what their JSON holds
+# the text output of hh and cup prints what their JSON holds; that of ap
+# adds the chains of each element
 RUNS = [(command, "--json") for command in ("hh", "ap", "cup", "check")]
-RUNS.append(("check",))
+RUNS += [("check",), ("ap",)]
 # hh alone on the larger inputs, where supports are long and pairs many
 LARGE_RUNS = [("hh", "--json")]
+# the parse errors and the validation details of invalid inputs
+INVALID_RUNS = [("validate",), ("validate", "--json"), ("hh", "--json"),
+                ("ap",)]
+
+_LINE = "vertex 0 1 2 3\narrow a 0 1\narrow b 1 2\narrow c 2 3\n"
+INVALID_INPUTS = {
+    "invalid(non-composable)": _LINE + "relation a c\n",
+    "invalid(duplicate-relation)": _LINE + "relation a b\nrelation a b\n",
+    "invalid(unknown-arrow)": _LINE + "relation a d\n",
+    "invalid(non-minimal)": _LINE + "relation b c\nrelation a b c\n",
+    "invalid(S2)": _LINE + "arrow e 1 3\narrow f 0 1\nrelation b c\n",
+    "invalid(cycle)": "vertex 0 1\narrow a 0 1\narrow b 1 0\n"
+                      "relation a b\n",
+}
 
 _ELAPSED = re.compile(r'("elapsed_ms": )-?\d+')
 
@@ -79,7 +95,8 @@ def digests() -> dict[str, str]:
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "input.quiver")
-        for texts, runs in ((inputs(), RUNS), (large_inputs(), LARGE_RUNS)):
+        for texts, runs in ((inputs(), RUNS), (large_inputs(), LARGE_RUNS),
+                            (INVALID_INPUTS, INVALID_RUNS)):
             for name, text in texts.items():
                 with open(path, "w", encoding="utf-8") as fh:
                     fh.write(text)
