@@ -29,7 +29,7 @@ from .presentation import (
     parse_file,
     validate,
 )
-from .quiver import CompositionError, CyclicQuiverError, Path, Quiver, compose
+from .quiver import CyclicQuiverError, Quiver
 from .resolution import (
     ApConstructionError,
     ApElement,
@@ -42,11 +42,9 @@ __all__ = [
     "CertificateError",
     "Cochain",
     "CochainComplex",
-    "CompositionError",
     "CyclicQuiverError",
     "ParallelPair",
     "ParseError",
-    "Path",
     "PathBasis",
     "Presentation",
     "Quiver",
@@ -55,7 +53,6 @@ __all__ = [
     "ValidationReport",
     "basis_P",
     "chain_map_audit",
-    "compose",
     "cup",
     "cup_table",
     "is_coboundary",

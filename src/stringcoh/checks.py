@@ -74,7 +74,7 @@ class Auditor:
         return CheckResult("ap-duality", True)
 
     def check_sub_cardinality(self) -> CheckResult:
-        fmt = self.pres.format_path
+        fmt = self.pres.quiver.format_word
         witnesses = []
         for n in range(2, self.res.top + 1):
             for w in self.res.ap[n]:
@@ -82,7 +82,7 @@ class Auditor:
                 odd = n % 2 == 1
                 quadratic = any(len(p) == 2 for p in w.chain)
                 if (odd or quadratic) and len(subs) != 2:
-                    witnesses.append(f"degree {n} support {fmt(w.support)} "
+                    witnesses.append(f"degree {n} support {fmt(w.word)} "
                                      f"with {len(subs)} divisors")
         return _verdict("sub-cardinality", witnesses)
 
@@ -106,8 +106,8 @@ class Auditor:
         total = -b.dim
         for n in self.res.degrees():
             for w in self.res.ap[n]:
-                total += (-1) ** n * (len(b.ending_at(w.support.source))
-                                      * len(b.starting_at(w.support.target)))
+                total += (-1) ** n * (len(b.ending_at(w.source))
+                                      * len(b.starting_at(w.target)))
         return CheckResult("euler", total == 0, f"alternating sum {total}")
 
     # -- partition checks ---------------------------------------------------
@@ -137,7 +137,7 @@ class Auditor:
         witnesses = []
         for n in range(2, self.res.top + 1):
             for p in self.cx.pairs(n):
-                rho, gamma = p.rho.support.arrows, words[p.gamma_id]
+                rho, gamma = p.rho.word, words[p.gamma_id]
                 if p.class_label == "(1,0)":
                     ok = self._is_00_pair(n - 1, rho[1:], gamma[1:])
                 elif p.class_label == "(0,1)":
@@ -171,7 +171,7 @@ class Auditor:
         witnesses = []
         for n in range(1, self.res.top + 1):
             for p in self.cx.pairs(n):
-                a, b = p.rho.support.arrows, words[p.gamma_id]
+                a, b = p.rho.word, words[p.gamma_id]
                 pref = _common_prefix(a, b)
                 suf = _common_prefix(a[::-1], b[::-1])
                 limit = len(a) if a == b else 1

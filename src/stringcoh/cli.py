@@ -206,12 +206,13 @@ def cmd_ap(args) -> int:
     payload["ap"]["matches_dual"] = True
     shown = res.ap if args.max_degree is None else res.ap[: args.max_degree + 1]
     if not args.json:
+        fmt = pres.quiver.format_word
         for n, layer in enumerate(shown):
             print(f"degree {n}: {len(layer)} element(s)")
             for e in layer:
-                chain = " ".join(pres.format_path(p) for p in e.chain)
-                op = " ".join(pres.format_path(p) for p in e.op_chain)
-                line = f"  {pres.format_path(e.support)}"
+                chain = " ".join(map(fmt, e.chain))
+                op = " ".join(map(fmt, e.op_chain))
+                line = f"  {fmt(e.word, e.source)}"
                 if e.degree >= 2:
                     line += f"  chain[{chain}]  dual[{op}]"
                 print(line)

@@ -83,7 +83,8 @@ class Cochain:
         return self._by_support
 
     def sub(self, other: "Cochain") -> "Cochain":
-        assert self.degree == other.degree
+        if self.degree != other.degree:
+            raise ValueError("cochains of different degrees")
         out = dict(self.coeffs)
         for i, c in other.coeffs.items():
             v = out.get(i, 0) - c
@@ -144,7 +145,7 @@ def comparison_terms(cx: CochainComplex, f: Cochain, n: int,
     m = f.degree
     require_lift_degree(n, m, w)
     if n == 0:
-        x = w.support.source  # e_x is basis path x and element x of AP_0
+        x = w.source  # e_x is basis path x and element x of AP_0
         return [BimoduleTerm(c, x, x, gamma)
                 for c, gamma in f.terms_at(cx, w.pos)]
     tail, divisors, _ = cx.splittings(n, m)[w.pos]
@@ -397,7 +398,7 @@ def phi(cx: CochainComplex, pair: ParallelPair) -> tuple[int, ParallelPair]:
     gamma = cx.basis.words[pair.gamma_id]
     beta = _unique_surviving_successor(
         cx, gamma if pair.label == "(1,0)+" else gamma[1:])
-    return _pair_at(cx, pair.degree, pair.rho.support.arrows[1:] + (beta,),
+    return _pair_at(cx, pair.degree, pair.rho.word[1:] + (beta,),
                     gamma[1:] + (beta,), target)
 
 
@@ -410,7 +411,7 @@ def phi_inv(cx: CochainComplex, pair: ParallelPair) -> tuple[int, ParallelPair]:
     gamma = cx.basis.words[pair.gamma_id]
     alpha = _unique_surviving_predecessor(
         cx, gamma if pair.label == "+(0,1)" else gamma[:-1])
-    return _pair_at(cx, pair.degree, (alpha,) + pair.rho.support.arrows[:-1],
+    return _pair_at(cx, pair.degree, (alpha,) + pair.rho.word[:-1],
                     (alpha,) + gamma[:-1], target)
 
 

@@ -13,12 +13,18 @@ from __future__ import annotations
 import random
 
 from .presentation import Presentation, parse, validate
-from .quiver import Path, Quiver, compose
+from .quiver import Quiver, Word
 
 
 def generate_dsl(seed: int, max_vertices: int = 8, max_arrows: int = 10,
                  tree: bool = False, quadratic: bool = False) -> str:
-    """A random valid presentation in DSL form, deterministic in the seed."""
+    """A random valid presentation in DSL form, deterministic in the seed.
+    ValueError when max_vertices < 2 or max_arrows < 1: the quiver is
+    connected, with at least two vertices."""
+    for name, value, low in (("max_vertices", max_vertices, 2),
+                             ("max_arrows", max_arrows, 1)):
+        if value < low:
+            raise ValueError(f"{name} must be at least {low}, got {value}")
     rng = random.Random(seed)
     for _ in range(64):
         text = _try_generate(rng, max_vertices, max_arrows, tree, quadratic)
@@ -77,7 +83,7 @@ def _try_generate(rng, max_vertices, max_arrows, tree, quadratic):
     )
 
     # surviving compositions through each vertex form a partial matching
-    relations: list[Path] = []
+    relations: list[Word] = []
     for v in range(nv):
         ins = quiver.in_arrows(v)
         outs = quiver.out_arrows(v)
@@ -87,12 +93,10 @@ def _try_generate(rng, max_vertices, max_arrows, tree, quadratic):
         for a in ins:
             for b in outs:
                 if (a, b) not in alive:
-                    relations.append(
-                        compose(quiver.arrow_path(a), quiver.arrow_path(b))
-                    )
+                    relations.append((a, b))
 
     if not quadratic:
-        dead = {r.arrows for r in relations}
+        dead = set(relations)
         candidates = _long_candidates(quiver, dead)
         rng.shuffle(candidates)
         for cand in candidates[: rng.randint(0, 3)]:
@@ -103,8 +107,8 @@ def _try_generate(rng, max_vertices, max_arrows, tree, quadratic):
     lines = ["vertex " + " ".join(str(v) for v in range(nv))]
     for i, (u, v) in enumerate(edges):
         lines.append(f"arrow {arrow_names[i]} {u} {v}")
-    for r in sorted(relations, key=lambda p: p.sort_key):
-        lines.append("relation " + " ".join(arrow_names[a] for a in r.arrows))
+    for r in sorted(relations, key=lambda w: (len(w), w)):
+        lines.append("relation " + " ".join(arrow_names[a] for a in r))
     return "\n".join(lines) + "\n"
 
 
@@ -141,18 +145,19 @@ def _partial_matchings(rows, cols):
     return out
 
 
-def _long_candidates(quiver, dead_quadratics) -> list[Path]:
-    """Paths of length >= 3 all of whose length-2 factors survive: these
-    are exactly the candidates a longer minimal relation may use."""
+def _long_candidates(quiver, dead_quadratics) -> list[Word]:
+    """Arrow words of the paths of length >= 3 all of whose length-2
+    factors survive: these are exactly the candidates a longer minimal
+    relation may use."""
     out = []
-    frontier = [quiver.arrow_path(a) for a in range(quiver.num_arrows)]
+    frontier = [(a,) for a in range(quiver.num_arrows)]
     while frontier:
         nxt = []
         for p in frontier:
-            for b in quiver.out_arrows(p.target):
-                if (p.arrows[-1], b) in dead_quadratics:
+            for b in quiver.out_arrows(quiver.arrow_target[p[-1]]):
+                if (p[-1], b) in dead_quadratics:
                     continue
-                q = compose(p, quiver.arrow_path(b))
+                q = p + (b,)
                 nxt.append(q)
                 if len(q) >= 3:
                     out.append(q)
@@ -160,9 +165,6 @@ def _long_candidates(quiver, dead_quadratics) -> list[Path]:
     return out
 
 
-def _contains(inner: Path, outer: Path) -> bool:
+def _contains(inner: Word, outer: Word) -> bool:
     k = len(inner)
-    return any(
-        outer.arrows[i : i + k] == inner.arrows
-        for i in range(len(outer) - k + 1)
-    )
+    return any(outer[i : i + k] == inner for i in range(len(outer) - k + 1))

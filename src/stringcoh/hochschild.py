@@ -238,7 +238,7 @@ class CochainComplex:
         out: list[ParallelPair] = []
         if n == 0:
             for elem in self.res.ap[0]:
-                x = elem.support.source
+                x = elem.source
                 if between(x, x) != [x]:
                     raise CertificateError(
                         "a nontrivial basis path is parallel to a vertex")
@@ -248,9 +248,8 @@ class CochainComplex:
         nv = self.quiver.num_vertices
         new = tuple.__new__  # ParallelPair from all its fields at once
         for elem in self.res.ap[n]:
-            sup = elem.support
-            head, last = sup.arrows[0], sup.arrows[-1]
-            ids = between(sup.source, sup.target)
+            head, last = elem.word[0], elem.word[-1]
+            ids = between(elem.source, elem.target)
             # ids ascend and the vertices come first
             if ids and ids[0] < nv:
                 raise CertificateError(
@@ -298,7 +297,7 @@ class CochainComplex:
                 out.append((w.pos, (), 0))
                 continue
             j, tail = res.split(w, n, m)
-            word, source = w.support.arrows, w.support.source
+            word, source = w.word, w.source
             # head * u = word[:j] holds the head, of at least one arrow
             at_j = target[word[j - 1]]
             occurrences = res.occurrences_in(n, word[:j], source)
@@ -335,7 +334,7 @@ class CochainComplex:
         target = self.quiver.arrow_target
         out = []
         for w in self.res.ap[n + 1]:
-            word, source = w.support.arrows, w.support.source
+            word, source = w.word, w.source
             last = len(word) - 1
             slots = []
             for psi, a, b in self.res.occurrences_in(n, word[:last], source):
@@ -358,7 +357,7 @@ class CochainComplex:
         Leibniz terms of a degree-1 lift sit."""
         out: dict[int, list[int]] = {}
         for i, w in enumerate(self.res.ap[k]):
-            for a in w.support.arrows[1:-1]:
+            for a in w.word[1:-1]:
                 out.setdefault(a, []).append(i)
         return out
 
@@ -418,7 +417,7 @@ class CochainComplex:
             mult, mult3 = self.basis.mult, self.basis.mult3
             even = n % 2 == 0
             for w in self.res.ap[n] if n <= self.top else []:
-                length = len(w.support)
+                length = len(w.word)
                 for d in self.res.sub(w):
                     # odd degrees: + L gamma at the flush-right divisor,
                     # - gamma R at the flush-left one

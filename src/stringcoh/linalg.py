@@ -89,7 +89,8 @@ class RationalMatrix:
                 == (other.rows, other.cols, other._rows))
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
-        assert self.cols == other.rows, "dimension mismatch"
+        if self.cols != other.rows:
+            raise ValueError("dimension mismatch")
         out = RationalMatrix(self.rows, other.cols)
         for i, row in enumerate(self._rows):
             acc: dict[int, Fraction] = {}

@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .quiver import Path, Quiver, compose
+from .quiver import Quiver, Word
 
 _NAME = re.compile(r"[A-Za-z0-9_]+\Z")
 
@@ -31,32 +31,34 @@ class ParseError(ValueError):
 
 @dataclass(frozen=True)
 class Presentation:
+    """A quiver and its relations, as arrow words sorted by length and
+    then word."""
+
     quiver: Quiver
-    relations: tuple[Path, ...]
+    relations: tuple[Word, ...]
 
     @cached_property
-    def _relation_words(self) -> tuple[dict[tuple, list[int]], list[int]]:
-        """(base vertex, arrows) of each relation -> its positions in
-        relations, and the distinct relation lengths."""
-        words: dict[tuple, list[int]] = {}
+    def _relation_words(self) -> tuple[dict[Word, list[int]], list[int]]:
+        """Arrow word of each relation -> its positions in relations, and
+        the distinct relation lengths."""
+        words: dict[Word, list[int]] = {}
         for j, r in enumerate(self.relations):
-            words.setdefault((r.source, r.arrows), []).append(j)
+            words.setdefault(r, []).append(j)
         return words, sorted({len(r) for r in self.relations})
 
-    def relation_factors(self, w: Path):
+    def relation_factors(self, w: Word):
         """Positions in relations of the relations occurring as factors of
-        w, once per occurrence: one lookup per start and relation length."""
+        the arrow word w, once per occurrence: one lookup per start and
+        relation length."""
         words, lengths = self._relation_words
         for k in lengths:
             for i in range(len(w) - k + 1):
-                yield from words.get((w.vertices[i], w.arrows[i : i + k]), ())
+                yield from words.get(w[i : i + k], ())
 
-    def in_ideal(self, w: Path) -> bool:
-        """Monomial ideal membership: some relation occurs as a factor of w."""
+    def in_ideal(self, w: Word) -> bool:
+        """Monomial ideal membership of the path with arrow word w: some
+        relation occurs as a factor of w."""
         return next(self.relation_factors(w), None) is not None
-
-    def format_path(self, p: Path) -> str:
-        return self.quiver.format_path(p)
 
 
 def parse(text: str) -> Presentation:
@@ -105,20 +107,20 @@ def parse(text: str) -> Presentation:
     relations = []
     seen = set()
     for names, lineno in relation_lines:
-        ids = []
         for name in names:
             if name not in arrow_ids:
                 raise ParseError(f"unknown arrow {name!r} in relation", lineno)
-            ids.append(arrow_ids[name])
-        try:
-            rel = quiver.path(quiver.arrow_source[ids[0]], ids)
-        except Exception as exc:
-            raise ParseError(str(exc), lineno) from None
+        rel = tuple(arrow_ids[name] for name in names)
+        for a, b in zip(rel, rel[1:]):
+            if quiver.arrow_source[b] != quiver.arrow_target[a]:
+                raise ParseError(
+                    f"arrow {quiver.arrow_labels[b]} does not start at vertex "
+                    f"{quiver.vertex_labels[quiver.arrow_target[a]]}", lineno)
         if rel in seen:
             raise ParseError("duplicate relation", lineno)
         seen.add(rel)
         relations.append(rel)
-    relations.sort(key=lambda p: p.sort_key)
+    relations.sort(key=lambda w: (len(w), w))
     return Presentation(quiver, tuple(relations))
 
 
@@ -170,7 +172,7 @@ def validate(pres: Presentation) -> ValidationReport:
         "relation-lengths",
         not short,
         "" if not short else "relations of length < 2: "
-        + ", ".join(pres.format_path(r) for r in short),
+        + ", ".join(q.format_word(r) for r in short),
     )
 
     rels = pres.relations
@@ -179,7 +181,7 @@ def validate(pres: Presentation) -> ValidationReport:
         "minimal-generators",
         not bad_pairs,
         "" if not bad_pairs else "; ".join(
-            f"{pres.format_path(rels[i])} divides {pres.format_path(rels[j])}"
+            f"{q.format_word(rels[i])} divides {q.format_word(rels[j])}"
             for i, j in bad_pairs
         ),
     )
@@ -197,15 +199,10 @@ def validate(pres: Presentation) -> ValidationReport:
 
     s2_bad = []
     for a in range(q.num_arrows):
-        alpha = q.arrow_path(a)
-        succ = [
-            b for b in q.out_arrows(q.arrow_target[a])
-            if not pres.in_ideal(compose(alpha, q.arrow_path(b)))
-        ]
-        pred = [
-            b for b in q.in_arrows(q.arrow_source[a])
-            if not pres.in_ideal(compose(q.arrow_path(b), alpha))
-        ]
+        succ = [b for b in q.out_arrows(q.arrow_target[a])
+                if not pres.in_ideal((a, b))]
+        pred = [b for b in q.in_arrows(q.arrow_source[a])
+                if not pres.in_ideal((b, a))]
         if len(succ) > 1:
             s2_bad.append(f"{q.arrow_labels[a]} has surviving continuations "
                           + ", ".join(q.arrow_labels[b] for b in succ))
@@ -226,8 +223,6 @@ def non_minimal_pairs(pres: Presentation) -> list[tuple[int, int]]:
 
 _UNSET = object()
 
-Word = tuple[int, ...]
-
 
 class PathBasis:
     """The ideal-free paths, in canonical order: the monomial basis of A.
@@ -247,7 +242,7 @@ class PathBasis:
         q = pres.quiver
         ending_with: dict[int, list[Word]] = {}
         for r in pres.relations:
-            ending_with.setdefault(r.arrows[-1], []).append(r.arrows)
+            ending_with.setdefault(r[-1], []).append(r)
         words: list[Word] = []
         sources: list[int] = []
         targets: list[int] = []

@@ -1,79 +1,21 @@
-"""Finite quivers and their paths.
+"""Finite quivers and the labels of their paths.
 
 A quiver is a finite directed multigraph.  Vertices and arrows are
 identified by dense integer ids assigned in declaration order; the
-user-facing labels are kept only for input and output.  Paths are written
-left to right: in a path ``a1 a2`` the target of ``a1`` is the source of
-``a2``, and every module downstream inherits this convention.
+user-facing labels are kept only for input and output.  A path is named
+by its arrow word, the tuple of its arrow ids, plus its vertex when it is
+trivial.  Paths are written left to right: in a path ``a1 a2`` the target
+of ``a1`` is the source of ``a2``, and every module downstream inherits
+this convention.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-
-class CompositionError(ValueError):
-    """Raised when two paths with mismatched endpoints are composed."""
+Word = tuple[int, ...]
 
 
 class CyclicQuiverError(ValueError):
     """Raised when an operation needs an acyclic quiver but got a cycle."""
-
-
-@dataclass(frozen=True)
-class Path:
-    """A directed path, stored as its vertex ids and arrow ids.
-
-    ``vertices`` has one more entry than ``arrows``; a trivial path at x
-    is ``Path((x,), ())``.  Storing the vertex sequence keeps endpoint
-    queries and subpath extraction local to the path.
-    """
-
-    vertices: tuple[int, ...]
-    arrows: tuple[int, ...]
-
-    def __post_init__(self):
-        assert len(self.vertices) == len(self.arrows) + 1
-
-    def __len__(self):
-        return len(self.arrows)
-
-    @property
-    def source(self) -> int:
-        return self.vertices[0]
-
-    @property
-    def target(self) -> int:
-        return self.vertices[-1]
-
-    @property
-    def is_trivial(self) -> bool:
-        return not self.arrows
-
-    def subpath(self, i: int, j: int) -> "Path":
-        """The subpath spanning positions i..j (0 <= i <= j <= len)."""
-        assert 0 <= i <= j <= len(self.arrows)
-        return Path(self.vertices[i : j + 1], self.arrows[i:j])
-
-    def prefix(self, j: int) -> "Path":
-        return self.subpath(0, j)
-
-    def suffix(self, i: int) -> "Path":
-        return self.subpath(i, len(self.arrows))
-
-    @property
-    def sort_key(self):
-        """Canonical order: by length, then arrow ids, then base vertex."""
-        return (len(self.arrows), self.arrows, self.vertices[0])
-
-
-def compose(p: Path, q: Path) -> Path:
-    """Concatenation of p and q; requires target(p) = source(q)."""
-    if p.target != q.source:
-        raise CompositionError(
-            f"cannot compose: target {p.target} != source {q.source}"
-        )
-    return Path(p.vertices + q.vertices[1:], p.arrows + q.arrows)
 
 
 class Quiver:
@@ -90,12 +32,13 @@ class Quiver:
         self.arrow_source = tuple(a[1] for a in arrows)
         self.arrow_target = tuple(a[2] for a in arrows)
         n = len(self.vertex_labels)
-        assert len(set(self.vertex_labels)) == n, "duplicate vertex labels"
-        assert len(set(self.arrow_labels)) == len(self.arrow_labels), (
-            "duplicate arrow labels"
-        )
+        if len(set(self.vertex_labels)) != n:
+            raise ValueError("duplicate vertex labels")
+        if len(set(self.arrow_labels)) != len(self.arrow_labels):
+            raise ValueError("duplicate arrow labels")
         for s, t in zip(self.arrow_source, self.arrow_target):
-            assert 0 <= s < n and 0 <= t < n, "arrow endpoint out of range"
+            if not (0 <= s < n and 0 <= t < n):
+                raise ValueError("arrow endpoint out of range")
         self._out = [[] for _ in range(n)]
         self._in = [[] for _ in range(n)]
         for a in range(len(self.arrow_labels)):
@@ -115,24 +58,6 @@ class Quiver:
 
     def in_arrows(self, v: int) -> list[int]:
         return self._in[v]
-
-    def trivial_path(self, v: int) -> Path:
-        return Path((v,), ())
-
-    def arrow_path(self, a: int) -> Path:
-        return Path((self.arrow_source[a], self.arrow_target[a]), (a,))
-
-    def path(self, base: int, arrows) -> Path:
-        """Build a path from a base vertex and composable arrow ids."""
-        verts = [base]
-        for a in arrows:
-            if self.arrow_source[a] != verts[-1]:
-                raise CompositionError(
-                    f"arrow {self.arrow_labels[a]} does not start at vertex "
-                    f"{self.vertex_labels[verts[-1]]}"
-                )
-            verts.append(self.arrow_target[a])
-        return Path(tuple(verts), tuple(arrows))
 
     def is_acyclic(self) -> bool:
         """True iff there is no oriented cycle (loops count as cycles)."""
@@ -193,7 +118,10 @@ class Quiver:
             raise CyclicQuiverError("topological order needs an acyclic quiver")
         return order
 
-    def format_path(self, p: Path) -> str:
-        if p.is_trivial:
-            return f"e_{self.vertex_labels[p.source]}"
-        return "*".join(self.arrow_labels[a] for a in p.arrows)
+    def format_word(self, word: Word, vertex: int | None = None) -> str:
+        """The arrow labels of word joined by '*'; for the empty word,
+        e_<label> of the vertex, the trivial path there, or e without a
+        vertex."""
+        if not word:
+            return "e" if vertex is None else f"e_{self.vertex_labels[vertex]}"
+        return "*".join(self.arrow_labels[a] for a in word)

@@ -47,13 +47,11 @@ def ap_section(res: Resolution, include_elements: bool = False,
     if include_elements:
         degrees = []
         for n, layer in enumerate(layers):
-            rows = []
-            for e in layer:
-                rows.append({
-                    "support": res.pres.format_path(e.support),
-                    "chain": [res.pres.format_path(p) for p in e.chain],
-                    "op_chain": [res.pres.format_path(p) for p in e.op_chain],
-                })
+            fmt = res.quiver.format_word
+            rows = [{"support": fmt(e.word, e.source),
+                     "chain": [fmt(r) for r in e.chain],
+                     "op_chain": [fmt(r) for r in e.op_chain]}
+                    for e in layer]
             degrees.append({"degree": n, "elements": rows})
         out["degrees"] = degrees
     return out

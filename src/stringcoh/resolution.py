@@ -38,8 +38,8 @@ from functools import wraps
 from itertools import zip_longest
 
 from .linalg import CertificateError, RationalMatrix
-from .presentation import PathBasis, Presentation, Word, non_minimal_pairs
-from .quiver import Path
+from .presentation import PathBasis, Presentation, non_minimal_pairs
+from .quiver import Word
 
 
 _MISSING = object()
@@ -84,38 +84,30 @@ def memo(method):
     return cached
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ApElement:
-    """A basis element of kAP_n: a support path plus its two chains.
+    """A basis element of kAP_n: the arrow word of its support, the
+    support's end vertices, and its two chains of relation words.
 
     ``chain`` lists the overlapping relations (p_1, ..., p_{n-1}) of the
     left-greedy construction; ``op_chain`` the (q^1, ..., q^{n-1}) of the
     dual one, indexed left to right along the support.  Degrees 0 and 1
     have empty chains.  ``pos`` is the element's position in AP_n, its id:
     bimodule terms and generator values name it by that.  In degree 0 it
-    is the vertex of the support and in degree 1 the arrow.
+    is the vertex of the support, whose word is empty, and in degree 1
+    the arrow.
     """
 
     degree: int
-    support: Path
-    chain: tuple[Path, ...]
-    op_chain: tuple[Path, ...]
+    word: Word
+    source: int
+    target: int
+    chain: tuple[Word, ...]
+    op_chain: tuple[Word, ...]
     pos: int
 
     def __hash__(self):
-        # Within a degree the support determines the chains (a second chain
-        # for one support raises ApConstructionError), so hashing the
-        # chains' paths too would add cost and no spread.
-        return hash((self.degree, self.support))
-
-    def __post_init__(self):
-        if self.degree >= 2:
-            assert len(self.chain) == self.degree - 1
-            assert len(self.op_chain) == self.degree - 1
-            assert len(self.support) >= self.degree
-        else:
-            assert not self.chain and not self.op_chain
-            assert len(self.support) == self.degree
+        return hash((self.degree, self.pos))
 
 
 @dataclass(frozen=True, slots=True)
@@ -152,13 +144,13 @@ class BimoduleTerm:
 class ApConstructionError(ValueError):
     """The AP construction met a configuration the theory rules out.
 
-    ``support`` is the path where it happened: a relation that contains
+    ``support`` is the arrow word where it happened: a relation that contains
     another relation, a support with two chains, or the first support on
     which the two greedy runs disagree.  ``witnesses`` then names every
     support that one run found alone; it is empty for other errors.
     """
 
-    def __init__(self, reason: str, support: Path, label: str,
+    def __init__(self, reason: str, support: Word, label: str,
                  witnesses: list[str] | None = None):
         super().__init__(f"{reason} (support {label})")
         self.support = support
@@ -239,21 +231,19 @@ class Resolution:
         and its dual chain from the mirrored run."""
         q = self.quiver
         base: list[list[ApElement]] = [
-            [ApElement(0, q.trivial_path(v), (), (), v)
-             for v in range(q.num_vertices)]
+            [ApElement(0, (), v, v, (), (), v) for v in range(q.num_vertices)]
         ]
         if self.cap >= 1 and q.num_arrows:
-            # arrow order is the canonical order (Path.sort_key) on arrows
-            base.append([ApElement(1, q.arrow_path(a), (), (), a)
-                         for a in range(q.num_arrows)])
+            base.append([ApElement(1, (a,), s, t, (), (), a) for a, (s, t)
+                         in enumerate(zip(q.arrow_source, q.arrow_target))])
         self._check_minimal()
         forward = self._chain_run(self.cap, mirrored=False)
         return base + self._join(forward, self.op_ap_sets())
 
-    def _error(self, reason: str, support: Path,
+    def _error(self, reason: str, support: Word,
                witnesses: list[str] | None = None) -> ApConstructionError:
         return ApConstructionError(reason, support,
-                                   self.quiver.format_path(support), witnesses)
+                                   self.quiver.format_word(support), witnesses)
 
     def _check_minimal(self):
         """No relation may be a proper factor of another.  The greedy
@@ -268,7 +258,7 @@ class Resolution:
             raise self._error("generating set is not minimal on a path",
                               rels[min(bad)])
 
-    def _chain_run(self, cap: int, mirrored: bool) -> list[dict[Word, tuple[Path, ...]]]:
+    def _chain_run(self, cap: int, mirrored: bool) -> list[dict[Word, tuple[Word, ...]]]:
         """One greedy run: per degree from 2, support word -> chain.
 
         The mirrored run feeds the reversed relation words to the same
@@ -279,21 +269,16 @@ class Resolution:
         rels = self.pres.relations
         step = -1 if mirrored else 1
         out = []
-        for states in _greedy_chains([r.arrows[::step] for r in rels], cap):
-            layer: dict[Word, tuple[Path, ...]] = {}
+        for states in _greedy_chains([r[::step] for r in rels], cap):
+            layer: dict[Word, tuple[Word, ...]] = {}
             for word, chain in states:
                 support = word[::step]
                 found = tuple(map(rels.__getitem__, chain[::step]))
                 if layer.setdefault(support, found) != found:
                     raise self._error("one support, two different chains",
-                                      self._path(support))
+                                      support)
             out.append(layer)
         return out
-
-    def _path(self, word: Word) -> Path:
-        q = self.quiver
-        targets = tuple(map(q.arrow_target.__getitem__, word))
-        return Path((q.arrow_source[word[0]],) + targets, word)
 
     def _join(self, forward, mirror) -> list[list[ApElement]]:
         """AP layers from degree 2, in canonical order, with the chain of
@@ -301,27 +286,28 @@ class Resolution:
         mirrored run.  The runs must find the same supports in every
         degree; the error lists every support found by one run only, in
         degree and then canonical order, and names the first."""
-        # (length, arrows) is Path.sort_key on nonempty paths
         def key(w):
             return (len(w), w)
 
-        lone = [(n, self._path(w), w in fwd)
+        lone = [(n, w, w in fwd)
                 for n, (fwd, mir) in enumerate(
                     zip_longest(forward, mirror, fillvalue={}), 2)
                 for w in sorted(fwd.keys() ^ mir.keys(), key=key)]
         if lone:
-            fmt = self.quiver.format_path
+            fmt = self.quiver.format_word
             _, support, first = lone[0]
             reason = ("forward support with no mirrored chain" if first
                       else "mirrored support with no forward chain")
             raise self._error(reason, support, [
                 f"degree {n} {fmt(p)}: {'forward' if f else 'mirrored'} "
                 "run only" for n, p, f in lone])
-        return [[ApElement(i + 2, self._path(w), fwd[w], mirror[i][w], pos)
+        source, target = self.quiver.arrow_source, self.quiver.arrow_target
+        return [[ApElement(i + 2, w, source[w[0]], target[w[-1]], fwd[w],
+                           mirror[i][w], pos)
                  for pos, w in enumerate(sorted(fwd, key=key))]
                 for i, fwd in enumerate(forward)]
 
-    def op_ap_sets(self) -> list[dict[Word, tuple[Path, ...]]]:
+    def op_ap_sets(self) -> list[dict[Word, tuple[Word, ...]]]:
         """The mirrored, right-greedy run up to the tower's cap: per degree
         from 2, support word -> dual chain (q^1, ..., q^{n-1}), left to
         right.  _build_ap joins it with the forward run."""
@@ -358,8 +344,8 @@ class Resolution:
         word) of the elements of AP_n whose support starts there."""
         index: dict[int, list[tuple[int, Word]]] = {}
         for pos, e in enumerate(self.ap[n]):
-            key = e.support.arrows[0] if n else e.support.source
-            index.setdefault(key, []).append((pos, e.support.arrows))
+            key = e.word[0] if n else e.source
+            index.setdefault(key, []).append((pos, e.word))
         return index
 
     @memo
@@ -367,7 +353,7 @@ class Resolution:
         """Support word -> position of each element of AP_k, for k >= 1,
         where a nonempty word fixes its path.  (Element v of AP_0 is the
         vertex v.)"""
-        return {e.support.arrows: e.pos for e in self.ap[k]}
+        return {e.word: e.pos for e in self.ap[k]}
 
     @memo
     def sub(self, w: ApElement) -> list[SubDivisor]:
@@ -379,14 +365,14 @@ class Resolution:
         so any occurrence qualifies.  Odd degrees >= 3 always yield
         exactly two divisors, one flush right and one flush left.
         """
-        word, sup = w.support.arrows, w.support
+        word = w.word
         k = len(word)
         ids = self.basis.word_index
         out = [SubDivisor(pos, i, j,
-                          ids.get(word[:i]) if i else sup.source,
-                          ids.get(word[j:]) if j < k else sup.target)
+                          ids.get(word[:i]) if i else w.source,
+                          ids.get(word[j:]) if j < k else w.target)
                for pos, i, j in self.occurrences_in(w.degree - 1, word,
-                                                    sup.source)
+                                                    w.source)
                if j - i < k]
         out.sort(key=lambda d: (d.start, d.pos))
         if w.degree >= 3 and w.degree % 2 == 1:
@@ -400,16 +386,16 @@ class Resolution:
         tail in AP_m): on the support's arrow word, head * u is word[:j]
         and the tail word[j:].  Not cached: CochainComplex.splittings
         keeps what the lifts read of it."""
-        word = w.support.arrows
+        word = w.word
         if n == 1:
             i = 1
         else:
-            rel = w.chain[n - 2].arrows
+            rel = w.chain[n - 2]
             i = _occurrence_start(rel, word) + len(rel)
         if m == 1:
             j = len(word) - 1
         else:
-            j = _occurrence_start(w.op_chain[n].arrows, word)
+            j = _occurrence_start(w.op_chain[n], word)
         head = self.positions(n).get(word[:i])
         tail = self.positions(m).get(word[j:])
         if head is None or tail is None:
@@ -432,15 +418,16 @@ class Resolution:
         degree 1 is alpha (x) e (x) 1 - 1 (x) e (x) alpha.  A divisor with
         a cofactor in the ideal gives a zero term, which is left out.
         """
-        assert n >= 1
+        if n < 1:
+            raise ValueError(f"differentials start in degree 1, not {n}")
         words = self.basis.word_index
         out: dict[int, list[BimoduleTerm]] = {}
         if n < len(self.ap):
             for w in self.ap[n]:
                 if n == 1:
                     # e_x is basis path x and element x of AP_0
-                    x, y = w.support.source, w.support.target
-                    a = words[w.support.arrows]
+                    x, y = w.source, w.target
+                    a = words[w.word]
                     out[w.pos] = [BimoduleTerm(1, a, y, y),
                                   BimoduleTerm(-1, x, x, a)]
                     continue
@@ -448,7 +435,7 @@ class Resolution:
                     signed = [(1, d) for d in self.sub(w)]
                 else:
                     first, second = _require_two_flush(self.sub(w),
-                                                       len(w.support))
+                                                       len(w.word))
                     signed = [(1, second), (-1, first)]
                 out[w.pos] = [BimoduleTerm(c, d.left, d.pos, d.right)
                               for c, d in signed
@@ -466,8 +453,8 @@ class Resolution:
         basis = []
         if 0 <= n < len(self.ap):
             for w in self.ap[n]:
-                for l in self.basis.ending_at(w.support.source):
-                    for r in self.basis.starting_at(w.support.target):
+                for l in self.basis.ending_at(w.source):
+                    for r in self.basis.starting_at(w.target):
                         basis.append((l, w.pos, r))
         index = {trip: i for i, trip in enumerate(basis)}
         return basis, index
@@ -522,7 +509,7 @@ class Resolution:
         trivial = self.quiver.num_vertices  # a trivial path's id is its vertex
         targets, rows, entries = [], {}, []
         for w in self.ap[n]:
-            ls = ending_at(w.support.source)
+            ls = ending_at(w.source)
             for t in diff.get(w.pos, ()):
                 if t.right < trivial:
                     left, psi, c = t.left, t.middle, t.coeff
@@ -531,7 +518,7 @@ class Resolution:
                         if ll is not None:
                             row = rows.setdefault((ll, psi), len(rows))
                             entries.append((row, col, c))
-            targets += [w.support.target] * len(ls)
+            targets += [w.target] * len(ls)
         mat = RationalMatrix(len(rows), len(targets))
         for r, c, v in entries:
             mat.add_at(r, c, v)

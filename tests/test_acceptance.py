@@ -15,7 +15,7 @@ from stringcoh.cup import (
     normalize_geq,
     normalize_leq,
 )
-from tests_support import basis_path
+from tests_support import basis_path, support
 
 
 def padded(dims, length):
@@ -83,7 +83,7 @@ def test_criterion_5_ap_duality_and_divisor_counts(corpus):
         assert len(mirror) == len(res.ap) - 2, f"seed {seed}"
         for n in range(2, len(res.ap)):
             assert (
-                {e.support.arrows for e in res.ap[n]}
+                {support(res.quiver, e).arrows for e in res.ap[n]}
                 == mirror[n - 2].keys()
             ), f"seed {seed} degree {n}"
             for w in res.ap[n]:
@@ -168,7 +168,7 @@ def test_criterion_9_partition_sanity(corpus):
             total = sum(counts[k] for k in ("(0,0)", "(1,0)", "(0,1)", "(1,1)"))
             assert total == len(pairs), f"seed {seed} degree {n}"
             for p in pairs:
-                a = p.rho.support.arrows
+                a = support(res.quiver, p.rho).arrows
                 b = basis_path(cx.basis, p.gamma_id).arrows
                 if a == b:
                     continue

@@ -12,14 +12,14 @@ from stringcoh.cli import main
 from stringcoh.cup import cohomology_basis
 from stringcoh.generate import generate_dsl
 from stringcoh.linalg import RationalMatrix
-from tests_support import basis_path, connected_blocks
+from tests_support import basis_path, connected_blocks, support
 
 
 def weight(cx, pair) -> frozenset:
     """The arrow weight arrows(gamma) - arrows(rho) of a pair, as a signed
     multiset."""
     w = Counter(basis_path(cx.basis, pair.gamma_id).arrows)
-    w.subtract(pair.rho.support.arrows)
+    w.subtract(support(cx.res.quiver, pair.rho).arrows)
     return frozenset((a, k) for a, k in w.items() if k)
 
 

@@ -25,6 +25,7 @@ from conftest import a_n_text, build_tower
 from stringcoh.generate import generate, generate_dsl
 from stringcoh.linalg import CertificateError, RationalMatrix
 from tests_support import (
+    ap_label,
     apply,
     basis_label,
     basis_path,
@@ -34,12 +35,14 @@ from tests_support import (
     decompose,
     dense_is_cocycle,
     dense_lift_values,
+    fmt,
     global_lift_audit,
     middle_label,
     odd_positions_max,
     path_mult,
     scan_terms_at,
     solved_lift_matrices,
+    support,
 )
 
 cup_module = importlib.import_module("stringcoh.cup")
@@ -48,8 +51,8 @@ cup_module = importlib.import_module("stringcoh.cup")
 def basis_cochain(cx, degree, rho_label, gamma_label):
     pres = cx.res.pres
     for i, p in enumerate(cx.pairs(degree)):
-        if (pres.format_path(p.rho.support) == rho_label
-                and pres.format_path(basis_path(cx.basis, p.gamma_id))
+        if (ap_label(cx.res, p.rho) == rho_label
+                and fmt(pres, basis_path(cx.basis, p.gamma_id))
                 == gamma_label):
             return Cochain(degree, {i: Fraction(1)})
     raise AssertionError("no such pair")
@@ -58,19 +61,19 @@ def basis_cochain(cx, degree, rho_label, gamma_label):
 def test_comparison_degree_zero_single_term(a_n):
     pres, basis, res, cx = a_n[3]
     f = basis_cochain(cx, 2, "a2*a3", "b2*a3")
-    (w,) = [e for e in res.ap[2] if pres.format_path(e.support) == "a2*a3"]
+    (w,) = [e for e in res.ap[2] if ap_label(res, e) == "a2*a3"]
     terms = comparison_terms(cx, f, 0, w)
     assert len(terms) == 1
     t = terms[0]
     assert basis_path(basis, t.left).is_trivial
-    assert res.ap[0][t.middle].support.is_trivial
+    assert support(res.quiver, res.ap[0][t.middle]).is_trivial
     assert basis_label(res, t.right) == "b2*a3"
 
 
 def test_comparison_vanishes_off_support(a_n):
     pres, basis, res, cx = a_n[3]
     f = basis_cochain(cx, 2, "a2*a3", "b2*a3")
-    (w,) = [e for e in res.ap[3] if pres.format_path(e.support) == "b1*b2*b3"]
+    (w,) = [e for e in res.ap[3] if ap_label(res, e) == "b1*b2*b3"]
     assert comparison_terms(cx, f, 1, w) == []
 
 
@@ -78,7 +81,7 @@ def test_comparison_worked_example(a_n):
     """Degree-1 lift of a degree-2 cochain on the full-length support."""
     pres, basis, res, cx = a_n[3]
     f = basis_cochain(cx, 2, "a2*a3", "b2*a3")
-    (w,) = [e for e in res.ap[3] if pres.format_path(e.support) == "a1*a2*a3"]
+    (w,) = [e for e in res.ap[3] if ap_label(res, e) == "a1*a2*a3"]
     terms = comparison_terms(cx, f, 1, w)
     assert len(terms) == 1
     t = terms[0]
@@ -104,15 +107,16 @@ def test_comparison_even_degree_collapses(corpus):
                 for n in range(2, res.top - m + 1, 2):
                     for w in res.ap[n + m]:
                         head, u, tail = decompose(res, w, n, m)
-                        vals = scan_terms_at(cx, f, tail.support)
+                        q = res.quiver
+                        vals = scan_terms_at(cx, f, support(q, tail))
                         terms = comparison_terms(cx, f, n, w)
                         expect = set()
                         for c, gamma in vals:
                             rg = path_mult(cx.basis, u,
                                            basis_path(cx.basis, gamma))
                             if rg is not None:
-                                expect.add((c, head.support, rg))
-                        got = {(t.coeff, res.ap[n][t.middle].support,
+                                expect.add((c, support(q, head), rg))
+                        got = {(t.coeff, support(q, res.ap[n][t.middle]),
                                 basis_path(cx.basis, t.right)) for t in terms}
                         assert got == expect
                         assert all(basis_path(cx.basis, t.left).is_trivial
@@ -338,6 +342,12 @@ def test_normalize_keeps_unshared_pairs(a_n):
     assert normalize_geq(cx, f).coeffs == f.coeffs
 
 
+def test_sub_of_different_degrees_raises():
+    with pytest.raises(ValueError, match="different degrees"):
+        Cochain(1, {0: 1}).sub(Cochain(2, {0: 1}))
+    assert Cochain(1, {0: 1}).sub(Cochain(1, {0: 1})).is_zero()
+
+
 def test_normalize_kills_shared_both(a_n):
     pres, basis, res, cx = a_n[3]
     f = basis_cochain(cx, 3, "a1*a2*a3", "a1*b2*a3")  # (1,1) in degree 3
@@ -352,8 +362,8 @@ def test_normalize_slides_shared_first(a_n):
     lo = normalize_leq(cx, f)
     (idx,) = lo.coeffs
     target = cx.pairs(2)[idx]
-    assert pres.format_path(target.rho.support) == "a2*a3"
-    assert pres.format_path(basis_path(basis, target.gamma_id)) == "b2*a3"
+    assert ap_label(res, target.rho) == "a2*a3"
+    assert fmt(pres, basis_path(basis, target.gamma_id)) == "b2*a3"
     assert lo.coeffs[idx] == -1  # (-1)^(m-1) at even degree
     assert is_coboundary(cx, f.sub(lo))[0]
 
@@ -529,8 +539,9 @@ def test_terms_at_matches_scan(certified):
             if f.degree > cx.top:
                 continue
             for w in cx.res.ap[f.degree]:
+                sup = support(cx.res.quiver, w)
                 assert (list(f.terms_at(cx, w.pos))
-                        == scan_terms_at(cx, f, w.support)), name
+                        == scan_terms_at(cx, f, sup)), name
 
 
 def test_zero_cochain_is_coboundary_without_elimination(a_n, monkeypatch):

@@ -10,8 +10,8 @@ from conftest import a_n_text, build_tower
 from stringcoh import basis_P, parse
 from stringcoh.checks import Auditor
 from stringcoh.generate import generate, generate_dsl
-from stringcoh.quiver import Path
-from tests_support import basis_paths, path_splittings, scan_occurrences
+from tests_support import (Path, basis_paths, fmt, path_splittings,
+                           scan_occurrences, support, trivial_path)
 
 # the package exports the function cup, which shadows the module
 cup = import_module("stringcoh.cup")
@@ -19,7 +19,7 @@ cup = import_module("stringcoh.cup")
 
 def targets(res):
     """Every AP support of every degree and every basis path."""
-    out = {e.support for layer in res.ap for e in layer}
+    out = {support(res.quiver, e) for layer in res.ap for e in layer}
     out.update(basis_paths(res.basis))
     return sorted(out, key=lambda p: p.sort_key)
 
@@ -34,7 +34,7 @@ def assert_matches_scan(res):
     for t in targets(res):
         for n in range(-1, res.top + 3):
             assert (res.occurrences_in(n, t.arrows, t.source)
-                    == scanned(res, n, t)), (n, res.pres.format_path(t))
+                    == scanned(res, n, t)), (n, fmt(res.pres, t))
 
 
 def test_index_matches_scan_on_corpus(corpus):
@@ -54,13 +54,14 @@ def test_trivial_support_occurs_at_every_visit():
     hits = res.occurrences_in(0, t.arrows, t.source)
     assert len(hits) == len(t) + 1
     for i, (pos, start, end) in enumerate(hits):
-        assert res.ap[0][pos].support == res.quiver.trivial_path(t.vertices[i])
+        assert (support(res.quiver, res.ap[0][pos])
+                == trivial_path(res.quiver, t.vertices[i]))
         assert (start, end) == (i, i)
 
 
 def test_degrees_outside_the_resolution_are_empty():
     _, res, _ = build_tower(parse(a_n_text(4)))
-    t = res.ap[res.top][0].support
+    t = support(res.quiver, res.ap[res.top][0])
     assert res.occurrences_in(res.top, t.arrows, t.source)
     for n in (-1, res.top + 1, res.top + 5):
         assert res.occurrences_in(n, t.arrows, t.source) == []
@@ -94,7 +95,7 @@ def test_divisor_route_builds_no_path(text):
     top = res.top
     with mock.patch.object(Path, "__post_init__", autospec=True,
                            side_effect=Path.__post_init__) as made:
-        res.quiver.trivial_path(0)
+        trivial_path(res.quiver, 0)
         assert made.call_count == 1  # the counter sees a Path being made
         for k in range(1, top + 1):
             for w in res.ap[k]:
@@ -127,7 +128,7 @@ def test_basis_and_slide_routes_build_no_path(text, slides):
                            side_effect=Path.__post_init__) as made, \
             mock.patch.object(cup, "phi", wraps=cup.phi) as phi, \
             mock.patch.object(cup, "phi_inv", wraps=cup.phi_inv) as phi_inv:
-        pres.quiver.trivial_path(0)
+        trivial_path(pres.quiver, 0)
         assert made.call_count == 1  # the counter sees a Path being made
         basis_P(pres)
         for n in range(cx.top + 2):

@@ -1,3 +1,5 @@
+import pytest
+
 from stringcoh import parse, validate
 from stringcoh.generate import generate, generate_dsl
 
@@ -41,6 +43,15 @@ def test_some_presentations_have_long_relations():
         any(len(r) >= 3 for r in generate(seed).relations)
         for seed in range(40)
     )
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"max_arrows": 0}, "max_arrows must be at least 1, got 0"),
+    ({"max_vertices": 1}, "max_vertices must be at least 2, got 1"),
+])
+def test_budget_below_its_bound_raises(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        generate_dsl(0, **kwargs)
 
 
 def test_small_vertex_budget():

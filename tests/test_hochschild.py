@@ -6,7 +6,9 @@ from conftest import a_n_text, build_tower
 from stringcoh import CochainComplex, Resolution, basis_P, parse
 from stringcoh.cli import main
 from stringcoh.generate import generate
-from tests_support import basis_id, basis_path, path_class_counts, path_pairs
+from tests_support import (ap_label, arrow_path, basis_id, basis_path, fmt,
+                           path_class_counts, path_pairs, support,
+                           trivial_path)
 
 
 def tower(text):
@@ -18,16 +20,16 @@ def tower(text):
 
 def pair_labels(cx, n):
     return {
-        (cx.res.pres.format_path(p.rho.support),
-         cx.res.pres.format_path(basis_path(cx.basis, p.gamma_id))): p.label
+        (ap_label(cx.res, p.rho),
+         fmt(cx.res.pres, basis_path(cx.basis, p.gamma_id))): p.label
         for p in cx.pairs(n)
     }
 
 
 def test_pairs_two_parallel_arrows_degree_one(a_n):
     pres, basis, res, cx = a_n[1]
-    got = {(pres.format_path(p.rho.support),
-            pres.format_path(basis_path(basis, p.gamma_id)))
+    got = {(ap_label(res, p.rho),
+            fmt(pres, basis_path(basis, p.gamma_id)))
            for p in cx.pairs(1)}
     assert got == {("a1", "a1"), ("a1", "b1"), ("b1", "a1"), ("b1", "b1")}
 
@@ -36,7 +38,8 @@ def test_pairs_degree_zero_is_diagonal(corpus):
     for _, pres, basis, _, cx in corpus[:20]:
         pairs = cx.pairs(0)
         assert len(pairs) == pres.quiver.num_vertices
-        assert all(basis_path(basis, p.gamma_id) == p.rho.support
+        assert all(basis_path(basis, p.gamma_id)
+                   == support(pres.quiver, p.rho)
                    for p in pairs)
 
 
@@ -59,6 +62,9 @@ def test_bad_degree_arguments_raise_value_error(a_n):
     for n in (1, cx.top + 2):
         with pytest.raises(ValueError, match="runs in degrees 2..4"):
             cx.ker_im_audit(n)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="start in degree 1"):
+            cx.res.differential(n)
 
 
 def test_pairs_top_degree_count(a_n):
@@ -125,15 +131,15 @@ def test_matrix_empty_when_no_degree_two(a_n):
 def test_matrix_single_entry_column(a_n):
     pres, basis, res, cx = a_n[3]
     m = cx.matrix(2)
-    a1, b1 = pres.quiver.arrow_path(0), pres.quiver.arrow_path(1)
+    a1, b1 = arrow_path(pres.quiver, 0), arrow_path(pres.quiver, 1)
     col = cx.pair_index(1)[(res.positions(1)[a1.arrows], basis_id(basis, b1))]
     entries = [(i, v) for i, j, v in m.items() if j == col]
     assert len(entries) == 1
     ((i, v),) = entries
     row_pair = cx.pairs(2)[i]
     assert v == 1
-    assert pres.format_path(row_pair.rho.support) == "a1*a2"
-    assert pres.format_path(basis_path(basis, row_pair.gamma_id)) == "b1*a2"
+    assert ap_label(res, row_pair.rho) == "a1*a2"
+    assert fmt(pres, basis_path(basis, row_pair.gamma_id)) == "b1*a2"
 
 
 def test_matrix_degree_one_single_arrow():
@@ -141,13 +147,13 @@ def test_matrix_degree_one_single_arrow():
     m = cx.matrix(1)
     q = pres.quiver
 
-    def key(n, support):
-        pos = res.positions(n)[support.arrows] if n else support.source
-        return (pos, basis_id(basis, support))
+    def key(n, sup):
+        pos = res.positions(n)[sup.arrows] if n else sup.source
+        return (pos, basis_id(basis, sup))
 
-    row = cx.pair_index(1)[key(1, q.arrow_path(0))]
-    col0 = cx.pair_index(0)[key(0, q.trivial_path(0))]
-    col1 = cx.pair_index(0)[key(0, q.trivial_path(1))]
+    row = cx.pair_index(1)[key(1, arrow_path(q, 0))]
+    col0 = cx.pair_index(0)[key(0, trivial_path(q, 0))]
+    col1 = cx.pair_index(0)[key(0, trivial_path(q, 1))]
     assert m.get(row, col0) == -1
     assert m.get(row, col1) == 1
 

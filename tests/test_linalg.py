@@ -94,6 +94,12 @@ def test_matmul_and_transpose():
     assert to_dense(transpose(a)) == [[1, 0], [2, 1]]
 
 
+def test_matmul_dimension_mismatch():
+    a = RationalMatrix.from_rows([[1, 2], [0, 1]])
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        a @ RationalMatrix.from_rows([[1, 0, 2]])
+
+
 small_matrices = st.integers(1, 5).flatmap(
     lambda n: st.integers(1, 5).flatmap(
         lambda m: st.lists(

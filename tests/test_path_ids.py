@@ -13,7 +13,8 @@ from stringcoh.checks import Auditor
 from stringcoh.cup import cup_table
 from stringcoh.generate import generate, generate_dsl
 from stringcoh.resolution import SubDivisor
-from tests_support import basis_id, basis_paths, path_mult, path_mult3
+from tests_support import (arrow_path, basis_id, basis_paths, path_mult,
+                           path_mult3, support, trivial_path, word_path)
 
 
 def lanes(ns):
@@ -75,11 +76,11 @@ def test_ids_follow_the_canonical_orders(corpus):
     for name, basis, res, _ in corpus_towers(corpus) + lanes(range(1, 6)):
         q = res.quiver
         for v in range(q.num_vertices):
-            assert basis_id(basis, q.trivial_path(v)) == v, name
-            assert res.ap[0][v].support == q.trivial_path(v), name
+            assert basis_id(basis, trivial_path(q, v)) == v, name
+            assert support(q, res.ap[0][v]) == trivial_path(q, v), name
         if len(res.ap) > 1:
-            assert [w.support for w in res.ap[1]] == [
-                q.arrow_path(a) for a in range(q.num_arrows)], name
+            assert [support(q, w) for w in res.ap[1]] == [
+                arrow_path(q, a) for a in range(q.num_arrows)], name
         for layer in res.ap:
             assert [w.pos for w in layer] == list(range(len(layer))), name
 
@@ -108,20 +109,21 @@ def test_differential_terms_have_basis_cofactors(corpus):
                 got = [(t.coeff, paths[t.left], res.ap[n - 1][t.middle],
                         paths[t.right]) for t in d[w.pos]]
                 total += len(got)
+                q = res.quiver
+                sup = support(q, w)
                 if n == 1:
-                    q = res.quiver
-                    source = q.trivial_path(w.support.source)
-                    target = q.trivial_path(w.support.target)
-                    assert got == [(1, w.support, res.ap[0][target.source],
+                    source = trivial_path(q, sup.source)
+                    target = trivial_path(q, sup.target)
+                    assert got == [(1, sup, res.ap[0][target.source],
                                     target),
                                    (-1, source, res.ap[0][source.source],
-                                    w.support)], name
+                                    sup)], name
                     continue
                 subs = res.sub(w)
                 assert all(s.left is not None and s.right is not None
                            for s in subs), name
                 assert [(paths[s.left], paths[s.right]) for s in subs] == [
-                    (w.support.prefix(s.start), w.support.suffix(s.end))
+                    (sup.prefix(s.start), sup.suffix(s.end))
                     for s in subs], name
                 signed = ([(1, s) for s in subs] if n % 2 == 0
                           else [(1, subs[1]), (-1, subs[0])])
@@ -138,7 +140,7 @@ def test_divisor_with_a_cofactor_in_the_ideal_is_dropped(monkeypatch):
     _, res, cx = build_tower(pres)
     real_d2, real_matrix = res.differential(2), cx.matrix(2)
     real_sub = Resolution.sub
-    relation = pres.relations[0]
+    relation = word_path(pres.quiver, pres.relations[0])
 
     def with_dead_divisor(self, w):
         subs = real_sub(self, w)
@@ -178,7 +180,8 @@ def test_occurrence_with_a_cofactor_in_the_ideal_is_counted():
 
     basis, res, cx = build_tower(pres)
     w = res.ap[2][i]
-    word, source = w.support.arrows, w.support.source
+    sup = support(res.quiver, w)
+    word, source = sup.arrows, sup.source
     j, _ = res.split(w, 1, 1)
     occurrences = res.occurrences_in(1, word[:j], source)
     psi, a, _ = next(occ for occ in occurrences if occ[1] > 0)

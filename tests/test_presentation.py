@@ -1,15 +1,20 @@
 import pytest
 
 from conftest import a_n_text
-from stringcoh import ParseError, basis_P, parse, validate
+from stringcoh import ParseError, Presentation, basis_P, parse, validate
 from stringcoh.generate import generate
-from stringcoh.quiver import compose
 from tests_support import (
+    arrow_path,
     basis_id,
     basis_paths,
+    compose,
     enumerate_paths,
+    fmt,
     occurrences,
+    path,
     scan_non_minimal_pairs,
+    trivial_path,
+    word_path,
 )
 
 
@@ -75,6 +80,16 @@ def test_validate_two_lane_passes():
     }
 
 
+def test_validate_names_short_relations():
+    """parse rejects a relation of fewer than two arrows; those of a
+    presentation built by hand, the empty word included, are named."""
+    quiver = parse("vertex 0 1\narrow a 0 1\n").quiver
+    report = validate(Presentation(quiver, ((), (0,))))
+    assert report.failures() == [
+        ("relation-lengths", "relations of length < 2: e, a"),
+        ("minimal-generators", "e divides a")]
+
+
 def test_validate_s2_failure_names_arrow():
     text = "vertex 0 1 2\narrow a 0 1\narrow b 1 2\narrow c 1 2"
     report = validate(parse(text))
@@ -126,8 +141,7 @@ def minimal_generators_detail(pres):
 def test_minimal_generators_detail(relations, detail):
     pres = parse(NESTED + relations)
     assert minimal_generators_detail(pres) == detail
-    fmt = pres.format_path
-    assert detail == "; ".join(f"{fmt(a)} divides {fmt(b)}"
+    assert detail == "; ".join(f"{fmt(pres, a)} divides {fmt(pres, b)}"
                                for a, b in scan_non_minimal_pairs(pres))
 
 
@@ -144,27 +158,27 @@ def test_in_ideal_matches_scan(seed):
     paths = enumerate_paths(pres.quiver, 4)
     assert any(len(p) == 4 for p in paths)
     for p in paths:
-        assert pres.in_ideal(p) == any(occurrences(r, p)
-                                       for r in pres.relations)
+        assert pres.in_ideal(p.arrows) == any(
+            occurrences(word_path(pres.quiver, r), p) for r in pres.relations)
 
 
 def test_in_ideal_relation_itself():
     pres = parse(a_n_text(3))
     q = pres.quiver
-    a1a2 = q.path(0, [0, 2])
-    assert pres.in_ideal(a1a2)
+    a1a2 = path(q, 0, [0, 2])
+    assert pres.in_ideal(a1a2.arrows)
 
 
 def test_in_ideal_mixed_path_survives():
     pres = parse(a_n_text(3))
     q = pres.quiver
-    a1b2 = q.path(0, [0, 3])
-    assert not pres.in_ideal(a1b2)
+    a1b2 = path(q, 0, [0, 3])
+    assert not pres.in_ideal(a1b2.arrows)
 
 
 def test_in_ideal_trivial_path():
     pres = parse(a_n_text(3))
-    assert not pres.in_ideal(pres.quiver.trivial_path(0))
+    assert not pres.in_ideal(trivial_path(pres.quiver, 0).arrows)
 
 
 def test_basis_single_vertex():
@@ -195,7 +209,7 @@ def test_basis_factor_closed_and_ordered(corpus):
             assert p.suffix(1) in paths if len(p) else True
         keys = [p.sort_key for p in basis_paths(basis)]
         assert keys == sorted(keys)
-        assert all(pres.quiver.trivial_path(v) in paths
+        assert all(trivial_path(pres.quiver, v) in paths
                    for v in range(pres.quiver.num_vertices))
 
 
@@ -203,7 +217,7 @@ def test_basis_agrees_with_ideal_scan(corpus):
     for _, pres, basis, _, _ in corpus[:25]:
         for p in enumerate_paths(pres.quiver):
             assert ((basis_id(basis, p) is not None)
-                    == (not pres.in_ideal(p)))
+                    == (not pres.in_ideal(p.arrows)))
 
 
 def test_ideal_absorbs_products(corpus):
@@ -213,8 +227,8 @@ def test_ideal_absorbs_products(corpus):
             for v in paths:
                 if u.target != v.source:
                     continue
-                if pres.in_ideal(u) or pres.in_ideal(v):
-                    assert pres.in_ideal(compose(u, v))
+                if pres.in_ideal(u.arrows) or pres.in_ideal(v.arrows):
+                    assert pres.in_ideal(compose(u, v).arrows)
 
 
 def test_unique_continuation_propagates_to_basis(corpus):
@@ -227,9 +241,9 @@ def test_unique_continuation_propagates_to_basis(corpus):
                 continue
             g = basis_id(basis, gamma)
             succ = [b for b in q.out_arrows(gamma.target)
-                    if basis.mult(g, basis_id(basis, q.arrow_path(b)))
+                    if basis.mult(g, basis_id(basis, arrow_path(q, b)))
                     is not None]
             pred = [b for b in q.in_arrows(gamma.source)
-                    if basis.mult(basis_id(basis, q.arrow_path(b)), g)
+                    if basis.mult(basis_id(basis, arrow_path(q, b)), g)
                     is not None]
             assert len(succ) <= 1 and len(pred) <= 1

@@ -1,14 +1,17 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from stringcoh.quiver import (
+from stringcoh.quiver import CyclicQuiverError, Quiver
+from tests_support import (
     CompositionError,
-    CyclicQuiverError,
-    Path,
-    Quiver,
+    arrow_path,
     compose,
+    divides,
+    enumerate_paths,
+    occurrences,
+    path,
+    trivial_path,
 )
-from tests_support import divides, enumerate_paths, occurrences
 
 
 def two_lane(n):
@@ -25,46 +28,46 @@ def q3():
 
 
 def test_compose_concatenates(q3):
-    a1, a2 = q3.arrow_path(0), q3.arrow_path(2)
+    a1, a2 = arrow_path(q3, 0), arrow_path(q3, 2)
     p = compose(a1, a2)
     assert p.arrows == (0, 2)
     assert (p.source, p.target) == (0, 2)
 
 
 def test_compose_trivial_is_identity(q3):
-    a1 = q3.arrow_path(0)
-    assert compose(q3.trivial_path(0), a1) == a1
-    assert compose(a1, q3.trivial_path(1)) == a1
+    a1 = arrow_path(q3, 0)
+    assert compose(trivial_path(q3, 0), a1) == a1
+    assert compose(a1, trivial_path(q3, 1)) == a1
 
 
 def test_compose_endpoint_mismatch(q3):
-    a1, b1 = q3.arrow_path(0), q3.arrow_path(1)
+    a1, b1 = arrow_path(q3, 0), arrow_path(q3, 1)
     with pytest.raises(CompositionError):
         compose(a1, b1)
 
 
 def test_occurrences_single(q3):
-    w = q3.path(0, [0, 2, 4])  # a1 a2 a3
-    a2 = q3.arrow_path(2)
+    w = path(q3, 0, [0, 2, 4])  # a1 a2 a3
+    a2 = arrow_path(q3, 2)
     occ = occurrences(a2, w)
-    assert occ == [(q3.path(0, [0]), q3.path(2, [4]))]
+    assert occ == [(path(q3, 0, [0]), path(q3, 2, [4]))]
 
 
 def test_occurrences_self_division(q3):
-    w = q3.path(0, [0, 2])
+    w = path(q3, 0, [0, 2])
     occ = occurrences(w, w)
-    assert occ == [(q3.trivial_path(0), q3.trivial_path(2))]
+    assert occ == [(trivial_path(q3, 0), trivial_path(q3, 2))]
     assert not divides(w, w)
 
 
 def test_occurrences_absent(q3):
-    w = q3.path(0, [0, 2])
-    assert occurrences(q3.arrow_path(1), w) == []
+    w = path(q3, 0, [0, 2])
+    assert occurrences(arrow_path(q3, 1), w) == []
 
 
 def test_occurrences_trivial_subpath(q3):
-    w = q3.path(0, [0, 2])
-    occ = occurrences(q3.trivial_path(1), w)
+    w = path(q3, 0, [0, 2])
+    occ = occurrences(trivial_path(q3, 1), w)
     assert len(occ) == 1
     left, right = occ[0]
     assert left.arrows == (0,) and right.arrows == (2,)
@@ -72,7 +75,7 @@ def test_occurrences_trivial_subpath(q3):
 
 def test_enumerate_single_vertex():
     q = Quiver(["0"], [])
-    assert enumerate_paths(q) == [q.trivial_path(0)]
+    assert enumerate_paths(q) == [trivial_path(q, 0)]
 
 
 def test_enumerate_two_parallel_arrows():
@@ -149,9 +152,20 @@ def test_occurrence_count_matches_scan(q3):
 @given(st.lists(st.integers(0, 5), max_size=6))
 def test_path_subpath_roundtrip(cuts):
     q = two_lane(6)
-    w = q.path(0, [2 * i for i in range(6)])
+    w = path(q, 0, [2 * i for i in range(6)])
     for c in cuts:
         assert compose(w.prefix(c), w.suffix(c)) == w
+
+
+@pytest.mark.parametrize("vertices, arrows, message", [
+    (["0", "0"], [], "duplicate vertex labels"),
+    (["0", "1"], [("a", 0, 1), ("a", 0, 1)], "duplicate arrow labels"),
+    (["0", "1"], [("a", 0, 2)], "arrow endpoint out of range"),
+    (["0", "1"], [("a", -1, 1)], "arrow endpoint out of range"),
+])
+def test_bad_quiver_raises_value_error(vertices, arrows, message):
+    with pytest.raises(ValueError, match=message):
+        Quiver(vertices, arrows)
 
 
 def test_longest_path_length(q3):

@@ -2,25 +2,25 @@ import dataclasses
 
 import pytest
 
-from conftest import a_n_text
+from conftest import a_n_text, build_tower
 from stringcoh import ApConstructionError, Resolution, basis_P, parse
 from stringcoh import resolution
-from stringcoh.quiver import compose
+from stringcoh.generate import generate
 from tests_support import (
+    ap_label,
     ap_sets,
     basis_id,
     basis_label,
     basis_path,
     blocks,
+    compose,
     decompose,
     enumerate_paths,
+    fmt,
     full_path,
     middle_label,
+    support,
 )
-
-
-def fmt(pres, p):
-    return pres.format_path(p)
 
 
 def line_text(n, rel_len, starts):
@@ -34,13 +34,14 @@ def line_text(n, rel_len, starts):
 
 
 def supports(res, n):
-    return {e.support for e in res.ap[n]} if n < len(res.ap) else set()
+    return ({support(res.quiver, e) for e in res.ap[n]} if n < len(res.ap)
+            else set())
 
 
 def test_ap_two_lane_three_steps(a_n):
     pres, basis, res, cx = a_n[3]
     q = pres.quiver
-    assert supports(res, 2) == set(pres.relations)
+    assert {s.arrows for s in supports(res, 2)} == set(pres.relations)
     assert {fmt(pres, s) for s in supports(res, 3)} == {
         "a1*a2*a3", "b1*b2*b3",
     }
@@ -49,7 +50,7 @@ def test_ap_two_lane_three_steps(a_n):
 
 def test_ap_degree_two_is_relation_set(corpus):
     for _, pres, _, res, _ in corpus:
-        assert supports(res, 2) == set(pres.relations)
+        assert {s.arrows for s in supports(res, 2)} == set(pres.relations)
 
 
 def test_ap_empty_without_relations(a_n):
@@ -57,20 +58,41 @@ def test_ap_empty_without_relations(a_n):
     assert res.top == 1
 
 
-def test_ap_supports_longer_than_degree(corpus):
-    for _, _, _, res, _ in corpus[:30]:
+def test_ap_supports_longer_than_degree(corpus, tree_corpus,
+                                        quadratic_corpus):
+    """Every element of AP_n has a support of at least n arrows, exactly n
+    in degrees 0 and 1, and n - 1 relations in each chain from degree 2,
+    none below.  Its end vertices are those of its word, or the vertex
+    pos in degree 0.  On generate(0..99), the tree and quadratic corpora,
+    generate_dsl(0..12, 24, 48) and a_n(1..12)."""
+    towers = [t[3] for t in corpus + tree_corpus + quadratic_corpus]
+    towers += [build_tower(generate(s, max_vertices=24, max_arrows=48))[1]
+               for s in range(13)]
+    towers += [build_tower(parse(a_n_text(n)))[1] for n in range(1, 13)]
+    for res in towers:
+        q = res.quiver
         for n, layer in enumerate(res.ap):
             for e in layer:
-                assert len(e.support) >= n
+                sup = support(q, e)
+                assert len(sup) >= n
+                assert len(e.word) == n if n < 2 else len(e.word) >= n
+                assert len(e.chain) == len(e.op_chain) == max(n - 1, 0)
+                if n:
+                    ends = (q.arrow_source[e.word[0]],
+                            q.arrow_target[e.word[-1]])
+                else:
+                    ends = (e.pos, e.pos)
+                assert (e.source, e.target) == ends
+                assert (sup.source, sup.target) == ends
 
 
 def _relations_along(t, pres):
-    """(start, end, relation) for every relation occurring in t."""
-    by_word = {r.arrows: r for r in pres.relations}
+    """(start, end, relation word) for every relation occurring in t."""
+    words = set(pres.relations)
     lengths = {len(r) for r in pres.relations}
-    return [(i, i + k, by_word[t.arrows[i : i + k]])
+    return [(i, i + k, t.arrows[i : i + k])
             for i in range(len(t)) for k in lengths
-            if i + k <= len(t) and t.arrows[i : i + k] in by_word]
+            if i + k <= len(t) and t.arrows[i : i + k] in words]
 
 
 def brute_force_ap(pres):
@@ -125,11 +147,14 @@ def assert_matches_oracles(pres, basis, res):
     forward, dual = brute_force_ap(pres), brute_force_op_ap(pres)
     for built in (res, Resolution(pres, basis, max_degree=3)):
         mirror = built.op_ap_sets()
+        q = built.quiver
         for n in range(2, built.cap + 1):
             layer = built.ap[n] if n < len(built.ap) else []
             run = mirror[n - 2] if n - 2 < len(mirror) else {}
-            assert {e.support: e.chain for e in layer} == forward.get(n, {}), n
-            assert {e.support: e.op_chain for e in layer} == dual.get(n, {}), n
+            assert ({support(q, e): e.chain for e in layer}
+                    == forward.get(n, {})), n
+            assert ({support(q, e): e.op_chain for e in layer}
+                    == dual.get(n, {})), n
             assert run == {p.arrows: c for p, c in dual.get(n, {}).items()}, n
 
 
@@ -162,28 +187,32 @@ def test_op_sets_match_everywhere(a_n, corpus):
     towers = [t[2] for t in a_n.values()] + [t[3] for t in corpus]
     for res in towers:
         assert [set(layer) for layer in res.op_ap_sets()] == [
-            {e.support.arrows for e in layer} for layer in res.ap[2:]]
+            {support(res.quiver, e).arrows for e in layer}
+            for layer in res.ap[2:]]
 
 
 def test_ap_element_hash_is_degree_and_support(corpus, a_n):
-    """An AP element hashes as (degree, support).  Equal elements hash
-    equal and element-keyed lookups still hit; an element with the same
-    degree and support but another chain stays unequal.  The word of a
+    """An AP element hashes as (degree, pos), its id, and within a degree
+    its support fixes its position.  Equal elements hash equal and
+    element-keyed lookups still hit; an element with the same degree,
+    support and position but another chain stays unequal.  The word of a
     support of degree >= 1 finds its position."""
     towers = [res for _, _, _, res, _ in corpus] + [a_n[5][2]]
     for res in towers:
         for n, layer in enumerate(res.ap):
             index = {w: i for i, w in enumerate(layer)}
             for i, w in enumerate(layer):
-                copy = resolution.ApElement(w.degree, w.support, w.chain,
-                                            w.op_chain, w.pos)
+                copy = resolution.ApElement(w.degree, w.word, w.source,
+                                            w.target, w.chain, w.op_chain,
+                                            w.pos)
                 assert copy == w and hash(copy) == hash(w)
-                assert hash(w) == hash((n, w.support))
+                assert hash(w) == hash((n, w.pos))
                 if n:
-                    assert res.positions(n)[copy.support.arrows] == w.pos
+                    assert (res.positions(n)[support(res.quiver, copy).arrows]
+                            == w.pos)
                 assert index[copy] == i
     w = a_n[5][2].ap[3][0]
-    other = dataclasses.replace(w, chain=(w.support,) * 2)
+    other = dataclasses.replace(w, chain=(w.word,) * 2)
     assert other.chain != w.chain
     assert hash(other) == hash(w) and other != w
     assert len({w: 0, other: 1}) == 2
@@ -191,9 +220,9 @@ def test_ap_element_hash_is_degree_and_support(corpus, a_n):
 
 def test_sub_of_degree_three_element(a_n):
     pres, basis, res, cx = a_n[3]
-    (w,) = [e for e in res.ap[3] if fmt(pres, e.support) == "a1*a2*a3"]
+    (w,) = [e for e in res.ap[3] if ap_label(res, e) == "a1*a2*a3"]
     subs = res.sub(w)
-    assert [fmt(pres, res.ap[2][d.pos].support) for d in subs] == ["a1*a2", "a2*a3"]
+    assert [ap_label(res, res.ap[2][d.pos]) for d in subs] == ["a1*a2", "a2*a3"]
     assert [(d.start, d.end) for d in subs] == [(0, 2), (1, 3)]
     assert [(basis_label(res, d.left), basis_label(res, d.right))
             for d in subs] == [("e_0", "a3"), ("a1", "e_3")]
@@ -201,9 +230,9 @@ def test_sub_of_degree_three_element(a_n):
 
 def test_sub_of_relation_is_its_arrows(a_n):
     pres, basis, res, cx = a_n[3]
-    (w,) = [e for e in res.ap[2] if fmt(pres, e.support) == "a1*a2"]
+    (w,) = [e for e in res.ap[2] if ap_label(res, e) == "a1*a2"]
     subs = res.sub(w)
-    assert [fmt(pres, res.ap[1][d.pos].support) for d in subs] == ["a1", "a2"]
+    assert [ap_label(res, res.ap[1][d.pos]) for d in subs] == ["a1", "a2"]
 
 
 def test_sub_two_for_odd_and_quadratic(corpus):
@@ -217,18 +246,18 @@ def test_sub_two_for_odd_and_quadratic(corpus):
 
 def test_decompose_examples(a_n):
     pres, basis, res, cx = a_n[3]
-    (w3,) = [e for e in res.ap[3] if fmt(pres, e.support) == "a1*a2*a3"]
+    (w3,) = [e for e in res.ap[3] if ap_label(res, e) == "a1*a2*a3"]
     head, u, tail = decompose(res, w3, 2, 1)
-    assert (fmt(pres, head.support), fmt(pres, u), fmt(pres, tail.support)) == (
+    assert (ap_label(res, head), fmt(pres, u), ap_label(res, tail)) == (
         "a1*a2", "e_2", "a3",
     )
     head, u, tail = decompose(res, w3, 1, 2)
-    assert (fmt(pres, head.support), fmt(pres, u), fmt(pres, tail.support)) == (
+    assert (ap_label(res, head), fmt(pres, u), ap_label(res, tail)) == (
         "a1", "e_1", "a2*a3",
     )
-    (w2,) = [e for e in res.ap[2] if fmt(pres, e.support) == "a1*a2"]
+    (w2,) = [e for e in res.ap[2] if ap_label(res, e) == "a1*a2"]
     head, u, tail = decompose(res, w2, 1, 1)
-    assert (fmt(pres, head.support), fmt(pres, u), fmt(pres, tail.support)) == (
+    assert (ap_label(res, head), fmt(pres, u), ap_label(res, tail)) == (
         "a1", "e_1", "a2",
     )
 
@@ -239,15 +268,17 @@ def test_decompose_reassembles(corpus):
             for w in res.ap[n]:
                 for k in range(n + 1):
                     head, u, tail = decompose(res, w, k, n - k)
-                    rebuilt = compose(compose(head.support, u), tail.support)
-                    assert rebuilt == w.support
+                    q = res.quiver
+                    rebuilt = compose(compose(support(q, head), u),
+                                      support(q, tail))
+                    assert rebuilt == support(q, w)
                     assert basis_id(basis, u) is not None
 
 
 def test_differential_degree_one(a_n):
     pres, basis, res, cx = a_n[1]
     terms = res.differential(1)
-    (alpha,) = [e for e in res.ap[1] if fmt(pres, e.support) == "a1"]
+    (alpha,) = [e for e in res.ap[1] if ap_label(res, e) == "a1"]
     t1, t2 = terms[alpha.pos]
     assert (t1.coeff, basis_label(res, t1.left), middle_label(res, 0, t1)) == (
         1, "a1", "e_1",
@@ -260,7 +291,7 @@ def test_differential_degree_one(a_n):
 def test_differential_degree_two(a_n):
     pres, basis, res, cx = a_n[3]
     terms = res.differential(2)
-    (w,) = [e for e in res.ap[2] if fmt(pres, e.support) == "a1*a2"]
+    (w,) = [e for e in res.ap[2] if ap_label(res, e) == "a1*a2"]
     got = {(t.coeff, basis_label(res, t.left), middle_label(res, 1, t),
             basis_label(res, t.right)) for t in terms[w.pos]}
     assert got == {(1, "e_0", "a1", "a2"), (1, "a1", "a2", "e_2")}
@@ -269,7 +300,7 @@ def test_differential_degree_two(a_n):
 def test_differential_degree_three_signs(a_n):
     pres, basis, res, cx = a_n[3]
     terms = res.differential(3)
-    (w,) = [e for e in res.ap[3] if fmt(pres, e.support) == "a1*a2*a3"]
+    (w,) = [e for e in res.ap[3] if ap_label(res, e) == "a1*a2*a3"]
     got = [(t.coeff, basis_label(res, t.left), middle_label(res, 2, t),
             basis_label(res, t.right)) for t in terms[w.pos]]
     assert got == [
@@ -352,7 +383,7 @@ def test_ap_rejects_non_minimal_generators():
     pres = parse(text)
     with pytest.raises(ApConstructionError, match="not minimal") as err:
         Resolution(pres, basis_P(pres))
-    assert pres.format_path(err.value.support) == "a*b*c"
+    assert pres.quiver.format_word(err.value.support) == "a*b*c"
 
 
 @pytest.mark.parametrize("drop_mirrored, message", [
@@ -370,7 +401,7 @@ def test_ap_runs_that_disagree_raise(a_n, monkeypatch, drop_mirrored, message):
     monkeypatch.setattr(Resolution, "_chain_run", drop_top)
     with pytest.raises(ApConstructionError, match=message) as err:
         Resolution(pres, basis)
-    assert pres.format_path(err.value.support) == "a1*a2*a3"
+    assert pres.quiver.format_word(err.value.support) == "a1*a2*a3"
 
 
 def test_ap_support_with_two_chains_raises(a_n, monkeypatch):

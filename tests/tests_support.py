@@ -1,6 +1,7 @@
 """Shared oracle helpers written independently of the package internals
 they are meant to check."""
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import lcm
@@ -15,13 +16,112 @@ from stringcoh.cup import (
 from stringcoh.hochschild import COUNT_KEYS
 from stringcoh.linalg import CertificateError, RationalMatrix
 from stringcoh.presentation import basis_P
-from stringcoh.quiver import CyclicQuiverError, Path, compose
+from stringcoh.quiver import CyclicQuiverError
 from stringcoh.resolution import BimoduleTerm, Resolution, apply_map
+
+
+class CompositionError(ValueError):
+    """Raised when two paths with mismatched endpoints are composed."""
+
+
+@dataclass(frozen=True)
+class Path:
+    """The oracle's path type: a directed path, stored as its vertex ids
+    and arrow ids.  The package names a path by its arrow word alone
+    (plus the vertex of a trivial path); the oracles below build Paths
+    from the quiver to check it by an independent route.
+
+    ``vertices`` has one more entry than ``arrows``; a trivial path at x
+    is ``Path((x,), ())``.
+    """
+
+    vertices: tuple[int, ...]
+    arrows: tuple[int, ...]
+
+    def __post_init__(self):
+        assert len(self.vertices) == len(self.arrows) + 1
+
+    def __len__(self):
+        return len(self.arrows)
+
+    @property
+    def source(self) -> int:
+        return self.vertices[0]
+
+    @property
+    def target(self) -> int:
+        return self.vertices[-1]
+
+    @property
+    def is_trivial(self) -> bool:
+        return not self.arrows
+
+    def subpath(self, i: int, j: int) -> "Path":
+        """The subpath spanning positions i..j (0 <= i <= j <= len)."""
+        assert 0 <= i <= j <= len(self.arrows)
+        return Path(self.vertices[i : j + 1], self.arrows[i:j])
+
+    def prefix(self, j: int) -> "Path":
+        return self.subpath(0, j)
+
+    def suffix(self, i: int) -> "Path":
+        return self.subpath(i, len(self.arrows))
+
+    @property
+    def sort_key(self):
+        """Canonical order: by length, then arrow ids, then base vertex."""
+        return (len(self.arrows), self.arrows, self.vertices[0])
+
+
+def compose(p: Path, q: Path) -> Path:
+    """Concatenation of p and q; requires target(p) = source(q)."""
+    if p.target != q.source:
+        raise CompositionError(
+            f"cannot compose: target {p.target} != source {q.source}"
+        )
+    return Path(p.vertices + q.vertices[1:], p.arrows + q.arrows)
+
+
+def path(q, base: int, arrows) -> Path:
+    """The path of the quiver q from a base vertex along composable arrow
+    ids."""
+    verts = [base]
+    for a in arrows:
+        if q.arrow_source[a] != verts[-1]:
+            raise CompositionError(
+                f"arrow {q.arrow_labels[a]} does not start at vertex "
+                f"{q.vertex_labels[verts[-1]]}"
+            )
+        verts.append(q.arrow_target[a])
+    return Path(tuple(verts), tuple(arrows))
+
+
+def trivial_path(q, v: int) -> Path:
+    return Path((v,), ())
+
+
+def arrow_path(q, a: int) -> Path:
+    return Path((q.arrow_source[a], q.arrow_target[a]), (a,))
+
+
+def word_path(q, word) -> Path:
+    """The path of a nonempty arrow word, such as a relation."""
+    return path(q, q.arrow_source[word[0]], word)
+
+
+def support(q, e) -> Path:
+    """The support of the AP element e as a Path."""
+    return path(q, e.source, e.word)
+
+
+def fmt(pres, p: Path) -> str:
+    """The label of a Path, as the package prints its arrow word."""
+    return pres.quiver.format_word(p.arrows, p.source)
 
 
 def basis_path(basis, i: int) -> Path:
     """The basis path with id i as a Path, built from the quiver."""
-    return basis.pres.quiver.path(basis.sources[i], basis.words[i])
+    return path(basis.pres.quiver, basis.sources[i], basis.words[i])
 
 
 def basis_paths(basis) -> list[Path]:
@@ -207,7 +307,7 @@ def _path_left_dead(basis, gamma) -> bool:
     """Whether b * gamma is in the ideal for every arrow b into gamma's
     source, by path_mult."""
     q = basis.pres.quiver
-    return all(path_mult(basis, q.arrow_path(b), gamma) is None
+    return all(path_mult(basis, arrow_path(q, b), gamma) is None
                for b in q.in_arrows(gamma.source))
 
 
@@ -215,7 +315,7 @@ def _path_right_dead(basis, gamma) -> bool:
     """Whether gamma * b is in the ideal for every arrow b out of gamma's
     target, by path_mult."""
     q = basis.pres.quiver
-    return all(path_mult(basis, gamma, q.arrow_path(b)) is None
+    return all(path_mult(basis, gamma, arrow_path(q, b)) is None
                for b in q.out_arrows(gamma.target))
 
 
@@ -244,7 +344,7 @@ def path_classify(basis, rho, gamma) -> tuple:
     support; above it, when gamma's first (last) arrow is the support's.
     The inner decoration strips the shared arrow and asks the dead-side
     question one step in, where the side next to it is dead."""
-    sup = rho.support
+    sup = support(basis.pres.quiver, rho)
     if rho.degree == 1:
         shares_first = shares_last = gamma == sup
     else:
@@ -274,8 +374,7 @@ def path_pairs(cx, n: int) -> list[tuple]:
         parallel.setdefault((gamma.source, gamma.target), []).append(g)
     out = []
     for rho in cx.res.ap[n] if 0 <= n <= cx.top else ():
-        sup = rho.support
-        for g in parallel.get((sup.source, sup.target), ()):
+        for g in parallel.get((rho.source, rho.target), ()):
             gamma = paths[g]
             fields = (path_classify(basis, rho, gamma) if n
                       else (None,) * 7)
@@ -302,12 +401,17 @@ def path_class_counts(cx, n: int) -> dict[str, int]:
 
 def basis_label(res, i: int) -> str:
     """The label of the basis path with id i."""
-    return res.pres.format_path(basis_path(res.basis, i))
+    return fmt(res.pres, basis_path(res.basis, i))
+
+
+def ap_label(res, e) -> str:
+    """The label of the support of the AP element e."""
+    return fmt(res.pres, support(res.quiver, e))
 
 
 def middle_label(res, n: int, term) -> str:
     """The label of the support of a term's middle, an element of AP_n."""
-    return res.pres.format_path(res.ap[n][term.middle].support)
+    return ap_label(res, res.ap[n][term.middle])
 
 
 def occurrences(w_sub: Path, w: Path) -> list[tuple[Path, Path]]:
@@ -337,18 +441,19 @@ def decompose(res, w, n: int, m: int):
     suffix, u a basis path.  The Path-level route that Resolution.split
     replaced, with the same CertificateErrors."""
     assert n >= 0 and m >= 0 and n + m == w.degree and n + m >= 2
-    sup = w.support
+    q = res.quiver
+    sup = support(q, w)
     if n <= 1:
         head_sup = sup.prefix(n)
     else:
-        rel = w.chain[n - 2]
+        rel = word_path(q, w.chain[n - 2])
         head_sup = sup.prefix(_path_start(rel, sup) + len(rel))
     if m <= 1:
         tail_sup = sup.suffix(len(sup) - m)
     else:
-        tail_sup = sup.suffix(_path_start(w.op_chain[n], sup))
-    head = next((e for e in res.ap[n] if e.support == head_sup), None)
-    tail = next((e for e in res.ap[m] if e.support == tail_sup), None)
+        tail_sup = sup.suffix(_path_start(word_path(q, w.op_chain[n]), sup))
+    head = next((e for e in res.ap[n] if support(q, e) == head_sup), None)
+    tail = next((e for e in res.ap[m] if support(q, e) == tail_sup), None)
     if head is None or tail is None:
         raise CertificateError("splitting fell outside the computed AP sets")
     i, j = len(head_sup), len(sup) - len(tail_sup)
@@ -377,7 +482,8 @@ def path_splittings(cx, n: int, m: int) -> list:
             out.append((w.pos, (), 0))
             continue
         head, u, tail = decompose(cx.res, w, n, m)
-        found = scan_occurrences(cx.res, n, compose(head.support, u))
+        found = scan_occurrences(cx.res, n,
+                                 compose(support(cx.res.quiver, head), u))
         divisors = []
         for left, psi, right in found:
             left, right = basis_id(cx.basis, left), basis_id(cx.basis, right)
@@ -392,7 +498,8 @@ def division_positions(cx, n: int, w) -> int:
     the occurrences of AP_n in head * u, whether or not their cofactors
     survive, by a fresh decompose and scan_occurrences."""
     head, u, _ = decompose(cx.res, w, n, w.degree - n)
-    return len(scan_occurrences(cx.res, n, compose(head.support, u)))
+    return len(scan_occurrences(cx.res, n,
+                                compose(support(cx.res.quiver, head), u)))
 
 
 def odd_positions_max(cx) -> int:
@@ -414,14 +521,14 @@ def enumerate_paths(quiver, max_length: int | None = None) -> list:
     """
     if not quiver.is_acyclic():
         raise CyclicQuiverError("path enumeration needs an acyclic quiver")
-    frontier = [quiver.trivial_path(v) for v in range(quiver.num_vertices)]
+    frontier = [trivial_path(quiver, v) for v in range(quiver.num_vertices)]
     out = list(frontier)
     length = 0
     while frontier and (max_length is None or length < max_length):
         nxt = []
         for p in sorted(frontier, key=lambda q: q.arrows):
             for a in sorted(quiver.out_arrows(p.target)):
-                nxt.append(compose(p, quiver.arrow_path(a)))
+                nxt.append(compose(p, arrow_path(quiver, a)))
         out.extend(nxt)
         frontier = nxt
         length += 1
@@ -577,10 +684,9 @@ def bimodule_extension(res, mat, n: int, k: int) -> RationalMatrix:
 def _trivial_ends(res, n: int, w: int):
     """Basis ids of the trivial paths at the two ends of the support of
     element w of AP_n."""
-    sup = res.ap[n][w].support
-    q = res.quiver
-    return (basis_id(res.basis, q.trivial_path(sup.source)),
-            basis_id(res.basis, q.trivial_path(sup.target)))
+    e = res.ap[n][w]
+    return (basis_id(res.basis, trivial_path(res.quiver, e.source)),
+            basis_id(res.basis, trivial_path(res.quiver, e.target)))
 
 
 def dense_is_cocycle(cx, f) -> bool:
@@ -591,28 +697,30 @@ def dense_is_cocycle(cx, f) -> bool:
     return all(v == 0 for v in apply(cx.matrix(f.degree + 1), f.vector(cx)))
 
 
-def scan_terms_at(cx, f, support) -> list:
-    """Cochain.terms_at at the element with this support by a scan over
-    every coefficient of f, in pair order, gamma as a basis id."""
+def scan_terms_at(cx, f, sup: Path) -> list:
+    """Cochain.terms_at at the element with the support sup by a scan
+    over every coefficient of f, in pair order, gamma as a basis id."""
     pairs = cx.pairs(f.degree)
     return [(c, pairs[i].gamma_id)
             for i, c in sorted(f.coeffs.items())
-            if pairs[i].rho.support == support]
+            if support(cx.res.quiver, pairs[i].rho) == sup]
 
 
 def scan_occurrences(res, n: int, target) -> list:
     """Every (left, e, right) with e in AP_n and target = left *
-    e.support * right, in AP order and then left to right, by scanning
+    support(e) * right, in AP order and then left to right, by scanning
     all of AP_n with occurrences, as sub, divisors and
     division_positions once did."""
     layer = res.ap[n] if 0 <= n < len(res.ap) else []
-    return [(l, e, r) for e in layer for l, r in occurrences(e.support, target)]
+    return [(l, e, r) for e in layer
+            for l, r in occurrences(support(res.quiver, e), target)]
 
 
 def scan_non_minimal_pairs(pres) -> list:
     """The minimal-generators witnesses by comparing every pair of
     relations: (r, r2) where r divides r2, in relation order."""
-    return [(r, r2) for r in pres.relations for r2 in pres.relations
+    rels = [word_path(pres.quiver, r) for r in pres.relations]
+    return [(r, r2) for r in rels for r2 in rels
             if r is not r2 and occurrences(r, r2)]
 
 
@@ -667,7 +775,7 @@ def one_sided_by_full_path(res, n: int) -> dict[int, tuple[int, int]]:
     per psi; d_0 is the augmentation, of rank 1."""
     by_target: dict = {}
     for w in res.ap[n]:
-        by_target.setdefault(w.support.target, []).append(w)
+        by_target.setdefault(w.target, []).append(w)
     diff = res.differential(n) if n else {}
     paths, mult = basis_paths(res.basis), res.basis.mult
     out = {}
@@ -676,12 +784,12 @@ def one_sided_by_full_path(res, n: int) -> dict[int, tuple[int, int]]:
         for w in layer:
             kept = [t for t in diff.get(w.pos, ())
                     if paths[t.right].is_trivial]
-            for l in res.basis.ending_at(w.support.source):
+            for l in res.basis.ending_at(w.source):
                 col = {}
                 for t in kept:
                     if mult(l, t.left) is not None:
                         col[t.middle] = col.get(t.middle, 0) + t.coeff
-                blocks.setdefault(paths[l].arrows + w.support.arrows,
+                blocks.setdefault(paths[l].arrows + w.word,
                                   []).append(col)
         rank = int(n == 0)
         for cols in blocks.values():
@@ -723,7 +831,8 @@ def full_path(res, n: int, triple):
     A (x) kAP_n (x) A, before reduction modulo the ideal: the block that
     the triple lies in."""
     l, w, r = triple
-    return compose(compose(basis_path(res.basis, l), res.ap[n][w].support),
+    return compose(compose(basis_path(res.basis, l),
+                           support(res.quiver, res.ap[n][w])),
                    basis_path(res.basis, r))
 
 
