@@ -1,5 +1,5 @@
-"""The CLI output on three corpora, the ``hh`` output on four larger
-inputs, and the ``validate``/``hh``/``ap`` output on a few invalid
+"""The CLI output on three corpora, the ``hh``, ``cup`` and ``check``
+output on four larger inputs, and the ``validate``/``hh``/``ap`` output on a few invalid
 inputs, pinned by one SHA-256 per (command, input).  Each digest covers
 the exit code, stderr and stdout of one ``main`` call, with the value of
 ``elapsed_ms`` blanked.  A change that
@@ -33,8 +33,9 @@ DIGESTS = os.path.join(os.path.dirname(__file__), "data", "cli_digests.json")
 # adds the chains of each element
 RUNS = [(command, "--json") for command in ("hh", "ap", "cup", "check")]
 RUNS += [("check",), ("ap",)]
-# hh alone on the larger inputs, where supports are long and pairs many
-LARGE_RUNS = [("hh", "--json")]
+# the larger inputs, where supports are long and pairs many, and the
+# splitting and Leibniz tables of the lifts are large
+LARGE_RUNS = [(command, "--json") for command in ("hh", "cup", "check")]
 # the parse errors and the validation details of invalid inputs
 INVALID_RUNS = [("validate",), ("validate", "--json"), ("hh", "--json"),
                 ("ap",)]
