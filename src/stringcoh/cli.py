@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 validation failure, 2 parse or usage failure, 3 a
-computed property that the theory guarantees failed to hold (a bug
-witness, never silent).
+Exit codes: 0 success, 1 validation failure, 2 parse or usage failure
+(an unreadable FILE included), 3 a computed property that the theory
+guarantees failed to hold (a bug witness, never silent).
 """
 
 from __future__ import annotations
@@ -40,6 +40,15 @@ def main(argv=None) -> int:
     except CertificateError as exc:
         print(f"certificate failed: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
+    except (OSError, UnicodeDecodeError) as exc:
+        path = vars(args).get("file")
+        # FILE is the one file opened and the one text decoded; an error
+        # writing the output names no file and is not caught here
+        if path is None or getattr(exc, "filename", path) != path:
+            raise
+        reason = exc.strerror if isinstance(exc, OSError) else exc
+        print(f"cannot read {path}: {reason}", file=sys.stderr)
+        return EXIT_PARSE
 
 
 @functools.cache

@@ -285,11 +285,8 @@ class CochainComplex:
         For n = 0 the tail is w itself and there are none.  An occurrence
         with a cofactor in the ideal adds nothing to a comparison lift but
         is counted.  Every element of AP_{n+m} is checked to have degree
-        n + m.  A cofactor is one lookup in PathBasis.word_index, or the
-        vertex at its offset when trivial."""
+        n + m."""
         res = self.res
-        ids = self.basis.word_index
-        target = self.quiver.arrow_target
         out = []
         for w in res.ap[n + m]:
             require_lift_degree(n, m, w)
@@ -297,16 +294,11 @@ class CochainComplex:
                 out.append((w.pos, (), 0))
                 continue
             j, tail = res.split(w, n, m)
-            word, source = w.word, w.source
             # head * u = word[:j] holds the head, of at least one arrow
-            at_j = target[word[j - 1]]
-            occurrences = res.occurrences_in(n, word[:j], source)
-            divisors = []
-            for psi, a, b in occurrences:
-                left = ids.get(word[:a]) if a else source
-                right = ids.get(word[b:j]) if b < j else at_j
-                if left is not None and right is not None:
-                    divisors.append((left, psi, right))
+            occurrences = res.occurrences_in(n, w.word[:j], w.source)
+            divisors = [(left, psi, right)
+                        for psi, _, _, left, right in occurrences
+                        if left is not None and right is not None]
             out.append((tail, tuple(divisors), len(occurrences)))
         return out
 
@@ -337,8 +329,8 @@ class CochainComplex:
             word, source = w.word, w.source
             last = len(word) - 1
             slots = []
-            for psi, a, b in self.res.occurrences_in(n, word[:last], source):
-                left = ids.get(word[:a]) if a else source
+            for psi, _, b, left, _ in self.res.occurrences_in(n, word[:last],
+                                                               source):
                 if left is None:
                     continue
                 at_b = target[word[b - 1]] if b else source
@@ -418,21 +410,20 @@ class CochainComplex:
             even = n % 2 == 0
             for w in self.res.ap[n] if n <= self.top else []:
                 length = len(w.word)
-                for d in self.res.sub(w):
+                for pos, start, end, left, right in self.res.sub(w):
                     # odd degrees: + L gamma at the flush-right divisor,
                     # - gamma R at the flush-left one
-                    if not even and d.end != length and d.start != 0:
+                    if not even and end != length and start != 0:
                         raise CertificateError(
                             "odd-degree divisor is flush at neither end")
-                    targets = cols_by_support.get(d.pos)
-                    left, right = d.left, d.right
+                    targets = cols_by_support.get(pos)
                     if not targets or left is None or right is None:
                         continue  # no column, or a cofactor in the ideal: all 0
                     for j, gamma in targets:
                         if even:
                             prod = mult3(left, gamma, right)
                             coeff = 1
-                        elif d.end == length:
+                        elif end == length:
                             prod = mult(left, gamma)
                             coeff = 1
                         else:

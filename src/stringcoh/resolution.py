@@ -110,21 +110,6 @@ class ApElement:
         return hash((self.degree, self.pos))
 
 
-@dataclass(frozen=True, slots=True)
-class SubDivisor:
-    """An occurrence L * psi * R of an element psi of AP_{n-1} in the
-    support of an element of AP_n: psi by its position, the occurrence by
-    its arrow offsets [start, end) in the support, and L and R by basis
-    id, None for a cofactor in the ideal.  start == 0 when the divisor is
-    flush left, end == the support's length when it is flush right."""
-
-    pos: int
-    start: int
-    end: int
-    left: int | None
-    right: int | None
-
-
 @dataclass(slots=True)
 class BimoduleTerm:
     """One term c * (left (x) middle (x) right) of a bimodule map image.
@@ -315,27 +300,33 @@ class Resolution:
 
     # -- divisors and the unique splitting, on arrow words -----------------
 
-    def occurrences_in(self, n: int, word: Word, source: int) -> list[tuple[int, int, int]]:
-        """Every occurrence of an element psi of AP_n in the path with
-        this arrow word and source, as (position of psi, start, end) with
-        word[start:end] the support of psi, sorted; [] outside 0..top.  A
-        trivial support occurs at every visit of the path to its vertex.
+    def occurrences_in(self, n: int, word: Word, source: int) -> list[tuple]:
+        """Every occurrence L * psi * R of an element psi of AP_n in the
+        path with this arrow word and source, as (position of psi, start,
+        end, id of L, id of R) with word[start:end] the support of psi,
+        left to right and then in AP order; [] outside 0..top.  A cofactor
+        in the ideal is None, and a trivial one the vertex at its offset.
+        A trivial support occurs at every visit of the path to its vertex.
         Only the elements starting with the arrow at an offset (the
         vertex, in degree 0) are matched there, from _first_arrows(n)."""
         if not 0 <= n < len(self.ap):
             return []
         index = self._first_arrows(n)
+        ids = self.basis.word_index
+        k = len(word)
+        target = self.quiver.arrow_target
+        end = target[word[-1]] if word else source
         hits = []
         # degree 0 keys by the vertex at each offset
-        keys = word if n else (source,) + tuple(
-            map(self.quiver.arrow_target.__getitem__, word))
+        keys = word if n else (source,) + tuple(map(target.__getitem__, word))
         # a support of degree n has at least n arrows
-        for i in range(len(word) - n + 1):
+        for i in range(k - n + 1):
             for pos, sub in index.get(keys[i], ()):
                 j = i + len(sub)
                 if word[i:j] == sub:
-                    hits.append((pos, i, j))
-        hits.sort()
+                    hits.append((pos, i, j,
+                                 ids.get(word[:i]) if i else source,
+                                 ids.get(word[j:]) if j < k else end))
         return hits
 
     @memo
@@ -356,25 +347,17 @@ class Resolution:
         return {e.word: e.pos for e in self.ap[k]}
 
     @memo
-    def sub(self, w: ApElement) -> list[SubDivisor]:
-        """The degree n-1 elements dividing w, with cofactors, left to
-        right and then in AP order, from occurrences_in.
+    def sub(self, w: ApElement) -> list[tuple]:
+        """The degree n-1 elements dividing w, as occurrences_in records.
 
         Division is strict, but equal supports across consecutive degrees
         cannot happen (the greedy chain is recoverable from the support),
         so any occurrence qualifies.  Odd degrees >= 3 always yield
-        exactly two divisors, one flush right and one flush left.
+        exactly two divisors, one flush left and one flush right.
         """
-        word = w.word
-        k = len(word)
-        ids = self.basis.word_index
-        out = [SubDivisor(pos, i, j,
-                          ids.get(word[:i]) if i else w.source,
-                          ids.get(word[j:]) if j < k else w.target)
-               for pos, i, j in self.occurrences_in(w.degree - 1, word,
-                                                    w.source)
-               if j - i < k]
-        out.sort(key=lambda d: (d.start, d.pos))
+        k = len(w.word)
+        out = [d for d in self.occurrences_in(w.degree - 1, w.word, w.source)
+               if d[2] - d[1] < k]
         if w.degree >= 3 and w.degree % 2 == 1:
             _require_two_flush(out, k)
         return out
@@ -437,9 +420,9 @@ class Resolution:
                     first, second = _require_two_flush(self.sub(w),
                                                        len(w.word))
                     signed = [(1, second), (-1, first)]
-                out[w.pos] = [BimoduleTerm(c, d.left, d.pos, d.right)
-                              for c, d in signed
-                              if d.left is not None and d.right is not None]
+                out[w.pos] = [BimoduleTerm(c, left, pos, right)
+                              for c, (pos, _, _, left, right) in signed
+                              if left is not None and right is not None]
         return out
 
     # -- the realized complex ---------------------------------------------
@@ -580,11 +563,11 @@ def augment(basis: PathBasis, terms) -> dict:
     return out
 
 
-def _require_two_flush(subs: list[SubDivisor], length: int) -> list[SubDivisor]:
+def _require_two_flush(subs: list[tuple], length: int) -> list[tuple]:
     """The flush-left and flush-right divisors of an odd-degree element
     with a support of this length (Bardzell), which its differential
     takes."""
-    if len(subs) != 2 or not (subs[0].start == 0 and subs[1].end == length):
+    if len(subs) != 2 or not (subs[0][1] == 0 and subs[1][2] == length):
         raise CertificateError("odd-degree element without two flush divisors")
     return subs
 

@@ -87,8 +87,8 @@ def odd_divisor_flush_at_neither_end():
         subs = real(self, w)
         if w.degree % 2 == 0:
             return subs
-        first, second = subs
-        return [dataclasses.replace(first, start=1), second]
+        (pos, _, end, left, right), second = subs
+        return [(pos, 1, end, left, right), second]
 
     with mock.patch.object(Resolution, "sub", shifted):
         cx.matrix(3)

@@ -57,6 +57,43 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+@pytest.fixture(params=["missing", "directory", "undecodable"])
+def unreadable(request, tmp_path):
+    """A FILE argument that cannot be read as UTF-8 text."""
+    if request.param == "missing":
+        return str(tmp_path / "absent.quiver")
+    if request.param == "directory":
+        return str(tmp_path)
+    path = tmp_path / "bytes.quiver"
+    path.write_bytes(b"\xff\xfe")
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["validate", "hh", "ap", "cup", "check"])
+def test_unreadable_file_is_a_usage_error(command, unreadable, capsys):
+    assert main([command, unreadable]) == 2
+    captured = capsys.readouterr()
+    (line,) = captured.err.splitlines()
+    assert line.startswith(f"cannot read {unreadable}: ")
+    assert len(line) > len(f"cannot read {unreadable}: ")
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+class _ClosedPipe:
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_output_error_is_not_a_read_error(a_file, monkeypatch):
+    """An OSError writing the output names no FILE and is not reported
+    as an unreadable one."""
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    with pytest.raises(BrokenPipeError):
+        main(["hh", a_file(3), "--json"])
+    with pytest.raises(BrokenPipeError):
+        main(["gen"])
+
+
 def test_hh_line_two_parallel(a_file, capsys):
     assert main(["hh", a_file(1)]) == 0
     assert capsys.readouterr().out.splitlines()[0] == "HH: 1 3 0"

@@ -1,5 +1,6 @@
-"""Resolution.occurrences_in, the AP divisor index behind sub and
-splittings, against a scan of the whole AP layer."""
+"""Resolution.occurrences_in, the AP divisor index behind sub,
+splittings and leibniz_slots, with the cofactor ids of every divisor,
+against a scan of the whole AP layer."""
 
 from importlib import import_module
 from unittest import mock
@@ -10,8 +11,9 @@ from conftest import a_n_text, build_tower
 from stringcoh import basis_P, parse
 from stringcoh.checks import Auditor
 from stringcoh.generate import generate, generate_dsl
-from tests_support import (Path, basis_paths, fmt, path_splittings,
-                           scan_occurrences, support, trivial_path)
+from tests_support import (Path, basis_id, basis_paths, fmt,
+                           path_splittings, scan_occurrences, support,
+                           trivial_path)
 
 # the package exports the function cup, which shadows the module
 cup = import_module("stringcoh.cup")
@@ -25,21 +27,30 @@ def targets(res):
 
 
 def scanned(res, n, t):
-    """scan_occurrences as (position, start, end) int triples."""
-    return [(e.pos, len(left), len(t) - len(right))
-            for left, e, right in scan_occurrences(res, n, t)]
+    """scan_occurrences as (position, start, end, id of left, id of
+    right) records, ordered by start and then by position."""
+    found = [(e.pos, len(left), len(t) - len(right),
+              basis_id(res.basis, left), basis_id(res.basis, right))
+             for left, e, right in scan_occurrences(res, n, t)]
+    return sorted(found, key=lambda d: (d[1], d[0]))
 
 
-def assert_matches_scan(res):
+def assert_matches_scan(res) -> int:
+    """Check every target in every degree; the number of cofactors in
+    the ideal seen."""
+    dead = 0
     for t in targets(res):
         for n in range(-1, res.top + 3):
+            want = scanned(res, n, t)
             assert (res.occurrences_in(n, t.arrows, t.source)
-                    == scanned(res, n, t)), (n, fmt(res.pres, t))
+                    == want), (n, fmt(res.pres, t))
+            dead += sum(d[3:].count(None) for d in want)
+    return dead
 
 
 def test_index_matches_scan_on_corpus(corpus):
-    for _seed, _pres, _basis, res, _cx in corpus:
-        assert_matches_scan(res)
+    dead = sum(assert_matches_scan(res) for _, _, _, res, _ in corpus)
+    assert dead > 0  # the cofactors in the ideal are pinned too
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -53,10 +64,12 @@ def test_trivial_support_occurs_at_every_visit():
     t = max(basis_paths(res.basis), key=len)
     hits = res.occurrences_in(0, t.arrows, t.source)
     assert len(hits) == len(t) + 1
-    for i, (pos, start, end) in enumerate(hits):
+    for i, (pos, start, end, left, right) in enumerate(hits):
         assert (support(res.quiver, res.ap[0][pos])
                 == trivial_path(res.quiver, t.vertices[i]))
         assert (start, end) == (i, i)
+        assert left == basis_id(res.basis, t.prefix(i))
+        assert right == basis_id(res.basis, t.suffix(i))
 
 
 def test_degrees_outside_the_resolution_are_empty():

@@ -12,7 +12,6 @@ from stringcoh import Resolution, parse
 from stringcoh.checks import Auditor
 from stringcoh.cup import cup_table
 from stringcoh.generate import generate, generate_dsl
-from stringcoh.resolution import SubDivisor
 from tests_support import (arrow_path, basis_id, basis_paths, path_mult,
                            path_mult3, support, trivial_path, word_path)
 
@@ -120,15 +119,17 @@ def test_differential_terms_have_basis_cofactors(corpus):
                                     sup)], name
                     continue
                 subs = res.sub(w)
-                assert all(s.left is not None and s.right is not None
-                           for s in subs), name
-                assert [(paths[s.left], paths[s.right]) for s in subs] == [
-                    (sup.prefix(s.start), sup.suffix(s.end))
-                    for s in subs], name
+                assert all(left is not None and right is not None
+                           for _, _, _, left, right in subs), name
+                assert [(paths[left], paths[right])
+                        for _, _, _, left, right in subs] == [
+                    (sup.prefix(start), sup.suffix(end))
+                    for _, start, end, _, _ in subs], name
                 signed = ([(1, s) for s in subs] if n % 2 == 0
                           else [(1, subs[1]), (-1, subs[0])])
-                assert got == [(c, paths[s.left], res.ap[n - 1][s.pos],
-                                paths[s.right]) for c, s in signed], name
+                assert got == [(c, paths[left], res.ap[n - 1][pos],
+                                paths[right])
+                               for c, (pos, _, _, left, right) in signed], name
     assert total == 4482
 
 
@@ -147,10 +148,9 @@ def test_divisor_with_a_cofactor_in_the_ideal_is_dropped(monkeypatch):
         if w.degree % 2:
             return subs
         # the relation as a left cofactor: its word has no basis id
-        dead = SubDivisor(subs[0].pos, len(relation),
-                          len(relation) + subs[0].end - subs[0].start,
-                          self.basis.word_index.get(relation.arrows),
-                          relation.target)
+        pos, start, end, _, _ = subs[0]
+        dead = (pos, len(relation), len(relation) + end - start,
+                self.basis.word_index.get(relation.arrows), relation.target)
         return [dead] + subs
 
     monkeypatch.setattr(Resolution, "sub", with_dead_divisor)
@@ -184,7 +184,7 @@ def test_occurrence_with_a_cofactor_in_the_ideal_is_counted():
     word, source = sup.arrows, sup.source
     j, _ = res.split(w, 1, 1)
     occurrences = res.occurrences_in(1, word[:j], source)
-    psi, a, _ = next(occ for occ in occurrences if occ[1] > 0)
+    psi, a, _, _, _ = next(occ for occ in occurrences if occ[1] > 0)
     with mock.patch.dict(basis.word_index):
         del basis.word_index[word[:a]]
         tail, divisors, count = cx.splittings(1, 1)[i]

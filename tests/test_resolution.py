@@ -222,17 +222,17 @@ def test_sub_of_degree_three_element(a_n):
     pres, basis, res, cx = a_n[3]
     (w,) = [e for e in res.ap[3] if ap_label(res, e) == "a1*a2*a3"]
     subs = res.sub(w)
-    assert [ap_label(res, res.ap[2][d.pos]) for d in subs] == ["a1*a2", "a2*a3"]
-    assert [(d.start, d.end) for d in subs] == [(0, 2), (1, 3)]
-    assert [(basis_label(res, d.left), basis_label(res, d.right))
-            for d in subs] == [("e_0", "a3"), ("a1", "e_3")]
+    assert [ap_label(res, res.ap[2][d[0]]) for d in subs] == ["a1*a2", "a2*a3"]
+    assert [(start, end) for _, start, end, _, _ in subs] == [(0, 2), (1, 3)]
+    assert [(basis_label(res, left), basis_label(res, right))
+            for _, _, _, left, right in subs] == [("e_0", "a3"), ("a1", "e_3")]
 
 
 def test_sub_of_relation_is_its_arrows(a_n):
     pres, basis, res, cx = a_n[3]
     (w,) = [e for e in res.ap[2] if ap_label(res, e) == "a1*a2"]
     subs = res.sub(w)
-    assert [ap_label(res, res.ap[1][d.pos]) for d in subs] == ["a1", "a2"]
+    assert [ap_label(res, res.ap[1][d[0]]) for d in subs] == ["a1", "a2"]
 
 
 def test_sub_two_for_odd_and_quadratic(corpus):

@@ -474,16 +474,17 @@ def _path_start(rel, w) -> int:
 
 def path_splittings(cx, n: int, m: int) -> list:
     """CochainComplex.splittings(n, m) on Paths: decompose, then the
-    occurrences of AP_n in head * u by scan_occurrences, cofactors looked
-    up by basis_id."""
+    occurrences of AP_n in head * u by scan_occurrences, ordered by
+    offset and then by AP position, cofactors looked up by basis_id."""
     out = []
     for w in cx.res.ap[n + m]:
         if n == 0:
             out.append((w.pos, (), 0))
             continue
         head, u, tail = decompose(cx.res, w, n, m)
-        found = scan_occurrences(cx.res, n,
-                                 compose(support(cx.res.quiver, head), u))
+        found = sorted(scan_occurrences(
+            cx.res, n, compose(support(cx.res.quiver, head), u)),
+            key=lambda o: (len(o[0]), o[1].pos))
         divisors = []
         for left, psi, right in found:
             left, right = basis_id(cx.basis, left), basis_id(cx.basis, right)
