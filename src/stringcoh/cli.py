@@ -169,14 +169,17 @@ def cmd_hh(args) -> int:
     payload = {
         "presentation": report.presentation_section(pres, basis),
         "validation": report.validation_section(vreport),
-        "ap": report.ap_section(res),
+        "ap": report.ap_section(res, max_degree=args.max_degree),
         "hh": report.hh_section(table),
     }
     status = EXIT_OK
     if not args.json:
         dims = (table.dims_formula if args.method == "formula"
                 else table.dims_matrix)
-        print("HH: " + " ".join(str(d) for d in dims + [0]))
+        # the trailing 0 stands for all degrees above the top, so a table
+        # capped below the top leaves it off
+        zero = [0] if len(dims) > table.top else []
+        print("HH: " + " ".join(str(d) for d in dims + zero))
         if args.method == "both":
             for row in table.rows:
                 print(f"  degree {row.degree}: formula {row.dim_formula}, "

@@ -56,12 +56,6 @@ class Cochain:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def vector(self, cx: CochainComplex) -> list[Fraction]:
-        out = [Fraction(0)] * len(cx.pairs(self.degree))
-        for i, c in self.coeffs.items():
-            out[i] = c
-        return out
-
     def terms_at(self, cx: CochainComplex, pos: int):
         """The (coefficient, gamma id) values this cochain takes on the
         element at position pos of its degree's AP set, in pair order."""
@@ -93,18 +87,6 @@ class Cochain:
             else:
                 out.pop(i, None)
         return Cochain(self.degree, out)
-
-    @classmethod
-    def from_vector(cls, degree: int, vec) -> "Cochain":
-        """The cochain with these coefficients; an integral one is kept as
-        an int."""
-        return cls(degree, {i: _exact(v) for i, v in enumerate(vec) if v})
-
-
-def _exact(v) -> int | Fraction:
-    """v as an int when it is integral, else as a Fraction."""
-    v = Fraction(v)
-    return v.numerator if v.denominator == 1 else v
 
 
 def is_cocycle(cx: CochainComplex, f: Cochain) -> bool:
@@ -461,14 +443,15 @@ def normalize_geq(cx: CochainComplex, f: Cochain) -> Cochain:
 
 def is_coboundary(cx: CochainComplex, f: Cochain):
     """Exact membership of f in the image of the previous cochain map.
-    Returns (True, preimage) or (False, certificate).  Zero is exactly
-    the image of zero, so it needs no elimination."""
+    Returns (True, preimage) or (False, certificate), each a sparse dict
+    (RationalMatrix.in_column_space).  Zero is exactly the image of zero,
+    so it needs no elimination."""
     m = f.degree
     if m == 0 or m > cx.top:
         return (f.is_zero(), None)
     if f.is_zero():
-        return (True, [Fraction(0)] * len(cx.pairs(m - 1)))
-    return cx.matrix(m).in_column_space(f.vector(cx))
+        return (True, {})
+    return cx.matrix(m).in_column_space(f.coeffs)
 
 
 @memo
@@ -476,7 +459,9 @@ def cocycle_basis(cx: CochainComplex, m: int) -> list[Cochain]:
     """The canonical kernel basis of the degree m+1 cochain map, cached
     on cx; do not change its cochains."""
     vecs = cx.echelon(m + 1).nullspace() if m <= cx.top else []
-    return [Cochain.from_vector(m, v) for v in vecs]
+    return [Cochain(m, {i: v.numerator if v.denominator == 1 else v
+                        for i, v in vec.items()})
+            for vec in vecs]
 
 
 @memo

@@ -1,4 +1,4 @@
-"""Exact rational matrices: rank, nullspace, pivot columns, and certified
+"""Exact rational matrices: rank, kernel, pivot columns, and certified
 column-space membership.
 
 The elimination core is fraction-free (Bareiss): rows are cleared to
@@ -14,13 +14,16 @@ is its own pivot.  Every pivot candidate of a column lies in its block,
 and the rows a global sweep would update there all carry one common
 scale, so the pivots are those of one global elimination.
 
-All four queries run that one elimination, which `RationalMatrix.echelon`
-keeps for callers that ask a matrix more than one question.  Column-space
-membership eliminates [M | v | I] with pivots in M's columns: a row left
-without a pivot but with an entry under v is a left-null certificate,
-read off the identity columns.  Kernel vectors and preimages come from one
-back substitution, seeded with a free column set to 1 or with v's column
-set to -1; a kernel vector is solved over the pivots of its own block.
+Rank, pivot columns and kernel read one elimination, which
+`RationalMatrix.echelon` keeps for callers that ask a matrix more than
+one question.  Column-space membership eliminates [M | v | I] with pivots
+in M's columns: a row left without a pivot but with an entry under v is a
+left-null certificate, read off the identity columns.  Kernel vectors and
+preimages come from one back substitution, seeded with a free column set
+to 1 or with v's column set to -1; a kernel vector is solved over the
+pivots of its own block.  Vectors in and out are sparse dicts from index
+to nonzero value: v and certificates by row, kernel vectors and
+preimages by column.
 """
 
 from __future__ import annotations
@@ -46,16 +49,6 @@ class RationalMatrix:
         self.cols = cols
         self._rows: list[dict[int, Fraction]] = [dict() for _ in range(rows)]
 
-    @classmethod
-    def from_rows(cls, data) -> "RationalMatrix":
-        data = [list(r) for r in data]
-        m = cls(len(data), len(data[0]) if data else 0)
-        for i, row in enumerate(data):
-            for j, v in enumerate(row):
-                if v:
-                    m._rows[i][j] = v if type(v) is int else Fraction(v)
-        return m
-
     def add_at(self, r: int, c: int, v):
         if not v:
             return
@@ -65,9 +58,6 @@ class RationalMatrix:
             row[c] = new
         else:
             del row[c]
-
-    def get(self, r: int, c: int) -> Fraction:
-        return Fraction(self._rows[r].get(c, 0))
 
     def nnz(self) -> int:
         return sum(len(r) for r in self._rows)
@@ -110,34 +100,29 @@ class RationalMatrix:
         pivots, rows = _bareiss(_integer_rows(self._rows), self.cols)
         return Echelon(self.cols, pivots, rows)
 
-    def rank(self) -> int:
-        return self.echelon().rank
-
-    def nullspace(self) -> list[tuple[Fraction, ...]]:
-        return self.echelon().nullspace()
-
     def pivot_columns(self) -> list[int]:
         return self.echelon().pivot_columns()
 
-    def in_column_space(self, vec):
-        """Decide whether vec lies in the column span.
+    def in_column_space(self, vec: dict):
+        """Decide whether vec, given as {row: value}, lies in the column
+        span; a key outside 0..rows-1 raises ValueError.
 
-        Returns ``(True, x)`` with the preimage solving M x = vec that is
-        zero off the pivot columns, or ``(False, y)`` with a certifying
-        functional: y M = 0, y.vec != 0.
+        Returns ``(True, x)`` with the preimage {column: value} solving
+        M x = vec that is zero off the pivot columns, or ``(False, y)``
+        with a certifying functional {row: value}: y M = 0, y.vec != 0.
 
         One elimination of [M | vec | I], pivoting in M's columns only,
         decides both: y is read off the identity columns of a row left
         without a pivot but with an entry under vec, and x comes from the
         shared back substitution seeded with vec's column.
         """
-        if len(vec) != self.rows:
-            raise ValueError(f"expected a vector of length {self.rows}")
+        if any(not 0 <= i < self.rows for i in vec):
+            raise ValueError(f"row keys must lie in range({self.rows})")
         n = self.cols
         rows = []
         for i, row in enumerate(self._rows):
             r = dict(row)
-            if vec[i]:
+            if vec.get(i):
                 r[n] = vec[i]
             r[n + 1 + i] = 1
             rows.append(r)
@@ -149,10 +134,11 @@ class RationalMatrix:
                 if min(row) < n:
                     raise CertificateError(
                         "a left-null certificate must clear every column")
-                return False, [Fraction(row.get(n + 1 + k, 0))
-                               for k in range(self.rows)]
+                return False, {c - n - 1: Fraction(v)
+                               for c, v in row.items() if c > n}
         x = _solve(rows, pivots, {n: Fraction(-1)})
-        return True, [x.get(c, _ZERO) for c in range(n)]
+        del x[n]
+        return True, x
 
 
 class Echelon:
@@ -176,11 +162,11 @@ class Echelon:
         """Pivot columns of the row echelon form, in column order."""
         return [c for _, c in self.pivots]
 
-    def nullspace(self) -> list[tuple[Fraction, ...]]:
-        """Echelon-canonical kernel basis: one vector per free column, in
-        column order, with a 1 in its free coordinate.  Each is solved
-        over the pivots of its own block of the eliminated rows; a free
-        column in no block is a unit vector."""
+    def nullspace(self) -> list[dict[int, Fraction]]:
+        """Echelon-canonical kernel basis: one vector {column: value} per
+        free column, in column order, with a 1 in its free coordinate.
+        Each is solved over the pivots of its own block of the eliminated
+        rows; a free column in no block is a unit vector."""
         n = self.cols
         pivot_of = {r: c for r, c in self.pivots}
         block_pivots: dict[int, list[tuple[int, int]]] = {}
@@ -192,15 +178,8 @@ class Echelon:
                     if c < n:
                         block_pivots[c] = pivots
         pivot_cols = set(pivot_of.values())
-        out = []
-        for f in range(n):
-            if f not in pivot_cols:
-                vec = [_ZERO] * n
-                for c, v in _solve(self.rows, block_pivots.get(f, ()),
-                                   {f: Fraction(1)}).items():
-                    vec[c] = v
-                out.append(tuple(vec))
-        return out
+        return [_solve(self.rows, block_pivots.get(f, ()), {f: Fraction(1)})
+                for f in range(n) if f not in pivot_cols]
 
 
 def _integer_rows(rows) -> list[dict[int, int]]:

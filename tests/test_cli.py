@@ -460,7 +460,7 @@ def test_out_of_range_options_are_usage_errors(a_file, capsys, argv, option,
 
 def test_smallest_allowed_options_run(a_file, capsys):
     assert main(["hh", a_file(2), "--max-degree", "0"]) == 0
-    assert capsys.readouterr().out.splitlines()[0] == "HH: 1 0"
+    assert capsys.readouterr().out.splitlines()[0] == "HH: 1"
     assert main(["ap", a_file(2), "--max-degree", "0"]) == 0
     assert "degree 1" not in capsys.readouterr().out
     assert main(["gen", "--vertices", "2"]) == 0
@@ -480,8 +480,49 @@ def test_check_reports_formula_lift_gap(tmp_path, capsys):
 
 
 def test_hh_max_degree_truncates_but_stays_exact(a_file, capsys):
+    # uncapped: HH: 1 5 0 0 0 2 0
     assert main(["hh", a_file(5), "--max-degree", "1"]) == 0
-    assert capsys.readouterr().out.splitlines()[0] == "HH: 1 5 0"
+    assert capsys.readouterr().out.splitlines()[0] == "HH: 1 5"
+    assert main(["hh", a_file(5), "--max-degree", "4"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "HH: 1 5 0 0 0"
+
+
+def run_json(capsys, *argv) -> dict:
+    assert main([*argv, "--json"]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def hh_line(capsys, *argv) -> list[str]:
+    assert main(["hh", *argv]) == 0
+    return capsys.readouterr().out.splitlines()[0].split()
+
+
+CAP_INPUTS = {**{f"a_n({n})": a_n_text(n) for n in range(1, 9)},
+              **{f"generate({s})": generate_dsl(s) for s in range(20)}}
+
+
+@pytest.mark.parametrize("name", CAP_INPUTS)
+def test_max_degree_reports_the_uncapped_prefix(tmp_path, capsys, name):
+    """At every cap N up to one past the top, hh and ap report exactly the
+    uncapped output of degrees <= N, and the hh line ends in the 0 that
+    stands for every degree above the top only when N reaches the top."""
+    path = tmp_path / "input.quiver"
+    path.write_text(CAP_INPUTS[name])
+    path = str(path)
+    full = run_json(capsys, "hh", path)
+    top = full["ap"]["top"]
+    line = hh_line(capsys, path)
+    assert line == ["HH:"] + [str(d) for d in full["hh"]["dims"]] + ["0"]
+    for n in range(top + 2):
+        cap = ["--max-degree", str(n)]
+        hh = run_json(capsys, "hh", path, *cap)
+        ap = run_json(capsys, "ap", path, *cap)
+        assert hh["hh"]["rows"] == full["hh"]["rows"][: n + 1], n
+        assert (hh["ap"]["counts"] == ap["ap"]["counts"]
+                == full["ap"]["counts"][: n + 1]), n
+        assert hh["ap"]["top"] == ap["ap"]["top"] == min(top, n + 1), n
+        assert hh_line(capsys, path, *cap) == (
+            line[: n + 2] if n < top else line), n
 
 
 def test_ap_max_degree(a_file, capsys):

@@ -6,8 +6,8 @@ from conftest import a_n_text, build_tower
 from stringcoh import CochainComplex, Resolution, basis_P, parse
 from stringcoh.cli import main
 from stringcoh.generate import generate
-from tests_support import (ap_label, arrow_path, basis_id, basis_path, fmt,
-                           path_class_counts, path_pairs, support,
+from tests_support import (ap_label, arrow_path, basis_id, basis_path,
+                           entry, fmt, path_class_counts, path_pairs, support,
                            trivial_path)
 
 
@@ -154,8 +154,8 @@ def test_matrix_degree_one_single_arrow():
     row = cx.pair_index(1)[key(1, arrow_path(q, 0))]
     col0 = cx.pair_index(0)[key(0, trivial_path(q, 0))]
     col1 = cx.pair_index(0)[key(0, trivial_path(q, 1))]
-    assert m.get(row, col0) == -1
-    assert m.get(row, col1) == 1
+    assert entry(m, row, col0) == -1
+    assert entry(m, row, col1) == 1
 
 
 def test_dims_two_parallel_arrows(a_n):

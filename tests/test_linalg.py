@@ -9,6 +9,9 @@ from stringcoh import linalg
 from stringcoh.linalg import CertificateError, RationalMatrix
 from tests_support import (
     apply,
+    dense,
+    entry,
+    from_rows,
     global_in_column_space,
     global_nullspace,
     global_pivot_columns,
@@ -39,65 +42,75 @@ def dense_rank_oracle(rows):
 
 
 def test_rank_identity():
-    assert RationalMatrix.from_rows([[1, 0], [0, 1]]).rank() == 2
+    assert from_rows([[1, 0], [0, 1]]).echelon().rank == 2
 
 
 def test_rank_zero_matrix():
-    assert RationalMatrix(3, 4).rank() == 0
+    assert RationalMatrix(3, 4).echelon().rank == 0
 
 
 def test_rank_dependent_rows():
-    assert RationalMatrix.from_rows([[1, 2], [2, 4]]).rank() == 1
+    assert from_rows([[1, 2], [2, 4]]).echelon().rank == 1
 
 
 def test_nullspace_identity_empty():
-    assert RationalMatrix.from_rows([[1, 0], [0, 1]]).nullspace() == []
+    assert from_rows([[1, 0], [0, 1]]).echelon().nullspace() == []
 
 
 def test_nullspace_zero_matrix_standard_basis():
-    basis = RationalMatrix(3, 3).nullspace()
+    basis = RationalMatrix(3, 3).echelon().nullspace()
     assert len(basis) == 3
     for i, vec in enumerate(basis):
+        vec = dense(vec, 3)
         assert vec[i] == 1 and sum(map(abs, vec)) == 1
 
 
 def test_nullspace_line():
-    (vec,) = RationalMatrix.from_rows([[1, 1]]).nullspace()
+    (vec,) = from_rows([[1, 1]]).echelon().nullspace()
+    vec = dense(vec, 2)
     assert vec[0] == -vec[1] != 0
 
 
 def test_in_column_space_identity():
-    ok, x = RationalMatrix.from_rows([[1, 0], [0, 1]]).in_column_space([3, 5])
-    assert ok and x == [3, 5]
+    ok, x = from_rows([[1, 0], [0, 1]]).in_column_space({0: 3, 1: 5})
+    assert ok and dense(x, 2) == [3, 5]
 
 
 def test_in_column_space_zero_matrix():
-    ok, cert = RationalMatrix(2, 2).in_column_space([1, 0])
+    ok, cert = RationalMatrix(2, 2).in_column_space({0: 1})
     assert not ok
-    assert cert[0] != 0
+    assert dense(cert, 2)[0] != 0
 
 
 def test_in_column_space_single_column():
-    ok, x = RationalMatrix.from_rows([[1], [2]]).in_column_space([2, 4])
-    assert ok and x == [2]
+    ok, x = from_rows([[1], [2]]).in_column_space({0: 2, 1: 4})
+    assert ok and dense(x, 1) == [2]
 
 
 def test_in_column_space_dimension_mismatch():
     with pytest.raises(ValueError):
-        RationalMatrix.from_rows([[1], [2]]).in_column_space([1, 2, 3])
+        from_rows([[1], [2]]).in_column_space({0: 1, 1: 2, 2: 3})
+
+
+@pytest.mark.parametrize("vec", [{-1: 1}, {2: 1}, {0: 1, 5: 0}])
+def test_in_column_space_row_key_outside_raises(vec):
+    """Every key is checked, a zero value's too; at a negative key a dense
+    list would have read from its end."""
+    with pytest.raises(ValueError, match=r"row keys must lie in range\(2\)"):
+        from_rows([[1], [2]]).in_column_space(vec)
 
 
 def test_matmul_and_transpose():
-    a = RationalMatrix.from_rows([[1, 2], [0, 1]])
-    b = RationalMatrix.from_rows([[1, 0], [3, 1]])
+    a = from_rows([[1, 2], [0, 1]])
+    b = from_rows([[1, 0], [3, 1]])
     assert to_dense(a @ b) == [[7, 2], [3, 1]]
     assert to_dense(transpose(a)) == [[1, 0], [2, 1]]
 
 
 def test_matmul_dimension_mismatch():
-    a = RationalMatrix.from_rows([[1, 2], [0, 1]])
+    a = from_rows([[1, 2], [0, 1]])
     with pytest.raises(ValueError, match="dimension mismatch"):
-        a @ RationalMatrix.from_rows([[1, 0, 2]])
+        a @ from_rows([[1, 0, 2]])
 
 
 small_matrices = st.integers(1, 5).flatmap(
@@ -113,37 +126,38 @@ small_matrices = st.integers(1, 5).flatmap(
 @settings(max_examples=150, deadline=None)
 @given(small_matrices)
 def test_rank_matches_dense_oracle(rows):
-    assert RationalMatrix.from_rows(rows).rank() == dense_rank_oracle(rows)
+    assert from_rows(rows).echelon().rank == dense_rank_oracle(rows)
 
 
 @settings(max_examples=150, deadline=None)
 @given(small_matrices)
 def test_rank_of_transpose(rows):
-    m = RationalMatrix.from_rows(rows)
-    assert m.rank() == transpose(m).rank()
+    m = from_rows(rows)
+    assert m.echelon().rank == transpose(m).echelon().rank
 
 
 @settings(max_examples=150, deadline=None)
 @given(small_matrices)
 def test_rank_nullity(rows):
-    m = RationalMatrix.from_rows(rows)
-    basis = m.nullspace()
-    assert m.rank() + len(basis) == m.cols
+    m = from_rows(rows)
+    basis = m.echelon().nullspace()
+    assert m.echelon().rank + len(basis) == m.cols
     for vec in basis:
-        assert all(v == 0 for v in apply(m, list(vec)))
+        assert all(v == 0 for v in apply(m, dense(vec, m.cols)))
 
 
 @settings(max_examples=100, deadline=None)
 @given(small_matrices, st.lists(st.integers(-3, 3), min_size=1, max_size=5))
 def test_column_space_membership_of_combinations(rows, coeffs):
-    m = RationalMatrix.from_rows(rows)
+    m = from_rows(rows)
     coeffs = (coeffs * m.cols)[: m.cols]
     vec = [
         sum(Fraction(rows[i][j]) * coeffs[j] for j in range(m.cols))
         for i in range(m.rows)
     ]
-    ok, x = m.in_column_space(vec)
+    ok, x = m.in_column_space(dict(enumerate(vec)))
     assert ok
+    x = dense(x, m.cols)
     assert apply(m, x) == [Fraction(v) for v in vec]
     # the canonical preimage: zero off the pivot columns
     pivots = set(m.pivot_columns())
@@ -153,15 +167,16 @@ def test_column_space_membership_of_combinations(rows, coeffs):
 @settings(max_examples=100, deadline=None)
 @given(small_matrices, st.lists(st.integers(-3, 3), min_size=1, max_size=5))
 def test_rejection_certificate(rows, target):
-    m = RationalMatrix.from_rows(rows)
+    m = from_rows(rows)
     vec = (target * m.rows)[: m.rows]
-    ok, witness = m.in_column_space(vec)
+    ok, witness = m.in_column_space(dict(enumerate(vec)))
+    witness = dense(witness, m.cols if ok else m.rows)
     if ok:
         assert apply(m, witness) == [Fraction(v) for v in vec]
     else:
         # the certificate is a left functional killing M but not vec
         prods = [
-            sum(witness[i] * m.get(i, j) for i in range(m.rows))
+            sum(witness[i] * entry(m, i, j) for i in range(m.rows))
             for j in range(m.cols)
         ]
         assert all(p == 0 for p in prods)
@@ -171,27 +186,28 @@ def test_rejection_certificate(rows, target):
 @settings(max_examples=60, deadline=None)
 @given(small_matrices)
 def test_in_column_space_roundtrip(rows):
-    m = RationalMatrix.from_rows(rows)
+    m = from_rows(rows)
     b = m @ transpose(m)  # columns certainly in the span
     for col in to_dense(transpose(b)):
-        ok, x = m.in_column_space(col)
+        ok, x = m.in_column_space(dict(enumerate(col)))
         assert ok
-        assert apply(m, x) == col
+        assert apply(m, dense(x, m.cols)) == col
 
 
 def test_fractional_entries():
-    m = RationalMatrix.from_rows([[Fraction(1, 2), 1], [Fraction(1, 4), Fraction(1, 2)]])
-    assert m.rank() == 1
-    (vec,) = m.nullspace()
-    assert all(v == 0 for v in apply(m, list(vec)))
+    m = from_rows([[Fraction(1, 2), 1], [Fraction(1, 4), Fraction(1, 2)]])
+    assert m.echelon().rank == 1
+    (vec,) = m.echelon().nullspace()
+    assert all(v == 0 for v in apply(m, dense(vec, m.cols)))
     # [M | v | I] is scaled to integers row by row, v's denominators included
     inside = [Fraction(1, 3), Fraction(1, 6)]
-    ok, x = m.in_column_space(inside)
-    assert ok and apply(m, x) == inside
+    ok, x = m.in_column_space(dict(enumerate(inside)))
+    assert ok and apply(m, dense(x, m.cols)) == inside
     outside = [Fraction(1, 3), Fraction(1, 5)]
-    ok, y = m.in_column_space(outside)
+    ok, y = m.in_column_space(dict(enumerate(outside)))
     assert not ok
-    assert all(sum(y[i] * m.get(i, j) for i in range(m.rows)) == 0
+    y = dense(y, m.rows)
+    assert all(sum(y[i] * entry(m, i, j) for i in range(m.rows)) == 0
                for j in range(m.cols))
     assert sum(y[i] * outside[i] for i in range(m.rows)) != 0
 
@@ -231,8 +247,9 @@ def block_diagonal(draw):
 def test_blockwise_elimination_matches_global_oracle(m):
     pivots = global_pivot_columns(m)
     assert m.pivot_columns() == pivots
-    assert m.rank() == len(pivots)
-    assert m.nullspace() == global_nullspace(m)
+    assert m.echelon().rank == len(pivots)
+    assert ([dense(v, m.cols) for v in m.echelon().nullspace()]
+            == global_nullspace(m))
 
 
 @settings(max_examples=200, deadline=None)
@@ -240,23 +257,45 @@ def test_blockwise_elimination_matches_global_oracle(m):
 def test_blockwise_column_space_matches_global_oracle(m, data):
     coeffs = data.draw(st.lists(entries, min_size=m.cols, max_size=m.cols))
     inside = apply(m, coeffs)
-    ok, x = m.in_column_space(inside)
-    assert ok and (True, x) == global_in_column_space(m, inside)
+    ok, x = m.in_column_space(dict(enumerate(inside)))
+    assert ok and (True, dense(x, m.cols)) == global_in_column_space(m, inside)
 
     vec = data.draw(st.lists(entries, min_size=m.rows, max_size=m.rows))
-    ok, w = m.in_column_space(vec)
+    ok, w = m.in_column_space(dict(enumerate(vec)))
+    w = dense(w, m.cols if ok else m.rows)
     oracle_ok, oracle_w = global_in_column_space(m, vec)
     assert ok == oracle_ok
     if ok:
         assert w == oracle_w
         return
     # the certificate: y M = 0, y.vec != 0, a multiple of the oracle's
-    assert all(sum(w[i] * m.get(i, j) for i in range(m.rows)) == 0
+    assert all(sum(w[i] * entry(m, i, j) for i in range(m.rows)) == 0
                for j in range(m.cols))
     assert sum(w[i] * vec[i] for i in range(m.rows)) != 0
     k = next(i for i, v in enumerate(oracle_w) if v)
     ratio = w[k] / oracle_w[k]
     assert ratio and all(a == ratio * b for a, b in zip(w, oracle_w))
+
+
+def assert_sparse(vec: dict, n: int):
+    """A sparse vector of length n: int keys in 0..n-1, no zero value."""
+    assert all(type(k) is int and 0 <= k < n and v for k, v in vec.items())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(small_matrices.map(from_rows), block_diagonal()), st.data())
+def test_vectors_out_are_sparse(m, data):
+    """Kernel vectors, preimages and certificates hold only the nonzero
+    entries of a vector of the matrix's own length."""
+    for vec in m.echelon().nullspace():
+        assert_sparse(vec, m.cols)
+    coeffs = data.draw(st.lists(entries, min_size=m.cols, max_size=m.cols))
+    ok, x = m.in_column_space(dict(enumerate(apply(m, coeffs))))
+    assert ok
+    assert_sparse(x, m.cols)
+    vec = data.draw(st.lists(entries, min_size=m.rows, max_size=m.rows))
+    ok, w = m.in_column_space(dict(enumerate(vec)))
+    assert_sparse(w, m.cols if ok else m.rows)
 
 
 def test_certificate_error_is_one_class():
@@ -271,11 +310,11 @@ def test_inexact_division_raises(monkeypatch):
                         raising=False)
     with pytest.raises(CertificateError,
                        match="fraction-free division must be exact"):
-        RationalMatrix.from_rows([[1, 1], [1, 2]]).rank()
+        from_rows([[1, 1], [1, 2]]).echelon()
     # M's and v's columns cancel here, so only the identity columns divide
     with pytest.raises(CertificateError,
                        match="fraction-free division must be exact"):
-        RationalMatrix.from_rows([[1], [1]]).in_column_space([1, 1])
+        from_rows([[1], [1]]).in_column_space({0: 1, 1: 1})
 
 
 def test_malformed_left_null_certificate_raises(monkeypatch):
@@ -291,4 +330,4 @@ def test_malformed_left_null_certificate_raises(monkeypatch):
 
     monkeypatch.setattr(linalg, "_bareiss", skewed)
     with pytest.raises(CertificateError, match="left-null"):
-        RationalMatrix.from_rows([[1], [1]]).in_column_space([1, 2])
+        from_rows([[1], [1]]).in_column_space({0: 1, 1: 2})

@@ -141,6 +141,28 @@ def ap_sets(pres, max_degree: int | None = None):
     return Resolution(pres, basis_P(pres), max_degree).ap
 
 
+def from_rows(data) -> RationalMatrix:
+    """The matrix with these dense rows."""
+    data = [list(r) for r in data]
+    m = RationalMatrix(len(data), len(data[0]) if data else 0)
+    for i, row in enumerate(data):
+        for j, v in enumerate(row):
+            m.add_at(i, j, v if type(v) is int else Fraction(v))
+    return m
+
+
+def entry(mat, r: int, c: int) -> Fraction:
+    return Fraction(mat._rows[r].get(c, 0))
+
+
+def dense(vec: dict, n: int) -> list[Fraction]:
+    """The length-n list of a sparse {index: value} vector."""
+    out = [Fraction(0)] * n
+    for i, v in vec.items():
+        out[i] = Fraction(v)
+    return out
+
+
 def apply(mat, vec) -> list[Fraction]:
     """Matrix-vector product, vec indexed by columns."""
     assert len(vec) == mat.cols
@@ -151,7 +173,7 @@ def apply(mat, vec) -> list[Fraction]:
 
 
 def to_dense(mat) -> list[list[Fraction]]:
-    return [[mat.get(i, j) for j in range(mat.cols)] for i in range(mat.rows)]
+    return [[entry(mat, i, j) for j in range(mat.cols)] for i in range(mat.rows)]
 
 
 def transpose(mat) -> RationalMatrix:
@@ -233,12 +255,12 @@ def global_pivot_columns(mat) -> list[int]:
     return [c for _, c in pivots]
 
 
-def global_nullspace(mat) -> list[tuple[Fraction, ...]]:
-    """One kernel vector per free column, with a 1 there, solved over
-    every pivot of the global elimination."""
+def global_nullspace(mat) -> list[list[Fraction]]:
+    """One dense kernel vector per free column, with a 1 there, solved
+    over every pivot of the global elimination."""
     pivots, rows = global_bareiss(_scaled_rows(_row_dicts(mat)), mat.cols)
     used = {c for _, c in pivots}
-    return [tuple(_global_solve(rows, pivots, {f: Fraction(1)}, mat.cols))
+    return [_global_solve(rows, pivots, {f: Fraction(1)}, mat.cols)
             for f in range(mat.cols) if f not in used]
 
 
@@ -603,8 +625,9 @@ def bar_dims(basis, up_to: int) -> list[int]:
     prev_rank = 0
     for n in range(up_to + 1):
         dn = delta(n)
-        dims.append(dn.cols - dn.rank() - prev_rank)
-        prev_rank = dn.rank()
+        rank = dn.echelon().rank
+        dims.append(dn.cols - rank - prev_rank)
+        prev_rank = rank
     return dims
 
 
@@ -695,7 +718,8 @@ def dense_is_cocycle(cx, f) -> bool:
     full coefficient vector of f."""
     if f.degree >= cx.top:
         return True
-    return all(v == 0 for v in apply(cx.matrix(f.degree + 1), f.vector(cx)))
+    vec = dense(f.coeffs, len(cx.pairs(f.degree)))
+    return all(v == 0 for v in apply(cx.matrix(f.degree + 1), vec))
 
 
 def scan_terms_at(cx, f, sup: Path) -> list:
@@ -739,7 +763,7 @@ def _block_rank(mat, row_paths, col_paths) -> int:
         block = RationalMatrix(len(rows), len(cols))
         for i, j, v in entries:
             block.add_at(rows[i], cols[j], v)
-        rank += block.rank()
+        rank += block.echelon().rank
     return rank
 
 
@@ -795,8 +819,8 @@ def one_sided_by_full_path(res, n: int) -> dict[int, tuple[int, int]]:
         rank = int(n == 0)
         for cols in blocks.values():
             psis = {p for c in cols for p in c}
-            rank += RationalMatrix.from_rows(
-                [[c.get(p, 0) for p in psis] for c in cols]).rank()
+            rank += from_rows(
+                [[c.get(p, 0) for p in psis] for c in cols]).echelon().rank
         out[x] = (sum(map(len, blocks.values())), rank)
     return out
 
@@ -900,14 +924,14 @@ def _solve_in_blocks(cx, n: int, rhs: dict) -> list:
         block = RationalMatrix(len(rows), len(cols))
         for k, i in enumerate(rows):
             for j, col in enumerate(cols):
-                block.add_at(k, j, d.get(i, col))
-        ok, x = block.in_column_space([part.get(i, 0) for i in rows])
+                block.add_at(k, j, entry(d, i, col))
+        ok, x = block.in_column_space(
+            {k: part[i] for k, i in enumerate(rows) if i in part})
         if not ok:
             raise CertificateError("exactness guarantees a lift")
-        for j, c in enumerate(x):
-            if c:
-                l, psi, r = cols_all[cols[j]]
-                out.append(BimoduleTerm(c, l, psi, r))
+        for j, c in sorted(x.items()):
+            l, psi, r = cols_all[cols[j]]
+            out.append(BimoduleTerm(c, l, psi, r))
     return out
 
 
