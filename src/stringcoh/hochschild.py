@@ -329,8 +329,8 @@ class CochainComplex:
             word, source = w.word, w.source
             last = len(word) - 1
             slots = []
-            for psi, _, b, left, _ in self.res.occurrences_in(n, word[:last],
-                                                               source):
+            # a divisor of w ending at its last arrow leaves no slot
+            for psi, _, b, left, _ in self.res.sub(w):
                 if left is None:
                     continue
                 at_b = target[word[b - 1]] if b else source

@@ -5,11 +5,16 @@ The JSON schema is fixed: top-level keys "presentation", "validation",
 and partition counts appear per degree so both summands of the counting
 formula stay visible.  Identical input gives byte-identical JSON except
 for the elapsed_ms field.
+
+to_json writes the document in one pass, byte for byte equal to
+json.dumps(obj, sort_keys=True, indent=2) plus a newline.  It takes the
+values the sections build: dict with str keys, list, str, int, bool and
+None; any other value raises TypeError.
 """
 
 from __future__ import annotations
 
-import json
+from json.encoder import encode_basestring_ascii as _quote
 
 from .hochschild import COUNT_KEYS, HHTable
 from .presentation import PathBasis, Presentation, ValidationReport
@@ -104,4 +109,50 @@ def properties_section(results) -> dict:
 
 
 def to_json(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    out: list[str] = []
+    _write(obj, "\n", out.append)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(value, newline: str, put) -> None:
+    """Pass value's JSON text to put, piece by piece; newline is the line
+    break and indent of the line value starts on."""
+    kind = type(value)
+    if kind is str:
+        put(_quote(value))
+    elif kind is int:
+        put(int.__repr__(value))
+    elif kind is dict:
+        if not value:
+            put("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            if type(key) is not str:
+                raise TypeError(
+                    f"to_json takes str keys, not {type(key).__name__}")
+            put(sep + _quote(key) + ": ")
+            _write(value[key], inner, put)
+            sep = "," + inner
+        put(newline + "}")
+    elif kind is list:
+        if not value:
+            put("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            put(sep)
+            _write(item, inner, put)
+            sep = "," + inner
+        put(newline + "]")
+    elif value is True:
+        put("true")
+    elif value is False:
+        put("false")
+    elif value is None:
+        put("null")
+    else:
+        raise TypeError(f"to_json cannot write type {kind.__name__}")

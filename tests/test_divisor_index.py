@@ -1,6 +1,6 @@
-"""Resolution.occurrences_in, the AP divisor index behind sub,
-splittings and leibniz_slots, with the cofactor ids of every divisor,
-against a scan of the whole AP layer."""
+"""Resolution.occurrences_in, the AP divisor index behind sub (and
+through it leibniz_slots) and splittings, with the cofactor ids of every
+divisor, against a scan of the whole AP layer."""
 
 from importlib import import_module
 from unittest import mock
@@ -12,8 +12,8 @@ from stringcoh import basis_P, parse
 from stringcoh.checks import Auditor
 from stringcoh.generate import generate, generate_dsl
 from tests_support import (Path, basis_id, basis_paths, fmt,
-                           path_splittings, scan_occurrences, support,
-                           trivial_path)
+                           path_leibniz_slots, path_splittings,
+                           scan_occurrences, support, trivial_path)
 
 # the package exports the function cup, which shadows the module
 cup = import_module("stringcoh.cup")
@@ -95,6 +95,21 @@ def test_splittings_match_the_path_oracle(corpus):
                 assert cx.splittings(n, m) == path_splittings(cx, n, m), (n, m)
                 entries += len(cx.splittings(n, m))
     assert entries == 5758
+
+
+def test_leibniz_slots_match_the_path_oracle(corpus):
+    """Every entry of CochainComplex.leibniz_slots(n), read from the
+    divisors sub(w) of each w in AP_{n+1}, equals the slots built from a
+    scan of w without its last arrow, on generate(0..99) and a_n(1..8)."""
+    towers = [cx for _, _, _, _, cx in corpus]
+    towers += [build_tower(parse(a_n_text(n)))[2] for n in range(1, 9)]
+    slots = 0
+    for cx in towers:
+        for n in range(cx.top):
+            got = cx.leibniz_slots(n)
+            assert got == path_leibniz_slots(cx, n), n
+            slots += sum(map(len, got))
+    assert slots > 0
 
 
 @pytest.mark.parametrize(

@@ -516,6 +516,34 @@ def path_splittings(cx, n: int, m: int) -> list:
     return out
 
 
+def path_leibniz_slots(cx, n: int) -> list:
+    """CochainComplex.leibniz_slots(n) on Paths, by the route that read
+    the occurrences of AP_n in each w of AP_{n+1} without its last arrow:
+    scan_occurrences, ordered by offset and then by AP position, then
+    every arrow alpha between psi and that last arrow, cofactors looked up
+    by basis_id."""
+    q = cx.res.quiver
+    out = []
+    for w in cx.res.ap[n + 1]:
+        sup = support(q, w)
+        last = len(sup) - 1
+        found = sorted(scan_occurrences(cx.res, n, sup.prefix(last)),
+                       key=lambda o: (len(o[0]), o[1].pos))
+        slots = []
+        for left, psi, _ in found:
+            left_id = basis_id(cx.basis, left)
+            if left_id is None:
+                continue
+            b = len(left) + len(psi.word)
+            for j in range(b, last):
+                mid = basis_id(cx.basis, sup.subpath(b, j))
+                rest = basis_id(cx.basis, sup.suffix(j + 1))
+                if mid is not None and rest is not None:
+                    slots.append((left_id, psi.pos, sup.arrows[j], mid, rest))
+        out.append(tuple(slots))
+    return out
+
+
 def division_positions(cx, n: int, w) -> int:
     """Number of degree-n divisor positions in the comparison sum at w:
     the occurrences of AP_n in head * u, whether or not their cofactors
