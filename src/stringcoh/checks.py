@@ -219,12 +219,12 @@ class Auditor:
         for j, (rho, gamma) in enumerate(self.cx.pair_keys(n - 1)):
             cols_by_support.setdefault(rho, []).append((j, gamma))
         mat = RationalMatrix(len(rows), len(cols))
-        for w, terms in self.res.differential(n).items():
-            for t in terms:
-                for j, gamma in cols_by_support.get(t.middle, []):
-                    prod = self.basis.mult3(t.left, gamma, t.right)
+        for w, image in self.res.differential(n).items():
+            for (left, psi, right), c in image.items():
+                for j, gamma in cols_by_support.get(psi, []):
+                    prod = self.basis.mult3(left, gamma, right)
                     if prod is not None:
-                        mat.add_at(row_index[(w, prod)], j, t.coeff)
+                        mat.add_at(row_index[(w, prod)], j, c)
         return mat
 
     def check_ker_im(self) -> CheckResult:

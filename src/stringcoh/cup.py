@@ -16,15 +16,17 @@ Lifts are audited and evaluated on the generators 1 (x) w (x) 1 of the
 resolution: every map involved is a bimodule map, so its values on
 generators determine it.  The audit visits only the generators where a
 side of a square can be nonzero, found from the cocycle's support through
-indexes that CochainComplex builds once (docs/comparison-lift.md, "Which
-generators the audit visits"), and keeps only the nonzero values.  The
-walk speaks ids throughout: basis paths by PathBasis id, AP elements by
-position, so a value is keyed by the int triple (left, psi, right).
+two indexes that CochainComplex builds once, lift_tails and cofaces
+(docs/comparison-lift.md, "Which generators the audit visits"), and
+keeps only the nonzero values.  The walk speaks ids throughout: a value
+is an element of A (x) kAP (x) A in the form of resolution.py, a dict
+from the id triple (left, psi, right) to a nonzero coefficient.
 
-cup_table certifies each product once: the right factor's lift is
-audited as a chain map, and the product evaluated on those audited
-values must lie in the image of the previous cochain map.  A certificate
-the theory guarantees raises CertificateError when it fails.
+cup and cup_table evaluate every product on that audited walk: the
+right factor's lift is audited as a chain map, and cup_table certifies
+that each product evaluated on those values lies in the image of the
+previous cochain map.  A certificate the theory guarantees raises
+CertificateError when it fails.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from fractions import Fraction
 
 from .hochschild import CochainComplex, ParallelPair, require_lift_degree
 from .linalg import CertificateError, RationalMatrix
-from .resolution import ApElement, BimoduleTerm, Word, apply_map, augment, memo
+from .resolution import ApElement, Word, apply_map, augment, memo
 
 
 @dataclass
@@ -112,9 +114,9 @@ def _require_cocycle(cx: CochainComplex, f: Cochain):
 
 
 def comparison_terms(cx: CochainComplex, f: Cochain, n: int,
-                     w: ApElement) -> list[BimoduleTerm]:
+                     w: ApElement) -> dict[tuple, int | Fraction]:
     """The displayed (paper's) formula for the degree-n lift of the
-    cocycle f, applied to 1 (x) w (x) 1.
+    cocycle f, applied to 1 (x) w (x) 1, as an id-triple dict.
 
     For n = 0 this is 1 (x) e (x) f(w).  For n > 0, split w as
     head * u * tail and sum L (x) psi (x) R f(tail) over all divisors psi
@@ -128,26 +130,25 @@ def comparison_terms(cx: CochainComplex, f: Cochain, n: int,
     require_lift_degree(n, m, w)
     if n == 0:
         x = w.source  # e_x is basis path x and element x of AP_0
-        return [BimoduleTerm(c, x, x, gamma)
-                for c, gamma in f.terms_at(cx, w.pos)]
+        return {(x, x, gamma): c for c, gamma in f.terms_at(cx, w.pos)}
     tail, divisors, _ = cx.splittings(n, m)[w.pos]
     vals = f.terms_at(cx, tail)
-    if not vals:
-        return []
+    out: dict[tuple, int | Fraction] = {}
     mult = cx.basis.mult
-    out = []
+    # distinct divisors have distinct (left, psi), and distinct gammas
+    # distinct products with right, so no two terms share a key
     for left, psi, right in divisors:
         for c, gamma in vals:
             rg = mult(right, gamma)
             if rg is not None:
-                out.append(BimoduleTerm(c, left, psi, rg))
+                out[(left, psi, rg)] = c
     return out
 
 
 def lift_terms(cx: CochainComplex, f: Cochain, n: int,
-               w: ApElement) -> list[BimoduleTerm]:
+               w: ApElement) -> dict[tuple, int | Fraction]:
     """The degree-n chain-map lift of the cocycle f, applied to
-    1 (x) w (x) 1.
+    1 (x) w (x) 1, as an id-triple dict.
 
     This is the displayed formula (comparison_terms) plus, for a degree-1
     cocycle and n >= 1, its interior positions: a degree-1 cocycle acts
@@ -168,36 +169,38 @@ def lift_terms(cx: CochainComplex, f: Cochain, n: int,
         for c, gamma in f.terms_at(cx, alpha):
             right = mult3(mid, gamma, rest)
             if right is not None:
-                out.append(BimoduleTerm(c, left, psi, right))
+                # a slot can share its key with another slot or with
+                # the displayed formula
+                key = (left, psi, right)
+                v = out.get(key, 0) + c
+                if v:
+                    out[key] = v
+                else:
+                    del out[key]
     return out
 
 
-def _augments_to(cx: CochainComplex, f: Cochain, w: ApElement, terms) -> bool:
+def _augments_to(cx: CochainComplex, f: Cochain, w: ApElement,
+                 value: dict) -> bool:
     """Whether the augmentation mu(L (x) e (x) R) = L R sends the
-    degree-0 lift terms of w to f(w)."""
-    return (augment(cx.basis, terms)
+    degree-0 lift value at w to f(w)."""
+    return (augment(cx.basis, value)
             == {gamma: c for c, gamma in f.terms_at(cx, w.pos)})
 
 
 def _lift_support(cx: CochainComplex, f: Cochain, n: int) -> set[int]:
     """Positions in AP_{n+m} of the generators where a degree-n lift of
-    the degree-m cocycle f can be nonzero: those whose degree-m tail
-    supports f, and for m = 1 and n >= 1 also those with a valued arrow
-    strictly inside their support (the Leibniz terms of lift_terms;
-    comparison_terms vanishes there unless the tail supports f)."""
+    the degree-m cocycle f can be nonzero: those that lift_tails lists
+    under a support of f."""
     tails = cx.lift_tails(n, f.degree)
-    out = {i for s in f.supports(cx) for i in tails.get(s, ())}
-    if f.degree == 1 and n >= 1:
-        # a degree-1 support is an arrow, at its own position in AP_1
-        inner = cx.interior_arrows(n + 1)
-        out.update(i for s in f.supports(cx) for i in inner.get(s, ()))
-    return out
+    return {i for s in f.supports(cx) for i in tails.get(s, ())}
 
 
 def _lift_values(cx: CochainComplex, f: Cochain, terms):
     """The nonzero generator values F_n(1 (x) w (x) 1) = terms(cx, f, n, w)
-    of a lift of f, one dict per degree n with n + m <= top from the
-    position of w in AP_{n+m}, each checked on generators:
+    of a lift of f, id-triple dicts, one dict per degree n with
+    n + m <= top from the position of w in AP_{n+m}, each checked on
+    generators:
     mu F_0 (1 (x) w (x) 1) = f(w) for w in AP_m, and
     d_n F_n (1 (x) w (x) 1) = F_{n-1} d_{n+m} (1 (x) w (x) 1) for w in
     AP_{n+m}.  None if the augmentation or a square fails.
@@ -282,8 +285,9 @@ def _audited_lift(cx: CochainComplex, f: Cochain) -> list[dict]:
 
 
 def cup(cx: CochainComplex, g: Cochain, f: Cochain) -> Cochain:
-    """The product cochain: g evaluated on the chain-map lift of f
-    (lift_terms), (g cup f)(w) = sum L g(psi) R over the lift's terms.
+    """The product cochain: g evaluated on the audited chain-map lift of
+    f (_audited_lift), (g cup f)(w) = sum c L g(psi) R over the lift's
+    value at w, as cup_table evaluates it; zero above the top.
 
     Both inputs must be positive-degree cocycles; the result is again a
     cocycle (CertificateError otherwise), of degree deg g + deg f.
@@ -291,32 +295,27 @@ def cup(cx: CochainComplex, g: Cochain, f: Cochain) -> Cochain:
     n, m = g.degree, f.degree
     if n < 1 or m < 1:
         raise ValueError("cup products are formed from positive degrees")
-    _require_cocycle(cx, f)
-    lift = {}
-    if n + m <= cx.top:
-        layer = cx.res.ap[n + m]
-        lift = {i: lift_terms(cx, f, n, layer[i])
-                for i in sorted(_lift_support(cx, f, n))}
-    return _evaluate(cx, g, m, lift)
+    lift = _audited_lift(cx, f)
+    return _evaluate(cx, g, m, lift[n] if n < len(lift) else {})
 
 
 def _evaluate(cx: CochainComplex, g: Cochain, m: int, lift: dict) -> Cochain:
     """g cup f for a degree-m cocycle f, from lift: position of w -> the
-    terms of the degree-(deg g) lift of f at 1 (x) w (x) 1, for every w
-    of AP_{deg g + m} where they are nonzero."""
+    value of the degree-(deg g) lift of f at 1 (x) w (x) 1, an id-triple
+    dict, for every w of AP_{deg g + m} where it is nonzero."""
     _require_cocycle(cx, g)
     total = g.degree + m
     index = cx.pair_index(total)
     mult3 = cx.basis.mult3
     coeffs: dict[int, int | Fraction] = {}
-    for w, terms in lift.items():
+    for w, value in lift.items():
         acc: dict[int, int | Fraction] = {}
-        for t in terms:
-            for cg, gam in g.terms_at(cx, t.middle):
-                prod = mult3(t.left, gam, t.right)
+        for (left, psi, right), c in value.items():
+            for cg, gam in g.terms_at(cx, psi):
+                prod = mult3(left, gam, right)
                 if prod is None:
                     continue
-                v = acc.get(prod, 0) + t.coeff * cg
+                v = acc.get(prod, 0) + c * cg
                 if v:
                     acc[prod] = v
                 else:

@@ -285,7 +285,11 @@ class CochainComplex:
         For n = 0 the tail is w itself and there are none.  An occurrence
         with a cofactor in the ideal adds nothing to a comparison lift but
         is counted.  Every element of AP_{n+m} is checked to have degree
-        n + m."""
+        n + m.  ValueError unless n >= 0, m >= 1 and n + m <= top."""
+        if not (n >= 0 and m >= 1 and n + m <= self.top):
+            raise ValueError(
+                f"lift tables take n >= 0, m >= 1 and n + m <= {self.top}, "
+                f"not n = {n}, m = {m}")
         res = self.res
         out = []
         for w in res.ap[n + m]:
@@ -304,13 +308,19 @@ class CochainComplex:
 
     @memo
     def lift_tails(self, n: int, m: int) -> dict[int, list[int]]:
-        """Position of the degree-m tail of w in AP_m -> the positions of
-        those w in AP_{n+m}, from splittings(n, m).  A degree-n lift of a
-        cocycle f takes its value at w from f(tail), so it can be nonzero
-        only where the tail supports f."""
+        """Position s in AP_m -> the positions of the w in AP_{n+m} where a
+        degree-n lift of a degree-m cocycle f reads f(s), so the only w
+        where it can be nonzero: the w whose degree-m tail is s
+        (splittings), and for m = 1 and n >= 1 also the w carrying the
+        arrow s strictly inside their support, where the Leibniz terms of
+        cup.lift_terms sit (an arrow is its own position in AP_1)."""
         out: dict[int, list[int]] = {}
         for i, (tail, _, _) in enumerate(self.splittings(n, m)):
             out.setdefault(tail, []).append(i)
+        if m == 1 and n >= 1:
+            for i, w in enumerate(self.res.ap[n + 1]):
+                for a in w.word[1:-1]:
+                    out.setdefault(a, []).append(i)
         return out
 
     @memo
@@ -321,7 +331,10 @@ class CochainComplex:
         basis and alpha an arrow other than the last of w, as (id of L, position of
         psi, alpha, id of P, id of S), by occurrence and then by the
         position of alpha.  A slot whose P or S falls in the ideal adds
-        nothing and is left out."""
+        nothing and is left out.  ValueError unless 0 <= n <= top - 1."""
+        if not 0 <= n < self.top:
+            raise ValueError(
+                f"Leibniz slots run in degrees 0..{self.top - 1}, not {n}")
         ids = self.basis.word_index
         target = self.quiver.arrow_target
         out = []
@@ -343,24 +356,13 @@ class CochainComplex:
         return out
 
     @memo
-    def interior_arrows(self, k: int) -> dict[int, list[int]]:
-        """Arrow id (its position in AP_1) -> the positions in AP_k of the
-        w carrying that arrow strictly inside their support, where the
-        Leibniz terms of a degree-1 lift sit."""
-        out: dict[int, list[int]] = {}
-        for i, w in enumerate(self.res.ap[k]):
-            for a in w.word[1:-1]:
-                out.setdefault(a, []).append(i)
-        return out
-
-    @memo
     def cofaces(self, k: int) -> dict[int, list[int]]:
         """Position of psi in AP_{k-1} -> the positions in AP_k of the w
         whose differential d_k(1 (x) w (x) 1) has a term with middle psi."""
         out: dict[int, list[int]] = {}
-        for i, terms in self.res.differential(k).items():
-            for t in terms:
-                out.setdefault(t.middle, []).append(i)
+        for i, image in self.res.differential(k).items():
+            for _, psi, _ in image:
+                out.setdefault(psi, []).append(i)
         return out
 
     def class_counts(self, n: int) -> dict[str, int]:
@@ -392,45 +394,35 @@ class CochainComplex:
             raise ValueError(f"cochain maps start in degree 1, not {n}")
         row_index = self.pair_index(n)
         mat = RationalMatrix(len(self.pairs(n)), len(self.pairs(n - 1)))
-        if n == 1:
-            q, words = self.quiver, self.basis.word_index
-            cols = self.pair_index(0)
-            # arrow a is element a of AP_1, and vertex x element x of AP_0
-            # and basis path x: the pair (a, a) takes e_target - e_source
-            for a in range(q.num_arrows):
-                i = row_index[(a, words[(a,)])]
-                s, t = q.arrow_source[a], q.arrow_target[a]
-                mat.add_at(i, cols[(s, s)], -1)
-                mat.add_at(i, cols[(t, t)], 1)
-        else:
-            cols_by_support: dict[int, list[tuple[int, int]]] = {}
-            for j, (rho, gamma) in enumerate(self.pair_keys(n - 1)):
-                cols_by_support.setdefault(rho, []).append((j, gamma))
-            mult, mult3 = self.basis.mult, self.basis.mult3
-            even = n % 2 == 0
-            for w in self.res.ap[n] if n <= self.top else []:
-                length = len(w.word)
-                for pos, start, end, left, right in self.res.sub(w):
-                    # odd degrees: + L gamma at the flush-right divisor,
-                    # - gamma R at the flush-left one
-                    if not even and end != length and start != 0:
-                        raise CertificateError(
-                            "odd-degree divisor is flush at neither end")
-                    targets = cols_by_support.get(pos)
-                    if not targets or left is None or right is None:
-                        continue  # no column, or a cofactor in the ideal: all 0
-                    for j, gamma in targets:
-                        if even:
-                            prod = mult3(left, gamma, right)
-                            coeff = 1
-                        elif end == length:
-                            prod = mult(left, gamma)
-                            coeff = 1
-                        else:
-                            prod = mult(gamma, right)
-                            coeff = -1
-                        if prod is not None:
-                            mat.add_at(row_index[(w.pos, prod)], j, coeff)
+        cols_by_support: dict[int, list[tuple[int, int]]] = {}
+        for j, (rho, gamma) in enumerate(self.pair_keys(n - 1)):
+            cols_by_support.setdefault(rho, []).append((j, gamma))
+        mult, mult3 = self.basis.mult, self.basis.mult3
+        even = n % 2 == 0
+        for w in self.res.ap[n] if n <= self.top else []:
+            length = len(w.word)
+            for pos, start, end, left, right in self.res.sub(w):
+                # odd degrees: + L gamma at the flush-right divisor,
+                # - gamma R at the flush-left one; in degree 1 these are
+                # the target and the source vertex of the arrow
+                if not even and end != length and start != 0:
+                    raise CertificateError(
+                        "odd-degree divisor is flush at neither end")
+                targets = cols_by_support.get(pos)
+                if not targets or left is None or right is None:
+                    continue  # no column, or a cofactor in the ideal: all 0
+                for j, gamma in targets:
+                    if even:
+                        prod = mult3(left, gamma, right)
+                        coeff = 1
+                    elif end == length:
+                        prod = mult(left, gamma)
+                        coeff = 1
+                    else:
+                        prod = mult(gamma, right)
+                        coeff = -1
+                    if prod is not None:
+                        mat.add_at(row_index[(w.pos, prod)], j, coeff)
         return mat
 
     @memo

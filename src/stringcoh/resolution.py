@@ -27,13 +27,18 @@ support found by only one run, a support reached with two different
 chains, and a generating set in which one relation contains another
 raise ApConstructionError; a disagreement of the runs lists every
 support that one run found alone.
+
+An element of A (x) kAP_n (x) A, such as a value of the differential,
+of a comparison lift or of apply_map, is a sparse dict from the id
+triple (left, position of psi in AP_n, right), with left and right
+basis path ids (PathBasis), to a nonzero int or Fraction.  A cofactor in
+the ideal makes a term zero, and such a term is never stored.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import wraps
 from itertools import zip_longest
 
@@ -93,7 +98,7 @@ class ApElement:
     left-greedy construction; ``op_chain`` the (q^1, ..., q^{n-1}) of the
     dual one, indexed left to right along the support.  Degrees 0 and 1
     have empty chains.  ``pos`` is the element's position in AP_n, its id:
-    bimodule terms and generator values name it by that.  In degree 0 it
+    elements of A (x) kAP_n (x) A and generator values name it by that.  In degree 0 it
     is the vertex of the support, whose word is empty, and in degree 1
     the arrow.
     """
@@ -108,22 +113,6 @@ class ApElement:
 
     def __hash__(self):
         return hash((self.degree, self.pos))
-
-
-@dataclass(slots=True)
-class BimoduleTerm:
-    """One term c * (left (x) middle (x) right) of a bimodule map image.
-
-    left and right are ids of basis paths (PathBasis) and middle is the
-    position of an element of the AP set of the term's degree.  A
-    cofactor in the ideal makes a term zero in A (x) kAP (x) A, and such a
-    term is never built.  Coefficients are ints where integral.
-    """
-
-    coeff: int | Fraction
-    left: int
-    middle: int
-    right: int
 
 
 class ApConstructionError(ValueError):
@@ -352,13 +341,14 @@ class Resolution:
 
         Division is strict, but equal supports across consecutive degrees
         cannot happen (the greedy chain is recoverable from the support),
-        so any occurrence qualifies.  Odd degrees >= 3 always yield
-        exactly two divisors, one flush left and one flush right.
+        so any occurrence qualifies.  Odd degrees always yield exactly two
+        divisors, one flush left and one flush right; for an arrow these
+        are its source and its target vertex.
         """
         k = len(w.word)
         out = [d for d in self.occurrences_in(w.degree - 1, w.word, w.source)
                if d[2] - d[1] < k]
-        if w.degree >= 3 and w.degree % 2 == 1:
+        if w.degree % 2:
             _require_two_flush(out, k)
         return out
 
@@ -392,37 +382,33 @@ class Resolution:
     # -- differentials ----------------------------------------------------
 
     @memo
-    def differential(self, n: int) -> dict[int, list[BimoduleTerm]]:
-        """The degree-n map of the resolution as formal bimodule terms, per
-        generator 1 (x) w (x) 1 keyed by the position of w in AP_n.
+    def differential(self, n: int) -> dict[int, dict[tuple, int]]:
+        """The degree-n map of the resolution, per generator 1 (x) w (x) 1
+        keyed by the position of w in AP_n: its image in
+        A (x) kAP_{n-1} (x) A, id triple (left, psi, right) -> coefficient.
 
         Even degrees sum over all divisors with their cofactors; odd
-        degrees take the flush-right divisor minus the flush-left one;
-        degree 1 is alpha (x) e (x) 1 - 1 (x) e (x) alpha.  A divisor with
-        a cofactor in the ideal gives a zero term, which is left out.
+        degrees take the flush-right divisor minus the flush-left one.
+        The divisors of an arrow alpha from x to y are its end vertices,
+        so degree 1 is alpha (x) e_y (x) e_y - e_x (x) e_x (x) alpha.  A
+        divisor with a cofactor in the ideal gives a zero term, which is
+        left out.  Distinct divisors have distinct (left, psi), so no two
+        terms share a key.
         """
         if n < 1:
             raise ValueError(f"differentials start in degree 1, not {n}")
-        words = self.basis.word_index
-        out: dict[int, list[BimoduleTerm]] = {}
+        out: dict[int, dict[tuple, int]] = {}
         if n < len(self.ap):
             for w in self.ap[n]:
-                if n == 1:
-                    # e_x is basis path x and element x of AP_0
-                    x, y = w.source, w.target
-                    a = words[w.word]
-                    out[w.pos] = [BimoduleTerm(1, a, y, y),
-                                  BimoduleTerm(-1, x, x, a)]
-                    continue
                 if n % 2 == 0:
                     signed = [(1, d) for d in self.sub(w)]
                 else:
                     first, second = _require_two_flush(self.sub(w),
                                                        len(w.word))
                     signed = [(1, second), (-1, first)]
-                out[w.pos] = [BimoduleTerm(c, left, pos, right)
+                out[w.pos] = {(left, pos, right): c
                               for c, (pos, _, _, left, right) in signed
-                              if left is not None and right is not None]
+                              if left is not None and right is not None}
         return out
 
     # -- the realized complex ---------------------------------------------
@@ -450,7 +436,7 @@ class Resolution:
         mat = RationalMatrix(len(rows), len(cols))
         diff = self.differential(n)
         for j, (l, w, r) in enumerate(cols):
-            image = apply_map(self.basis, [BimoduleTerm(1, l, w, r)], diff)
+            image = apply_map(self.basis, {(l, w, r): 1}, diff)
             for key, c in image.items():
                 mat.add_at(row_index[key], j, c)
         return mat
@@ -461,7 +447,7 @@ class Resolution:
         cols, _ = self.bimodule_space(0)
         mat = RationalMatrix(self.basis.dim, len(cols))
         for j, (l, w, r) in enumerate(cols):
-            for p, c in augment(self.basis, [BimoduleTerm(1, l, w, r)]).items():
+            for p, c in augment(self.basis, {(l, w, r): 1}).items():
                 mat.add_at(p, j, c)
         return mat
 
@@ -493,9 +479,8 @@ class Resolution:
         targets, rows, entries = [], {}, []
         for w in self.ap[n]:
             ls = ending_at(w.source)
-            for t in diff.get(w.pos, ()):
-                if t.right < trivial:
-                    left, psi, c = t.left, t.middle, t.coeff
+            for (left, psi, right), c in diff.get(w.pos, {}).items():
+                if right < trivial:
                     for col, l in enumerate(ls, len(targets)):
                         ll = mult(l, left)
                         if ll is not None:
@@ -512,33 +497,36 @@ class Resolution:
     def d_squared_is_zero(self) -> bool:
         """mu d_1 = 0 and d_{n-1} d_n = 0 on every generator 1 (x) w (x) 1,
         which determines these bimodule maps."""
-        if any(augment(self.basis, terms)
-               for terms in self.differential(1).values()):
+        if any(augment(self.basis, image)
+               for image in self.differential(1).values()):
             return False
-        return not any(apply_map(self.basis, terms, self.differential(n - 1))
+        return not any(apply_map(self.basis, image, self.differential(n - 1))
                        for n in range(2, len(self.ap))
-                       for terms in self.differential(n).values())
+                       for image in self.differential(n).values())
 
 
-def apply_map(basis: PathBasis, terms, images) -> dict:
-    """The bimodule map with generator values images applied to the
-    element sum c (L (x) psi (x) R) over terms: the sum of
-    c L images[psi] R, keyed by the id triple (left, middle, right) with
-    zero entries dropped.  images maps the position of psi to its value;
-    a psi missing from images has value zero.  Terms and values are
-    BimoduleTerm."""
+def apply_map(basis: PathBasis, element: dict, images) -> dict:
+    """The bimodule map with generator values images applied to element,
+    sum c (L (x) psi (x) R): the sum of c L images[psi] R.  element and
+    each value of images are elements of A (x) kAP (x) A, id triple ->
+    coefficient, and so is the result, with zero entries dropped.
+    images maps the position of psi to its value; a psi missing from
+    images has value zero."""
     out: dict = {}
     mul = basis.mult
-    for t in terms:
-        for s in images.get(t.middle, ()):
-            left = mul(t.left, s.left)
+    for (tl, psi, tr), c in element.items():
+        image = images.get(psi)
+        if not image:
+            continue
+        for (sl, mid, sr), d in image.items():
+            left = mul(tl, sl)
             if left is None:
                 continue
-            right = mul(s.right, t.right)
+            right = mul(sr, tr)
             if right is None:
                 continue
-            key = (left, s.middle, right)
-            v = out.get(key, 0) + t.coeff * s.coeff
+            key = (left, mid, right)
+            v = out.get(key, 0) + c * d
             if v:
                 out[key] = v
             else:
@@ -546,16 +534,16 @@ def apply_map(basis: PathBasis, terms, images) -> dict:
     return out
 
 
-def augment(basis: PathBasis, terms) -> dict:
+def augment(basis: PathBasis, element: dict) -> dict:
     """The augmentation mu(L (x) e (x) R) = L R applied to the element
-    sum c (L (x) e (x) R) over terms: basis path id -> coefficient, zero
-    entries dropped."""
+    sum c (L (x) e (x) R) of A (x) kAP_0 (x) A, id triple -> coefficient:
+    basis path id -> coefficient, zero entries dropped."""
     out: dict = {}
-    for t in terms:
-        p = basis.mult(t.left, t.right)
+    for (left, _, right), c in element.items():
+        p = basis.mult(left, right)
         if p is None:
             continue
-        v = out.get(p, 0) + t.coeff
+        v = out.get(p, 0) + c
         if v:
             out[p] = v
         else:

@@ -210,8 +210,10 @@ def test_library_has_no_assert_and_no_path_type():
     """``python -O`` strips asserts, so no check in the library is one.
     The library names a path by its arrow word, plus the vertex of a
     trivial path: no module defines, imports or builds the tests' Path,
-    compose or CompositionError."""
-    banned = {"Path", "compose", "CompositionError"}
+    compose or CompositionError.  An element of A (x) kAP (x) A has one
+    form, the id-triple dict: no module names the BimoduleTerm it
+    replaced."""
+    banned = {"Path", "compose", "CompositionError", "BimoduleTerm"}
     src = os.path.dirname(stringcoh.__file__)
     found = []
     for name in sorted(os.listdir(src)):

@@ -1,4 +1,3 @@
-import dataclasses
 import importlib
 from collections import Counter
 from fractions import Fraction
@@ -65,17 +64,17 @@ def test_comparison_degree_zero_single_term(a_n):
     (w,) = [e for e in res.ap[2] if ap_label(res, e) == "a2*a3"]
     terms = comparison_terms(cx, f, 0, w)
     assert len(terms) == 1
-    t = terms[0]
-    assert basis_path(basis, t.left).is_trivial
-    assert support(res.quiver, res.ap[0][t.middle]).is_trivial
-    assert basis_label(res, t.right) == "b2*a3"
+    ((left, psi, right),) = terms
+    assert basis_path(basis, left).is_trivial
+    assert support(res.quiver, res.ap[0][psi]).is_trivial
+    assert basis_label(res, right) == "b2*a3"
 
 
 def test_comparison_vanishes_off_support(a_n):
     pres, basis, res, cx = a_n[3]
     f = basis_cochain(cx, 2, "a2*a3", "b2*a3")
     (w,) = [e for e in res.ap[3] if ap_label(res, e) == "b1*b2*b3"]
-    assert comparison_terms(cx, f, 1, w) == []
+    assert comparison_terms(cx, f, 1, w) == {}
 
 
 def test_comparison_worked_example(a_n):
@@ -85,10 +84,10 @@ def test_comparison_worked_example(a_n):
     (w,) = [e for e in res.ap[3] if ap_label(res, e) == "a1*a2*a3"]
     terms = comparison_terms(cx, f, 1, w)
     assert len(terms) == 1
-    t = terms[0]
-    assert basis_path(basis, t.left).is_trivial
-    assert middle_label(res, 1, t) == "a1"
-    assert basis_label(res, t.right) == "b2*a3"
+    ((left, psi, right),) = terms
+    assert basis_path(basis, left).is_trivial
+    assert middle_label(res, 1, psi) == "a1"
+    assert basis_label(res, right) == "b2*a3"
     # that basis cochain is not a cocycle, so the audit refuses it ...
     assert not is_cocycle(cx, f)
     with pytest.raises(ValueError):
@@ -117,11 +116,12 @@ def test_comparison_even_degree_collapses(corpus):
                                            basis_path(cx.basis, gamma))
                             if rg is not None:
                                 expect.add((c, support(q, head), rg))
-                        got = {(t.coeff, support(q, res.ap[n][t.middle]),
-                                basis_path(cx.basis, t.right)) for t in terms}
+                        got = {(c, support(q, res.ap[n][psi]),
+                                basis_path(cx.basis, right))
+                               for (_, psi, right), c in terms.items()}
                         assert got == expect
-                        assert all(basis_path(cx.basis, t.left).is_trivial
-                                   for t in terms)
+                        assert all(basis_path(cx.basis, left).is_trivial
+                                   for left, _, _ in terms)
 
 
 def test_chain_map_audit_all_basis_cocycles_quadratic(a_n):
@@ -162,11 +162,11 @@ def test_formula_lift_gap_on_interior_diagonal():
     # F_1(1 (x) uvw (x) 1) = 1 (x) u (x) vw, where the displayed formula
     # gives 0 because f(w) = 0
     (rel,) = res.ap[2]
-    assert comparison_terms(cx, f, 1, rel) == []
-    (t,) = lift_terms(cx, f, 1, rel)
-    assert t.coeff == 1 and basis_path(basis, t.left).is_trivial
-    assert middle_label(res, 1, t) == "u"
-    assert basis_label(res, t.right) == "v*w"
+    assert comparison_terms(cx, f, 1, rel) == {}
+    (((left, psi, right), c),) = lift_terms(cx, f, 1, rel).items()
+    assert c == 1 and basis_path(basis, left).is_trivial
+    assert middle_label(res, 1, psi) == "u"
+    assert basis_label(res, right) == "v*w"
     lifts = solved_lift_matrices(cx, f)
     for n in range(1, len(lifts)):
         lhs = res.d_matrix(n) @ lifts[n]
@@ -640,10 +640,11 @@ def test_broken_lift_raises_instead_of_certifying(monkeypatch):
         cup_table(build_tower(generate(88))[2])
 
     def flipped(cx, f, n, w):
-        terms = lift_terms(cx, f, n, w)
-        if n == 1 and terms:
-            terms[0] = dataclasses.replace(terms[0], coeff=-terms[0].coeff)
-        return terms
+        value = lift_terms(cx, f, n, w)
+        if n == 1 and value:
+            key = next(iter(value))
+            value[key] = -value[key]
+        return value
 
     monkeypatch.setattr(cup_module, "lift_terms", flipped)
     with pytest.raises(CertificateError, match="not a chain map"):

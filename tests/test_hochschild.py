@@ -65,6 +65,20 @@ def test_bad_degree_arguments_raise_value_error(a_n):
     for n in (0, -1):
         with pytest.raises(ValueError, match="start in degree 1"):
             cx.res.differential(n)
+    # the lift tables of a_n(3), top 3: each of these once raised
+    # IndexError from the AP sets
+    lift_range = r"take n >= 0, m >= 1 and n \+ m <= 3"
+    for n, m in ((2, 3), (-1, 1), (0, 0), (3, 1), (1, 3)):
+        with pytest.raises(ValueError, match=lift_range):
+            cx.splittings(n, m)
+        with pytest.raises(ValueError, match=lift_range):
+            cx.lift_tails(n, m)
+    for n in (3, 4, -1):
+        with pytest.raises(ValueError, match=r"run in degrees 0\.\.2"):
+            cx.leibniz_slots(n)
+    # the edges of the valid ranges are fine
+    assert len(cx.splittings(0, 3)) == len(cx.splittings(2, 1)) == 2
+    assert cx.lift_tails(2, 1) and len(cx.leibniz_slots(2)) == 2
 
 
 def test_pairs_top_degree_count(a_n):

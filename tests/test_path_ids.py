@@ -10,7 +10,7 @@ import pytest
 from conftest import a_n_text, build_tower
 from stringcoh import Resolution, parse
 from stringcoh.checks import Auditor
-from stringcoh.cup import cup_table
+from stringcoh.cup import _lift_values, cocycle_basis, cup_table, lift_terms
 from stringcoh.generate import generate, generate_dsl
 from tests_support import (arrow_path, basis_id, basis_paths, path_mult,
                            path_mult3, support, trivial_path, word_path)
@@ -105,8 +105,8 @@ def test_differential_terms_have_basis_cofactors(corpus):
             d = res.differential(n)
             assert list(d) == [w.pos for w in res.ap[n]], name
             for w in res.ap[n]:
-                got = [(t.coeff, paths[t.left], res.ap[n - 1][t.middle],
-                        paths[t.right]) for t in d[w.pos]]
+                got = [(c, paths[left], res.ap[n - 1][psi], paths[right])
+                       for (left, psi, right), c in d[w.pos].items()]
                 total += len(got)
                 q = res.quiver
                 sup = support(q, w)
@@ -131,6 +131,39 @@ def test_differential_terms_have_basis_cofactors(corpus):
                                 paths[right])
                                for c, (pos, _, _, left, right) in signed], name
     assert total == 4482
+
+
+def test_elements_are_id_triple_dicts_without_zeros(corpus):
+    """Every value of differential(n), and every value of the walked
+    chain-map lift of every basis cocycle, is an element of
+    A (x) kAP_k (x) A as a dict (l, psi, r) -> c: no c is zero, l ends
+    at the source of psi and r starts at its target.  On generate(0..99),
+    generate_dsl(0..12, 24, 48) and a_n(1..8); a stored zero or a triple
+    built with its cofactors swapped fails."""
+    towers = corpus_towers(corpus)
+    towers += [(f"seed {s} at 24/48",)
+               + build_tower(generate(s, max_vertices=24, max_arrows=48))
+               for s in range(13)]
+    towers += lanes(range(1, 9))
+    entries = Counter()
+    for name, basis, res, cx in towers:
+        paths = basis_paths(basis)
+        elements = [("d", n - 1, image) for n in range(1, res.top + 1)
+                    for image in res.differential(n).values()]
+        for m in range(1, cx.top + 1):
+            for f in cocycle_basis(cx, m):
+                values = _lift_values(cx, f, lift_terms)
+                elements += [("lift", n, value)
+                             for n, layer in enumerate(values)
+                             for value in layer.values()]
+        for kind, k, element in elements:
+            for (left, psi, right), c in element.items():
+                e = res.ap[k][psi]
+                assert c != 0, (name, kind, k)
+                assert paths[left].target == e.source, (name, kind, k)
+                assert paths[right].source == e.target, (name, kind, k)
+                entries[kind] += 1
+    assert entries == {"d": 3506, "lift": 2834}
 
 
 def test_divisor_with_a_cofactor_in_the_ideal_is_dropped(monkeypatch):

@@ -279,11 +279,11 @@ def test_differential_degree_one(a_n):
     pres, basis, res, cx = a_n[1]
     terms = res.differential(1)
     (alpha,) = [e for e in res.ap[1] if ap_label(res, e) == "a1"]
-    t1, t2 = terms[alpha.pos]
-    assert (t1.coeff, basis_label(res, t1.left), middle_label(res, 0, t1)) == (
+    ((l1, psi1, _), c1), ((_, psi2, r2), c2) = terms[alpha.pos].items()
+    assert (c1, basis_label(res, l1), middle_label(res, 0, psi1)) == (
         1, "a1", "e_1",
     )
-    assert (t2.coeff, middle_label(res, 0, t2), basis_label(res, t2.right)) == (
+    assert (c2, middle_label(res, 0, psi2), basis_label(res, r2)) == (
         -1, "e_0", "a1",
     )
 
@@ -292,8 +292,9 @@ def test_differential_degree_two(a_n):
     pres, basis, res, cx = a_n[3]
     terms = res.differential(2)
     (w,) = [e for e in res.ap[2] if ap_label(res, e) == "a1*a2"]
-    got = {(t.coeff, basis_label(res, t.left), middle_label(res, 1, t),
-            basis_label(res, t.right)) for t in terms[w.pos]}
+    got = {(c, basis_label(res, left), middle_label(res, 1, psi),
+            basis_label(res, right))
+           for (left, psi, right), c in terms[w.pos].items()}
     assert got == {(1, "e_0", "a1", "a2"), (1, "a1", "a2", "e_2")}
 
 
@@ -301,8 +302,9 @@ def test_differential_degree_three_signs(a_n):
     pres, basis, res, cx = a_n[3]
     terms = res.differential(3)
     (w,) = [e for e in res.ap[3] if ap_label(res, e) == "a1*a2*a3"]
-    got = [(t.coeff, basis_label(res, t.left), middle_label(res, 2, t),
-            basis_label(res, t.right)) for t in terms[w.pos]]
+    got = [(c, basis_label(res, left), middle_label(res, 2, psi),
+            basis_label(res, right))
+           for (left, psi, right), c in terms[w.pos].items()]
     assert got == [
         (1, "a1", "a2*a3", "e_3"),
         (-1, "e_0", "a1*a2", "a3"),

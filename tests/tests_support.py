@@ -17,7 +17,7 @@ from stringcoh.hochschild import COUNT_KEYS
 from stringcoh.linalg import CertificateError, RationalMatrix
 from stringcoh.presentation import basis_P
 from stringcoh.quiver import CyclicQuiverError
-from stringcoh.resolution import BimoduleTerm, Resolution, apply_map
+from stringcoh.resolution import Resolution, apply_map
 
 
 class CompositionError(ValueError):
@@ -431,9 +431,10 @@ def ap_label(res, e) -> str:
     return fmt(res.pres, support(res.quiver, e))
 
 
-def middle_label(res, n: int, term) -> str:
-    """The label of the support of a term's middle, an element of AP_n."""
-    return ap_label(res, res.ap[n][term.middle])
+def middle_label(res, n: int, psi: int) -> str:
+    """The label of the support of the middle psi of an id-triple key
+    (left, psi, right), the element at position psi of AP_n."""
+    return ap_label(res, res.ap[n][psi])
 
 
 def occurrences(w_sub: Path, w: Path) -> list[tuple[Path, Path]]:
@@ -835,13 +836,14 @@ def one_sided_by_full_path(res, n: int) -> dict[int, tuple[int, int]]:
     for x, layer in by_target.items():
         blocks: dict = {}
         for w in layer:
-            kept = [t for t in diff.get(w.pos, ())
-                    if paths[t.right].is_trivial]
+            kept = [(left, psi, c)
+                    for (left, psi, right), c in diff.get(w.pos, {}).items()
+                    if paths[right].is_trivial]
             for l in res.basis.ending_at(w.source):
                 col = {}
-                for t in kept:
-                    if mult(l, t.left) is not None:
-                        col[t.middle] = col.get(t.middle, 0) + t.coeff
+                for left, psi, c in kept:
+                    if mult(l, left) is not None:
+                        col[psi] = col.get(psi, 0) + c
                 blocks.setdefault(paths[l].arrows + w.word,
                                   []).append(col)
         rank = int(n == 0)
@@ -868,14 +870,14 @@ def comparison_matrix(cx, f, n: int, terms) -> RationalMatrix:
     } if n + m <= res.top else {}
     mul = cx.basis.mult
     for j, (l, w, r) in enumerate(cols):
-        for t in terms_by_w[w]:
-            lp = mul(l, t.left)
+        for (left, psi, right), c in terms_by_w[w].items():
+            lp = mul(l, left)
             if lp is None:
                 continue
-            rp = mul(t.right, r)
+            rp = mul(right, r)
             if rp is None:
                 continue
-            mat.add_at(row_index[(lp, t.middle, rp)], j, t.coeff)
+            mat.add_at(row_index[(lp, psi, rp)], j, c)
     return mat
 
 
@@ -902,8 +904,8 @@ def blocks(res, n: int) -> dict:
 
 def solved_lift(cx, f) -> list[dict]:
     """A chain-map lift of f found independently of lift_terms, degree by
-    degree: per degree n, w -> its value F_n(1 (x) w (x) 1) as terms,
-    over AP_{n + deg f}, keyed by the position of w.
+    degree: per degree n, w -> its value F_n(1 (x) w (x) 1) as an
+    id-triple dict, over AP_{n + deg f}, keyed by the position of w.
 
     Each generator 1 (x) w (x) 1 first tries the displayed formula
     (comparison_terms).  Where that fails its commuting square (degree-1
@@ -932,9 +934,10 @@ def solved_lift(cx, f) -> list[dict]:
     return values
 
 
-def _solve_in_blocks(cx, n: int, rhs: dict) -> list:
+def _solve_in_blocks(cx, n: int, rhs: dict) -> dict:
     """Some x with d_n x = rhs, for rhs an element of degree n-1 of the
-    resolution keyed by the id triple (left, middle, right).  d_n
+    resolution keyed by the id triple (left, middle, right), and x one of
+    degree n keyed the same way.  d_n
     preserves the full path of every triple, so the system splits into
     one system per full path that rhs touches, each with one right-hand
     column."""
@@ -946,7 +949,7 @@ def _solve_in_blocks(cx, n: int, rhs: dict) -> list:
     parts = {}
     for triple, c in rhs.items():
         parts.setdefault(full_path(res, n - 1, triple), {})[row_index[triple]] = c
-    out = []
+    out = {}
     for full, part in parts.items():
         rows, cols = rows_of[full], cols_of.get(full, [])
         block = RationalMatrix(len(rows), len(cols))
@@ -958,8 +961,7 @@ def _solve_in_blocks(cx, n: int, rhs: dict) -> list:
         if not ok:
             raise CertificateError("exactness guarantees a lift")
         for j, c in sorted(x.items()):
-            l, psi, r = cols_all[cols[j]]
-            out.append(BimoduleTerm(c, l, psi, r))
+            out[cols_all[cols[j]]] = c
     return out
 
 
