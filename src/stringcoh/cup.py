@@ -14,19 +14,21 @@ formula, which check reports as a documented deviation.
 
 Lifts are audited and evaluated on the generators 1 (x) w (x) 1 of the
 resolution: every map involved is a bimodule map, so its values on
-generators determine it.  The audit visits only the generators where a
-side of a square can be nonzero, found from the cocycle's support through
-two indexes that CochainComplex builds once, lift_tails and cofaces
-(docs/comparison-lift.md, "Which generators the audit visits"), and
-keeps only the nonzero values.  The walk speaks ids throughout: a value
+generators determine it.  _walk audits all the cocycles of one degree
+together, one lift degree at a time, and computes each value from that
+layer's table rows (_layer_values, which comparison_terms and lift_terms
+wrap).  It visits only the generators where a side of a square can be
+nonzero, found from the cocycle's support through lift_tails and cofaces
+(docs/comparison-lift.md, "Which generators the audit visits").  A value
 is an element of A (x) kAP (x) A in the form of resolution.py, a dict
 from the id triple (left, psi, right) to a nonzero coefficient.
 
-cup and cup_table evaluate every product on that audited walk: the
-right factor's lift is audited as a chain map, and cup_table certifies
-that each product evaluated on those values lies in the image of the
-previous cochain map.  A certificate the theory guarantees raises
-CertificateError when it fails.
+cup and cup_table evaluate every product on that audited walk, and
+cup_table certifies that each product lies in the image of the previous
+cochain map.  A cohomology representative keeps its lift for that; where
+the displayed formula is lift_terms, the formula's walk is that lift's.
+A certificate the theory guarantees raises CertificateError when it
+fails.
 """
 
 from __future__ import annotations
@@ -43,10 +45,11 @@ from .resolution import ApElement, Word, apply_map, augment, memo
 class Cochain:
     """A cochain in the parallel-pair basis: degree plus sparse coefficients
     indexed by position in the canonical pair list of that degree, ints
-    where integral.  Fill coeffs before the first terms_at or supports,
-    which index them once.  A cochain belongs to one complex: it keeps
-    that index, and the walked values of its chain-map lift when it is a
-    cohomology representative (_chain_map_lift)."""
+    where integral.  A zero coefficient is dropped when the cochain is
+    built, so none is stored.  Fill coeffs before the first terms_at or
+    supports, which index them once.  A cochain belongs to one complex: it
+    keeps that index, and the walked values of its chain-map lift when it
+    is a cohomology representative (_audit)."""
 
     degree: int
     coeffs: dict[int, int | Fraction] = field(default_factory=dict)
@@ -54,6 +57,10 @@ class Cochain:
                                      compare=False)
     _lift: list | None = field(default=None, init=False, repr=False,
                                compare=False)
+
+    def __post_init__(self):
+        if not all(self.coeffs.values()):
+            self.coeffs = {i: c for i, c in self.coeffs.items() if c}
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -83,11 +90,7 @@ class Cochain:
             raise ValueError("cochains of different degrees")
         out = dict(self.coeffs)
         for i, c in other.coeffs.items():
-            v = out.get(i, 0) - c
-            if v:
-                out[i] = v
-            else:
-                out.pop(i, None)
+            out[i] = out.get(i, 0) - c
         return Cochain(self.degree, out)
 
 
@@ -113,6 +116,55 @@ def _require_cocycle(cx: CochainComplex, f: Cochain):
         raise ValueError("expected a cocycle; the chain-map property needs it")
 
 
+def _layer_values(cx: CochainComplex, n: int, rows: list, slots, vals: dict,
+                  positions) -> list[dict]:
+    """The degree-n lift values at 1 (x) w (x) 1 for w at these positions
+    of AP_{n+m}, as id-triple dicts, of the degree-m cocycle f with vals =
+    f._values(cx), read off rows = splittings(n, m): comparison_terms,
+    plus the Leibniz terms of lift_terms where slots = leibniz_slots(n)
+    is given."""
+    out = []
+    if not n:
+        # e_x is basis path x and element x of AP_0, for x the source of
+        # w and of every gamma parallel to it
+        src = cx.basis.sources
+        for i in positions:
+            out.append({(src[gamma], src[gamma], gamma): c
+                        for c, gamma in vals.get(i, ())})
+        return out
+    mult, mult3 = cx.basis.mult, cx.basis.mult3
+    for i in positions:
+        tail, divisors, _ = rows[i]
+        value: dict[tuple, int | Fraction] = {}
+        at_tail = vals.get(tail)
+        if at_tail:
+            # distinct divisors have distinct (left, psi), and distinct
+            # gammas distinct products with right, so no two terms share
+            # a key
+            for left, psi, right in divisors:
+                for c, gamma in at_tail:
+                    rg = mult(right, gamma)
+                    if rg is not None:
+                        value[(left, psi, rg)] = c
+        if slots is not None:
+            # f keeps its value at an arrow alpha under alpha's position
+            # in AP_1, which is alpha itself
+            for left, psi, alpha, mid, rest in slots[i]:
+                for c, gamma in vals.get(alpha, ()):
+                    right = mult3(mid, gamma, rest)
+                    if right is not None:
+                        # a slot can share its key with another slot or
+                        # with the displayed formula
+                        key = (left, psi, right)
+                        v = value.get(key, 0) + c
+                        if v:
+                            value[key] = v
+                        else:
+                            del value[key]
+        out.append(value)
+    return out
+
+
 def comparison_terms(cx: CochainComplex, f: Cochain, n: int,
                      w: ApElement) -> dict[tuple, int | Fraction]:
     """The displayed (paper's) formula for the degree-n lift of the
@@ -126,23 +178,9 @@ def comparison_terms(cx: CochainComplex, f: Cochain, n: int,
     cocycles this sees only the last arrow of w and is then not always a
     chain map; lift_terms is.
     """
-    m = f.degree
-    require_lift_degree(n, m, w)
-    if n == 0:
-        x = w.source  # e_x is basis path x and element x of AP_0
-        return {(x, x, gamma): c for c, gamma in f.terms_at(cx, w.pos)}
-    tail, divisors, _ = cx.splittings(n, m)[w.pos]
-    vals = f.terms_at(cx, tail)
-    out: dict[tuple, int | Fraction] = {}
-    mult = cx.basis.mult
-    # distinct divisors have distinct (left, psi), and distinct gammas
-    # distinct products with right, so no two terms share a key
-    for left, psi, right in divisors:
-        for c, gamma in vals:
-            rg = mult(right, gamma)
-            if rg is not None:
-                out[(left, psi, rg)] = c
-    return out
+    require_lift_degree(n, f.degree, w)
+    rows = cx.splittings(n, f.degree)
+    return _layer_values(cx, n, rows, None, f._values(cx), (w.pos,))[0]
 
 
 def lift_terms(cx: CochainComplex, f: Cochain, n: int,
@@ -159,135 +197,153 @@ def lift_terms(cx: CochainComplex, f: Cochain, n: int,
     arrow alone gives the displayed formula.  Cocycles of degree >= 2 and
     n = 0 lift by the displayed formula unchanged.
     """
-    out = comparison_terms(cx, f, n, w)
-    if f.degree != 1 or n == 0:
-        return out
-    mult3 = cx.basis.mult3
-    # f keeps its value at an arrow alpha under alpha's position in AP_1,
-    # which is alpha itself
-    for left, psi, alpha, mid, rest in cx.leibniz_slots(n)[w.pos]:
-        for c, gamma in f.terms_at(cx, alpha):
-            right = mult3(mid, gamma, rest)
-            if right is not None:
-                # a slot can share its key with another slot or with
-                # the displayed formula
-                key = (left, psi, right)
-                v = out.get(key, 0) + c
-                if v:
-                    out[key] = v
-                else:
-                    del out[key]
-    return out
+    m = f.degree
+    require_lift_degree(n, m, w)
+    slots = cx.leibniz_slots(n) if m == 1 and n else None
+    rows = cx.splittings(n, m)
+    return _layer_values(cx, n, rows, slots, f._values(cx), (w.pos,))[0]
 
 
-def _augments_to(cx: CochainComplex, f: Cochain, w: ApElement,
-                 value: dict) -> bool:
-    """Whether the augmentation mu(L (x) e (x) R) = L R sends the
-    degree-0 lift value at w to f(w)."""
-    return (augment(cx.basis, value)
-            == {gamma: c for c, gamma in f.terms_at(cx, w.pos)})
-
-
-def _lift_support(cx: CochainComplex, f: Cochain, n: int) -> set[int]:
-    """Positions in AP_{n+m} of the generators where a degree-n lift of
-    the degree-m cocycle f can be nonzero: those that lift_tails lists
-    under a support of f."""
-    tails = cx.lift_tails(n, f.degree)
-    return {i for s in f.supports(cx) for i in tails.get(s, ())}
-
-
-def _lift_values(cx: CochainComplex, f: Cochain, terms):
-    """The nonzero generator values F_n(1 (x) w (x) 1) = terms(cx, f, n, w)
-    of a lift of f, id-triple dicts, one dict per degree n with
-    n + m <= top from the position of w in AP_{n+m}, each checked on
-    generators:
+def _walk(cx: CochainComplex, fs: list[Cochain], leibniz: bool,
+          keep=()) -> tuple[int | None, dict[int, list[dict]]]:
+    """Walk the lifts (lift_terms when leibniz, else the displayed
+    formula) of the cocycles fs, all of degree m, together, and check
+    each on generators:
     mu F_0 (1 (x) w (x) 1) = f(w) for w in AP_m, and
     d_n F_n (1 (x) w (x) 1) = F_{n-1} d_{n+m} (1 (x) w (x) 1) for w in
-    AP_{n+m}.  None if the augmentation or a square fails.
+    AP_{n+m}.  Bimodule maps are determined by their values on
+    generators, so this decides the same as comparing the realized
+    matrices (docs/comparison-lift.md).
 
-    Both sides of each square are bimodule maps, which are determined by
-    their values on the generators, so this decides the same as comparing
-    the realized matrices (docs/comparison-lift.md).  The walk visits, in
-    AP order, only the generators where a side can be nonzero: where the
-    lift itself can be (_lift_support), and where d_{n+m}(1 (x) w (x) 1)
-    meets a nonzero value of F_{n-1} (CochainComplex.cofaces).  Both sides vanish on every other generator,
-    so the verdict and the nonzero values are those of a walk over all of
-    AP_{n+m}.
-    """
-    _require_cocycle(cx, f)
-    m = f.degree
-    res = cx.res
-    values: list[dict] = []
-    for n in range(res.top - m + 1):
-        visit = _lift_support(cx, f, n)
+    The outer loop runs over n and reads each layer's tables once.  Each
+    cocycle visits, in AP order, only the generators where a side can be
+    nonzero: those lift_tails(n, m) lists under a support of f, and those
+    whose d_{n+m} meets a nonzero value of F_{n-1} (cofaces(n + m)).
+    Both sides vanish on every other generator.
+
+    A failed square stops the walk of its cocycle and of every later one
+    in fs.  Returns the index k in fs of the first cocycle whose walk
+    fails (None when all pass), and for each index of keep below k the
+    whole lift: F_n per n, position of w -> nonzero value.  Every other
+    walk keeps only its previous layer."""
+    for f in fs:
+        _require_cocycle(cx, f)
+    m, res, basis = fs[0].degree, cx.res, cx.basis
+    vals = [f._values(cx) for f in fs]
+    below: list[dict] = [{}] * len(fs)
+    kept: dict[int, list[dict]] = {k: [] for k in keep}
+    walking = range(len(fs))
+    failed = None
+    for n in range(cx.top - m + 1):
+        # splittings checks the range and the degree of every element
+        rows = cx.splittings(n, m)
+        slots = cx.leibniz_slots(n) if leibniz and m == 1 and n else None
+        tails = cx.lift_tails(n, m)
         if n:
             d_n, d_nm = res.differential(n), res.differential(n + m)
             cofaces = cx.cofaces(n + m)
-            visit.update(i for psi in values[-1] for i in cofaces.get(psi, ()))
-        layer = res.ap[n + m]
-        cur = {}
-        for i in sorted(visit):
-            val = terms(cx, f, n, layer[i])
+        still = []
+        for k in walking:
+            if failed is not None and k > failed:
+                break
+            v, prev = vals[k], below[k]
+            visit = {i for s in v for i in tails.get(s, ())}
             if n:
-                holds = (apply_map(cx.basis, val, d_n)
-                         == apply_map(cx.basis, d_nm[i], values[-1]))
+                visit.update(i for psi in prev for i in cofaces.get(psi, ()))
+            order = sorted(visit)
+            cur = {}
+            values = _layer_values(cx, n, rows, slots, v, order)
+            for i, val in zip(order, values):
+                if n:
+                    holds = (apply_map(basis, val, d_n)
+                             == apply_map(basis, d_nm[i], prev))
+                else:
+                    holds = (augment(basis, val)
+                             == {gamma: c for c, gamma in v.get(i, ())})
+                if not holds:
+                    failed = k
+                    break
+                if val:
+                    cur[i] = val
             else:
-                holds = _augments_to(cx, f, layer[i], val)
-            if not holds:
-                return None
-            if val:
-                cur[i] = val
-        values.append(cur)
-    return values
+                below[k] = cur
+                if k in kept:
+                    kept[k].append(cur)
+                still.append(k)
+        walking = still
+    return failed, {k: lift for k, lift in kept.items()
+                    if failed is None or k < failed}
 
 
-def _chain_map_lift(cx: CochainComplex, f: Cochain):
-    """_lift_values of f on lift_terms.  The walk of a cohomology
-    representative (cohomology_basis) is kept on it, for cup_table to
-    evaluate products on: check_chain_maps walks this lift for every
-    cocycle of degree >= 2 (formula_audit), before cup_table audits the
-    representatives.  Other cochains keep nothing, so the walks of a
-    whole cocycle basis are not held at once."""
-    if f._lift is not None:
-        return f._lift
-    values = _lift_values(cx, f, lift_terms)
-    if values is not None and any(f is r for r in
-                                  cohomology_basis(cx, f.degree)):
-        f._lift = values
-    return values
+def _slot_arrows(cx: CochainComplex) -> set[int]:
+    """The arrow alpha of every Leibniz slot of leibniz_slots(n), n >= 1."""
+    return {slot[2] for n in range(1, cx.top)
+            for slots in cx.leibniz_slots(n) for slot in slots}
+
+
+def _audit(cx: CochainComplex, fs: list[Cochain], leibniz: bool,
+           reps) -> int | None:
+    """_walk of the cocycles fs of one degree: the index in fs of the
+    first whose lift is not a chain map, None when there is none.
+
+    The displayed formula is lift_terms in degree >= 2, and for a
+    degree-1 cocycle with no value on a slot arrow (_slot_arrows), which
+    no Leibniz term reads; there the formula's walk is the lift's.  Each
+    of reps keeps the lift of a passing lift_terms walk in Cochain._lift,
+    for cup_table, and is not walked on it again."""
+    if not fs:
+        return None
+    if leibniz or fs[0].degree >= 2:
+        lift = [True] * len(fs)
+    else:
+        arrows = _slot_arrows(cx)
+        lift = [arrows.isdisjoint(f.supports(cx)) for f in fs]
+    todo = [k for k, f in enumerate(fs) if f._lift is None or not lift[k]]
+    if not todo:
+        return None
+    ids = {id(r) for r in reps}
+    keep = [j for j, k in enumerate(todo) if lift[k] and id(fs[k]) in ids]
+    failed, lifts = _walk(cx, [fs[k] for k in todo], leibniz, keep)
+    for j, values in lifts.items():
+        fs[todo[j]]._lift = values
+    return None if failed is None else todo[failed]
+
+
+def _audit_alone(cx: CochainComplex, f: Cochain, leibniz: bool) -> bool:
+    """Whether f passes _audit by itself.  It keeps its lift only as a
+    cohomology representative, which is asked after the walk, once the
+    walk has checked the degrees of the AP sets."""
+    passed = _audit(cx, [f], leibniz, [f]) is None
+    if not any(f is r for r in cohomology_basis(cx, f.degree)):
+        f._lift = None
+    return passed
 
 
 def chain_map_audit(cx: CochainComplex, f: Cochain) -> bool:
     """Verify the lift (lift_terms) that cup evaluates is a chain map."""
-    return _chain_map_lift(cx, f) is not None
+    return _audit_alone(cx, f, True)
 
 
 def formula_audit(cx: CochainComplex, f: Cochain) -> bool:
     """Whether the displayed formula (comparison_terms) is a chain map
     for f.  It is not for degree-1 cocycles with a value on an arrow
     strictly inside a relation of length >= 3; see
-    docs/comparison-lift.md.  Above degree 1 the displayed formula is
-    lift_terms, so this is chain_map_audit's walk."""
-    if f.degree >= 2:
-        return chain_map_audit(cx, f)
-    return _lift_values(cx, f, comparison_terms) is not None
+    docs/comparison-lift.md."""
+    return _audit_alone(cx, f, False)
 
 
-def _audited_lift(cx: CochainComplex, f: Cochain) -> list[dict]:
-    """The generator values of the chain-map lift of f (lift_terms), per
-    degree, after chain_map_audit's walk has passed on them.  The lift is
-    a chain map by docs/comparison-lift.md, so a failed audit raises."""
-    values = _chain_map_lift(cx, f)
-    if values is None:
-        raise CertificateError(
-            f"the lift of a degree-{f.degree} cocycle is not a chain map")
-    return values
+def first_formula_failure(cx: CochainComplex, m: int) -> int | None:
+    """The position in cocycle_basis(cx, m) of the first cocycle that
+    formula_audit fails, None if none: one walk of the whole basis."""
+    return _audit(cx, cocycle_basis(cx, m), False, cohomology_basis(cx, m))
 
 
 def cup(cx: CochainComplex, g: Cochain, f: Cochain) -> Cochain:
     """The product cochain: g evaluated on the audited chain-map lift of
-    f (_audited_lift), (g cup f)(w) = sum c L g(psi) R over the lift's
-    value at w, as cup_table evaluates it; zero above the top.
+    f, (g cup f)(w) = sum c L g(psi) R over the lift's value at w, as
+    cup_table evaluates it; zero above the top.  The lift is a
+    representative's kept lift, or a walk of f alone; it is a chain map
+    by docs/comparison-lift.md, so a failed walk raises.
 
     Both inputs must be positive-degree cocycles; the result is again a
     cocycle (CertificateError otherwise), of degree deg g + deg f.
@@ -295,7 +351,13 @@ def cup(cx: CochainComplex, g: Cochain, f: Cochain) -> Cochain:
     n, m = g.degree, f.degree
     if n < 1 or m < 1:
         raise ValueError("cup products are formed from positive degrees")
-    lift = _audited_lift(cx, f)
+    lift = f._lift
+    if lift is None:
+        failed, lifts = _walk(cx, [f], True, (0,))
+        if failed is not None:
+            raise CertificateError(
+                f"the lift of a degree-{m} cocycle is not a chain map")
+        lift = lifts[0]
     return _evaluate(cx, g, m, lift[n] if n < len(lift) else {})
 
 
@@ -403,11 +465,7 @@ def _normalize(cx: CochainComplex, f: Cochain, keep_classes, dead: str,
     out: dict[int, int | Fraction] = {}
 
     def put(i, v):
-        s = out.get(i, 0) + v
-        if s:
-            out[i] = s
-        else:
-            out.pop(i, None)
+        out[i] = out.get(i, 0) + v  # Cochain drops a sum that cancels
 
     pairs = cx.pairs(m)
     for i, c in sorted(f.coeffs.items()):
@@ -524,21 +582,22 @@ def cup_table(cx: CochainComplex) -> CupReport:
     """Choose basis classes in every positive degree, form all pairwise
     products, and certify each one zero in cohomology.
 
-    The lift of each representative f is audited once as a chain map
-    (chain_map_audit's generator walk on lift_terms), and every product
-    g cup f is evaluated on those audited generator values, as by cup; it
-    must land in the image of the previous cochain map.  A failed audit
-    raises CertificateError: the lift is a chain map by
-    docs/comparison-lift.md, and no product is certified on an unaudited
-    lift.
+    The lift of each representative f is audited once as a chain map:
+    the representatives of one degree not walked yet on lift_terms are
+    walked together (_audit), and every product g cup f is evaluated on
+    the generator values that walk kept, as by cup; it must land in the
+    image of the previous cochain map.  A failed audit raises
+    CertificateError: the lift is a chain map by docs/comparison-lift.md,
+    and no product is certified on an unaudited lift.
     """
     reps: dict[int, list[Cochain]] = {}
     class_dims: dict[int, int] = {}
     for m in range(1, cx.top + 1):
         reps[m] = cohomology_basis(cx, m)
         class_dims[m] = len(reps[m])
-    lifts = {(m, j): _audited_lift(cx, f)
-             for m, fs in reps.items() for j, f in enumerate(fs)}
+        if _audit(cx, reps[m], True, reps[m]) is not None:
+            raise CertificateError(
+                f"the lift of a degree-{m} cocycle is not a chain map")
 
     odd_max = 0
     entries: list[CupEntry] = []
@@ -548,11 +607,11 @@ def cup_table(cx: CochainComplex) -> CupReport:
             if total <= cx.top and n % 2 == 1 and gs and fs:
                 odd_max = max([odd_max] + [c for _, _, c in cx.splittings(n, m)])
             for i, g in enumerate(gs):
-                for j in range(len(fs)):
+                for j, f in enumerate(fs):
                     if total > cx.top:
                         entries.append(CupEntry(n, m, i, j, True, True))
                         continue
-                    prod = _evaluate(cx, g, m, lifts[(m, j)][n])
+                    prod = _evaluate(cx, g, m, f._lift[n])
                     entries.append(CupEntry(n, m, i, j, False,
                                             is_coboundary(cx, prod)[0]))
     return CupReport(class_dims, entries, odd_max)

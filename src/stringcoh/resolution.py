@@ -511,7 +511,8 @@ def apply_map(basis: PathBasis, element: dict, images) -> dict:
     each value of images are elements of A (x) kAP (x) A, id triple ->
     coefficient, and so is the result, with zero entries dropped.
     images maps the position of psi to its value; a psi missing from
-    images has value zero."""
+    images has value zero.  The inputs store no zero coefficient: a zero
+    term would make the sum delete a key it never stored (KeyError)."""
     out: dict = {}
     mul = basis.mult
     for (tl, psi, tr), c in element.items():
@@ -537,7 +538,8 @@ def apply_map(basis: PathBasis, element: dict, images) -> dict:
 def augment(basis: PathBasis, element: dict) -> dict:
     """The augmentation mu(L (x) e (x) R) = L R applied to the element
     sum c (L (x) e (x) R) of A (x) kAP_0 (x) A, id triple -> coefficient:
-    basis path id -> coefficient, zero entries dropped."""
+    basis path id -> coefficient, zero entries dropped.  The element
+    stores no zero coefficient, as for apply_map."""
     out: dict = {}
     for (left, _, right), c in element.items():
         p = basis.mult(left, right)

@@ -210,8 +210,12 @@ def lift_differs_from_formula(pres) -> bool:
 
 def test_broken_lift_exits_3(tmp_path, monkeypatch, capsys):
     """A lift whose chain-map audit fails stops check with a failed
-    certificate instead of certifying products on it."""
-    monkeypatch.setattr(cup_module, "lift_terms", comparison_terms)
+    certificate instead of certifying products on it: the walk evaluates
+    the displayed formula in place of lift_terms."""
+    real = cup_module._layer_values
+    monkeypatch.setattr(
+        cup_module, "_layer_values", lambda cx, n, rows, slots, vals, at:
+        real(cx, n, rows, None, vals, at))
     path = tmp_path / "seed88.quiver"
     path.write_text(generate_dsl(88))
     assert main(["check", str(path), "--json"]) == 3

@@ -42,6 +42,7 @@ from tests_support import (
     path_mult,
     scan_terms_at,
     solved_lift_matrices,
+    sparse_visits,
     support,
 )
 
@@ -145,6 +146,20 @@ def test_chain_map_audit_zero_cochain(a_n):
     assert chain_map_audit(cx, Cochain(1))
 
 
+def test_cochain_drops_zero_coefficients(a_n):
+    """A Cochain built with an explicit zero coefficient stores none, so
+    the sparse sums of is_cocycle and of a product never meet a stored
+    zero: on a_n(3), at a column j of matrix(2) that is nonzero,
+    is_cocycle(cx, Cochain(1, {j: 0})) raised KeyError: 1."""
+    pres, basis, res, cx = a_n[3]
+    j = next(j for j, col in enumerate(cx.columns(2)) if col)
+    assert Cochain(1, {j: 0}).coeffs == {}
+    assert is_cocycle(cx, Cochain(1, {j: 0}))
+    g = cocycle_basis(cx, 1)[0]
+    assert cup(cx, g, Cochain(1, {j: 0})).is_zero()
+    assert cup(cx, Cochain(1, {j: 0}), g).is_zero()
+
+
 def test_formula_lift_gap_on_interior_diagonal():
     """The displayed lift formula is not a chain map for a degree-1
     diagonal cocycle whose arrow lies strictly inside a length-3
@@ -186,6 +201,28 @@ def test_lift_equals_formula_where_formula_is_chain_map(corpus):
                             ), f"seed {seed} degree {n}"
 
 
+def test_formula_is_the_lift_off_the_slot_arrows(corpus, a_n):
+    """A degree-1 cocycle with no value on any Leibniz slot arrow
+    (_slot_arrows) has lift_terms equal to comparison_terms on every
+    generator of every lift degree, so its walk of the displayed formula
+    is its lift_terms walk.  Every degree-1 basis cocycle of
+    generate(0..99), the 24/48 corpus of seeds 0-12 and a_n(1..8); the
+    corpora also hold cocycles that meet a slot arrow, and on some of
+    them the two formulas differ."""
+    avoiding = differing = 0
+    for name, _, cx in walk_towers(corpus, a_n):
+        arrows = cup_module._slot_arrows(cx)
+        for k, f in enumerate(cocycle_basis(cx, 1)):
+            same = all(lift_terms(cx, f, n, w) == comparison_terms(cx, f, n, w)
+                       for n in range(cx.top) for w in cx.res.ap[n + 1])
+            if arrows.isdisjoint(f.supports(cx)):
+                assert same, f"{name} cocycle {k}"
+                avoiding += 1
+            else:
+                differing += not same
+    assert avoiding and differing
+
+
 def test_generator_audit_matches_global_oracle(corpus, a_n):
     """Auditing a lift on the generators 1 (x) w (x) 1 decides exactly as
     comparing the realized matrices, for both lifts, on every basis
@@ -205,61 +242,170 @@ def test_generator_audit_matches_global_oracle(corpus, a_n):
     assert red  # the oracle also met failing squares
 
 
+def walk_towers(corpus, a_n):
+    """(name, presentation, complex) of generate(0..99), the 24/48 corpus
+    of seeds 0-12 and a_n(1..8)."""
+    towers = [(f"seed {seed}", pres, cx)
+              for seed, pres, _, _, cx in corpus]
+    for s in range(13):
+        pres = generate(s, max_vertices=24, max_arrows=48)
+        towers.append((f"seed {s} at 24/48", pres, build_tower(pres)[2]))
+    for n in range(1, 9):
+        pres = a_n[n][0] if n in a_n else parse(a_n_text(n))
+        cx = a_n[n][3] if n in a_n else build_tower(pres)[2]
+        towers.append((f"a_n({n})", pres, cx))
+    return towers
+
+
+def nonzero_items(lift):
+    return [[(w, v) for w, v in layer.items() if v] for layer in lift]
+
+
 def test_sparse_lift_walk_matches_dense_oracle(corpus, a_n):
-    """The lift walk that visits only generators where a side of a square
-    can be nonzero reaches the dense walk's verdict and every nonzero
-    generator value, in AP order, for both lifts on every basis cocycle,
-    and each lift is zero outside the generators _lift_support names:
-    the default corpus (red seeds such as 88 included), the 24/48 corpus
-    of seeds 0-12, and a_n(1..8)."""
-    towers = [(f"seed {seed}", cx) for seed, _, _, _, cx in corpus]
-    towers += [(f"seed {s} at 24/48",
-                build_tower(generate(s, max_vertices=24, max_arrows=48))[2])
-               for s in range(13)]
-    towers += [(f"a_n({n})", a_n[n][3] if n in a_n
-                else build_tower(parse(a_n_text(n)))[2]) for n in range(1, 9)]
-    red = 0
-    for name, cx in towers:
+    """The lift walk, which visits only generators where a side of a
+    square can be nonzero and walks the basis cocycles of one degree
+    together, agrees with the dense walk over every generator, for both
+    lifts, on every basis cocycle:
+    - walked alone, it reaches the dense verdict and every nonzero
+      generator value, in AP order;
+    - walked with its whole degree, it names the first cocycle whose
+      dense walk fails and keeps the dense values of every earlier one;
+    - each lift is zero outside the generators lift_tails lists under a
+      support of the cocycle.
+    On every red input check_chain_maps names the first (m, k) whose
+    dense walk of the displayed formula fails.  The default corpus (red
+    seeds such as 88 included), the 24/48 corpus of seeds 0-12 and
+    a_n(1..8)."""
+    red = witnesses = 0
+    for name, pres, cx in walk_towers(corpus, a_n):
+        first = None
         for m in range(1, cx.top + 1):
-            for k, f in enumerate(cocycle_basis(cx, m)):
-                for terms in (comparison_terms, lift_terms):
-                    where = f"{name} degree {m} cocycle {k} {terms.__name__}"
+            fs = cocycle_basis(cx, m)
+            if not fs:
+                continue
+            for leibniz, terms in ((False, comparison_terms),
+                                   (True, lift_terms)):
+                where = f"{name} degree {m} {terms.__name__}"
+                dense = [dense_lift_values(cx, f, terms) for f in fs]
+                for k, f in enumerate(fs):
                     for n in range(cx.top - m + 1):
+                        tails = cx.lift_tails(n, m)
                         nonzero = {i for i, w in enumerate(cx.res.ap[n + m])
                                    if terms(cx, f, n, w)}
-                        assert nonzero <= cup_module._lift_support(
-                            cx, f, n), f"{where} n={n}"
-                    dense = dense_lift_values(cx, f, terms)
-                    sparse = cup_module._lift_values(cx, f, terms)
-                    assert (dense is None) == (sparse is None), where
-                    red += dense is None
-                    if dense is not None:
-                        assert ([list(d.items()) for d in sparse]
-                                == [[(w, v) for w, v in d.items() if v]
-                                    for d in dense]), where
-    assert red  # failing squares were met too
+                        assert nonzero <= {i for s in f.supports(cx)
+                                           for i in tails.get(s, ())}, (
+                            f"{where} cocycle {k} n={n}")
+                    failed, lifts = cup_module._walk(cx, [f], leibniz, (0,))
+                    assert (failed is None) == (dense[k] is not None), where
+                    if dense[k] is not None:
+                        assert ([list(layer.items()) for layer in lifts[0]]
+                                == nonzero_items(dense[k])), where
+                bad = [k for k, d in enumerate(dense) if d is None]
+                stop = bad[0] if bad else len(fs)
+                failed, lifts = cup_module._walk(cx, fs, leibniz,
+                                                 range(len(fs)))
+                assert failed == (bad[0] if bad else None), where
+                assert sorted(lifts) == list(range(stop)), where
+                for k, lift in lifts.items():
+                    assert ([list(layer.items()) for layer in lift]
+                            == nonzero_items(dense[k])), f"{where} cocycle {k}"
+                red += len(bad)
+                if bad and not leibniz and first is None:
+                    first = (m, bad[0])
+        if first is not None:
+            result = checks.Auditor(pres).check_chain_maps()
+            assert not result.passed, name
+            assert result.detail.startswith(
+                f"degree {first[0]} cocycle {first[1]}:"), name
+            witnesses += 1
+    assert red and witnesses  # failing squares were met too
 
 
 def test_sparse_lift_walk_evaluates_fewer_generators(monkeypatch):
     """On a_n(7) the sparse walk evaluates the lift formula on fewer
-    generators than the dense walk, for the same verdicts."""
+    generators than the dense walk, for the same verdicts.  Both evaluate
+    through _layer_values: the walk once per cocycle and layer, the dense
+    walk once per generator through lift_terms."""
     cx = build_tower(parse(a_n_text(7)))[2]
     calls = []
+    real = cup_module._layer_values
 
-    def counted(cx, f, n, w):
-        calls.append(w)
-        return lift_terms(cx, f, n, w)
+    def counted(cx, n, rows, slots, vals, positions):
+        calls.extend(positions)
+        return real(cx, n, rows, slots, vals, positions)
 
-    monkeypatch.setattr(cup_module, "lift_terms", counted)
-    counts = {}
-    for name, walk in (("sparse", cup_module._lift_values),
-                       ("dense", dense_lift_values)):
-        calls.clear()
+    monkeypatch.setattr(cup_module, "_layer_values", counted)
+    degrees = [fs for m in range(1, cx.top + 1)
+               if (fs := cocycle_basis(cx, m))]
+    for fs in degrees:
+        assert cup_module._walk(cx, fs, True)[0] is None
+    sparse = len(calls)
+    calls.clear()
+    for fs in degrees:
+        assert all(dense_lift_values(cx, f, lift_terms) is not None
+                   for f in fs)
+    assert 0 < sparse < len(calls)
+
+
+def test_walk_visits_the_sparse_generators_and_compares_each_square(
+        corpus, a_n, monkeypatch):
+    """The walk of one degree's basis cocycles evaluates each passing
+    lift at exactly the generators of the sparse rule
+    (tests_support.sparse_visits): in lift degree n, those lift_tails(n, m)
+    lists under a support of the cocycle and, for n >= 1, the cofaces of
+    every generator where the lift is nonzero one degree down, in AP
+    order.  Every visited generator has its square compared: one
+    augment per visit in degree 0, two apply_map per visit above.  Both
+    lifts, every basis cocycle walked to the end, on generate(0..99), the
+    24/48 corpus of seeds 0-12 and a_n(1..8)."""
+    visits = []
+    real = cup_module._layer_values
+
+    def recorded(cx, n, rows, slots, vals, positions):
+        visits.append((id(vals), n, list(positions)))
+        return real(cx, n, rows, slots, vals, positions)
+
+    squares = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            squares[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(cup_module, "_layer_values", recorded)
+    monkeypatch.setattr(cup_module, "apply_map",
+                        counted("apply_map", cup_module.apply_map))
+    monkeypatch.setattr(cup_module, "augment",
+                        counted("augment", cup_module.augment))
+    compared = 0
+    for name, _, cx in walk_towers(corpus, a_n):
         for m in range(1, cx.top + 1):
-            for f in cocycle_basis(cx, m):
-                assert walk(cx, f, counted) is not None
-        counts[name] = len(calls)
-    assert 0 < counts["sparse"] < counts["dense"]
+            fs = cocycle_basis(cx, m)
+            if not fs:
+                continue
+            for leibniz, terms in ((False, comparison_terms),
+                                   (True, lift_terms)):
+                expected = [sparse_visits(cx, f, terms) for f in fs]
+                visits.clear()
+                squares.clear()
+                failed, _ = cup_module._walk(cx, fs, leibniz)
+                by_cocycle = {id(f._values(cx)): k for k, f in enumerate(fs)}
+                got = [[] for _ in fs]
+                for vals, n, positions in visits:
+                    k = by_cocycle[vals]
+                    assert n == len(got[k]), name
+                    got[k].append(positions)
+                done = range(len(fs) if failed is None else failed)
+                for k in done:
+                    assert got[k] == expected[k], f"{name} degree {m} {k}"
+                if failed is None:
+                    at_zero = sum(len(v[0]) for v in got)
+                    above = sum(len(p) for v in got for p in v[1:])
+                    assert squares == Counter(
+                        augment=at_zero, apply_map=2 * above), name
+                    compared += at_zero + above
+    assert compared
 
 
 def test_solved_lift_is_bimodule_chain_map(corpus):
@@ -564,16 +710,18 @@ def test_zero_cochain_is_coboundary_without_elimination(a_n, monkeypatch):
 
 
 def counting_audits(monkeypatch):
-    """Count the generator walks of _lift_values by the lift they walk:
-    calls[terms][id(f)]."""
-    calls = {comparison_terms: Counter(), lift_terms: Counter()}
-    real = cup_module._lift_values
+    """Count the cocycles the generator walk (_walk) walks, by the lift it
+    walks: calls[leibniz][id(f)], True for lift_terms and False for the
+    displayed formula."""
+    calls = {False: Counter(), True: Counter()}
+    real = cup_module._walk
 
-    def counted(cx, f, terms):
-        calls[terms][id(f)] += 1
-        return real(cx, f, terms)
+    def counted(cx, fs, leibniz, keep=()):
+        for f in fs:
+            calls[leibniz][id(f)] += 1
+        return real(cx, fs, leibniz, keep)
 
-    monkeypatch.setattr(cup_module, "_lift_values", counted)
+    monkeypatch.setattr(cup_module, "_walk", counted)
     return calls
 
 
@@ -587,7 +735,7 @@ def test_run_all_formula_audits_each_basis_cocycle_once(monkeypatch):
     assert not results["chain-maps"]
     cx = auditor.cx
     basis = [f for m in range(1, cx.top + 1) for f in cocycle_basis(cx, m)]
-    formula = calls[comparison_terms]
+    formula = calls[False]
     assert sum(formula[id(f)] for f in basis) > 0
     assert all(formula[id(f)] <= 1 for f in basis)
     formula.clear()
@@ -601,13 +749,14 @@ def test_cup_table_audits_each_lift_it_evaluates(monkeypatch):
     each representative is audited once."""
     calls = counting_audits(monkeypatch)
     audited = []
-    real_walk, real_evaluate = cup_module._lift_values, cup_module._evaluate
+    real_walk, real_evaluate = cup_module._walk, cup_module._evaluate
 
-    def walk(cx, f, terms):
-        values = real_walk(cx, f, terms)
-        if terms is lift_terms and values is not None:
-            audited.extend(values)
-        return values
+    def walk(cx, fs, leibniz, keep=()):
+        failed, lifts = real_walk(cx, fs, leibniz, keep)
+        if leibniz:
+            for values in lifts.values():
+                audited.extend(values)
+        return failed, lifts
 
     evaluated = []
 
@@ -615,7 +764,7 @@ def test_cup_table_audits_each_lift_it_evaluates(monkeypatch):
         evaluated.append(lift)
         return real_evaluate(cx, g, m, lift)
 
-    monkeypatch.setattr(cup_module, "_lift_values", walk)
+    monkeypatch.setattr(cup_module, "_walk", walk)
     monkeypatch.setattr(cup_module, "_evaluate", evaluate)
     for seed in (19, 88):
         cx = build_tower(generate(seed))[2]
@@ -626,29 +775,90 @@ def test_cup_table_audits_each_lift_it_evaluates(monkeypatch):
         assert all(any(lift is v for v in audited) for lift in evaluated)
         reps = [f for m in range(1, cx.top + 1)
                 for f in cohomology_basis(cx, m)]
-        assert [calls[lift_terms][id(f)] for f in reps] == [1] * len(reps)
-        calls[lift_terms].clear()
+        assert [calls[True][id(f)] for f in reps] == [1] * len(reps)
+        calls[True].clear()
+
+
+def test_cup_table_reuses_the_formula_walks(monkeypatch):
+    """A representative keeps the walk of the displayed formula where that
+    formula is lift_terms, and cup_table walks it no more.  On a_n(7),
+    whose relations are quadratic and leave no Leibniz slot, cup_table
+    starts no walk after check_chain_maps.  On generate(88) and
+    generate(19), after formula_audit of every basis cocycle, cup_table
+    walks only the degree-1 representatives whose support meets a slot
+    arrow, each once, and no other basis cocycle keeps a lift.  After
+    check_chain_maps on generate(88), whose first witness stops the walks
+    of the later cocycles, it walks each representative left without a
+    lift once."""
+    calls = counting_audits(monkeypatch)
+
+    auditor = checks.Auditor(parse(a_n_text(7)))
+    assert auditor.check_chain_maps().passed
+    assert calls[False] and not cup_module._slot_arrows(auditor.cx)
+    calls[False].clear()
+    assert cup_table(auditor.cx).all_zero
+    assert not calls[True] and not calls[False]
+
+    for seed in (88, 19):
+        cx = build_tower(generate(seed))[2]
+        for m in range(1, cx.top + 1):
+            for f in cocycle_basis(cx, m):
+                formula_audit(cx, f)
+        arrows = cup_module._slot_arrows(cx)
+        reps = [f for m in range(1, cx.top + 1)
+                for f in cohomology_basis(cx, m)]
+        meeting = [f for f in reps if f.degree == 1
+                   and not arrows.isdisjoint(f.supports(cx))]
+        assert meeting and len(meeting) < len(reps)
+        # only a representative keeps a lift, so a basis is not held
+        assert all(f._lift is None for m in range(1, cx.top + 1)
+                   for f in cocycle_basis(cx, m)
+                   if not any(f is r for r in reps))
+        # on seed 19 the displayed formula passes on a representative
+        # that meets a slot arrow; it keeps no lift from that walk
+        assert any(formula_audit(cx, f) for f in meeting) == (seed == 19)
+        assert all(f._lift is None for f in meeting)
+        calls[True].clear()
+        assert cup_table(cx).all_zero
+        assert calls[True] == Counter({id(f): 1 for f in meeting}), seed
+
+    auditor = checks.Auditor(generate(88))
+    assert not auditor.check_chain_maps().passed
+    cx = auditor.cx
+    reps = [f for m in range(1, cx.top + 1) for f in cohomology_basis(cx, m)]
+    unwalked = [f for f in reps if f._lift is None]
+    assert unwalked
+    calls[True].clear()
+    assert cup_table(cx).all_zero
+    assert calls[True] == Counter({id(f): 1 for f in unwalked})
 
 
 def test_broken_lift_raises_instead_of_certifying(monkeypatch):
     """A lift that is not a chain map makes cup_table raise: on seed 88
-    the displayed formula in place of lift_terms, and on a_n(3) a lift
-    with one coefficient flipped.  Both towers are fresh: a cohomology
-    representative keeps the lift it was audited on."""
-    monkeypatch.setattr(cup_module, "lift_terms", comparison_terms)
+    the walk evaluating the displayed formula in place of lift_terms, and
+    on a_n(3) a lift with one coefficient flipped in every nonzero value
+    of lift degree 1, or of lift degree 2.  Both towers are fresh: a cohomology representative
+    keeps the lift it was audited on."""
+    real = cup_module._layer_values
+    monkeypatch.setattr(
+        cup_module, "_layer_values", lambda cx, n, rows, slots, vals, at:
+        real(cx, n, rows, None, vals, at))
     with pytest.raises(CertificateError, match="not a chain map"):
         cup_table(build_tower(generate(88))[2])
 
-    def flipped(cx, f, n, w):
-        value = lift_terms(cx, f, n, w)
-        if n == 1 and value:
-            key = next(iter(value))
-            value[key] = -value[key]
-        return value
+    for degree in (1, 2):
+        def flipped(cx, n, rows, slots, vals, positions):
+            values = real(cx, n, rows, slots, vals, positions)
+            if n == degree:
+                for value in values:
+                    if value:
+                        key = next(iter(value))
+                        value[key] = -value[key]
+            return values
 
-    monkeypatch.setattr(cup_module, "lift_terms", flipped)
-    with pytest.raises(CertificateError, match="not a chain map"):
-        cup_table(build_tower(parse(a_n_text(3)))[2])
+        monkeypatch.setattr(cup_module, "_layer_values", flipped)
+        with pytest.raises(CertificateError, match="not a chain map"):
+            cup_table(build_tower(parse(a_n_text(3)))[2])
 
 
 def test_normalization_leaving_the_class_names_each_cocycle(monkeypatch, a_n):

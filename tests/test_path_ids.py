@@ -10,7 +10,7 @@ import pytest
 from conftest import a_n_text, build_tower
 from stringcoh import Resolution, parse
 from stringcoh.checks import Auditor
-from stringcoh.cup import _lift_values, cocycle_basis, cup_table, lift_terms
+from stringcoh.cup import _walk, cocycle_basis, cup_table
 from stringcoh.generate import generate, generate_dsl
 from tests_support import (arrow_path, basis_id, basis_paths, path_mult,
                            path_mult3, support, trivial_path, word_path)
@@ -151,11 +151,15 @@ def test_elements_are_id_triple_dicts_without_zeros(corpus):
         elements = [("d", n - 1, image) for n in range(1, res.top + 1)
                     for image in res.differential(n).values()]
         for m in range(1, cx.top + 1):
-            for f in cocycle_basis(cx, m):
-                values = _lift_values(cx, f, lift_terms)
-                elements += [("lift", n, value)
-                             for n, layer in enumerate(values)
-                             for value in layer.values()]
+            fs = cocycle_basis(cx, m)
+            if not fs:
+                continue
+            failed, lifts = _walk(cx, fs, True, range(len(fs)))
+            assert failed is None and len(lifts) == len(fs), (name, m)
+            elements += [("lift", n, value)
+                         for values in lifts.values()
+                         for n, layer in enumerate(values)
+                         for value in layer.values()]
         for kind, k, element in elements:
             for (left, psi, right), c in element.items():
                 e = res.ap[k][psi]

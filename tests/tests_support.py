@@ -8,7 +8,6 @@ from math import lcm
 
 from stringcoh.cup import (
     Cochain,
-    _augments_to,
     _require_cocycle,
     comparison_terms,
     is_cocycle,
@@ -17,7 +16,7 @@ from stringcoh.hochschild import COUNT_KEYS
 from stringcoh.linalg import CertificateError, RationalMatrix
 from stringcoh.presentation import basis_P
 from stringcoh.quiver import CyclicQuiverError
-from stringcoh.resolution import Resolution, apply_map
+from stringcoh.resolution import Resolution, apply_map, augment
 
 
 class CompositionError(ValueError):
@@ -660,9 +659,17 @@ def bar_dims(basis, up_to: int) -> list[int]:
     return dims
 
 
+def _augments_to(cx, f, w, value) -> bool:
+    """Whether the augmentation mu(L (x) e (x) R) = L R sends the
+    degree-0 lift value at w to f(w)."""
+    return (augment(cx.basis, value)
+            == {gamma: c for c, gamma in f.terms_at(cx, w.pos)})
+
+
 def dense_lift_values(cx, f, terms):
-    """cup._lift_values by a walk over every generator: the generator
-    values terms(cx, f, n, w) of a lift of f for every w in AP_{n+m}, one
+    """The lift walk (cup._walk) of f alone, over every generator: the
+    generator values terms(cx, f, n, w) of a lift of f for every w in
+    AP_{n+m}, one
     dict per degree n with n + m <= top, or None if the augmentation or a
     commuting square fails on some generator."""
     _require_cocycle(cx, f)
@@ -682,6 +689,29 @@ def dense_lift_values(cx, f, terms):
                 return None
         values.append(cur)
     return values
+
+
+def sparse_visits(cx, f, terms):
+    """The generators the sparse walk of the lift of f given by terms
+    visits, per lift degree n, as sorted positions in AP_{n+m}: those
+    lift_tails(n, m) lists under a support of f and, for n >= 1, the
+    cofaces in AP_{n+m} of every position where the lift is nonzero one
+    degree down, read off dense_lift_values.  None where that lift is
+    not a chain map."""
+    dense = dense_lift_values(cx, f, terms)
+    if dense is None:
+        return None
+    m = f.degree
+    out = []
+    for n in range(len(dense)):
+        tails = cx.lift_tails(n, m)
+        visit = {i for s in f.supports(cx) for i in tails.get(s, ())}
+        if n:
+            cofaces = cx.cofaces(n + m)
+            visit |= {i for psi, value in dense[n - 1].items() if value
+                      for i in cofaces.get(psi, ())}
+        out.append(sorted(visit))
+    return out
 
 
 def global_lift_audit(cx, f, terms) -> bool:
