@@ -502,12 +502,14 @@ def is_coboundary(cx: CochainComplex, f: Cochain):
     """Exact membership of f in the image of the previous cochain map.
     Returns (True, preimage) or (False, certificate), each a sparse dict
     (RationalMatrix.in_column_space).  Zero is exactly the image of zero,
-    so it needs no elimination."""
-    m = f.degree
-    if m == 0 or m > cx.top:
-        return (f.is_zero(), None)
+    so it needs no elimination.  In degree 0 and above the top the
+    previous map is zero, so the first nonzero coordinate of f is a
+    certificate."""
     if f.is_zero():
         return (True, {})
+    m = f.degree
+    if m == 0 or m > cx.top:
+        return (False, {min(f.coeffs): 1})
     return cx.matrix(m).in_column_space(f.coeffs)
 
 

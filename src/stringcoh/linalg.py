@@ -4,7 +4,11 @@ column-space membership.
 The elimination core is fraction-free (Bareiss): rows are cleared to
 integers once (a row of ints is copied as is), then every update is
 ``row <- (pivot * row - row[j] * pivot_row) / previous_pivot`` with an
-exact integer division.  Arbitrary-precision integers make this safe at
+exact integer division.  Only a row with an entry in the pivot column j
+meets the pivot row; one without is scaled by pivot / previous_pivot,
+and left as it is when the two are equal.  On the benchmark's inputs
+every pivot is +-1 times the previous one, so such a row is left as it
+is or negated.  Arbitrary-precision integers make this safe at
 any size; pivots are chosen small and sparse to contain growth.  The
 matrices produced upstream have entries in {-1, 0, 1}, are very sparse
 and fall into many small blocks, so rows are stored as column->value
@@ -189,8 +193,11 @@ def _integer_rows(rows) -> list[dict[int, int]]:
     of the unscaled rows."""
     out = []
     for row in rows:
-        if all(type(v) is int for v in row.values()):
-            out.append(dict(row))
+        for v in row.values():
+            if type(v) is not int:
+                break
+        else:
+            out.append(row.copy())
             continue
         fracs = {c: Fraction(v) for c, v in row.items()}
         scale = lcm(*(f.denominator for f in fracs.values())) if fracs else 1
@@ -224,30 +231,36 @@ def _blocks(rows, ncols: int) -> list[list[int]]:
     """The connected blocks of the row-column graph over the first
     ``ncols`` columns: ascending lists of row indices, in the order of
     their first rows.  A row with no entry in those columns is in no
-    block.  One union-find pass over the entries, each root its block's
-    first row."""
+    block.
+
+    One union-find pass over the entries, each root its set's first row:
+    a row joins the set of each column it meets, found from a row the
+    column remembers by path halving.  Every parent lies before its
+    child, so one ascending pass then points each member at its root."""
     root = list(range(len(rows)))
-
-    def find(r: int) -> int:
-        while root[r] != r:
-            root[r] = r = root[root[r]]
-        return r
-
     owner: dict[int, int] = {}
     members = []
     for i, row in enumerate(rows):
-        cols = [c for c in row if c < ncols]
-        if cols:
+        a = i  # the root of row i's set so far
+        seen = len(owner)
+        for c in row:
+            if c >= ncols:
+                continue
+            b = owner.setdefault(c, a)
+            while root[b] != b:
+                root[b] = b = root[root[b]]
+            if b < a:
+                root[a] = a = b
+            elif a < b:
+                root[b] = a
+        # an entry in the first ncols columns either met an earlier row
+        # or was the first in its column
+        if a != i or len(owner) != seen:
             members.append(i)
-        for c in cols:
-            j = owner.setdefault(c, i)
-            if j != i:
-                a, b = find(i), find(j)
-                if a != b:
-                    root[max(a, b)] = min(a, b)
     blocks: dict[int, list[int]] = {}
     for i in members:
-        blocks.setdefault(find(i), []).append(i)
+        root[i] = r = root[root[i]]
+        blocks.setdefault(r, []).append(i)
     return list(blocks.values())
 
 
@@ -260,10 +273,13 @@ def _bareiss(rows: list[dict[int, int]], ncols: int):
     Within a block, pivot columns are scanned left to right; within a
     column the pivot row is the one with the smallest |entry| (ties
     broken by sparsity, then by row order), which keeps the exact-division
-    intermediates small.  Every active row of the block is updated with
-    the Bareiss rule each step, in every column it or the pivot row has,
-    so all intermediate values are minors of the (permuted, scaled) block
-    and the divisions are exact.
+    intermediates small.  Each step applies the Bareiss rule to the
+    block's active rows: a row with an entry in the pivot column is
+    combined with the pivot row, in every column either has; a row
+    without one is only scaled by piv / prev, and is left as it is when
+    piv == prev.  So all intermediate values are minors of the (permuted,
+    scaled) block, the divisions are exact, and the pivots and rows are
+    those of a sweep that rewrites every active row each step.
 
     Returns (pivots, rows): pivots as (row index, column), sorted by
     column.
@@ -271,8 +287,10 @@ def _bareiss(rows: list[dict[int, int]], ncols: int):
     pivots: list[tuple[int, int]] = []
     for block in _blocks(rows, ncols):
         if len(block) == 1:
+            # a row in a block has an entry in the first ncols columns,
+            # so its smallest column is one of them
             r = block[0]
-            pivots.append((r, min(c for c in rows[r] if c < ncols)))
+            pivots.append((r, min(rows[r])))
             continue
         active = block
         prev = 1
@@ -294,16 +312,26 @@ def _bareiss(rows: list[dict[int, int]], ncols: int):
             for r in active:
                 row = rows[r]
                 a = row.get(j, 0)
+                if not a and piv == prev:
+                    continue
                 new: dict[int, int] = {}
-                for c in row.keys() | (prow.keys() if a else ()):
-                    v = row.get(c, 0) * piv - a * prow.get(c, 0)
+                for c, v in row.items():
+                    v = v * piv - a * prow.get(c, 0)
                     if v:
                         q, rem = divmod(v, prev)
                         if rem:
                             raise CertificateError(
                                 "fraction-free division must be exact")
                         new[c] = q
-                new.pop(j, None)
+                if a:
+                    # the columns the pivot row fills in
+                    for c, v in prow.items():
+                        if c not in row:
+                            q, rem = divmod(-a * v, prev)
+                            if rem:
+                                raise CertificateError(
+                                    "fraction-free division must be exact")
+                            new[c] = q
                 rows[r] = new
             prev = piv
     pivots.sort(key=_column)

@@ -709,6 +709,18 @@ def test_zero_cochain_is_coboundary_without_elimination(a_n, monkeypatch):
         is_coboundary(cx, cocycle_basis(cx, 1)[0])
 
 
+def test_is_coboundary_certifies_where_the_previous_map_is_zero():
+    """In degree 0 and above the top a zero cochain is the image of zero;
+    a nonzero one in degree 0 is certified by its first nonzero
+    coordinate, since no cochain map lands there."""
+    _, _, cx = build_tower(parse(
+        "vertex a b c\narrow x a b\narrow y b c\nrelation x y\n"))
+    assert is_coboundary(cx, Cochain(0)) == (True, {})
+    assert is_coboundary(cx, Cochain(0, {0: 1})) == (False, {0: 1})
+    assert is_coboundary(cx, Cochain(0, {2: 3, 1: -1})) == (False, {1: 1})
+    assert is_coboundary(cx, Cochain(cx.top + 1)) == (True, {})
+
+
 def counting_audits(monkeypatch):
     """Count the cocycles the generator walk (_walk) walks, by the lift it
     walks: calls[leibniz][id(f)], True for lift_terms and False for the

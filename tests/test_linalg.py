@@ -12,6 +12,7 @@ from tests_support import (
     dense,
     entry,
     from_rows,
+    full_sweep_bareiss,
     global_in_column_space,
     global_nullspace,
     global_pivot_columns,
@@ -277,6 +278,35 @@ def test_blockwise_column_space_matches_global_oracle(m, data):
     assert ratio and all(a == ratio * b for a, b in zip(w, oracle_w))
 
 
+@st.composite
+def rows_with_ride_along(draw):
+    """The rows of a small or block-diagonal matrix with up to three
+    ride-along columns past its own, as ([row dicts], ncols); entries
+    are ints or Fractions."""
+    m = draw(st.one_of(small_matrices.map(from_rows), block_diagonal()))
+    extra = draw(st.integers(0, 3))
+    rows = []
+    for row in m._rows:
+        row = dict(row)
+        for k in range(extra):
+            v = draw(entries)
+            if v:
+                row[m.cols + k] = v
+        rows.append(row)
+    return rows, m.cols
+
+
+@settings(max_examples=400, deadline=None)
+@given(rows_with_ride_along())
+def test_bareiss_matches_full_sweep_oracle(case):
+    """The kernel returns the pivots and the eliminated rows of the sweep
+    that rewrites every active row of a block on every pivot."""
+    rows, ncols = case
+    ints = linalg._integer_rows(rows)
+    expected = full_sweep_bareiss([dict(row) for row in ints], ncols)
+    assert linalg._bareiss([dict(row) for row in ints], ncols) == expected
+
+
 def assert_sparse(vec: dict, n: int):
     """A sparse vector of length n: int keys in 0..n-1, no zero value."""
     assert all(type(k) is int and 0 <= k < n and v for k, v in vec.items())
@@ -305,7 +335,7 @@ def test_certificate_error_is_one_class():
 
 
 def test_inexact_division_raises(monkeypatch):
-    """The one fraction-free division of _bareiss raises, never asserts."""
+    """Every fraction-free division of _bareiss raises, never asserts."""
     monkeypatch.setattr(linalg, "divmod", lambda a, b: (a // b, 1),
                         raising=False)
     with pytest.raises(CertificateError,
@@ -315,6 +345,16 @@ def test_inexact_division_raises(monkeypatch):
     with pytest.raises(CertificateError,
                        match="fraction-free division must be exact"):
         from_rows([[1], [1]]).in_column_space({0: 1, 1: 1})
+    # pivot 2 over prev 1: the second row, without an entry in column 0,
+    # is only scaled, and that is the one division of the elimination
+    with pytest.raises(CertificateError,
+                       match="fraction-free division must be exact"):
+        from_rows([[2, 1], [0, 1]]).echelon()
+    # the second row cancels in column 0, so the one division is in the
+    # column 1 that the pivot row fills in
+    with pytest.raises(CertificateError,
+                       match="fraction-free division must be exact"):
+        from_rows([[1, 1], [2, 0]]).echelon()
 
 
 def test_malformed_left_null_certificate_raises(monkeypatch):

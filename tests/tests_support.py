@@ -223,6 +223,51 @@ def global_bareiss(rows: list[dict[int, int]], ncols: int):
     return pivots, rows
 
 
+def full_sweep_bareiss(rows: list[dict[int, int]], ncols: int):
+    """Fraction-free elimination in place, one connected block of the
+    first ncols columns at a time, rewriting every active row of the block
+    on every pivot, rows without an entry in the pivot column included.
+    Pivot choice as in linalg; columns past ncols ride along.  The oracle
+    for linalg._bareiss, which must return the same (pivots, rows), pivots
+    sorted by column."""
+    pivots: list[tuple[int, int]] = []
+    for block in connected_blocks(rows, ncols):
+        active = sorted(block)
+        prev = 1
+        for j in sorted({c for r in block for c in rows[r] if c < ncols}):
+            best = None
+            for r in active:
+                a = rows[r].get(j)
+                if a:
+                    key = (abs(a), len(rows[r]))
+                    if best is None or key < best[0]:
+                        best = (key, r)
+            if best is None:
+                continue
+            r0 = best[1]
+            active.remove(r0)
+            pivots.append((r0, j))
+            piv = rows[r0][j]
+            prow = rows[r0]
+            for r in active:
+                row = rows[r]
+                a = row.get(j, 0)
+                new: dict[int, int] = {}
+                for c in row.keys() | (prow.keys() if a else ()):
+                    v = row.get(c, 0) * piv - a * prow.get(c, 0)
+                    if v:
+                        q, rem = divmod(v, prev)
+                        if rem:
+                            raise CertificateError(
+                                "fraction-free division must be exact")
+                        new[c] = q
+                new.pop(j, None)
+                rows[r] = new
+            prev = piv
+    pivots.sort(key=lambda p: p[1])
+    return pivots, rows
+
+
 def _scaled_rows(rows) -> list[dict[int, int]]:
     out = []
     for row in rows:
