@@ -260,20 +260,22 @@ class Auditor:
     # -- comparison-map and cup checks ---------------------------------------
 
     def check_chain_maps(self) -> CheckResult:
-        """The paper's displayed lift formula (formula_audit) must commute
-        with the differentials for every basis cocycle.  It does not for
-        degree-1 cocycles with a value on an arrow strictly inside a
-        relation of length >= 3: the formula sees only the last arrow.
-        This check reports that documented deviation; cup products are
-        evaluated on the corrected lift, which is a chain map (see
-        docs/comparison-lift.md) and is audited by cup_table.
+        """The paper's displayed lift formula must commute with the
+        differentials for every basis cocycle.  It does not for degree-1
+        cocycles with a value on an arrow strictly inside a relation of
+        length >= 3: the formula sees only the last arrow.  This check
+        reports that documented deviation; cup products are evaluated on
+        the corrected lift, which is a chain map (see
+        docs/comparison-lift.md) and is audited once per tower
+        (cup.rep_lifts, which cup_table reads).
 
-        Unlike the other checks it stops at its first witness: the basis
-        cocycles of one degree are walked together
-        (cup.first_formula_failure), and a failed walk stops the walks of
-        the later cocycles of its degree and of every later degree.
-        Listing every witness would walk every basis cocycle of a red
-        input to the end."""
+        Unlike the other checks it stops at its first witness
+        (cup.first_formula_failure).  Where the displayed formula is the
+        lift, a representative's audited lift decides it; the other basis
+        cocycles of one degree are walked together on the formula, and a
+        failed walk stops the walks of the later ones and of every later
+        degree.  Listing every witness would walk every basis cocycle of
+        a red input to the end."""
         for m in range(1, self.res.top + 1):
             k = first_formula_failure(self.cx, m)
             if k is not None:

@@ -2,33 +2,34 @@
 
 A degree-m cocycle lifts to a chain map of the resolution; composing a
 degree-n cocycle with the n-th lift evaluates the product of the two
-classes.  The paper displays a formula for the lift (comparison_terms).
+classes.  The paper displays a formula for the lift.
 
 A degree-1 cocycle acts like a derivation, and the displayed formula,
 which sees only the last arrow, is not a chain map when the cocycle has
 a value strictly inside a relation of length >= 3.  The lift that cup
-evaluates and chain_map_audit audits (lift_terms) adds the Leibniz terms
-of the interior arrows; it is a chain map by the proof in
-docs/comparison-lift.md.  formula_audit still audits the displayed
-formula, which check reports as a documented deviation.
+evaluates and chain_map_audit audits adds the Leibniz terms of the
+interior arrows; it is a chain map by the proof in
+docs/comparison-lift.md.  first_formula_failure still audits the
+displayed formula, which check reports as a documented deviation.
 
 Lifts are audited and evaluated on the generators 1 (x) w (x) 1 of the
 resolution: every map involved is a bimodule map, so its values on
 generators determine it.  _walk audits all the cocycles of one degree
 together, one lift degree at a time, and computes each value from that
-layer's table rows (_layer_values, which comparison_terms and lift_terms
-wrap).  It visits only the generators where a side of a square can be
-nonzero, found from the cocycle's support through lift_tails and cofaces
-(docs/comparison-lift.md, "Which generators the audit visits").  A value
-is an element of A (x) kAP (x) A in the form of resolution.py, a dict
-from the id triple (left, psi, right) to a nonzero coefficient.
+layer's table rows (_layer_values).  It visits only the generators
+where a side of a square can be nonzero, found from the cocycle's
+support through lift_tails and cofaces (docs/comparison-lift.md,
+"Which generators the audit visits").  A value is an element of
+A (x) kAP (x) A in the form of resolution.py, a dict from the id triple
+(left, psi, right) to a nonzero coefficient.
 
-cup and cup_table evaluate every product on that audited walk, and
-cup_table certifies that each product lies in the image of the previous
-cochain map.  A cohomology representative keeps its lift for that; where
-the displayed formula is lift_terms, the formula's walk is that lift's.
-A certificate the theory guarantees raises CertificateError when it
-fails.
+The lifts of the cohomology representatives are walked once per tower
+and kept whole in the tower's memo (rep_lifts).  cup_table evaluates
+every product on them and certifies that each lies in the image of the
+previous cochain map; cup walks its right factor alone.  Where the
+displayed formula is the lift, first_formula_failure does not walk a
+representative again.  A certificate the theory guarantees raises
+CertificateError when it fails.
 """
 
 from __future__ import annotations
@@ -36,9 +37,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .hochschild import CochainComplex, ParallelPair, require_lift_degree
+from .hochschild import CochainComplex, ParallelPair
 from .linalg import CertificateError, RationalMatrix
-from .resolution import ApElement, Word, apply_map, augment, memo
+from .resolution import Word, apply_map, augment, memo
 
 
 @dataclass
@@ -46,17 +47,12 @@ class Cochain:
     """A cochain in the parallel-pair basis: degree plus sparse coefficients
     indexed by position in the canonical pair list of that degree, ints
     where integral.  A zero coefficient is dropped when the cochain is
-    built, so none is stored.  Fill coeffs before the first terms_at or
-    supports, which index them once.  A cochain belongs to one complex: it
-    keeps that index, and the walked values of its chain-map lift when it
-    is a cohomology representative (_audit)."""
+    built, so none is stored.  A plain value: it caches nothing, and the
+    lifts of the cohomology representatives live in the tower's memo
+    (rep_lifts)."""
 
     degree: int
     coeffs: dict[int, int | Fraction] = field(default_factory=dict)
-    _by_support: dict | None = field(default=None, init=False, repr=False,
-                                     compare=False)
-    _lift: list | None = field(default=None, init=False, repr=False,
-                               compare=False)
 
     def __post_init__(self):
         if not all(self.coeffs.values()):
@@ -67,23 +63,14 @@ class Cochain:
 
     def terms_at(self, cx: CochainComplex, pos: int):
         """The (coefficient, gamma id) values this cochain takes on the
-        element at position pos of its degree's AP set, in pair order."""
-        return self._values(cx).get(pos, ())
+        element at position pos of its degree's AP set, in pair order.
+        Each call indexes the coefficients anew (_support_index)."""
+        return _support_index(cx, self).get(pos, ())
 
     def supports(self, cx: CochainComplex):
         """The positions of the AP elements where this cochain has a
         value."""
-        return self._values(cx).keys()
-
-    def _values(self, cx: CochainComplex) -> dict:
-        if self._by_support is None:
-            keys = cx.pair_keys(self.degree)
-            index: dict[int, list[tuple[int | Fraction, int]]] = {}
-            for i, c in sorted(self.coeffs.items()):
-                rho, gamma = keys[i]
-                index.setdefault(rho, []).append((c, gamma))
-            self._by_support = index
-        return self._by_support
+        return _support_index(cx, self).keys()
 
     def sub(self, other: "Cochain") -> "Cochain":
         if self.degree != other.degree:
@@ -92,6 +79,17 @@ class Cochain:
         for i, c in other.coeffs.items():
             out[i] = out.get(i, 0) - c
         return Cochain(self.degree, out)
+
+
+def _support_index(cx: CochainComplex, f: Cochain) -> dict:
+    """The values of f by support: position in AP_{deg f} -> the
+    (coefficient, gamma id) pairs of f there, in pair order."""
+    keys = cx.pair_keys(f.degree)
+    index: dict[int, list[tuple[int | Fraction, int]]] = {}
+    for i, c in sorted(f.coeffs.items()):
+        rho, gamma = keys[i]
+        index.setdefault(rho, []).append((c, gamma))
+    return index
 
 
 def is_cocycle(cx: CochainComplex, f: Cochain) -> bool:
@@ -120,9 +118,9 @@ def _layer_values(cx: CochainComplex, n: int, rows: list, slots, vals: dict,
                   positions) -> list[dict]:
     """The degree-n lift values at 1 (x) w (x) 1 for w at these positions
     of AP_{n+m}, as id-triple dicts, of the degree-m cocycle f with vals =
-    f._values(cx), read off rows = splittings(n, m): comparison_terms,
-    plus the Leibniz terms of lift_terms where slots = leibniz_slots(n)
-    is given."""
+    _support_index(cx, f), read off rows = splittings(n, m): the
+    displayed formula, plus the Leibniz terms of the lift where slots =
+    leibniz_slots(n) is given."""
     out = []
     if not n:
         # e_x is basis path x and element x of AP_0, for x the source of
@@ -165,50 +163,12 @@ def _layer_values(cx: CochainComplex, n: int, rows: list, slots, vals: dict,
     return out
 
 
-def comparison_terms(cx: CochainComplex, f: Cochain, n: int,
-                     w: ApElement) -> dict[tuple, int | Fraction]:
-    """The displayed (paper's) formula for the degree-n lift of the
-    cocycle f, applied to 1 (x) w (x) 1, as an id-triple dict.
-
-    For n = 0 this is 1 (x) e (x) f(w).  For n > 0, split w as
-    head * u * tail and sum L (x) psi (x) R f(tail) over all divisors psi
-    of head * u in degree n; terms whose cofactors die in the ideal are
-    dropped.  For even n the sum is head alone; odd n can have several
-    divisor positions, so the sum is taken literally.  For degree-1
-    cocycles this sees only the last arrow of w and is then not always a
-    chain map; lift_terms is.
-    """
-    require_lift_degree(n, f.degree, w)
-    rows = cx.splittings(n, f.degree)
-    return _layer_values(cx, n, rows, None, f._values(cx), (w.pos,))[0]
-
-
-def lift_terms(cx: CochainComplex, f: Cochain, n: int,
-               w: ApElement) -> dict[tuple, int | Fraction]:
-    """The degree-n chain-map lift of the cocycle f, applied to
-    1 (x) w (x) 1, as an id-triple dict.
-
-    This is the displayed formula (comparison_terms) plus, for a degree-1
-    cocycle and n >= 1, its interior positions: a degree-1 cocycle acts
-    like a derivation, so the lift follows the Leibniz rule over every
-    arrow of w.  Writing w = P_j * alpha_j * S_j, each arrow alpha_j where
-    f has a value adds L (x) psi (x) R f(alpha_j) S_j for every occurrence
-    L * psi * R of an element psi of AP_n inside the prefix P_j.  The last
-    arrow alone gives the displayed formula.  Cocycles of degree >= 2 and
-    n = 0 lift by the displayed formula unchanged.
-    """
-    m = f.degree
-    require_lift_degree(n, m, w)
-    slots = cx.leibniz_slots(n) if m == 1 and n else None
-    rows = cx.splittings(n, m)
-    return _layer_values(cx, n, rows, slots, f._values(cx), (w.pos,))[0]
-
 
 def _walk(cx: CochainComplex, fs: list[Cochain], leibniz: bool,
-          keep=()) -> tuple[int | None, dict[int, list[dict]]]:
-    """Walk the lifts (lift_terms when leibniz, else the displayed
-    formula) of the cocycles fs, all of degree m, together, and check
-    each on generators:
+          keep: bool = False) -> tuple[int | None, list[list[dict]]]:
+    """Walk the lifts (with the Leibniz terms when leibniz, else the
+    displayed formula) of the cocycles fs, all of degree m, together, and
+    check each on generators:
     mu F_0 (1 (x) w (x) 1) = f(w) for w in AP_m, and
     d_n F_n (1 (x) w (x) 1) = F_{n-1} d_{n+m} (1 (x) w (x) 1) for w in
     AP_{n+m}.  Bimodule maps are determined by their values on
@@ -223,15 +183,18 @@ def _walk(cx: CochainComplex, fs: list[Cochain], leibniz: bool,
 
     A failed square stops the walk of its cocycle and of every later one
     in fs.  Returns the index k in fs of the first cocycle whose walk
-    fails (None when all pass), and for each index of keep below k the
-    whole lift: F_n per n, position of w -> nonzero value.  Every other
-    walk keeps only its previous layer."""
+    fails (None when all pass, and when fs is empty), and, when keep and
+    every walk passes, each cocycle's whole lift: F_n per n, position of
+    w -> nonzero value.  Otherwise the list is empty, and each walk holds
+    only its previous layer."""
+    if not fs:
+        return None, []
     for f in fs:
         _require_cocycle(cx, f)
     m, res, basis = fs[0].degree, cx.res, cx.basis
-    vals = [f._values(cx) for f in fs]
+    vals = [_support_index(cx, f) for f in fs]
     below: list[dict] = [{}] * len(fs)
-    kept: dict[int, list[dict]] = {k: [] for k in keep}
+    lifts: list[list[dict]] = [[] for _ in fs] if keep else []
     walking = range(len(fs))
     failed = None
     for n in range(cx.top - m + 1):
@@ -267,12 +230,11 @@ def _walk(cx: CochainComplex, fs: list[Cochain], leibniz: bool,
                     cur[i] = val
             else:
                 below[k] = cur
-                if k in kept:
-                    kept[k].append(cur)
+                if keep:
+                    lifts[k].append(cur)
                 still.append(k)
         walking = still
-    return failed, {k: lift for k, lift in kept.items()
-                    if failed is None or k < failed}
+    return failed, (lifts if failed is None else [])
 
 
 def _slot_arrows(cx: CochainComplex) -> set[int]:
@@ -281,69 +243,40 @@ def _slot_arrows(cx: CochainComplex) -> set[int]:
             for slots in cx.leibniz_slots(n) for slot in slots}
 
 
-def _audit(cx: CochainComplex, fs: list[Cochain], leibniz: bool,
-           reps) -> int | None:
-    """_walk of the cocycles fs of one degree: the index in fs of the
-    first whose lift is not a chain map, None when there is none.
-
-    The displayed formula is lift_terms in degree >= 2, and for a
-    degree-1 cocycle with no value on a slot arrow (_slot_arrows), which
-    no Leibniz term reads; there the formula's walk is the lift's.  Each
-    of reps keeps the lift of a passing lift_terms walk in Cochain._lift,
-    for cup_table, and is not walked on it again."""
-    if not fs:
-        return None
-    if leibniz or fs[0].degree >= 2:
-        lift = [True] * len(fs)
-    else:
-        arrows = _slot_arrows(cx)
-        lift = [arrows.isdisjoint(f.supports(cx)) for f in fs]
-    todo = [k for k, f in enumerate(fs) if f._lift is None or not lift[k]]
-    if not todo:
-        return None
-    ids = {id(r) for r in reps}
-    keep = [j for j, k in enumerate(todo) if lift[k] and id(fs[k]) in ids]
-    failed, lifts = _walk(cx, [fs[k] for k in todo], leibniz, keep)
-    for j, values in lifts.items():
-        fs[todo[j]]._lift = values
-    return None if failed is None else todo[failed]
-
-
-def _audit_alone(cx: CochainComplex, f: Cochain, leibniz: bool) -> bool:
-    """Whether f passes _audit by itself.  It keeps its lift only as a
-    cohomology representative, which is asked after the walk, once the
-    walk has checked the degrees of the AP sets."""
-    passed = _audit(cx, [f], leibniz, [f]) is None
-    if not any(f is r for r in cohomology_basis(cx, f.degree)):
-        f._lift = None
-    return passed
-
-
 def chain_map_audit(cx: CochainComplex, f: Cochain) -> bool:
-    """Verify the lift (lift_terms) that cup evaluates is a chain map."""
-    return _audit_alone(cx, f, True)
-
-
-def formula_audit(cx: CochainComplex, f: Cochain) -> bool:
-    """Whether the displayed formula (comparison_terms) is a chain map
-    for f.  It is not for degree-1 cocycles with a value on an arrow
-    strictly inside a relation of length >= 3; see
-    docs/comparison-lift.md."""
-    return _audit_alone(cx, f, False)
+    """Whether the lift that cup evaluates is a chain map for f: _walk of
+    f alone."""
+    return _walk(cx, [f], True)[0] is None
 
 
 def first_formula_failure(cx: CochainComplex, m: int) -> int | None:
-    """The position in cocycle_basis(cx, m) of the first cocycle that
-    formula_audit fails, None if none: one walk of the whole basis."""
-    return _audit(cx, cocycle_basis(cx, m), False, cohomology_basis(cx, m))
+    """The position in cocycle_basis(cx, m) of the first cocycle whose
+    displayed formula is not a chain map, None if none.  It is not for
+    degree-1 cocycles with a value on an arrow strictly inside a relation
+    of length >= 3; see docs/comparison-lift.md.
+
+    The displayed formula is the lift in degree >= 2, and for a degree-1
+    cocycle with no value on a slot arrow (_slot_arrows), which no
+    Leibniz term reads; there a representative's formula walk is its
+    walk in rep_lifts, which raises on a failure.  The other basis
+    cocycles are walked together, once, on the displayed formula."""
+    reps = cohomology_basis(cx, m)
+    rep_lifts(cx, m)
+    arrows = _slot_arrows(cx) if m == 1 else set()
+    # distinct basis cocycles have distinct coefficients, so a cocycle
+    # is a representative when it equals one
+    todo = [(k, f) for k, f in enumerate(cocycle_basis(cx, m))
+            if f not in reps or not arrows.isdisjoint(_support_index(cx, f))]
+    failed, _ = _walk(cx, [f for _, f in todo], False)
+    return None if failed is None else todo[failed][0]
 
 
 def cup(cx: CochainComplex, g: Cochain, f: Cochain) -> Cochain:
     """The product cochain: g evaluated on the audited chain-map lift of
     f, (g cup f)(w) = sum c L g(psi) R over the lift's value at w, as
-    cup_table evaluates it; zero above the top.  The lift is a
-    representative's kept lift, or a walk of f alone; it is a chain map
-    by docs/comparison-lift.md, so a failed walk raises.
+    cup_table evaluates it; zero above the top.  f is walked alone, on
+    the lift that is a chain map by docs/comparison-lift.md, so a failed
+    walk raises.
 
     Both inputs must be positive-degree cocycles; the result is again a
     cocycle (CertificateError otherwise), of degree deg g + deg f.
@@ -351,14 +284,19 @@ def cup(cx: CochainComplex, g: Cochain, f: Cochain) -> Cochain:
     n, m = g.degree, f.degree
     if n < 1 or m < 1:
         raise ValueError("cup products are formed from positive degrees")
-    lift = f._lift
-    if lift is None:
-        failed, lifts = _walk(cx, [f], True, (0,))
-        if failed is not None:
-            raise CertificateError(
-                f"the lift of a degree-{m} cocycle is not a chain map")
-        lift = lifts[0]
+    (lift,) = _audited_lifts(cx, [f])
     return _evaluate(cx, g, m, lift[n] if n < len(lift) else {})
+
+
+def _audited_lifts(cx: CochainComplex, fs: list[Cochain]) -> list[list[dict]]:
+    """The whole lift of each of the cocycles fs, of one degree, from one
+    _walk.  Each is a chain map by docs/comparison-lift.md, so a failed
+    walk raises CertificateError."""
+    failed, lifts = _walk(cx, fs, True, True)
+    if failed is not None:
+        raise CertificateError(
+            f"the lift of a degree-{fs[0].degree} cocycle is not a chain map")
+    return lifts
 
 
 def _evaluate(cx: CochainComplex, g: Cochain, m: int, lift: dict) -> Cochain:
@@ -369,11 +307,12 @@ def _evaluate(cx: CochainComplex, g: Cochain, m: int, lift: dict) -> Cochain:
     total = g.degree + m
     index = cx.pair_index(total)
     mult3 = cx.basis.mult3
+    at = _support_index(cx, g)
     coeffs: dict[int, int | Fraction] = {}
     for w, value in lift.items():
         acc: dict[int, int | Fraction] = {}
         for (left, psi, right), c in value.items():
-            for cg, gam in g.terms_at(cx, psi):
+            for cg, gam in at.get(psi, ()):
                 prod = mult3(left, gam, right)
                 if prod is None:
                     continue
@@ -549,6 +488,15 @@ def _image_augmented_by(cx: CochainComplex, m: int, cochains) -> RationalMatrix:
     return aug
 
 
+@memo
+def rep_lifts(cx: CochainComplex, m: int) -> list[list[dict]]:
+    """The audited chain-map lift of each of cohomology_basis(cx, m), in
+    that order: F_n per n, position of w in AP_{n+m} -> the nonzero value
+    at 1 (x) w (x) 1.  One walk of the representatives together, cached
+    on cx; a failed walk raises CertificateError."""
+    return _audited_lifts(cx, cohomology_basis(cx, m))
+
+
 @dataclass
 class CupEntry:
     deg_g: int
@@ -580,26 +528,27 @@ class CupReport:
         return [e for e in self.entries if not e.passed]
 
 
+
+
 def cup_table(cx: CochainComplex) -> CupReport:
     """Choose basis classes in every positive degree, form all pairwise
     products, and certify each one zero in cohomology.
 
-    The lift of each representative f is audited once as a chain map:
-    the representatives of one degree not walked yet on lift_terms are
-    walked together (_audit), and every product g cup f is evaluated on
-    the generator values that walk kept, as by cup; it must land in the
-    image of the previous cochain map.  A failed audit raises
-    CertificateError: the lift is a chain map by docs/comparison-lift.md,
-    and no product is certified on an unaudited lift.
+    The lift of each representative is audited once per tower as a
+    chain map (rep_lifts, which walks the representatives of one degree
+    together), and every product g cup f is evaluated on the lift of f
+    kept there, as by cup; it must land in the image of the previous
+    cochain map.  A failed audit raises CertificateError: the lift is a
+    chain map by docs/comparison-lift.md, and no product is certified on
+    an unaudited lift.
     """
     reps: dict[int, list[Cochain]] = {}
+    lifts: dict[int, list[list[dict]]] = {}
     class_dims: dict[int, int] = {}
     for m in range(1, cx.top + 1):
         reps[m] = cohomology_basis(cx, m)
         class_dims[m] = len(reps[m])
-        if _audit(cx, reps[m], True, reps[m]) is not None:
-            raise CertificateError(
-                f"the lift of a degree-{m} cocycle is not a chain map")
+        lifts[m] = rep_lifts(cx, m)
 
     odd_max = 0
     entries: list[CupEntry] = []
@@ -609,11 +558,11 @@ def cup_table(cx: CochainComplex) -> CupReport:
             if total <= cx.top and n % 2 == 1 and gs and fs:
                 odd_max = max([odd_max] + [c for _, _, c in cx.splittings(n, m)])
             for i, g in enumerate(gs):
-                for j, f in enumerate(fs):
+                for j in range(len(fs)):
                     if total > cx.top:
                         entries.append(CupEntry(n, m, i, j, True, True))
                         continue
-                    prod = _evaluate(cx, g, m, f._lift[n])
+                    prod = _evaluate(cx, g, m, lifts[m][j][n])
                     entries.append(CupEntry(n, m, i, j, False,
                                             is_coboundary(cx, prod)[0]))
     return CupReport(class_dims, entries, odd_max)

@@ -19,9 +19,10 @@ from stringcoh import (
 )
 from stringcoh import cli, resolution
 from stringcoh.cli import main
-from stringcoh.cup import cohomology_basis, comparison_terms, lift_terms
+from stringcoh.cup import cohomology_basis
 from stringcoh.generate import generate, generate_dsl
 from stringcoh.linalg import RationalMatrix
+from tests_support import comparison_terms, lift_terms
 
 cup_module = importlib.import_module("stringcoh.cup")
 

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 from collections import Counter
 from fractions import Fraction
@@ -10,13 +11,10 @@ from stringcoh.cup import (
     chain_map_audit,
     cocycle_basis,
     cohomology_basis,
-    comparison_terms,
     cup,
     cup_table,
-    formula_audit,
     is_coboundary,
     is_cocycle,
-    lift_terms,
     normalize_geq,
     normalize_leq,
 )
@@ -30,13 +28,16 @@ from tests_support import (
     basis_path,
     bimodule_extension,
     comparison_matrix,
+    comparison_terms,
     cup_with_lift,
     decompose,
     dense,
     dense_is_cocycle,
     dense_lift_values,
     fmt,
+    formula_audit,
     global_lift_audit,
+    lift_terms,
     middle_label,
     odd_positions_max,
     path_mult,
@@ -269,7 +270,8 @@ def test_sparse_lift_walk_matches_dense_oracle(corpus, a_n):
     - walked alone, it reaches the dense verdict and every nonzero
       generator value, in AP order;
     - walked with its whole degree, it names the first cocycle whose
-      dense walk fails and keeps the dense values of every earlier one;
+      dense walk fails, and keeps the dense values of every cocycle when
+      none does;
     - each lift is zero outside the generators lift_tails lists under a
       support of the cocycle.
     On every red input check_chain_maps names the first (m, k) whose
@@ -295,18 +297,16 @@ def test_sparse_lift_walk_matches_dense_oracle(corpus, a_n):
                         assert nonzero <= {i for s in f.supports(cx)
                                            for i in tails.get(s, ())}, (
                             f"{where} cocycle {k} n={n}")
-                    failed, lifts = cup_module._walk(cx, [f], leibniz, (0,))
+                    failed, lifts = cup_module._walk(cx, [f], leibniz, True)
                     assert (failed is None) == (dense[k] is not None), where
                     if dense[k] is not None:
                         assert ([list(layer.items()) for layer in lifts[0]]
                                 == nonzero_items(dense[k])), where
                 bad = [k for k, d in enumerate(dense) if d is None]
-                stop = bad[0] if bad else len(fs)
-                failed, lifts = cup_module._walk(cx, fs, leibniz,
-                                                 range(len(fs)))
+                failed, lifts = cup_module._walk(cx, fs, leibniz, True)
                 assert failed == (bad[0] if bad else None), where
-                assert sorted(lifts) == list(range(stop)), where
-                for k, lift in lifts.items():
+                assert len(lifts) == (0 if bad else len(fs)), where
+                for k, lift in enumerate(lifts):
                     assert ([list(layer.items()) for layer in lift]
                             == nonzero_items(dense[k])), f"{where} cocycle {k}"
                 red += len(bad)
@@ -362,7 +362,7 @@ def test_walk_visits_the_sparse_generators_and_compares_each_square(
     real = cup_module._layer_values
 
     def recorded(cx, n, rows, slots, vals, positions):
-        visits.append((id(vals), n, list(positions)))
+        visits.append((vals, n, list(positions)))
         return real(cx, n, rows, slots, vals, positions)
 
     squares = Counter()
@@ -390,10 +390,14 @@ def test_walk_visits_the_sparse_generators_and_compares_each_square(
                 visits.clear()
                 squares.clear()
                 failed, _ = cup_module._walk(cx, fs, leibniz)
-                by_cocycle = {id(f._values(cx)): k for k, f in enumerate(fs)}
+                # distinct cocycles have distinct support indexes
+                indexes = [cup_module._support_index(cx, f) for f in fs]
+                by_cocycle = {}
                 got = [[] for _ in fs]
                 for vals, n, positions in visits:
-                    k = by_cocycle[vals]
+                    if id(vals) not in by_cocycle:
+                        by_cocycle[id(vals)] = indexes.index(vals)
+                    k = by_cocycle[id(vals)]
                     assert n == len(got[k]), name
                     got[k].append(positions)
                 done = range(len(fs) if failed is None else failed)
@@ -728,10 +732,10 @@ def counting_audits(monkeypatch):
     calls = {False: Counter(), True: Counter()}
     real = cup_module._walk
 
-    def counted(cx, fs, leibniz, keep=()):
+    def counted(cx, fs, leibniz, *keep):
         for f in fs:
             calls[leibniz][id(f)] += 1
-        return real(cx, fs, leibniz, keep)
+        return real(cx, fs, leibniz, *keep)
 
     monkeypatch.setattr(cup_module, "_walk", counted)
     return calls
@@ -755,6 +759,97 @@ def test_run_all_formula_audits_each_basis_cocycle_once(monkeypatch):
     assert not formula
 
 
+def formula_is_the_lift(cx, f) -> bool:
+    """Whether the displayed formula is the lift of the basis cocycle f:
+    in degree >= 2, and in degree 1 off the slot arrows."""
+    return f.degree >= 2 or cup_module._slot_arrows(cx).isdisjoint(
+        f.supports(cx))
+
+
+@pytest.mark.parametrize("pres", [
+    generate(19), generate(88),
+    *(generate(s, max_vertices=24, max_arrows=48) for s in (3, 5, 11, 12))],
+    ids=["19", "88", "3 at 24/48", "5 at 24/48", "11 at 24/48",
+         "12 at 24/48"])
+def test_run_all_walks_each_representative_once(pres, monkeypatch):
+    """Under run_all, which stops chain-maps at its first witness on
+    these red inputs, each cohomology representative is walked exactly
+    once on lift_terms, and never on the displayed formula where that
+    formula is its lift."""
+    calls = counting_audits(monkeypatch)
+    auditor = checks.Auditor(pres)
+    results = {r.name: r.passed for r in auditor.run_all()}
+    assert not results["chain-maps"] and results["cup-vanishing"]
+    cx = auditor.cx
+    reps = [f for m in range(1, cx.top + 1) for f in cohomology_basis(cx, m)]
+    assert reps
+    assert [calls[True][id(f)] for f in reps] == [1] * len(reps)
+    assert all(not calls[False][id(f)] for f in reps
+               if formula_is_the_lift(cx, f))
+
+
+def basis_walks(cx, calls) -> Counter:
+    """calls keyed by (leibniz, degree, position in cocycle_basis)."""
+    where = {id(f): (m, k) for m in range(1, cx.top + 1)
+             for k, f in enumerate(cocycle_basis(cx, m))}
+    return Counter({(leibniz, *where[i]): c
+                    for leibniz, counts in calls.items()
+                    for i, c in counts.items()})
+
+
+@pytest.mark.parametrize("pres", [parse(a_n_text(5)), generate(19),
+                                  generate(88)],
+                         ids=["a_n(5)", "19", "88"])
+def test_cup_table_and_chain_maps_walk_alike_in_either_order(pres,
+                                                            monkeypatch):
+    """check_cup before check_chain_maps walks the same cocycles on the
+    same lifts, as often, and reports the same, as the reverse order."""
+    seen = []
+    for first, second in (("check_chain_maps", "check_cup"),
+                          ("check_cup", "check_chain_maps")):
+        calls = counting_audits(monkeypatch)
+        auditor = checks.Auditor(pres)
+        results = {name: getattr(auditor, name)() for name in (first, second)}
+        seen.append((results, basis_walks(auditor.cx, calls)))
+    assert seen[0] == seen[1]
+    assert seen[0][1]
+
+
+@pytest.mark.parametrize("pres", [parse(a_n_text(7)), generate(19)],
+                         ids=["a_n(7)", "19"])
+def test_cup_equals_the_products_cup_table_evaluates(pres, monkeypatch):
+    """cup(cx, g, f) on every pair of representatives is the product
+    cup_table evaluates for it, and zero above the top."""
+    products = []
+    real = cup_module._evaluate
+
+    def evaluate(cx, g, m, lift):
+        products.append(real(cx, g, m, lift))
+        return products[-1]
+
+    monkeypatch.setattr(cup_module, "_evaluate", evaluate)
+    cx = build_tower(pres)[2]
+    report = cup_table(cx)
+    evaluated = iter(list(products))
+    checked = 0
+    for e in report.entries:
+        g = cohomology_basis(cx, e.deg_g)[e.idx_g]
+        f = cohomology_basis(cx, e.deg_f)[e.idx_f]
+        prod = cup(cx, g, f)
+        if e.beyond_top:
+            assert prod.is_zero()
+        else:
+            assert prod == next(evaluated)
+            checked += 1
+    assert checked and next(evaluated, None) is None
+
+
+def test_cochain_is_a_plain_value():
+    """A cochain holds its degree and coefficients and nothing else."""
+    assert [f.name for f in dataclasses.fields(Cochain)] == ["degree",
+                                                              "coeffs"]
+
+
 def test_cup_table_audits_each_lift_it_evaluates(monkeypatch):
     """Every product cup_table evaluates reads a lift of its right factor
     that passed the generator walk on lift_terms in the same run, and
@@ -763,10 +858,10 @@ def test_cup_table_audits_each_lift_it_evaluates(monkeypatch):
     audited = []
     real_walk, real_evaluate = cup_module._walk, cup_module._evaluate
 
-    def walk(cx, fs, leibniz, keep=()):
+    def walk(cx, fs, leibniz, keep=False):
         failed, lifts = real_walk(cx, fs, leibniz, keep)
         if leibniz:
-            for values in lifts.values():
+            for values in lifts:
                 audited.extend(values)
         return failed, lifts
 
@@ -792,65 +887,68 @@ def test_cup_table_audits_each_lift_it_evaluates(monkeypatch):
 
 
 def test_cup_table_reuses_the_formula_walks(monkeypatch):
-    """A representative keeps the walk of the displayed formula where that
-    formula is lift_terms, and cup_table walks it no more.  On a_n(7),
-    whose relations are quadratic and leave no Leibniz slot, cup_table
-    starts no walk after check_chain_maps.  On generate(88) and
-    generate(19), after formula_audit of every basis cocycle, cup_table
-    walks only the degree-1 representatives whose support meets a slot
-    arrow, each once, and no other basis cocycle keeps a lift.  After
-    check_chain_maps on generate(88), whose first witness stops the walks
-    of the later cocycles, it walks each representative left without a
-    lift once."""
+    """A representative is walked once per tower, in rep_lifts, and where
+    the displayed formula is its lift, check_chain_maps does not walk it
+    on the formula again.  On a_n(7), whose relations are quadratic and
+    leave no Leibniz slot, cup_table starts no walk after
+    check_chain_maps.  On generate(88) and generate(19),
+    check_chain_maps walks on the displayed formula only the other basis
+    cocycles and the degree-1 representatives whose support meets a slot
+    arrow; the tower keeps a lift only for a representative, the
+    lift_terms one; and cup_table then walks each representative of the
+    degrees after the first witness once, and no other cocycle."""
     calls = counting_audits(monkeypatch)
 
     auditor = checks.Auditor(parse(a_n_text(7)))
     assert auditor.check_chain_maps().passed
     assert calls[False] and not cup_module._slot_arrows(auditor.cx)
     calls[False].clear()
+    calls[True].clear()
     assert cup_table(auditor.cx).all_zero
     assert not calls[True] and not calls[False]
 
     for seed in (88, 19):
-        cx = build_tower(generate(seed))[2]
-        for m in range(1, cx.top + 1):
-            for f in cocycle_basis(cx, m):
-                formula_audit(cx, f)
+        auditor = checks.Auditor(generate(seed))
+        result = auditor.check_chain_maps()
+        assert not result.passed
+        witness = int(result.detail.split()[1])
+        cx = auditor.cx
         arrows = cup_module._slot_arrows(cx)
         reps = [f for m in range(1, cx.top + 1)
                 for f in cohomology_basis(cx, m)]
         meeting = [f for f in reps if f.degree == 1
                    and not arrows.isdisjoint(f.supports(cx))]
         assert meeting and len(meeting) < len(reps)
+        walked = [f for m in range(1, witness + 1)
+                  for f in cocycle_basis(cx, m)
+                  if not any(f is r for r in reps) or f in meeting]
+        assert calls[False] == Counter({id(f): 1 for f in walked}), seed
         # only a representative keeps a lift, so a basis is not held
-        assert all(f._lift is None for m in range(1, cx.top + 1)
-                   for f in cocycle_basis(cx, m)
-                   if not any(f is r for r in reps))
+        kept = vars(cx)["_memo_rep_lifts"]
+        assert sorted(kept) == list(range(1, witness + 1))
+        assert all(len(kept[m]) == len(cohomology_basis(cx, m))
+                   for m in kept)
         # on seed 19 the displayed formula passes on a representative
-        # that meets a slot arrow; it keeps no lift from that walk
+        # that meets a slot arrow; its kept lift is still lift_terms
         assert any(formula_audit(cx, f) for f in meeting) == (seed == 19)
-        assert all(f._lift is None for f in meeting)
+        for j, f in enumerate(cohomology_basis(cx, 1)):
+            assert ([list(layer.items()) for layer in kept[1][j]]
+                    == nonzero_items(dense_lift_values(cx, f, lift_terms)))
         calls[True].clear()
+        calls[False].clear()
         assert cup_table(cx).all_zero
-        assert calls[True] == Counter({id(f): 1 for f in meeting}), seed
-
-    auditor = checks.Auditor(generate(88))
-    assert not auditor.check_chain_maps().passed
-    cx = auditor.cx
-    reps = [f for m in range(1, cx.top + 1) for f in cohomology_basis(cx, m)]
-    unwalked = [f for f in reps if f._lift is None]
-    assert unwalked
-    calls[True].clear()
-    assert cup_table(cx).all_zero
-    assert calls[True] == Counter({id(f): 1 for f in unwalked})
+        later = [f for m in range(witness + 1, cx.top + 1)
+                 for f in cohomology_basis(cx, m)]
+        assert calls[True] == Counter({id(f): 1 for f in later}), seed
+        assert not calls[False]
 
 
 def test_broken_lift_raises_instead_of_certifying(monkeypatch):
     """A lift that is not a chain map makes cup_table raise: on seed 88
     the walk evaluating the displayed formula in place of lift_terms, and
     on a_n(3) a lift with one coefficient flipped in every nonzero value
-    of lift degree 1, or of lift degree 2.  Both towers are fresh: a cohomology representative
-    keeps the lift it was audited on."""
+    of lift degree 1, or of lift degree 2.  Both towers are fresh: a tower keeps the lifts it
+    audited (rep_lifts)."""
     real = cup_module._layer_values
     monkeypatch.setattr(
         cup_module, "_layer_values", lambda cx, n, rows, slots, vals, at:

@@ -1,6 +1,7 @@
 """The one per-tower memo behind every cached method of Resolution and
-CochainComplex, behind cup.cocycle_basis, and behind the per-basis-path
-table the parallel pairs are classified from."""
+CochainComplex, behind cup.cocycle_basis, cohomology_basis and
+rep_lifts, and behind the per-basis-path table the parallel pairs are
+classified from."""
 
 import ast
 import functools
@@ -46,6 +47,7 @@ MEMOIZED = [
     (CochainComplex, "hh_table", "cx", lambda res, cx: ()),
     (cup, "cocycle_basis", "cx", lambda res, cx: (1,)),
     (cup, "cohomology_basis", "cx", lambda res, cx: (1,)),
+    (cup, "rep_lifts", "cx", lambda res, cx: (1,)),
     (hochschild, "_pair_kinds", "basis", lambda res, cx: ()),
 ]
 
@@ -69,7 +71,7 @@ def test_every_memoized_function_is_listed():
     listed = {(owner.__name__ if isinstance(owner, types.ModuleType)
                else owner.__module__, name)
               for owner, name, _, _ in MEMOIZED}
-    assert len(found) == len(MEMOIZED) == 23
+    assert len(found) == len(MEMOIZED) == 24
     assert found == listed
 
 

@@ -152,12 +152,10 @@ def test_elements_are_id_triple_dicts_without_zeros(corpus):
                     for image in res.differential(n).values()]
         for m in range(1, cx.top + 1):
             fs = cocycle_basis(cx, m)
-            if not fs:
-                continue
-            failed, lifts = _walk(cx, fs, True, range(len(fs)))
+            failed, lifts = _walk(cx, fs, True, True)
             assert failed is None and len(lifts) == len(fs), (name, m)
             elements += [("lift", n, value)
-                         for values in lifts.values()
+                         for values in lifts
                          for n, layer in enumerate(values)
                          for value in layer.values()]
         for kind, k, element in elements:

@@ -1,6 +1,7 @@
 """Shared oracle helpers written independently of the package internals
 they are meant to check."""
 
+import importlib
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -9,14 +10,19 @@ from math import lcm
 from stringcoh.cup import (
     Cochain,
     _require_cocycle,
-    comparison_terms,
+    _support_index,
     is_cocycle,
 )
-from stringcoh.hochschild import COUNT_KEYS
+from stringcoh.hochschild import COUNT_KEYS, require_lift_degree
 from stringcoh.linalg import CertificateError, RationalMatrix
 from stringcoh.presentation import basis_P
 from stringcoh.quiver import CyclicQuiverError
 from stringcoh.resolution import Resolution, apply_map, augment
+
+# The module, not the function stringcoh.cup: the lift entry points below
+# evaluate through cup._layer_values and cup._walk as they are when
+# called, so a test that patches either one reaches them too.
+cup_module = importlib.import_module("stringcoh.cup")
 
 
 class CompositionError(ValueError):
@@ -702,6 +708,54 @@ def bar_dims(basis, up_to: int) -> list[int]:
         dims.append(dn.cols - rank - prev_rank)
         prev_rank = rank
     return dims
+
+
+def comparison_terms(cx, f, n: int, w) -> dict[tuple, int | Fraction]:
+    """The displayed (paper's) formula for the degree-n lift of the
+    cocycle f, applied to 1 (x) w (x) 1, as an id-triple dict.
+
+    For n = 0 this is 1 (x) e (x) f(w).  For n > 0, split w as
+    head * u * tail and sum L (x) psi (x) R f(tail) over all divisors psi
+    of head * u in degree n; terms whose cofactors die in the ideal are
+    dropped.  For even n the sum is head alone; odd n can have several
+    divisor positions, so the sum is taken literally.  For degree-1
+    cocycles this sees only the last arrow of w and is then not always a
+    chain map; lift_terms is.
+    """
+    require_lift_degree(n, f.degree, w)
+    rows = cx.splittings(n, f.degree)
+    return cup_module._layer_values(cx, n, rows, None,
+                                    _support_index(cx, f), (w.pos,))[0]
+
+
+def lift_terms(cx, f, n: int, w) -> dict[tuple, int | Fraction]:
+    """The degree-n chain-map lift of the cocycle f, applied to
+    1 (x) w (x) 1, as an id-triple dict: the lift that cup.cup evaluates
+    and cup.chain_map_audit audits.
+
+    This is the displayed formula (comparison_terms) plus, for a degree-1
+    cocycle and n >= 1, its interior positions: a degree-1 cocycle acts
+    like a derivation, so the lift follows the Leibniz rule over every
+    arrow of w.  Writing w = P_j * alpha_j * S_j, each arrow alpha_j where
+    f has a value adds L (x) psi (x) R f(alpha_j) S_j for every occurrence
+    L * psi * R of an element psi of AP_n inside the prefix P_j.  The last
+    arrow alone gives the displayed formula.  Cocycles of degree >= 2 and
+    n = 0 lift by the displayed formula unchanged.
+    """
+    m = f.degree
+    require_lift_degree(n, m, w)
+    slots = cx.leibniz_slots(n) if m == 1 and n else None
+    rows = cx.splittings(n, m)
+    return cup_module._layer_values(cx, n, rows, slots,
+                                    _support_index(cx, f), (w.pos,))[0]
+
+
+def formula_audit(cx, f) -> bool:
+    """Whether the displayed formula (comparison_terms) is a chain map
+    for f: the generator walk (cup._walk) of f alone.  It is not for
+    degree-1 cocycles with a value on an arrow strictly inside a relation
+    of length >= 3; see docs/comparison-lift.md."""
+    return cup_module._walk(cx, [f], False)[0] is None
 
 
 def _augments_to(cx, f, w, value) -> bool:
