@@ -12,6 +12,10 @@ interior arrows; it is a chain map by the proof in
 docs/comparison-lift.md.  first_formula_failure still audits the
 displayed formula, which check reports as a documented deviation.
 
+Where and how a lift can be nonzero is decided once per complex, in
+four tables memoized on it: splittings, lift_tails, leibniz_slots and
+cofaces.
+
 Lifts are audited and evaluated on the generators 1 (x) w (x) 1 of the
 resolution: every map involved is a bimodule map, so its values on
 generators determine it.  _walk audits all the cocycles of one degree
@@ -39,7 +43,7 @@ from fractions import Fraction
 
 from .hochschild import CochainComplex, ParallelPair
 from .linalg import CertificateError, RationalMatrix
-from .resolution import Word, apply_map, augment, memo
+from .resolution import ApElement, Word, apply_map, augment, memo
 
 
 @dataclass
@@ -60,17 +64,6 @@ class Cochain:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def terms_at(self, cx: CochainComplex, pos: int):
-        """The (coefficient, gamma id) values this cochain takes on the
-        element at position pos of its degree's AP set, in pair order.
-        Each call indexes the coefficients anew (_support_index)."""
-        return _support_index(cx, self).get(pos, ())
-
-    def supports(self, cx: CochainComplex):
-        """The positions of the AP elements where this cochain has a
-        value."""
-        return _support_index(cx, self).keys()
 
     def sub(self, other: "Cochain") -> "Cochain":
         if self.degree != other.degree:
@@ -112,6 +105,141 @@ def is_cocycle(cx: CochainComplex, f: Cochain) -> bool:
 def _require_cocycle(cx: CochainComplex, f: Cochain):
     if not is_cocycle(cx, f):
         raise ValueError("expected a cocycle; the chain-map property needs it")
+
+
+# -- where and how comparison lifts are nonzero ------------------------------
+# Per position in AP_{n+m}, in ids, shared by every cocycle and both lift
+# formulas.
+
+def require_lift_degree(n: int, m: int, w: ApElement):
+    """A degree-n lift of a degree-m cocycle (m >= 1) is evaluated on the
+    generators of AP_{n+m}; CertificateError for any other w."""
+    if m < 1 or w.degree != n + m:
+        raise CertificateError(
+            f"a degree-{n} lift of a degree-{m} cocycle takes AP_{n + m}, "
+            f"not AP_{w.degree}")
+
+
+@memo
+def splittings(cx: CochainComplex, n: int, m: int) -> list[tuple]:
+    """Per w in AP_{n+m}, by position: the position in AP_m of its
+    degree-m tail, every occurrence L * psi * R of an element psi of AP_n
+    inside head * u with both cofactors in the basis, as (id of L,
+    position of psi, id of R), in the order of Resolution.occurrences_in,
+    and the count of all occurrences.  The support splits uniquely as
+    head * u * tail: head of degree n (a chain prefix), tail of degree m
+    (a dual-chain suffix), u a basis path; CertificateError otherwise.
+    For n = 0 the tail is w itself and there are none.  An occurrence
+    with a cofactor in the ideal adds nothing to a comparison lift but is
+    counted.  Every element of AP_{n+m} is checked to have degree n + m.
+    ValueError unless n >= 0, m >= 1 and n + m <= top."""
+    if not (n >= 0 and m >= 1 and n + m <= cx.top):
+        raise ValueError(
+            f"lift tables take n >= 0, m >= 1 and n + m <= {cx.top}, "
+            f"not n = {n}, m = {m}")
+    res = cx.res
+    if n:
+        heads, tails = res.positions(n), res.positions(m)
+        ids = cx.basis.word_index
+    out = []
+    for w in res.ap[n + m]:
+        require_lift_degree(n, m, w)
+        if n == 0:
+            out.append((w.pos, (), 0))
+            continue
+        # the head is word[:i], head * u is word[:j] and the tail word[j:]
+        word = w.word
+        if n == 1:
+            i = 1
+        else:
+            rel = w.chain[n - 2]
+            i = _occurrence_start(rel, word) + len(rel)
+        j = len(word) - 1 if m == 1 else _occurrence_start(w.op_chain[n], word)
+        tail = tails.get(word[j:])
+        if heads.get(word[:i]) is None or tail is None:
+            raise CertificateError("splitting fell outside the computed AP sets")
+        if i > j:
+            raise CertificateError("head and tail of the splitting overlap")
+        if i < j and word[i:j] not in ids:
+            raise CertificateError("middle of the splitting is not a basis path")
+        occurrences = res.occurrences_in(n, word[:j], w.source)
+        divisors = [(left, psi, right)
+                    for psi, _, _, left, right in occurrences
+                    if left is not None and right is not None]
+        out.append((tail, tuple(divisors), len(occurrences)))
+    return out
+
+
+def _occurrence_start(rel: Word, word: Word) -> int:
+    """Offset of the occurrence of the relation word rel in word.  A path
+    of an acyclic quiver passes each arrow at most once, so the first
+    arrow of rel fixes the only candidate offset."""
+    i = word.index(rel[0]) if rel[0] in word else -1
+    if i < 0 or word[i : i + len(rel)] != rel:
+        raise CertificateError("chain relation does not occur in its support")
+    return i
+
+
+@memo
+def lift_tails(cx: CochainComplex, n: int, m: int) -> dict[int, list[int]]:
+    """Position s in AP_m -> the positions of the w in AP_{n+m} where a
+    degree-n lift of a degree-m cocycle f reads f(s), so the only w where
+    it can be nonzero: the w whose degree-m tail is s (splittings), and
+    for m = 1 and n >= 1 also the w carrying the arrow s strictly inside
+    their support, where the Leibniz terms of the lift sit (an arrow is
+    its own position in AP_1)."""
+    out: dict[int, list[int]] = {}
+    for i, (tail, _, _) in enumerate(splittings(cx, n, m)):
+        out.setdefault(tail, []).append(i)
+    if m == 1 and n >= 1:
+        for i, w in enumerate(cx.res.ap[n + 1]):
+            for a in w.word[1:-1]:
+                out.setdefault(a, []).append(i)
+    return out
+
+
+@memo
+def leibniz_slots(cx: CochainComplex, n: int) -> list[tuple]:
+    """Per w in AP_{n+1}, by position: where the Leibniz terms of a
+    degree-1 lift can sit.  Each slot is an occurrence
+    L * psi * P * alpha * S = w with psi in AP_n, L in the basis and
+    alpha an arrow other than the last of w, as (id of L, position of
+    psi, alpha, id of P, id of S), by occurrence and then by the position
+    of alpha.  A slot whose P or S falls in the ideal adds nothing and is
+    left out.  ValueError unless 0 <= n <= top - 1."""
+    if not 0 <= n < cx.top:
+        raise ValueError(
+            f"Leibniz slots run in degrees 0..{cx.top - 1}, not {n}")
+    ids = cx.basis.word_index
+    target = cx.quiver.arrow_target
+    out = []
+    for w in cx.res.ap[n + 1]:
+        word, source = w.word, w.source
+        last = len(word) - 1
+        slots = []
+        # a divisor of w ending at its last arrow leaves no slot
+        for psi, _, b, left, _ in cx.res.sub(w):
+            if left is None:
+                continue
+            at_b = target[word[b - 1]] if b else source
+            for j in range(b, last):
+                mid = ids.get(word[b:j]) if j > b else at_b
+                rest = ids.get(word[j + 1 :])
+                if mid is not None and rest is not None:
+                    slots.append((left, psi, word[j], mid, rest))
+        out.append(tuple(slots))
+    return out
+
+
+@memo
+def cofaces(cx: CochainComplex, k: int) -> dict[int, list[int]]:
+    """Position of psi in AP_{k-1} -> the positions in AP_k of the w whose
+    differential d_k(1 (x) w (x) 1) has a term with middle psi."""
+    out: dict[int, list[int]] = {}
+    for i, image in cx.res.differential(k).items():
+        for _, psi, _ in image:
+            out.setdefault(psi, []).append(i)
+    return out
 
 
 def _layer_values(cx: CochainComplex, n: int, rows: list, slots, vals: dict,
@@ -163,7 +291,6 @@ def _layer_values(cx: CochainComplex, n: int, rows: list, slots, vals: dict,
     return out
 
 
-
 def _walk(cx: CochainComplex, fs: list[Cochain], leibniz: bool,
           keep: bool = False) -> tuple[int | None, list[list[dict]]]:
     """Walk the lifts (with the Leibniz terms when leibniz, else the
@@ -199,12 +326,12 @@ def _walk(cx: CochainComplex, fs: list[Cochain], leibniz: bool,
     failed = None
     for n in range(cx.top - m + 1):
         # splittings checks the range and the degree of every element
-        rows = cx.splittings(n, m)
-        slots = cx.leibniz_slots(n) if leibniz and m == 1 and n else None
-        tails = cx.lift_tails(n, m)
+        rows = splittings(cx, n, m)
+        slots = leibniz_slots(cx, n) if leibniz and m == 1 and n else None
+        tails = lift_tails(cx, n, m)
         if n:
             d_n, d_nm = res.differential(n), res.differential(n + m)
-            cofaces = cx.cofaces(n + m)
+            coface_of = cofaces(cx, n + m)
         still = []
         for k in walking:
             if failed is not None and k > failed:
@@ -212,7 +339,7 @@ def _walk(cx: CochainComplex, fs: list[Cochain], leibniz: bool,
             v, prev = vals[k], below[k]
             visit = {i for s in v for i in tails.get(s, ())}
             if n:
-                visit.update(i for psi in prev for i in cofaces.get(psi, ()))
+                visit.update(i for psi in prev for i in coface_of.get(psi, ()))
             order = sorted(visit)
             cur = {}
             values = _layer_values(cx, n, rows, slots, v, order)
@@ -240,7 +367,7 @@ def _walk(cx: CochainComplex, fs: list[Cochain], leibniz: bool,
 def _slot_arrows(cx: CochainComplex) -> set[int]:
     """The arrow alpha of every Leibniz slot of leibniz_slots(n), n >= 1."""
     return {slot[2] for n in range(1, cx.top)
-            for slots in cx.leibniz_slots(n) for slot in slots}
+            for slots in leibniz_slots(cx, n) for slot in slots}
 
 
 def chain_map_audit(cx: CochainComplex, f: Cochain) -> bool:
@@ -285,7 +412,9 @@ def cup(cx: CochainComplex, g: Cochain, f: Cochain) -> Cochain:
     if n < 1 or m < 1:
         raise ValueError("cup products are formed from positive degrees")
     (lift,) = _audited_lifts(cx, [f])
-    return _evaluate(cx, g, m, lift[n] if n < len(lift) else {})
+    _require_cocycle(cx, g)
+    return _evaluate(cx, _support_index(cx, g), n + m,
+                     lift[n] if n < len(lift) else {})
 
 
 def _audited_lifts(cx: CochainComplex, fs: list[Cochain]) -> list[list[dict]]:
@@ -299,15 +428,14 @@ def _audited_lifts(cx: CochainComplex, fs: list[Cochain]) -> list[list[dict]]:
     return lifts
 
 
-def _evaluate(cx: CochainComplex, g: Cochain, m: int, lift: dict) -> Cochain:
-    """g cup f for a degree-m cocycle f, from lift: position of w -> the
-    value of the degree-(deg g) lift of f at 1 (x) w (x) 1, an id-triple
-    dict, for every w of AP_{deg g + m} where it is nonzero."""
-    _require_cocycle(cx, g)
-    total = g.degree + m
+def _evaluate(cx: CochainComplex, at: dict, total: int,
+              lift: dict) -> Cochain:
+    """g cup f in degree total for cocycles g and f, from at =
+    _support_index(cx, g) and lift: position of w -> the value of the
+    degree-(deg g) lift of f at 1 (x) w (x) 1, an id-triple dict, for
+    every w of AP_total where it is nonzero."""
     index = cx.pair_index(total)
     mult3 = cx.basis.mult3
-    at = _support_index(cx, g)
     coeffs: dict[int, int | Fraction] = {}
     for w, value in lift.items():
         acc: dict[int, int | Fraction] = {}
@@ -528,8 +656,6 @@ class CupReport:
         return [e for e in self.entries if not e.passed]
 
 
-
-
 def cup_table(cx: CochainComplex) -> CupReport:
     """Choose basis classes in every positive degree, form all pairwise
     products, and certify each one zero in cohomology.
@@ -548,21 +674,24 @@ def cup_table(cx: CochainComplex) -> CupReport:
     for m in range(1, cx.top + 1):
         reps[m] = cohomology_basis(cx, m)
         class_dims[m] = len(reps[m])
+        # walking the lifts checks that every representative is a cocycle
         lifts[m] = rep_lifts(cx, m)
 
     odd_max = 0
     entries: list[CupEntry] = []
     for n, gs in reps.items():
+        # each left factor's values by support, once; none in the top
+        ats = [_support_index(cx, g) for g in gs] if n < cx.top else []
         for m, fs in reps.items():
             total = n + m
             if total <= cx.top and n % 2 == 1 and gs and fs:
-                odd_max = max([odd_max] + [c for _, _, c in cx.splittings(n, m)])
-            for i, g in enumerate(gs):
+                odd_max = max([odd_max] + [c for _, _, c in splittings(cx, n, m)])
+            for i in range(len(gs)):
                 for j in range(len(fs)):
                     if total > cx.top:
                         entries.append(CupEntry(n, m, i, j, True, True))
                         continue
-                    prod = _evaluate(cx, g, m, lifts[m][j][n])
+                    prod = _evaluate(cx, ats[i], total, lifts[m][j][n])
                     entries.append(CupEntry(n, m, i, j, False,
                                             is_coboundary(cx, prod)[0]))
     return CupReport(class_dims, entries, odd_max)

@@ -204,15 +204,6 @@ class KerImAudit:
         return all(c.passed for c in self.checks)
 
 
-def require_lift_degree(n: int, m: int, w: ApElement):
-    """A degree-n lift of a degree-m cocycle (m >= 1) is evaluated on the
-    generators of AP_{n+m}; CertificateError for any other w."""
-    if m < 1 or w.degree != n + m:
-        raise CertificateError(
-            f"a degree-{n} lift of a degree-{m} cocycle takes AP_{n + m}, "
-            f"not AP_{w.degree}")
-
-
 class CochainComplex:
     """Pair bases, the cochain maps, and both dimension computations."""
 
@@ -270,100 +261,6 @@ class CochainComplex:
     def pair_index(self, n: int) -> dict[tuple[int, int], int]:
         """The inverse of pair_keys(n)."""
         return {key: i for i, key in enumerate(self.pair_keys(n))}
-
-    # -- where and how comparison lifts are nonzero ---------------------------
-    # Per position in AP_{n+m}, in ids, shared by every cocycle and both
-    # lift formulas.
-
-    @memo
-    def splittings(self, n: int, m: int) -> list[tuple[int, tuple, int]]:
-        """Per w in AP_{n+m}, by position: the position in AP_m of its
-        degree-m tail, every occurrence L * psi * R of an element psi
-        of AP_n inside head * u (Resolution.split) with both cofactors
-        in the basis, as (id of L, position of psi, id of R), in the order
-        of Resolution.occurrences_in, and the count of all occurrences.
-        For n = 0 the tail is w itself and there are none.  An occurrence
-        with a cofactor in the ideal adds nothing to a comparison lift but
-        is counted.  Every element of AP_{n+m} is checked to have degree
-        n + m.  ValueError unless n >= 0, m >= 1 and n + m <= top."""
-        if not (n >= 0 and m >= 1 and n + m <= self.top):
-            raise ValueError(
-                f"lift tables take n >= 0, m >= 1 and n + m <= {self.top}, "
-                f"not n = {n}, m = {m}")
-        res = self.res
-        out = []
-        for w in res.ap[n + m]:
-            require_lift_degree(n, m, w)
-            if n == 0:
-                out.append((w.pos, (), 0))
-                continue
-            j, tail = res.split(w, n, m)
-            # head * u = word[:j] holds the head, of at least one arrow
-            occurrences = res.occurrences_in(n, w.word[:j], w.source)
-            divisors = [(left, psi, right)
-                        for psi, _, _, left, right in occurrences
-                        if left is not None and right is not None]
-            out.append((tail, tuple(divisors), len(occurrences)))
-        return out
-
-    @memo
-    def lift_tails(self, n: int, m: int) -> dict[int, list[int]]:
-        """Position s in AP_m -> the positions of the w in AP_{n+m} where a
-        degree-n lift of a degree-m cocycle f reads f(s), so the only w
-        where it can be nonzero: the w whose degree-m tail is s
-        (splittings), and for m = 1 and n >= 1 also the w carrying the
-        arrow s strictly inside their support, where the Leibniz terms of
-        cup.lift_terms sit (an arrow is its own position in AP_1)."""
-        out: dict[int, list[int]] = {}
-        for i, (tail, _, _) in enumerate(self.splittings(n, m)):
-            out.setdefault(tail, []).append(i)
-        if m == 1 and n >= 1:
-            for i, w in enumerate(self.res.ap[n + 1]):
-                for a in w.word[1:-1]:
-                    out.setdefault(a, []).append(i)
-        return out
-
-    @memo
-    def leibniz_slots(self, n: int) -> list[tuple]:
-        """Per w in AP_{n+1}, by position: where the Leibniz terms of a
-        degree-1 lift (cup.lift_terms) can sit.  Each slot is an
-        occurrence L * psi * P * alpha * S = w with psi in AP_n, L in the
-        basis and alpha an arrow other than the last of w, as (id of L, position of
-        psi, alpha, id of P, id of S), by occurrence and then by the
-        position of alpha.  A slot whose P or S falls in the ideal adds
-        nothing and is left out.  ValueError unless 0 <= n <= top - 1."""
-        if not 0 <= n < self.top:
-            raise ValueError(
-                f"Leibniz slots run in degrees 0..{self.top - 1}, not {n}")
-        ids = self.basis.word_index
-        target = self.quiver.arrow_target
-        out = []
-        for w in self.res.ap[n + 1]:
-            word, source = w.word, w.source
-            last = len(word) - 1
-            slots = []
-            # a divisor of w ending at its last arrow leaves no slot
-            for psi, _, b, left, _ in self.res.sub(w):
-                if left is None:
-                    continue
-                at_b = target[word[b - 1]] if b else source
-                for j in range(b, last):
-                    mid = ids.get(word[b:j]) if j > b else at_b
-                    rest = ids.get(word[j + 1 :])
-                    if mid is not None and rest is not None:
-                        slots.append((left, psi, word[j], mid, rest))
-            out.append(tuple(slots))
-        return out
-
-    @memo
-    def cofaces(self, k: int) -> dict[int, list[int]]:
-        """Position of psi in AP_{k-1} -> the positions in AP_k of the w
-        whose differential d_k(1 (x) w (x) 1) has a term with middle psi."""
-        out: dict[int, list[int]] = {}
-        for i, image in self.res.differential(k).items():
-            for _, psi, _ in image:
-                out.setdefault(psi, []).append(i)
-        return out
 
     def class_counts(self, n: int) -> dict[str, int]:
         """Pairs per class and decoration in degree n (all zero in degree

@@ -287,7 +287,7 @@ class Resolution:
         right.  _build_ap joins it with the forward run."""
         return self._chain_run(self.cap, mirrored=True)
 
-    # -- divisors and the unique splitting, on arrow words -----------------
+    # -- divisors, on arrow words ------------------------------------------
 
     def occurrences_in(self, n: int, word: Word, source: int) -> list[tuple]:
         """Every occurrence L * psi * R of an element psi of AP_n in the
@@ -351,33 +351,6 @@ class Resolution:
         if w.degree % 2:
             _require_two_flush(out, k)
         return out
-
-    def split(self, w: ApElement, n: int, m: int) -> tuple[int, int]:
-        """The unique splitting support = head * u * tail with head of
-        degree n >= 1 (a chain prefix), tail of degree m >= 1 (a
-        dual-chain suffix) and u a basis path, as (j, position of the
-        tail in AP_m): on the support's arrow word, head * u is word[:j]
-        and the tail word[j:].  Not cached: CochainComplex.splittings
-        keeps what the lifts read of it."""
-        word = w.word
-        if n == 1:
-            i = 1
-        else:
-            rel = w.chain[n - 2]
-            i = _occurrence_start(rel, word) + len(rel)
-        if m == 1:
-            j = len(word) - 1
-        else:
-            j = _occurrence_start(w.op_chain[n], word)
-        head = self.positions(n).get(word[:i])
-        tail = self.positions(m).get(word[j:])
-        if head is None or tail is None:
-            raise CertificateError("splitting fell outside the computed AP sets")
-        if i > j:
-            raise CertificateError("head and tail of the splitting overlap")
-        if i < j and word[i:j] not in self.basis.word_index:
-            raise CertificateError("middle of the splitting is not a basis path")
-        return j, tail
 
     # -- differentials ----------------------------------------------------
 
@@ -560,16 +533,3 @@ def _require_two_flush(subs: list[tuple], length: int) -> list[tuple]:
     if len(subs) != 2 or not (subs[0][1] == 0 and subs[1][2] == length):
         raise CertificateError("odd-degree element without two flush divisors")
     return subs
-
-
-def _occurrence_start(rel: Word, word: Word) -> int:
-    """Offset of the occurrence of the relation word rel in word.  A path
-    of an acyclic quiver passes each arrow at most once, so the first
-    arrow of rel fixes the only candidate offset."""
-    try:
-        i = word.index(rel[0])
-    except ValueError:
-        i = -1
-    if i < 0 or word[i : i + len(rel)] != rel:
-        raise CertificateError("chain relation does not occur in its support")
-    return i

@@ -14,8 +14,9 @@ import pytest
 import stringcoh
 from conftest import a_n_text, build_tower
 from stringcoh import (CertificateError, PathBasis, Quiver, Resolution,
-                       parse, resolution)
-from stringcoh.cup import chain_map_audit, cocycle_basis, is_cocycle, phi, phi_inv
+                       parse)
+from stringcoh.cup import (chain_map_audit, cocycle_basis, is_cocycle, phi,
+                           phi_inv, splittings)
 from tests_support import occurrences, support, word_path
 
 
@@ -30,7 +31,7 @@ def pair_labelled(cx, label):
 def splitting_outside_ap_sets():
     _, _, cx = tower()
     with mock.patch.object(Resolution, "positions", lambda self, k: {}):
-        cx.splittings(1, 2)
+        splittings(cx, 1, 2)
 
 
 class _AnyKey(dict):
@@ -46,9 +47,10 @@ def splitting_head_and_tail_overlap():
     _, _, cx = tower()
     with mock.patch.object(Resolution, "positions",
                            lambda self, k: _AnyKey(0)), \
-            mock.patch.object(resolution, "_occurrence_start",
+            mock.patch.object(sys.modules["stringcoh.cup"],
+                              "_occurrence_start",
                               lambda rel, word: 0):
-        cx.splittings(1, 2)
+        splittings(cx, 1, 2)
 
 
 def chain_relation_outside_support():
@@ -58,7 +60,7 @@ def chain_relation_outside_support():
     stranger = next(r for r in res.pres.relations
                     if not occurrences(word_path(q, r), support(q, w)))
     res.ap[3][0] = dataclasses.replace(w, chain=(stranger, w.chain[1]))
-    cx.splittings(2, 1)
+    splittings(cx, 2, 1)
 
 
 # x1 x2 x3 x4 splits as x1 * x2 * (x3 x4) in degrees 1 and 2: the
@@ -76,7 +78,7 @@ relation x3 x4
 def splitting_middle_outside_basis():
     basis, _, cx = build_tower(parse(_LONG_MIDDLE))
     with mock.patch.dict(basis.word_index, clear=True):
-        cx.splittings(1, 2)
+        splittings(cx, 1, 2)
 
 
 def odd_divisor_flush_at_neither_end():

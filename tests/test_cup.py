@@ -15,6 +15,7 @@ from stringcoh.cup import (
     cup_table,
     is_coboundary,
     is_cocycle,
+    lift_tails,
     normalize_geq,
     normalize_leq,
 )
@@ -45,6 +46,8 @@ from tests_support import (
     solved_lift_matrices,
     sparse_visits,
     support,
+    supports,
+    terms_at,
 )
 
 cup_module = importlib.import_module("stringcoh.cup")
@@ -216,7 +219,7 @@ def test_formula_is_the_lift_off_the_slot_arrows(corpus, a_n):
         for k, f in enumerate(cocycle_basis(cx, 1)):
             same = all(lift_terms(cx, f, n, w) == comparison_terms(cx, f, n, w)
                        for n in range(cx.top) for w in cx.res.ap[n + 1])
-            if arrows.isdisjoint(f.supports(cx)):
+            if arrows.isdisjoint(supports(cx, f)):
                 assert same, f"{name} cocycle {k}"
                 avoiding += 1
             else:
@@ -291,10 +294,10 @@ def test_sparse_lift_walk_matches_dense_oracle(corpus, a_n):
                 dense = [dense_lift_values(cx, f, terms) for f in fs]
                 for k, f in enumerate(fs):
                     for n in range(cx.top - m + 1):
-                        tails = cx.lift_tails(n, m)
+                        tails = lift_tails(cx, n, m)
                         nonzero = {i for i, w in enumerate(cx.res.ap[n + m])
                                    if terms(cx, f, n, w)}
-                        assert nonzero <= {i for s in f.supports(cx)
+                        assert nonzero <= {i for s in supports(cx, f)
                                            for i in tails.get(s, ())}, (
                             f"{where} cocycle {k} n={n}")
                     failed, lifts = cup_module._walk(cx, [f], leibniz, True)
@@ -452,6 +455,46 @@ def test_cup_rejects_degree_zero(a_n):
     pres, basis, res, cx = a_n[3]
     with pytest.raises(ValueError):
         cup(cx, Cochain(0), Cochain(1))
+
+
+def test_cup_rejects_a_non_cocycle_on_either_side(a_n):
+    cx = a_n[3][3]
+    good, bad = cocycle_basis(cx, 1)[0], basis_cochain(cx, 1, "a1", "b1")
+    for g, f in ((bad, good), (good, bad)):
+        with pytest.raises(ValueError, match="expected a cocycle"):
+            cup(cx, g, f)
+
+
+def test_cup_table_indexes_each_left_factor_once(monkeypatch):
+    """cup_table builds the support index of a left factor once, not once
+    per product, and checks no cocycle per product: walking the
+    representatives' lifts (rep_lifts) has checked every one."""
+    real_index, real_check = (cup_module._support_index,
+                              cup_module._require_cocycle)
+    indexed, checked = [], []
+
+    def index(cx, f):
+        indexed.append(f)
+        return real_index(cx, f)
+
+    def check(cx, f):
+        checked.append(f)
+        return real_check(cx, f)
+
+    for seed in (0, 2):
+        cx = build_tower(generate(seed, max_vertices=24, max_arrows=48))[2]
+        reps = [f for m in range(1, cx.top + 1)
+                for f in cohomology_basis(cx, m)]
+        for m in range(1, cx.top + 1):
+            cup_module.rep_lifts(cx, m)
+        monkeypatch.setattr(cup_module, "_support_index", index)
+        monkeypatch.setattr(cup_module, "_require_cocycle", check)
+        indexed.clear()
+        checked.clear()
+        report = cup_table(cx)
+        monkeypatch.undo()
+        assert report.pairs_checked > len(reps) and not checked
+        assert [f for f in reps if f.degree < cx.top] == indexed, seed
 
 
 def test_cup_of_coboundary_is_coboundary(a_n):
@@ -691,7 +734,7 @@ def test_terms_at_matches_scan(certified):
                 continue
             for w in cx.res.ap[f.degree]:
                 sup = support(cx.res.quiver, w)
-                assert (list(f.terms_at(cx, w.pos))
+                assert (list(terms_at(cx, f, w.pos))
                         == scan_terms_at(cx, f, sup)), name
 
 
@@ -763,7 +806,7 @@ def formula_is_the_lift(cx, f) -> bool:
     """Whether the displayed formula is the lift of the basis cocycle f:
     in degree >= 2, and in degree 1 off the slot arrows."""
     return f.degree >= 2 or cup_module._slot_arrows(cx).isdisjoint(
-        f.supports(cx))
+        supports(cx, f))
 
 
 @pytest.mark.parametrize("pres", [
@@ -823,8 +866,8 @@ def test_cup_equals_the_products_cup_table_evaluates(pres, monkeypatch):
     products = []
     real = cup_module._evaluate
 
-    def evaluate(cx, g, m, lift):
-        products.append(real(cx, g, m, lift))
+    def evaluate(cx, at, total, lift):
+        products.append(real(cx, at, total, lift))
         return products[-1]
 
     monkeypatch.setattr(cup_module, "_evaluate", evaluate)
@@ -867,9 +910,9 @@ def test_cup_table_audits_each_lift_it_evaluates(monkeypatch):
 
     evaluated = []
 
-    def evaluate(cx, g, m, lift):
+    def evaluate(cx, at, total, lift):
         evaluated.append(lift)
-        return real_evaluate(cx, g, m, lift)
+        return real_evaluate(cx, at, total, lift)
 
     monkeypatch.setattr(cup_module, "_walk", walk)
     monkeypatch.setattr(cup_module, "_evaluate", evaluate)
@@ -917,7 +960,7 @@ def test_cup_table_reuses_the_formula_walks(monkeypatch):
         reps = [f for m in range(1, cx.top + 1)
                 for f in cohomology_basis(cx, m)]
         meeting = [f for f in reps if f.degree == 1
-                   and not arrows.isdisjoint(f.supports(cx))]
+                   and not arrows.isdisjoint(supports(cx, f))]
         assert meeting and len(meeting) < len(reps)
         walked = [f for m in range(1, witness + 1)
                   for f in cocycle_basis(cx, m)

@@ -10,6 +10,7 @@ import pytest
 from conftest import a_n_text, build_tower
 from stringcoh import basis_P, parse
 from stringcoh.checks import Auditor
+from stringcoh.cup import leibniz_slots, splittings
 from stringcoh.generate import generate, generate_dsl
 from tests_support import (Path, basis_id, basis_paths, fmt,
                            path_leibniz_slots, path_splittings,
@@ -81,7 +82,7 @@ def test_degrees_outside_the_resolution_are_empty():
 
 
 def test_splittings_match_the_path_oracle(corpus):
-    """Every entry of CochainComplex.splittings(n, m), n >= 0 and m >= 1
+    """Every entry of cup.splittings(cx, n, m), n >= 0 and m >= 1
     with n + m <= top, equals the Path-level route it replaced on
     generate(0..99), generate_dsl(0..12, 24, 48) and a_n(1..12)."""
     towers = [cx for _, _, _, _, cx in corpus]
@@ -92,13 +93,13 @@ def test_splittings_match_the_path_oracle(corpus):
     for cx in towers:
         for m in range(1, cx.top + 1):
             for n in range(cx.top - m + 1):
-                assert cx.splittings(n, m) == path_splittings(cx, n, m), (n, m)
-                entries += len(cx.splittings(n, m))
+                assert splittings(cx, n, m) == path_splittings(cx, n, m), (n, m)
+                entries += len(splittings(cx, n, m))
     assert entries == 5758
 
 
 def test_leibniz_slots_match_the_path_oracle(corpus):
-    """Every entry of CochainComplex.leibniz_slots(n), read from the
+    """Every entry of cup.leibniz_slots(cx, n), read from the
     divisors sub(w) of each w in AP_{n+1}, equals the slots built from a
     scan of w without its last arrow, on generate(0..99) and a_n(1..8)."""
     towers = [cx for _, _, _, _, cx in corpus]
@@ -106,7 +107,7 @@ def test_leibniz_slots_match_the_path_oracle(corpus):
     slots = 0
     for cx in towers:
         for n in range(cx.top):
-            got = cx.leibniz_slots(n)
+            got = leibniz_slots(cx, n)
             assert got == path_leibniz_slots(cx, n), n
             slots += sum(map(len, got))
     assert slots > 0
@@ -129,9 +130,9 @@ def test_divisor_route_builds_no_path(text):
             for w in res.ap[k]:
                 res.sub(w)
             res.differential(k)
-            cx.leibniz_slots(k - 1)
+            leibniz_slots(cx, k - 1)
             for n in range(top - k + 1):
-                cx.splittings(n, k)
+                splittings(cx, n, k)
         for k in range(1, top + 2):
             cx.matrix(k)
     assert made.call_count == 1

@@ -5,6 +5,7 @@ import pytest
 from conftest import a_n_text, build_tower
 from stringcoh import CochainComplex, Resolution, basis_P, parse
 from stringcoh.cli import main
+from stringcoh.cup import leibniz_slots, lift_tails, splittings
 from stringcoh.generate import generate
 from tests_support import (ap_label, arrow_path, basis_id, basis_path,
                            entry, fmt, path_class_counts, path_pairs, support,
@@ -70,15 +71,15 @@ def test_bad_degree_arguments_raise_value_error(a_n):
     lift_range = r"take n >= 0, m >= 1 and n \+ m <= 3"
     for n, m in ((2, 3), (-1, 1), (0, 0), (3, 1), (1, 3)):
         with pytest.raises(ValueError, match=lift_range):
-            cx.splittings(n, m)
+            splittings(cx, n, m)
         with pytest.raises(ValueError, match=lift_range):
-            cx.lift_tails(n, m)
+            lift_tails(cx, n, m)
     for n in (3, 4, -1):
         with pytest.raises(ValueError, match=r"run in degrees 0\.\.2"):
-            cx.leibniz_slots(n)
+            leibniz_slots(cx, n)
     # the edges of the valid ranges are fine
-    assert len(cx.splittings(0, 3)) == len(cx.splittings(2, 1)) == 2
-    assert cx.lift_tails(2, 1) and len(cx.leibniz_slots(2)) == 2
+    assert len(splittings(cx, 0, 3)) == len(splittings(cx, 2, 1)) == 2
+    assert lift_tails(cx, 2, 1) and len(leibniz_slots(cx, 2)) == 2
 
 
 def test_pairs_top_degree_count(a_n):

@@ -1,6 +1,7 @@
 """The one per-tower memo behind every cached method of Resolution and
-CochainComplex, behind cup.cocycle_basis, cohomology_basis and
-rep_lifts, and behind the per-basis-path table the parallel pairs are
+CochainComplex, behind cup.cocycle_basis, cohomology_basis, rep_lifts
+and the four lift tables (splittings, lift_tails, leibniz_slots and
+cofaces), and behind the per-basis-path table the parallel pairs are
 classified from."""
 
 import ast
@@ -36,10 +37,6 @@ MEMOIZED = [
     (CochainComplex, "pairs", "cx", lambda res, cx: (2,)),
     (CochainComplex, "pair_keys", "cx", lambda res, cx: (2,)),
     (CochainComplex, "pair_index", "cx", lambda res, cx: (2,)),
-    (CochainComplex, "splittings", "cx", lambda res, cx: (1, 2)),
-    (CochainComplex, "lift_tails", "cx", lambda res, cx: (1, 2)),
-    (CochainComplex, "leibniz_slots", "cx", lambda res, cx: (2,)),
-    (CochainComplex, "cofaces", "cx", lambda res, cx: (3,)),
     (CochainComplex, "_class_counts", "cx", lambda res, cx: (2,)),
     (CochainComplex, "matrix", "cx", lambda res, cx: (2,)),
     (CochainComplex, "columns", "cx", lambda res, cx: (2,)),
@@ -48,6 +45,10 @@ MEMOIZED = [
     (cup, "cocycle_basis", "cx", lambda res, cx: (1,)),
     (cup, "cohomology_basis", "cx", lambda res, cx: (1,)),
     (cup, "rep_lifts", "cx", lambda res, cx: (1,)),
+    (cup, "splittings", "cx", lambda res, cx: (1, 2)),
+    (cup, "lift_tails", "cx", lambda res, cx: (1, 2)),
+    (cup, "leibniz_slots", "cx", lambda res, cx: (2,)),
+    (cup, "cofaces", "cx", lambda res, cx: (3,)),
     (hochschild, "_pair_kinds", "basis", lambda res, cx: ()),
 ]
 

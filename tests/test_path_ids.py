@@ -10,7 +10,7 @@ import pytest
 from conftest import a_n_text, build_tower
 from stringcoh import Resolution, parse
 from stringcoh.checks import Auditor
-from stringcoh.cup import _walk, cocycle_basis, cup_table
+from stringcoh.cup import _walk, cocycle_basis, cup_table, splittings
 from stringcoh.generate import generate, generate_dsl
 from tests_support import (arrow_path, basis_id, basis_paths, path_mult,
                            path_mult3, support, trivial_path, word_path)
@@ -196,7 +196,7 @@ def test_divisor_with_a_cofactor_in_the_ideal_is_dropped(monkeypatch):
 
 
 def test_occurrence_with_a_cofactor_in_the_ideal_is_counted():
-    """The third field of CochainComplex.splittings counts every
+    """The third field of cup.splittings counts every
     occurrence of AP_n in head * u, also one whose cofactor falls in the
     ideal, which the divisor list drops, and cup_table's
     odd_positions_max reads that count.  No corpus input has such an
@@ -204,25 +204,25 @@ def test_occurrence_with_a_cofactor_in_the_ideal_is_counted():
     from PathBasis.word_index while splittings(1, 1) is built."""
     pres = generate(3, max_vertices=24, max_arrows=48)
     ref = build_tower(pres)[2]
-    rows = ref.splittings(1, 1)
+    rows = splittings(ref, 1, 1)
     most = max(count for _, _, count in rows)
     i = next(k for k, (_, _, count) in enumerate(rows) if count == most)
     # w is the only generator with that many odd-degree positions
     odd = [count for n in range(1, ref.top + 1, 2)
            for m in range(1, ref.top - n + 1)
-           for _, _, count in ref.splittings(n, m)]
+           for _, _, count in splittings(ref, n, m)]
     assert odd.count(most) == 1 and cup_table(ref).odd_positions_max == most
 
     basis, res, cx = build_tower(pres)
     w = res.ap[2][i]
     sup = support(res.quiver, w)
     word, source = sup.arrows, sup.source
-    j, _ = res.split(w, 1, 1)
+    j = len(word) - 1  # the degree-1 tail is the last arrow
     occurrences = res.occurrences_in(1, word[:j], source)
     psi, a, _, _, _ = next(occ for occ in occurrences if occ[1] > 0)
     with mock.patch.dict(basis.word_index):
         del basis.word_index[word[:a]]
-        tail, divisors, count = cx.splittings(1, 1)[i]
+        tail, divisors, count = splittings(cx, 1, 1)[i]
     assert (tail, count) == (rows[i][0], len(occurrences)) == (rows[i][0], most)
     dropped = (ref.basis.word_index[word[:a]], psi)
     assert [d[:2] for d in rows[i][1]].count(dropped) == 1

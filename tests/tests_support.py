@@ -12,8 +12,9 @@ from stringcoh.cup import (
     _require_cocycle,
     _support_index,
     is_cocycle,
+    require_lift_degree,
 )
-from stringcoh.hochschild import COUNT_KEYS, require_lift_degree
+from stringcoh.hochschild import COUNT_KEYS
 from stringcoh.linalg import CertificateError, RationalMatrix
 from stringcoh.presentation import basis_P
 from stringcoh.quiver import CyclicQuiverError
@@ -511,8 +512,8 @@ def decompose(res, w, n: int, m: int):
     """The unique splitting support = head * u * tail of w in
     AP_{n+m}, n + m >= 2, as (head, u, tail): head the element of AP_n
     that is a chain prefix, tail the element of AP_m that is a dual-chain
-    suffix, u a basis path.  The Path-level route that Resolution.split
-    replaced, with the same CertificateErrors."""
+    suffix, u a basis path.  The Path-level route that the splitting in
+    cup.splittings replaced, with the same CertificateErrors."""
     assert n >= 0 and m >= 0 and n + m == w.degree and n + m >= 2
     q = res.quiver
     sup = support(q, w)
@@ -546,7 +547,7 @@ def _path_start(rel, w) -> int:
 
 
 def path_splittings(cx, n: int, m: int) -> list:
-    """CochainComplex.splittings(n, m) on Paths: decompose, then the
+    """cup.splittings(cx, n, m) on Paths: decompose, then the
     occurrences of AP_n in head * u by scan_occurrences, ordered by
     offset and then by AP position, cofactors looked up by basis_id."""
     out = []
@@ -568,7 +569,7 @@ def path_splittings(cx, n: int, m: int) -> list:
 
 
 def path_leibniz_slots(cx, n: int) -> list:
-    """CochainComplex.leibniz_slots(n) on Paths, by the route that read
+    """cup.leibniz_slots(cx, n) on Paths, by the route that read
     the occurrences of AP_n in each w of AP_{n+1} without its last arrow:
     scan_occurrences, ordered by offset and then by AP position, then
     every arrow alpha between psi and that last arrow, cofactors looked up
@@ -723,7 +724,7 @@ def comparison_terms(cx, f, n: int, w) -> dict[tuple, int | Fraction]:
     chain map; lift_terms is.
     """
     require_lift_degree(n, f.degree, w)
-    rows = cx.splittings(n, f.degree)
+    rows = cup_module.splittings(cx, n, f.degree)
     return cup_module._layer_values(cx, n, rows, None,
                                     _support_index(cx, f), (w.pos,))[0]
 
@@ -744,8 +745,8 @@ def lift_terms(cx, f, n: int, w) -> dict[tuple, int | Fraction]:
     """
     m = f.degree
     require_lift_degree(n, m, w)
-    slots = cx.leibniz_slots(n) if m == 1 and n else None
-    rows = cx.splittings(n, m)
+    slots = cup_module.leibniz_slots(cx, n) if m == 1 and n else None
+    rows = cup_module.splittings(cx, n, m)
     return cup_module._layer_values(cx, n, rows, slots,
                                     _support_index(cx, f), (w.pos,))[0]
 
@@ -762,7 +763,7 @@ def _augments_to(cx, f, w, value) -> bool:
     """Whether the augmentation mu(L (x) e (x) R) = L R sends the
     degree-0 lift value at w to f(w)."""
     return (augment(cx.basis, value)
-            == {gamma: c for c, gamma in f.terms_at(cx, w.pos)})
+            == {gamma: c for c, gamma in terms_at(cx, f, w.pos)})
 
 
 def dense_lift_values(cx, f, terms):
@@ -803,12 +804,12 @@ def sparse_visits(cx, f, terms):
     m = f.degree
     out = []
     for n in range(len(dense)):
-        tails = cx.lift_tails(n, m)
-        visit = {i for s in f.supports(cx) for i in tails.get(s, ())}
+        tails = cup_module.lift_tails(cx, n, m)
+        visit = {i for s in supports(cx, f) for i in tails.get(s, ())}
         if n:
-            cofaces = cx.cofaces(n + m)
+            coface_of = cup_module.cofaces(cx, n + m)
             visit |= {i for psi, value in dense[n - 1].items() if value
-                      for i in cofaces.get(psi, ())}
+                      for i in coface_of.get(psi, ())}
         out.append(sorted(visit))
     return out
 
@@ -825,7 +826,7 @@ def global_lift_audit(cx, f, terms) -> bool:
     cols, _ = res.bimodule_space(m)
     f_map = RationalMatrix(cx.basis.dim, len(cols))
     for j, (l, w, r) in enumerate(cols):
-        for c, gamma in f.terms_at(cx, w):
+        for c, gamma in terms_at(cx, f, w):
             prod = cx.basis.mult3(l, gamma, r)
             if prod is not None:
                 f_map.add_at(prod, j, c)
@@ -880,8 +881,21 @@ def dense_is_cocycle(cx, f) -> bool:
     return all(v == 0 for v in apply(cx.matrix(f.degree + 1), vec))
 
 
+def terms_at(cx, f, pos: int):
+    """The (coefficient, gamma id) values the cochain f takes on the
+    element at position pos of its degree's AP set, in pair order, read
+    off cup._support_index."""
+    return _support_index(cx, f).get(pos, ())
+
+
+def supports(cx, f):
+    """The positions of the AP elements where the cochain f has a value,
+    the keys of cup._support_index."""
+    return _support_index(cx, f).keys()
+
+
 def scan_terms_at(cx, f, sup: Path) -> list:
-    """Cochain.terms_at at the element with the support sup by a scan
+    """terms_at at the element with the support sup by a scan
     over every coefficient of f, in pair order, gamma as a basis id."""
     pairs = cx.pairs(f.degree)
     return [(c, pairs[i].gamma_id)
@@ -1122,7 +1136,7 @@ def cup_with_lift(cx, g, lifts: list[RationalMatrix], f_degree: int):
         acc = {}
         for i, v in by_col.get(j, []):
             l, psi, r = rows_basis[i]
-            for cg, gam in g.terms_at(cx, psi):
+            for cg, gam in terms_at(cx, g, psi):
                 prod = cx.basis.mult3(l, gam, r)
                 if prod is not None:
                     acc[prod] = acc.get(prod, Fraction(0)) + v * cg
