@@ -1,8 +1,9 @@
-"""Whole-pipeline audit: every structural property, one pass/fail each.
+"""Whole-pipeline audit: every structural property, one CheckResult each.
 
 This is the single implementation behind the CLI's check command and the
 property-based test suite.  Each check is independent; failures carry a
-short witness description.
+short witness description.  build_tower builds the tower for the
+Auditor and for every CLI command.
 """
 
 from __future__ import annotations
@@ -17,10 +18,21 @@ from .cup import (
     normalize_geq,
     normalize_leq,
 )
-from .hochschild import CheckResult, CochainComplex
+from .hochschild import CochainComplex
 from .linalg import RationalMatrix
-from .presentation import Presentation, ValidationReport, basis_P, validate
+from .presentation import (CheckResult, Presentation, ValidationReport,
+                           basis_P, validate)
 from .resolution import Resolution
+
+
+def build_tower(pres: Presentation, max_degree: int | None = None):
+    """The path basis, resolution and cochain complex of pres.  A degree
+    cap computes one degree beyond it so every reported dimension stays
+    exact; callers slice the reports."""
+    basis = basis_P(pres)
+    cap = None if max_degree is None else max_degree + 1
+    res = Resolution(pres, basis, cap)
+    return basis, res, CochainComplex(res)
 
 
 class Auditor:
@@ -38,9 +50,7 @@ class Auditor:
                 "presentation fails validation: "
                 + "; ".join(f"{n}: {d}" for n, d in self.report.failures())
             )
-        self.basis = basis_P(pres)
-        self.res = Resolution(pres, self.basis)
-        self.cx = CochainComplex(self.res)
+        self.basis, self.res, self.cx = build_tower(pres)
 
     def run_all(self) -> list[CheckResult]:
         return [
@@ -230,9 +240,8 @@ class Auditor:
     def check_ker_im(self) -> CheckResult:
         witnesses = []
         for n in range(2, self.res.top + 2):
-            audit = self.cx.ker_im_audit(n)
             witnesses += [f"degree {n}: {c.name} ({c.detail})"
-                          for c in audit.checks if not c.passed]
+                          for c in self.cx.ker_im_audit(n) if not c.passed]
         return _verdict("kernel-image-audit", witnesses)
 
     def check_tree_criterion(self) -> CheckResult:

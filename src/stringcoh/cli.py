@@ -3,6 +3,9 @@
 Exit codes: 0 success, 1 validation failure, 2 parse or usage failure
 (an unreadable FILE included), 3 a computed property that the theory
 guarantees failed to hold (a bug witness, never silent).
+
+hh, ap, cup and check pass one validation gate, _load_valid, and build
+their tower with checks.build_tower.
 """
 
 from __future__ import annotations
@@ -14,9 +17,9 @@ import time
 
 from . import checks, generate, report
 from .cup import CertificateError, cup_table
-from .hochschild import CochainComplex, HHTable
-from .presentation import ParseError, basis_P, parse_file, validate
-from .resolution import ApConstructionError, Resolution
+from .hochschild import HHTable
+from .presentation import ParseError, parse_file, validate
+from .resolution import ApConstructionError
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -32,6 +35,11 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except _Invalid as exc:
+        for name, detail in exc.args[0].failures():
+            print(f"validation failed: {name}"
+                  + (f" ({detail})" if detail else ""), file=sys.stderr)
+        return EXIT_INVALID
     except ApConstructionError as exc:
         print(f"AP construction failed: {exc}", file=sys.stderr)
         for w in exc.witnesses:
@@ -117,10 +125,30 @@ def _at_least(low: int):
     return bounded
 
 
-def _load(args):
-    """Parse and validate; returns (presentation, validation report)."""
+class _Invalid(Exception):
+    """A gated command's input fails validation: args[0] is the report."""
+
+
+def _load_valid(args):
+    """Parse and validate: (presentation, validation report), or _Invalid
+    (exit 1) when the presentation fails validation."""
     pres = parse_file(args.file)
-    return pres, validate(pres)
+    vreport = validate(pres)
+    if not vreport.passed:
+        raise _Invalid(vreport)
+    return pres, vreport
+
+
+def _head(pres, basis, vreport) -> dict:
+    """The presentation and validation sections of a payload."""
+    return {"presentation": report.presentation_section(pres, basis),
+            "validation": report.verdict_section(vreport.checks)}
+
+
+def _print_verdicts(verdicts):
+    for name, ok, detail in verdicts:
+        print(f"{name}: {'ok' if ok else 'FAIL'}"
+              + (f" ({detail})" if detail else ""))
 
 
 def _emit(args, payload: dict, started: float):
@@ -131,44 +159,24 @@ def _emit(args, payload: dict, started: float):
 
 def cmd_validate(args) -> int:
     started = time.monotonic()
-    pres, vreport = _load(args)
-    payload = {
-        "presentation": report.presentation_section(pres, None),
-        "validation": report.validation_section(vreport),
-    }
+    pres = parse_file(args.file)
+    vreport = validate(pres)
+    payload = _head(pres, None, vreport)
     if not args.json:
-        for name, ok, detail in vreport.checks:
-            line = f"{name}: {'ok' if ok else 'FAIL'}"
-            if detail:
-                line += f" ({detail})"
-            print(line)
+        _print_verdicts(vreport.checks)
     _emit(args, payload, started)
     return EXIT_OK if vreport.passed else EXIT_INVALID
 
 
-def _build_tower(pres, max_degree=None):
-    """Build the full tower.  A degree cap computes one degree beyond it so
-    every reported dimension stays exact; callers slice the reports."""
-    basis = basis_P(pres)
-    cap = None if max_degree is None else max_degree + 1
-    res = Resolution(pres, basis, cap)
-    return basis, res, CochainComplex(res)
-
-
 def cmd_hh(args) -> int:
     started = time.monotonic()
-    pres, vreport = _load(args)
-    if not vreport.passed:
-        _print_validation_failures(vreport)
-        return EXIT_INVALID
-    basis, res, cx = _build_tower(pres, args.max_degree)
+    pres, vreport = _load_valid(args)
+    basis, res, cx = checks.build_tower(pres, args.max_degree)
     table = cx.hh_table()
     if args.max_degree is not None:
         table = HHTable([r for r in table.rows if r.degree <= args.max_degree],
                         table.top)
-    payload = {
-        "presentation": report.presentation_section(pres, basis),
-        "validation": report.validation_section(vreport),
+    payload = _head(pres, basis, vreport) | {
         "ap": report.ap_section(res, max_degree=args.max_degree),
         "hh": report.hh_section(table),
     }
@@ -203,14 +211,9 @@ def cmd_hh(args) -> int:
 
 def cmd_ap(args) -> int:
     started = time.monotonic()
-    pres, vreport = _load(args)
-    if not vreport.passed:
-        _print_validation_failures(vreport)
-        return EXIT_INVALID
-    basis, res, cx = _build_tower(pres, args.max_degree)
-    payload = {
-        "presentation": report.presentation_section(pres, basis),
-        "validation": report.validation_section(vreport),
+    pres, vreport = _load_valid(args)
+    basis, res, cx = checks.build_tower(pres, args.max_degree)
+    payload = _head(pres, basis, vreport) | {
         "ap": report.ap_section(res, include_elements=True,
                                 max_degree=args.max_degree),
     }
@@ -235,17 +238,11 @@ def cmd_ap(args) -> int:
 
 def cmd_cup(args) -> int:
     started = time.monotonic()
-    pres, vreport = _load(args)
-    if not vreport.passed:
-        _print_validation_failures(vreport)
-        return EXIT_INVALID
-    basis, res, cx = _build_tower(pres)
+    pres, vreport = _load_valid(args)
+    basis, res, cx = checks.build_tower(pres)
     cup_report = cup_table(cx)
-    payload = {
-        "presentation": report.presentation_section(pres, basis),
-        "validation": report.validation_section(vreport),
-        "cup": report.cup_section(cup_report),
-    }
+    payload = _head(pres, basis, vreport) | {
+        "cup": report.cup_section(cup_report)}
     if not args.json:
         if not cup_report.class_dims or all(
             d == 0 for d in cup_report.class_dims.values()
@@ -265,28 +262,19 @@ def cmd_cup(args) -> int:
 
 def cmd_check(args) -> int:
     started = time.monotonic()
-    pres, vreport = _load(args)
-    if not vreport.passed:
-        _print_validation_failures(vreport)
-        return EXIT_INVALID
+    pres, vreport = _load_valid(args)
     auditor = checks.Auditor(pres, report=vreport)
     results = auditor.run_all()
-    payload = {
-        "presentation": report.presentation_section(pres, auditor.basis),
-        "validation": report.validation_section(vreport),
+    payload = _head(pres, auditor.basis, vreport) | {
         "ap": report.ap_section(auditor.res),
         "hh": report.hh_section(auditor.cx.hh_table()),
         "cup": report.cup_section(auditor.cup_report),
-        "properties": report.properties_section(results),
+        "properties": report.verdict_section(results),
     }
     if not args.json:
-        for r in results:
-            line = f"{r.name}: {'ok' if r.passed else 'FAIL'}"
-            if r.detail:
-                line += f" ({r.detail})"
-            print(line)
+        _print_verdicts(results)
     _emit(args, payload, started)
-    return EXIT_OK if all(r.passed for r in results) else EXIT_VIOLATION
+    return EXIT_OK if payload["properties"]["passed"] else EXIT_VIOLATION
 
 
 def cmd_gen(args) -> int:
@@ -299,14 +287,6 @@ def cmd_gen(args) -> int:
     )
     sys.stdout.write(text)
     return EXIT_OK
-
-
-def _print_validation_failures(vreport):
-    for name, detail in vreport.failures():
-        line = f"validation failed: {name}"
-        if detail:
-            line += f" ({detail})"
-        print(line, file=sys.stderr)
 
 
 if __name__ == "__main__":

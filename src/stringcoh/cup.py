@@ -389,11 +389,13 @@ def first_formula_failure(cx: CochainComplex, m: int) -> int | None:
     cocycles are walked together, once, on the displayed formula."""
     reps = cohomology_basis(cx, m)
     rep_lifts(cx, m)
-    arrows = _slot_arrows(cx) if m == 1 else set()
+    arrows = _slot_arrows(cx) if m == 1 else ()
+    keys = cx.pair_keys(1)  # keys[i][0] is the arrow of pair i
     # distinct basis cocycles have distinct coefficients, so a cocycle
     # is a representative when it equals one
     todo = [(k, f) for k, f in enumerate(cocycle_basis(cx, m))
-            if f not in reps or not arrows.isdisjoint(_support_index(cx, f))]
+            if f not in reps
+            or arrows and any(keys[i][0] in arrows for i in f.coeffs)]
     failed, _ = _walk(cx, [f for _, f in todo], False)
     return None if failed is None else todo[failed][0]
 

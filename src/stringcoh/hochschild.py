@@ -7,7 +7,8 @@ gamma shares rho's first and/or last arrow, and decorated by whether all
 arrow extensions of gamma on a side fall into the ideal.  The cohomology
 dimensions are computed twice: from ranks of the cochain maps, and by
 pure counting over that partition.  The two columns must agree in every
-degree; a disagreement is reported, never repaired.
+degree; a disagreement is reported, never repaired.  ker_im_audit checks
+the counting description of kernel and image, as a list of CheckResults.
 
 Pairs are built on ids: each is classified once, from its support's
 first and last arrows and a per-basis-path table (_pair_kinds), and
@@ -30,12 +31,12 @@ pairs with R once more under (1,0)-, and the (0,1) pairs with L under
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from typing import NamedTuple
 
 from .linalg import CertificateError, Echelon, RationalMatrix
-from .presentation import PathBasis
+from .presentation import CheckResult, PathBasis
 from .resolution import ApElement, Resolution, memo
 
 
@@ -179,29 +180,6 @@ class HHTable:
     @property
     def agree(self) -> bool:
         return all(r.agree for r in self.rows)
-
-
-@dataclass
-class CheckResult:
-    """One named pass/fail verdict with a witness description: an entry
-    of a KerImAudit, and the result of each check of checks.Auditor."""
-
-    name: str
-    passed: bool
-    detail: str = ""
-
-
-@dataclass
-class KerImAudit:
-    degree: int
-    checks: list[CheckResult] = field(default_factory=list)
-
-    def add(self, name, passed, detail=""):
-        self.checks.append(CheckResult(name, passed, detail))
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
 
 
 class CochainComplex:
@@ -383,7 +361,7 @@ class CochainComplex:
 
     # -- kernel/image audit --------------------------------------------------
 
-    def ker_im_audit(self, n: int) -> KerImAudit:
+    def ker_im_audit(self, n: int) -> list[CheckResult]:
         """Compare ranks against the counting description of the kernel and
         image of the degree-n cochain map, and check the extension
         bijections between decorated classes degree by degree."""
@@ -392,37 +370,26 @@ class CochainComplex:
                 f"the audit runs in degrees 2..{self.top + 1}, not {n}")
         prev = self.class_counts(n - 1)
         cur = self.class_counts(n)
-        audit = KerImAudit(n)
-
         ker_count = prev["-(0,0)-"] + prev["(1,0)"] + prev["-(0,1)"] + prev["(1,1)"]
-        audit.add(
-            "kernel-count", self.nullity(n) == ker_count,
-            f"nullity {self.nullity(n)} vs counted {ker_count}",
-        )
         im_count = cur["--(0,1)"] + cur["(1,0)"] + cur["(1,1)"]
-        audit.add(
-            "image-count", self.rank(n) == im_count,
-            f"rank {self.rank(n)} vs counted {im_count}",
-        )
-        audit.add(
-            "left-extension-bijection", prev["-(0,0)+"] == cur["--(0,1)"],
-            f"{prev['-(0,0)+']} vs {cur['--(0,1)']}",
-        )
-        audit.add(
-            "right-extension-bijection", prev["+(0,0)-"] == cur["(1,0)--"],
-            f"{prev['+(0,0)-']} vs {cur['(1,0)--']}",
-        )
-        ok, detail = self._shared_image_check(n)
-        audit.add("shared-image-bijection", ok, detail)
-        audit.add(
-            "phi-count", cur["(1,0)+"] == cur["+(0,1)"],
-            f"{cur['(1,0)+']} vs {cur['+(0,1)']}",
-        )
-        audit.add(
-            "psi-count", cur["(1,0)-+"] == cur["+-(0,1)"],
-            f"{cur['(1,0)-+']} vs {cur['+-(0,1)']}",
-        )
-        return audit
+        return [
+            CheckResult("kernel-count", self.nullity(n) == ker_count,
+                        f"nullity {self.nullity(n)} vs counted {ker_count}"),
+            CheckResult("image-count", self.rank(n) == im_count,
+                        f"rank {self.rank(n)} vs counted {im_count}"),
+            CheckResult("left-extension-bijection",
+                        prev["-(0,0)+"] == cur["--(0,1)"],
+                        f"{prev['-(0,0)+']} vs {cur['--(0,1)']}"),
+            CheckResult("right-extension-bijection",
+                        prev["+(0,0)-"] == cur["(1,0)--"],
+                        f"{prev['+(0,0)-']} vs {cur['(1,0)--']}"),
+            CheckResult("shared-image-bijection",
+                        *self._shared_image_check(n)),
+            CheckResult("phi-count", cur["(1,0)+"] == cur["+(0,1)"],
+                        f"{cur['(1,0)+']} vs {cur['+(0,1)']}"),
+            CheckResult("psi-count", cur["(1,0)-+"] == cur["+-(0,1)"],
+                        f"{cur['(1,0)-+']} vs {cur['+-(0,1)']}"),
+        ]
 
     def _shared_image_check(self, n: int) -> tuple[bool, str]:
         """Each basis pair in (1,0)+ of degree n-1 maps to a single signed

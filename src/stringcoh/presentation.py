@@ -10,6 +10,8 @@ oriented; '#' starts a comment and tokens are whitespace separated::
 
 Names match [A-Za-z0-9_]+ and are case sensitive.  Declaration order
 defines the canonical integer ids used everywhere downstream.
+validate reports one CheckResult, the library's one record of a named
+pass/fail verdict, per hypothesis.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 from .quiver import Quiver, Word
 
@@ -129,12 +132,21 @@ def parse_file(path) -> Presentation:
         return parse(fh.read())
 
 
+class CheckResult(NamedTuple):
+    """A named pass/fail verdict with a witness description: a validation
+    entry, an entry of CochainComplex.ker_im_audit, or an Auditor check."""
+
+    name: str
+    passed: bool
+    detail: str = ""
+
+
 @dataclass
 class ValidationReport:
-    checks: list[tuple[str, bool, str]] = field(default_factory=list)
+    checks: list[CheckResult] = field(default_factory=list)
 
     def add(self, name: str, passed: bool, detail: str = ""):
-        self.checks.append((name, passed, detail))
+        self.checks.append(CheckResult(name, passed, detail))
 
     @property
     def passed(self) -> bool:

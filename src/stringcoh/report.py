@@ -3,7 +3,9 @@
 The JSON schema is fixed: top-level keys "presentation", "validation",
 "ap", "hh", "cup", "properties"; dimensions are arrays indexed by degree
 and partition counts appear per degree so both summands of the counting
-formula stay visible.  Identical input gives byte-identical JSON except
+formula stay visible.  "validation" and "properties" share one shape,
+written by verdict_section: "passed" and a list of {name, passed,
+detail} entries.  Identical input gives byte-identical JSON except
 for the elapsed_ms field.
 
 to_json writes the document in one pass, byte for byte equal to
@@ -17,7 +19,7 @@ from __future__ import annotations
 from json.encoder import encode_basestring_ascii as _quote
 
 from .hochschild import COUNT_KEYS, HHTable
-from .presentation import PathBasis, Presentation, ValidationReport
+from .presentation import CheckResult, PathBasis, Presentation
 from .resolution import Resolution
 
 
@@ -30,12 +32,13 @@ def presentation_section(pres: Presentation, basis: PathBasis | None) -> dict:
     }
 
 
-def validation_section(report: ValidationReport) -> dict:
+def verdict_section(checks: list[CheckResult]) -> dict:
+    """The validation or the properties section of these verdicts."""
     return {
-        "passed": report.passed,
+        "passed": all(ok for _, ok, _ in checks),
         "checks": [
             {"name": name, "passed": ok, "detail": detail}
-            for name, ok, detail in report.checks
+            for name, ok, detail in checks
         ],
     }
 
@@ -94,16 +97,6 @@ def cup_section(report) -> dict:
                 "representatives": [e.idx_g, e.idx_f],
             }
             for e in report.failures()
-        ],
-    }
-
-
-def properties_section(results) -> dict:
-    return {
-        "passed": all(r.passed for r in results),
-        "checks": [
-            {"name": r.name, "passed": r.passed, "detail": r.detail}
-            for r in results
         ],
     }
 

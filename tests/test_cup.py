@@ -1,5 +1,6 @@
 import dataclasses
 import importlib
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -1057,3 +1058,27 @@ def test_normalization_classes_by_column_lines(a_n, monkeypatch):
     result = auditor.check_normalization_support()
     assert "class of" not in result.detail
     assert calls and set(calls) == {3}
+
+
+def test_formula_failure_reads_slot_arrows_without_a_support_index(
+        monkeypatch):
+    """first_formula_failure reads whether a degree-1 cocycle meets a slot
+    arrow off the pair keys: over run_all on the 13 check-generated
+    inputs it builds no support index itself, and the walks still do.
+    A comprehension's frame counts as the function that holds it."""
+    real = cup_module._support_index
+    callers = Counter()
+
+    def index(cx, f):
+        frame = sys._getframe(1)
+        while frame.f_code.co_name.startswith("<"):
+            frame = frame.f_back
+        callers[frame.f_code.co_name] += 1
+        return real(cx, f)
+
+    monkeypatch.setattr(sys.modules["stringcoh.cup"], "_support_index", index)
+    for seed in range(13):
+        checks.Auditor(generate(seed, max_vertices=24,
+                                max_arrows=48)).run_all()
+    assert callers["_walk"] > 0
+    assert callers["first_formula_failure"] == 0

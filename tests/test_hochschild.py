@@ -204,14 +204,14 @@ def test_formula_counts_top_degree(a_n):
 def test_audit_three_steps_degree_two(a_n):
     pres, basis, res, cx = a_n[3]
     audit = cx.ker_im_audit(2)
-    assert audit.passed
+    assert all(c.passed for c in audit)
     assert cx.nullity(2) == 6 and cx.rank(2) == 6
 
 
 def test_audit_counts_when_target_empty(a_n):
     pres, basis, res, cx = a_n[1]
     audit = cx.ker_im_audit(2)
-    assert audit.passed
+    assert all(c.passed for c in audit)
     counts = cx.class_counts(1)
     assert cx.nullity(2) == counts["-(0,0)-"] + counts["(1,1)"] == 4
 
@@ -219,7 +219,23 @@ def test_audit_counts_when_target_empty(a_n):
 def test_audit_all_degrees(corpus):
     for _, _, _, res, cx in corpus:
         for n in range(2, res.top + 2):
-            assert cx.ker_im_audit(n).passed
+            assert all(c.passed for c in cx.ker_im_audit(n))
+
+
+def test_every_verdict_is_one_check_result(a_n):
+    """Validation, the kernel/image audit and the Auditor's checks all
+    return the one verdict record."""
+    from stringcoh.checks import Auditor
+    from stringcoh.presentation import CheckResult, validate
+
+    pres, _, _, cx = a_n[3]
+    verdicts = (validate(pres).checks + cx.ker_im_audit(2)
+                + Auditor(pres).run_all())
+    assert {type(v) for v in verdicts} == {CheckResult}
+    assert [c.name for c in cx.ker_im_audit(2)] == [
+        "kernel-count", "image-count", "left-extension-bijection",
+        "right-extension-bijection", "shared-image-bijection",
+        "phi-count", "psi-count"]
 
 
 def test_cochain_maps_square_to_zero(corpus):

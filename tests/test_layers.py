@@ -82,3 +82,40 @@ def test_lift_tables_are_functions_of_cup_alone():
     for module in set(LAYERS) - {"cup"}:
         defined = defined_functions(parsed(module))
         assert not defined & (LIFT_NAMES | {"split"}), module
+
+
+def test_one_verdict_record():
+    """CheckResult, the one record of a named pass/fail verdict, is
+    defined once, in presentation.py; no second audit container
+    exists."""
+    where = [module for module in LAYERS for node in ast.walk(parsed(module))
+             if isinstance(node, ast.ClassDef) and node.name == "CheckResult"]
+    assert where == ["presentation"]
+    for module in LAYERS:
+        with open(os.path.join(SRC, f"{module}.py")) as fh:
+            assert "KerImAudit" not in fh.read(), module
+
+
+def test_one_verdict_section_writer():
+    """One function of report.py writes a section of verdicts, a dict
+    with a "checks" key: the validation and the properties section."""
+    writers = [node.name for node in parsed("report").body
+               if isinstance(node, ast.FunctionDef)
+               and any(isinstance(d, ast.Dict)
+                       and any(isinstance(k, ast.Constant)
+                               and k.value == "checks" for k in d.keys)
+                       for d in ast.walk(node))]
+    assert writers == ["verdict_section"]
+
+
+def test_one_tower_builder():
+    """Only checks.build_tower constructs a Resolution or a
+    CochainComplex from a presentation, for the Auditor and the CLI."""
+    builders = [(module, node.name) for module in LAYERS
+                for node in ast.walk(parsed(module))
+                if isinstance(node, ast.FunctionDef)
+                and any(isinstance(c, ast.Call)
+                        and isinstance(c.func, ast.Name)
+                        and c.func.id in ("Resolution", "CochainComplex")
+                        for c in ast.walk(node))]
+    assert builders == [("checks", "build_tower")]
