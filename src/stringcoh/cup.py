@@ -19,13 +19,13 @@ cofaces.
 Lifts are audited and evaluated on the generators 1 (x) w (x) 1 of the
 resolution: every map involved is a bimodule map, so its values on
 generators determine it.  _walk audits all the cocycles of one degree
-together, one lift degree at a time, and computes each value from that
-layer's table rows (_layer_values).  It visits only the generators
-where a side of a square can be nonzero, found from the cocycle's
-support through lift_tails and cofaces (docs/comparison-lift.md,
-"Which generators the audit visits").  A value is an element of
-A (x) kAP (x) A in the form of resolution.py, a dict from the id triple
-(left, psi, right) to a nonzero coefficient.
+together, one lift degree at a time, and computes each value, in every
+degree, by one loop over that layer's table rows (_layer_values).  It
+visits only the generators where a side of a square can be nonzero,
+found from the cocycle's support through lift_tails and cofaces
+(docs/comparison-lift.md, "Which generators the audit visits").  A
+value is an element of A (x) kAP (x) A in the form of resolution.py, a
+dict from the id triple (left, psi, right) to a nonzero coefficient.
 
 The lifts of the cohomology representatives are walked once per tower
 and kept whole in the tower's memo (rep_lifts).  cup_table evaluates
@@ -129,9 +129,11 @@ def splittings(cx: CochainComplex, n: int, m: int) -> list[tuple]:
     and the count of all occurrences.  The support splits uniquely as
     head * u * tail: head of degree n (a chain prefix), tail of degree m
     (a dual-chain suffix), u a basis path; CertificateError otherwise.
-    For n = 0 the tail is w itself and there are none.  An occurrence
-    with a cofactor in the ideal adds nothing to a comparison lift but is
-    counted.  Every element of AP_{n+m} is checked to have degree n + m.
+    For n = 0 the tail is w itself, and the one occurrence is the source
+    vertex x of w: (x, x, x), since vertex x is element x of AP_0 and
+    basis path x.  An occurrence with a cofactor in the ideal adds
+    nothing to a comparison lift but is counted.  Every element of
+    AP_{n+m} is checked to have degree n + m.
     ValueError unless n >= 0, m >= 1 and n + m <= top."""
     if not (n >= 0 and m >= 1 and n + m <= cx.top):
         raise ValueError(
@@ -145,7 +147,7 @@ def splittings(cx: CochainComplex, n: int, m: int) -> list[tuple]:
     for w in res.ap[n + m]:
         require_lift_degree(n, m, w)
         if n == 0:
-            out.append((w.pos, (), 0))
+            out.append((w.pos, ((w.source,) * 3,), 1))
             continue
         # the head is word[:i], head * u is word[:j] and the tail word[j:]
         word = w.word
@@ -242,22 +244,14 @@ def cofaces(cx: CochainComplex, k: int) -> dict[int, list[int]]:
     return out
 
 
-def _layer_values(cx: CochainComplex, n: int, rows: list, slots, vals: dict,
+def _layer_values(cx: CochainComplex, rows: list, slots, vals: dict,
                   positions) -> list[dict]:
     """The degree-n lift values at 1 (x) w (x) 1 for w at these positions
     of AP_{n+m}, as id-triple dicts, of the degree-m cocycle f with vals =
-    _support_index(cx, f), read off rows = splittings(n, m): the
+    _support_index(cx, f), read off rows = splittings(n, m), n >= 0: the
     displayed formula, plus the Leibniz terms of the lift where slots =
     leibniz_slots(n) is given."""
     out = []
-    if not n:
-        # e_x is basis path x and element x of AP_0, for x the source of
-        # w and of every gamma parallel to it
-        src = cx.basis.sources
-        for i in positions:
-            out.append({(src[gamma], src[gamma], gamma): c
-                        for c, gamma in vals.get(i, ())})
-        return out
     mult, mult3 = cx.basis.mult, cx.basis.mult3
     for i in positions:
         tail, divisors, _ = rows[i]
@@ -291,8 +285,8 @@ def _layer_values(cx: CochainComplex, n: int, rows: list, slots, vals: dict,
     return out
 
 
-def _walk(cx: CochainComplex, fs: list[Cochain], leibniz: bool,
-          keep: bool = False) -> tuple[int | None, list[list[dict]]]:
+def _walk(cx: CochainComplex, fs: list[Cochain],
+          leibniz: bool) -> tuple[int | None, list[list[dict]]]:
     """Walk the lifts (with the Leibniz terms when leibniz, else the
     displayed formula) of the cocycles fs, all of degree m, together, and
     check each on generators:
@@ -310,10 +304,11 @@ def _walk(cx: CochainComplex, fs: list[Cochain], leibniz: bool,
 
     A failed square stops the walk of its cocycle and of every later one
     in fs.  Returns the index k in fs of the first cocycle whose walk
-    fails (None when all pass, and when fs is empty), and, when keep and
-    every walk passes, each cocycle's whole lift: F_n per n, position of
-    w -> nonzero value.  Otherwise the list is empty, and each walk holds
-    only its previous layer."""
+    fails (None when all pass, and when fs is empty), and, when leibniz
+    and every walk passes, each cocycle's whole lift: F_n per n, position
+    of w -> nonzero value, which products are evaluated on.  Otherwise
+    the list is empty, and each walk holds only its previous layer: the
+    displayed formula is only audited, so its walk keeps no lift."""
     if not fs:
         return None, []
     for f in fs:
@@ -321,7 +316,7 @@ def _walk(cx: CochainComplex, fs: list[Cochain], leibniz: bool,
     m, res, basis = fs[0].degree, cx.res, cx.basis
     vals = [_support_index(cx, f) for f in fs]
     below: list[dict] = [{}] * len(fs)
-    lifts: list[list[dict]] = [[] for _ in fs] if keep else []
+    lifts: list[list[dict]] = [[] for _ in fs] if leibniz else []
     walking = range(len(fs))
     failed = None
     for n in range(cx.top - m + 1):
@@ -342,7 +337,7 @@ def _walk(cx: CochainComplex, fs: list[Cochain], leibniz: bool,
                 visit.update(i for psi in prev for i in coface_of.get(psi, ()))
             order = sorted(visit)
             cur = {}
-            values = _layer_values(cx, n, rows, slots, v, order)
+            values = _layer_values(cx, rows, slots, v, order)
             for i, val in zip(order, values):
                 if n:
                     holds = (apply_map(basis, val, d_n)
@@ -357,7 +352,7 @@ def _walk(cx: CochainComplex, fs: list[Cochain], leibniz: bool,
                     cur[i] = val
             else:
                 below[k] = cur
-                if keep:
+                if leibniz:
                     lifts[k].append(cur)
                 still.append(k)
         walking = still
@@ -423,7 +418,7 @@ def _audited_lifts(cx: CochainComplex, fs: list[Cochain]) -> list[list[dict]]:
     """The whole lift of each of the cocycles fs, of one degree, from one
     _walk.  Each is a chain map by docs/comparison-lift.md, so a failed
     walk raises CertificateError."""
-    failed, lifts = _walk(cx, fs, True, True)
+    failed, lifts = _walk(cx, fs, True)
     if failed is not None:
         raise CertificateError(
             f"the lift of a degree-{fs[0].degree} cocycle is not a chain map")

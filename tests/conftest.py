@@ -1,6 +1,7 @@
 import pytest
 
-from stringcoh import CochainComplex, Resolution, basis_P, parse, validate
+from stringcoh import parse, validate
+from stringcoh.checks import build_tower
 from stringcoh.generate import generate
 
 CORPUS_SIZE = 100
@@ -19,12 +20,6 @@ def a_n_text(n: int) -> str:
         lines.append(f"relation a{i} a{i + 1}")
         lines.append(f"relation b{i} b{i + 1}")
     return "\n".join(lines) + "\n"
-
-
-def build_tower(pres):
-    basis = basis_P(pres)
-    res = Resolution(pres, basis)
-    return basis, res, CochainComplex(res)
 
 
 @pytest.fixture(scope="session")

@@ -215,8 +215,8 @@ def test_broken_lift_exits_3(tmp_path, monkeypatch, capsys):
     the displayed formula in place of lift_terms."""
     real = cup_module._layer_values
     monkeypatch.setattr(
-        cup_module, "_layer_values", lambda cx, n, rows, slots, vals, at:
-        real(cx, n, rows, None, vals, at))
+        cup_module, "_layer_values", lambda cx, rows, slots, vals, at:
+        real(cx, rows, None, vals, at))
     path = tmp_path / "seed88.quiver"
     path.write_text(generate_dsl(88))
     assert main(["check", str(path), "--json"]) == 3

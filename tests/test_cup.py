@@ -19,6 +19,7 @@ from stringcoh.cup import (
     lift_tails,
     normalize_geq,
     normalize_leq,
+    splittings,
 )
 from conftest import a_n_text, build_tower
 from stringcoh.generate import generate, generate_dsl
@@ -271,11 +272,11 @@ def test_sparse_lift_walk_matches_dense_oracle(corpus, a_n):
     square can be nonzero and walks the basis cocycles of one degree
     together, agrees with the dense walk over every generator, for both
     lifts, on every basis cocycle:
-    - walked alone, it reaches the dense verdict and every nonzero
-      generator value, in AP order;
+    - walked alone, it reaches the dense verdict and, for the Leibniz
+      lift, every nonzero generator value, in AP order;
     - walked with its whole degree, it names the first cocycle whose
-      dense walk fails, and keeps the dense values of every cocycle when
-      none does;
+      dense walk fails, and the Leibniz walk keeps the dense values of
+      every cocycle when none does;
     - each lift is zero outside the generators lift_tails lists under a
       support of the cocycle.
     On every red input check_chain_maps names the first (m, k) whose
@@ -301,15 +302,16 @@ def test_sparse_lift_walk_matches_dense_oracle(corpus, a_n):
                         assert nonzero <= {i for s in supports(cx, f)
                                            for i in tails.get(s, ())}, (
                             f"{where} cocycle {k} n={n}")
-                    failed, lifts = cup_module._walk(cx, [f], leibniz, True)
+                    failed, lifts = cup_module._walk(cx, [f], leibniz)
                     assert (failed is None) == (dense[k] is not None), where
-                    if dense[k] is not None:
+                    if leibniz and dense[k] is not None:
                         assert ([list(layer.items()) for layer in lifts[0]]
                                 == nonzero_items(dense[k])), where
                 bad = [k for k, d in enumerate(dense) if d is None]
-                failed, lifts = cup_module._walk(cx, fs, leibniz, True)
+                failed, lifts = cup_module._walk(cx, fs, leibniz)
                 assert failed == (bad[0] if bad else None), where
-                assert len(lifts) == (0 if bad else len(fs)), where
+                assert len(lifts) == (len(fs) if leibniz and not bad
+                                      else 0), where
                 for k, lift in enumerate(lifts):
                     assert ([list(layer.items()) for layer in lift]
                             == nonzero_items(dense[k])), f"{where} cocycle {k}"
@@ -325,6 +327,31 @@ def test_sparse_lift_walk_matches_dense_oracle(corpus, a_n):
     assert red and witnesses  # failing squares were met too
 
 
+@pytest.mark.parametrize("pres", [parse(a_n_text(5)), generate(19)],
+                         ids=["a_n(5)", "19"])
+def test_only_the_leibniz_walk_returns_lifts(pres):
+    """The walk of the displayed formula, which is only audited, returns
+    no lift, even where every cocycle passes; the walk of the Leibniz
+    lift returns each passing cocycle's whole lift, the dense values of
+    lift_terms.  On a_n(5), whose relations are quadratic, both walks
+    pass every degree."""
+    cx = build_tower(pres)[2]
+    passed = 0
+    for m in range(1, cx.top + 1):
+        fs = cocycle_basis(cx, m)
+        if not fs:
+            continue
+        failed, lifts = cup_module._walk(cx, fs, False)
+        assert lifts == [], m
+        passed += failed is None
+        failed, lifts = cup_module._walk(cx, fs, True)
+        assert failed is None and len(lifts) == len(fs), m
+        for f, lift in zip(fs, lifts):
+            assert ([list(layer.items()) for layer in lift]
+                    == nonzero_items(dense_lift_values(cx, f, lift_terms)))
+    assert passed
+
+
 def test_sparse_lift_walk_evaluates_fewer_generators(monkeypatch):
     """On a_n(7) the sparse walk evaluates the lift formula on fewer
     generators than the dense walk, for the same verdicts.  Both evaluate
@@ -334,9 +361,9 @@ def test_sparse_lift_walk_evaluates_fewer_generators(monkeypatch):
     calls = []
     real = cup_module._layer_values
 
-    def counted(cx, n, rows, slots, vals, positions):
+    def counted(cx, rows, slots, vals, positions):
         calls.extend(positions)
-        return real(cx, n, rows, slots, vals, positions)
+        return real(cx, rows, slots, vals, positions)
 
     monkeypatch.setattr(cup_module, "_layer_values", counted)
     degrees = [fs for m in range(1, cx.top + 1)
@@ -365,9 +392,9 @@ def test_walk_visits_the_sparse_generators_and_compares_each_square(
     visits = []
     real = cup_module._layer_values
 
-    def recorded(cx, n, rows, slots, vals, positions):
-        visits.append((vals, n, list(positions)))
-        return real(cx, n, rows, slots, vals, positions)
+    def recorded(cx, rows, slots, vals, positions):
+        visits.append((vals, rows, list(positions)))
+        return real(cx, rows, slots, vals, positions)
 
     squares = Counter()
 
@@ -388,6 +415,9 @@ def test_walk_visits_the_sparse_generators_and_compares_each_square(
             fs = cocycle_basis(cx, m)
             if not fs:
                 continue
+            # the walk reads the rows of lift degree n off splittings
+            degree_of = {id(splittings(cx, n, m)): n
+                         for n in range(cx.top - m + 1)}
             for leibniz, terms in ((False, comparison_terms),
                                    (True, lift_terms)):
                 expected = [sparse_visits(cx, f, terms) for f in fs]
@@ -398,7 +428,8 @@ def test_walk_visits_the_sparse_generators_and_compares_each_square(
                 indexes = [cup_module._support_index(cx, f) for f in fs]
                 by_cocycle = {}
                 got = [[] for _ in fs]
-                for vals, n, positions in visits:
+                for vals, rows, positions in visits:
+                    n = degree_of[id(rows)]
                     if id(vals) not in by_cocycle:
                         by_cocycle[id(vals)] = indexes.index(vals)
                     k = by_cocycle[id(vals)]
@@ -776,10 +807,10 @@ def counting_audits(monkeypatch):
     calls = {False: Counter(), True: Counter()}
     real = cup_module._walk
 
-    def counted(cx, fs, leibniz, *keep):
+    def counted(cx, fs, leibniz):
         for f in fs:
             calls[leibniz][id(f)] += 1
-        return real(cx, fs, leibniz, *keep)
+        return real(cx, fs, leibniz)
 
     monkeypatch.setattr(cup_module, "_walk", counted)
     return calls
@@ -902,8 +933,8 @@ def test_cup_table_audits_each_lift_it_evaluates(monkeypatch):
     audited = []
     real_walk, real_evaluate = cup_module._walk, cup_module._evaluate
 
-    def walk(cx, fs, leibniz, keep=False):
-        failed, lifts = real_walk(cx, fs, leibniz, keep)
+    def walk(cx, fs, leibniz):
+        failed, lifts = real_walk(cx, fs, leibniz)
         if leibniz:
             for values in lifts:
                 audited.extend(values)
@@ -995,15 +1026,17 @@ def test_broken_lift_raises_instead_of_certifying(monkeypatch):
     audited (rep_lifts)."""
     real = cup_module._layer_values
     monkeypatch.setattr(
-        cup_module, "_layer_values", lambda cx, n, rows, slots, vals, at:
-        real(cx, n, rows, None, vals, at))
+        cup_module, "_layer_values", lambda cx, rows, slots, vals, at:
+        real(cx, rows, None, vals, at))
     with pytest.raises(CertificateError, match="not a chain map"):
         cup_table(build_tower(generate(88))[2])
 
     for degree in (1, 2):
-        def flipped(cx, n, rows, slots, vals, positions):
-            values = real(cx, n, rows, slots, vals, positions)
-            if n == degree:
+        def flipped(cx, rows, slots, vals, positions):
+            values = real(cx, rows, slots, vals, positions)
+            # the rows of lift degree n are splittings(cx, n, m)
+            if any(rows is splittings(cx, degree, m)
+                   for m in range(1, cx.top - degree + 1)):
                 for value in values:
                     if value:
                         key = next(iter(value))

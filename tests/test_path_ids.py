@@ -152,7 +152,7 @@ def test_elements_are_id_triple_dicts_without_zeros(corpus):
                     for image in res.differential(n).values()]
         for m in range(1, cx.top + 1):
             fs = cocycle_basis(cx, m)
-            failed, lifts = _walk(cx, fs, True, True)
+            failed, lifts = _walk(cx, fs, True)
             assert failed is None and len(lifts) == len(fs), (name, m)
             elements += [("lift", n, value)
                          for values in lifts

@@ -510,11 +510,11 @@ def divides(w_sub, w) -> bool:
 
 def decompose(res, w, n: int, m: int):
     """The unique splitting support = head * u * tail of w in
-    AP_{n+m}, n + m >= 2, as (head, u, tail): head the element of AP_n
+    AP_{n+m}, n + m >= 1, as (head, u, tail): head the element of AP_n
     that is a chain prefix, tail the element of AP_m that is a dual-chain
     suffix, u a basis path.  The Path-level route that the splitting in
     cup.splittings replaced, with the same CertificateErrors."""
-    assert n >= 0 and m >= 0 and n + m == w.degree and n + m >= 2
+    assert n >= 0 and m >= 0 and n + m == w.degree and n + m >= 1
     q = res.quiver
     sup = support(q, w)
     if n <= 1:
@@ -552,9 +552,6 @@ def path_splittings(cx, n: int, m: int) -> list:
     offset and then by AP position, cofactors looked up by basis_id."""
     out = []
     for w in cx.res.ap[n + m]:
-        if n == 0:
-            out.append((w.pos, (), 0))
-            continue
         head, u, tail = decompose(cx.res, w, n, m)
         found = sorted(scan_occurrences(
             cx.res, n, compose(support(cx.res.quiver, head), u)),
@@ -715,17 +712,18 @@ def comparison_terms(cx, f, n: int, w) -> dict[tuple, int | Fraction]:
     """The displayed (paper's) formula for the degree-n lift of the
     cocycle f, applied to 1 (x) w (x) 1, as an id-triple dict.
 
-    For n = 0 this is 1 (x) e (x) f(w).  For n > 0, split w as
-    head * u * tail and sum L (x) psi (x) R f(tail) over all divisors psi
-    of head * u in degree n; terms whose cofactors die in the ideal are
-    dropped.  For even n the sum is head alone; odd n can have several
-    divisor positions, so the sum is taken literally.  For degree-1
-    cocycles this sees only the last arrow of w and is then not always a
-    chain map; lift_terms is.
+    Split w as head * u * tail and sum L (x) psi (x) R f(tail) over all
+    divisors psi of head * u in degree n; terms whose cofactors die in
+    the ideal are dropped.  For n = 0 the head is the source vertex e of
+    w, u is trivial and the sum is its one term 1 (x) e (x) f(w).  For
+    even n the sum is head alone; odd n can have several divisor
+    positions, so the sum is taken literally.  For degree-1 cocycles this
+    sees only the last arrow of w and is then not always a chain map;
+    lift_terms is.
     """
     require_lift_degree(n, f.degree, w)
     rows = cup_module.splittings(cx, n, f.degree)
-    return cup_module._layer_values(cx, n, rows, None,
+    return cup_module._layer_values(cx, rows, None,
                                     _support_index(cx, f), (w.pos,))[0]
 
 
@@ -747,7 +745,7 @@ def lift_terms(cx, f, n: int, w) -> dict[tuple, int | Fraction]:
     require_lift_degree(n, m, w)
     slots = cup_module.leibniz_slots(cx, n) if m == 1 and n else None
     rows = cup_module.splittings(cx, n, m)
-    return cup_module._layer_values(cx, n, rows, slots,
+    return cup_module._layer_values(cx, rows, slots,
                                     _support_index(cx, f), (w.pos,))[0]
 
 
