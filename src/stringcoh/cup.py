@@ -34,6 +34,10 @@ previous cochain map; cup walks its right factor alone.  Where the
 displayed formula is the lift, first_formula_failure does not walk a
 representative again.  A certificate the theory guarantees raises
 CertificateError when it fails.
+
+The normalizations read one table per degree, the slide phi on pair
+positions (slides): normalize_leq slides by it, normalize_geq by its
+inverse.
 """
 
 from __future__ import annotations
@@ -467,17 +471,6 @@ def _unique_surviving_successor(cx: CochainComplex, gamma: Word) -> int:
     return cands[0]
 
 
-def _unique_surviving_predecessor(cx: CochainComplex, gamma: Word) -> int:
-    """The one arrow b with b * gamma in the basis, for the word of a
-    nontrivial basis path."""
-    q, words = cx.quiver, cx.basis.word_index
-    cands = [b for b in q.in_arrows(q.arrow_source[gamma[0]])
-             if (b,) + gamma in words]
-    if len(cands) != 1:
-        raise CertificateError("surviving predecessor is not unique")
-    return cands[0]
-
-
 def _pair_at(cx: CochainComplex, degree: int, support: Word, gamma: Word,
              want_label: str) -> tuple[int, ParallelPair]:
     pos = cx.res.positions(degree).get(support)
@@ -491,9 +484,8 @@ def _pair_at(cx: CochainComplex, degree: int, support: Word, gamma: Word,
     return idx, pair
 
 
-# The labels phi slides from -> the labels it slides to; phi_inv inverts.
+# The labels phi slides from -> the labels it slides to.
 _SLIDES = {"(1,0)+": "+(0,1)", "(1,0)-+": "+-(0,1)"}
-_SLIDES_BACK = {target: label for label, target in _SLIDES.items()}
 
 
 def phi(cx: CochainComplex, pair: ParallelPair) -> tuple[int, ParallelPair]:
@@ -509,21 +501,21 @@ def phi(cx: CochainComplex, pair: ParallelPair) -> tuple[int, ParallelPair]:
                     gamma[1:] + (beta,), target)
 
 
-def phi_inv(cx: CochainComplex, pair: ParallelPair) -> tuple[int, ParallelPair]:
-    """The mirror of phi, from +(0,1) to (1,0)+ and from +-(0,1) to
-    (1,0)-+: strip the shared last arrow and prepend the unique surviving
-    predecessor of gamma or, for +-(0,1), of gamma without its last
-    arrow."""
-    target = _SLIDES_BACK[pair.label]
-    gamma = cx.basis.words[pair.gamma_id]
-    alpha = _unique_surviving_predecessor(
-        cx, gamma if pair.label == "+(0,1)" else gamma[:-1])
-    return _pair_at(cx, pair.degree, (alpha,) + pair.rho.word[:-1],
-                    (alpha,) + gamma[:-1], target)
+@memo
+def slides(cx: CochainComplex, m: int) -> tuple[dict, dict]:
+    """phi as a table of degree-m pair positions, and its inverse; cached
+    on cx.  phi must be a bijection onto the +(0,1) and +-(0,1) pairs."""
+    forward = {i: phi(cx, pair)[0]
+               for i, pair in enumerate(cx.pairs(m)) if pair.label in _SLIDES}
+    back = {j: i for i, j in forward.items()}
+    counts = cx.class_counts(m)
+    if not len(forward) == len(back) == counts["+(0,1)"] + counts["+-(0,1)"]:
+        raise CertificateError("phi is not a bijection")
+    return forward, back
 
 
 def _normalize(cx: CochainComplex, f: Cochain, keep_classes, dead: str,
-               slide) -> Cochain:
+               slide: dict[int, int]) -> Cochain:
     m = f.degree
     sign = -1 if m % 2 == 0 else 1  # (-1)^(m-1)
     out: dict[int, int | Fraction] = {}
@@ -544,7 +536,7 @@ def _normalize(cx: CochainComplex, f: Cochain, keep_classes, dead: str,
             if m == 1:
                 put(i, c)
         elif pair.label != dead:
-            put(slide(cx, pair)[0], c * sign)
+            put(slide[i], c * sign)
     return Cochain(m, out)
 
 
@@ -552,14 +544,18 @@ def normalize_leq(cx: CochainComplex, f: Cochain) -> Cochain:
     """Rewrite a cochain, modulo coboundaries, to one supported away from
     the shared-first-arrow pairs.  Linear on the pair basis; the
     difference from the input is a coboundary termwise, so cocycles keep
-    their class.  The (1,0)-- pairs, which do not slide, are dropped."""
-    return _normalize(cx, f, ("(0,0)", "(0,1)"), "(1,0)--", phi)
+    their class.  The (1,0)+ and (1,0)-+ pairs slide by phi's table, and
+    the (1,0)-- pairs, which do not slide, are dropped."""
+    return _normalize(cx, f, ("(0,0)", "(0,1)"), "(1,0)--",
+                      slides(cx, f.degree)[0])
 
 
 def normalize_geq(cx: CochainComplex, f: Cochain) -> Cochain:
     """Rewrite a cochain, modulo coboundaries, to one supported away from
-    the shared-last-arrow pairs.  Mirror image of normalize_leq."""
-    return _normalize(cx, f, ("(0,0)", "(1,0)"), "--(0,1)", phi_inv)
+    the shared-last-arrow pairs.  Mirror image of normalize_leq, sliding
+    back by the inverse of phi's table."""
+    return _normalize(cx, f, ("(0,0)", "(1,0)"), "--(0,1)",
+                      slides(cx, f.degree)[1])
 
 
 def is_coboundary(cx: CochainComplex, f: Cochain):

@@ -16,7 +16,7 @@ from conftest import a_n_text, build_tower
 from stringcoh import (CertificateError, PathBasis, Quiver, Resolution,
                        parse)
 from stringcoh.cup import (chain_map_audit, cocycle_basis, is_cocycle, phi,
-                           phi_inv, splittings)
+                           slides, splittings)
 from tests_support import occurrences, support, word_path
 
 
@@ -126,11 +126,13 @@ def successor_not_unique():
         phi(cx, pair)
 
 
-def predecessor_not_unique():
+def phi_not_a_bijection():
     _, _, cx = tower()
-    pair = pair_labelled(cx, "+(0,1)")
-    with mock.patch.object(Quiver, "in_arrows", doubled(Quiver.in_arrows)):
-        phi_inv(cx, pair)
+    first = pair_labelled(cx, "(1,0)+")
+    # every pair slides where the first one does
+    with mock.patch.object(sys.modules["stringcoh.cup"], "phi",
+                           lambda cx, pair, real=phi: real(cx, first)):
+        slides(cx, 2)
 
 
 def rewritten_support_outside_ap_sets():
@@ -175,8 +177,8 @@ SITES = {
         (odd_divisor_flush_at_neither_end, "flush at neither end"),
     "successor not unique":
         (successor_not_unique, "continuation is not unique"),
-    "predecessor not unique":
-        (predecessor_not_unique, "predecessor is not unique"),
+    "phi not a bijection":
+        (phi_not_a_bijection, "phi is not a bijection"),
     "rewritten support outside the AP sets":
         (rewritten_support_outside_ap_sets, "rewritten support left"),
     "rewritten pair with the wrong label":

@@ -42,6 +42,7 @@ from tests_support import (
     global_lift_audit,
     lift_terms,
     middle_label,
+    mirrored_phi_inv,
     odd_positions_max,
     path_mult,
     scan_terms_at,
@@ -613,6 +614,62 @@ def test_normalized_cocycle_keeps_class(corpus):
                 assert is_cocycle(cx, lo) and is_cocycle(cx, hi)
                 assert is_coboundary(cx, f.sub(lo))[0]
                 assert is_coboundary(cx, f.sub(hi))[0]
+
+
+def test_slide_table_inverse_matches_the_mirrored_slide(corpus):
+    """The inverse of cup.slides(cx, m) equals phi's mirror image, built by
+    its own predecessor search, pair by pair; the two tables are mutually
+    inverse and pair (1,0)+ with +(0,1) and (1,0)-+ with +-(0,1).  On
+    a_n(1..10), generate(0..99) and generate(0..12, 24, 48)."""
+    partner = {"(1,0)+": "+(0,1)", "(1,0)-+": "+-(0,1)"}
+    towers = [cx for _, _, _, _, cx in corpus]
+    towers += [build_tower(generate(s, max_vertices=24, max_arrows=48))[2]
+               for s in range(13)]
+    towers += [build_tower(parse(a_n_text(n)))[2] for n in range(1, 11)]
+    slid = 0
+    for cx in towers:
+        for m in range(1, cx.top + 1):
+            pairs = cx.pairs(m)
+            forward, back = cup_module.slides(cx, m)
+            assert back == {j: mirrored_phi_inv(cx, pair)
+                            for j, pair in enumerate(pairs)
+                            if pair.label in partner.values()}
+            assert {j: i for i, j in back.items()} == forward
+            assert all(partner[pairs[i].label] == pairs[j].label
+                       for i, j in forward.items())
+            slid += len(forward)
+    assert slid == 148
+
+
+def _is_multiple_of(vec: dict, col: dict) -> bool:
+    """For two sparse vectors on the same keys."""
+    k = min(vec)
+    return all(vec[i] * col[k] == col[i] * vec[k] for i in vec)
+
+
+def test_normalizations_differ_by_one_column_termwise(corpus):
+    """On every pair i that normalize_leq or normalize_geq moves or
+    drops, e_i - N(e_i) is a multiple of one column of the previous
+    cochain map, so each basis cochain keeps its class without an
+    elimination.  On a_n(1..8) and generate(0..99)."""
+    towers = [cx for _, _, _, _, cx in corpus]
+    towers += [build_tower(parse(a_n_text(n)))[2] for n in range(1, 9)]
+    moved = 0
+    for cx in towers:
+        for m in range(1, cx.top + 1):
+            by_support = {}
+            for col in cx.columns(m):
+                by_support.setdefault(frozenset(col), []).append(col)
+            for i in range(len(cx.pairs(m))):
+                e = Cochain(m, {i: 1})
+                for norm in (normalize_leq, normalize_geq):
+                    diff = e.sub(norm(cx, e)).coeffs
+                    if not diff:
+                        continue
+                    moved += 1
+                    assert any(_is_multiple_of(diff, col) for col in
+                               by_support.get(frozenset(diff), ())), (m, i)
+    assert moved == 405
 
 
 def test_cup_table_three_steps(a_n):

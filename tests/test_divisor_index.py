@@ -140,23 +140,24 @@ def test_divisor_route_builds_no_path(text):
 
 
 @pytest.mark.parametrize(
-    "text, slides",
+    "text, slid",
     [(a_n_text(6), True),
      (generate_dsl(0, max_vertices=24, max_arrows=48), False)],
     ids=["a_n(6)", "generate_dsl(0, 24, 48)"])
-def test_basis_and_slide_routes_build_no_path(text, slides):
+def test_basis_and_slide_routes_build_no_path(text, slid):
     """Building the basis, the pairs of every degree, both normalizations
     of every basis cocycle and the strip and shared-arrow checks
     constructs no Path: a basis path is named by its id and read as an
-    arrow word.  On a_n(6) the normalizations slide pairs through phi and
-    phi_inv; generate_dsl(0, 24, 48) has no pair to slide."""
+    arrow word.  On a_n(6) the normalizations slide pairs through the
+    table of phi and its inverse; generate_dsl(0, 24, 48) has no pair to
+    slide."""
     pres = parse(text)
     auditor = Auditor(pres)
     cx = auditor.cx
     with mock.patch.object(Path, "__post_init__", autospec=True,
                            side_effect=Path.__post_init__) as made, \
             mock.patch.object(cup, "phi", wraps=cup.phi) as phi, \
-            mock.patch.object(cup, "phi_inv", wraps=cup.phi_inv) as phi_inv:
+            mock.patch.object(cup, "slides", wraps=cup.slides) as slides:
         trivial_path(pres.quiver, 0)
         assert made.call_count == 1  # the counter sees a Path being made
         basis_P(pres)
@@ -169,5 +170,5 @@ def test_basis_and_slide_routes_build_no_path(text, slides):
         assert auditor.check_strip().passed
         assert auditor.check_shared_arrow_bound().passed
     assert made.call_count == 1
-    assert (phi.call_count > 0 and phi_inv.call_count > 0) == slides
+    assert (phi.call_count > 0 and slides.call_count > 0) == slid
     assert cx.top >= 4

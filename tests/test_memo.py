@@ -1,8 +1,8 @@
 """The one per-tower memo behind every cached method of Resolution and
-CochainComplex, behind cup.cocycle_basis, cohomology_basis, rep_lifts
-and the four lift tables (splittings, lift_tails, leibniz_slots and
-cofaces), and behind the per-basis-path table the parallel pairs are
-classified from."""
+CochainComplex, behind cup.cocycle_basis, cohomology_basis, rep_lifts,
+the four lift tables (splittings, lift_tails, leibniz_slots and cofaces)
+and the slide table (slides), and behind the per-basis-path table the
+parallel pairs are classified from."""
 
 import ast
 import functools
@@ -49,6 +49,7 @@ MEMOIZED = [
     (cup, "lift_tails", "cx", lambda res, cx: (1, 2)),
     (cup, "leibniz_slots", "cx", lambda res, cx: (2,)),
     (cup, "cofaces", "cx", lambda res, cx: (3,)),
+    (cup, "slides", "cx", lambda res, cx: (2,)),
     (hochschild, "_pair_kinds", "basis", lambda res, cx: ()),
 ]
 
@@ -72,7 +73,7 @@ def test_every_memoized_function_is_listed():
     listed = {(owner.__name__ if isinstance(owner, types.ModuleType)
                else owner.__module__, name)
               for owner, name, _, _ in MEMOIZED}
-    assert len(found) == len(MEMOIZED) == 24
+    assert len(found) == len(MEMOIZED) == 25
     assert found == listed
 
 

@@ -472,6 +472,35 @@ def path_class_counts(cx, n: int) -> dict[str, int]:
     return counts
 
 
+# The labels the mirrored slide goes from -> the labels it slides to.
+_SLIDES_BACK = {"+(0,1)": "(1,0)+", "+-(0,1)": "(1,0)-+"}
+
+
+def _unique_surviving_predecessor(cx, gamma) -> int:
+    """The one arrow b with b * gamma in the basis, for the word of a
+    nontrivial basis path."""
+    q, words = cx.quiver, cx.basis.word_index
+    cands = [b for b in q.in_arrows(q.arrow_source[gamma[0]])
+             if (b,) + gamma in words]
+    if len(cands) != 1:
+        raise CertificateError("surviving predecessor is not unique")
+    return cands[0]
+
+
+def mirrored_phi_inv(cx, pair) -> int:
+    """The oracle for the inverse of cup.slides: phi's mirror image, from
+    +(0,1) to (1,0)+ and from +-(0,1) to (1,0)-+, built by its own
+    predecessor search.  Strip the shared last arrow and prepend the
+    unique surviving predecessor of gamma or, for +-(0,1), of gamma
+    without its last arrow; returns the position of the pair reached."""
+    target = _SLIDES_BACK[pair.label]
+    gamma = cx.basis.words[pair.gamma_id]
+    alpha = _unique_surviving_predecessor(
+        cx, gamma if pair.label == "+(0,1)" else gamma[:-1])
+    return cup_module._pair_at(cx, pair.degree, (alpha,) + pair.rho.word[:-1],
+                               (alpha,) + gamma[:-1], target)[0]
+
+
 def basis_label(res, i: int) -> str:
     """The label of the basis path with id i."""
     return fmt(res.pres, basis_path(res.basis, i))
