@@ -578,35 +578,53 @@ def cocycle_basis(cx: CochainComplex, m: int) -> list[Cochain]:
     """The canonical kernel basis of the degree m+1 cochain map, cached
     on cx; do not change its cochains."""
     vecs = cx.echelon(m + 1).nullspace() if m <= cx.top else []
-    return [Cochain(m, {i: v.numerator if v.denominator == 1 else v
-                        for i, v in vec.items()})
-            for vec in vecs]
+    return [Cochain(m, vec) for vec in vecs]
 
 
 @memo
 def cohomology_basis(cx: CochainComplex, m: int) -> list[Cochain]:
-    """Cocycles whose classes form a basis of degree-m cohomology, chosen
-    as the echelon-first subset of the canonical kernel basis that stays
-    independent modulo coboundaries.  Cached on cx; these are cochains of
-    cocycle_basis(cx, m) itself."""
+    """Cocycles whose classes form a basis of degree-m cohomology: the
+    f_k of cocycle_basis(cx, m) independent of the coboundaries and of
+    f_0..f_{k-1}.  Cached on cx; these are cochains of cocycle_basis(cx,
+    m) itself.
+
+    f_k is 1 at the k-th free column c_k of the degree m+1 elimination
+    and 0 at the other free columns, so a cocycle is the combination of
+    the f_k its free coordinates give, and the coboundaries are written
+    in that basis by matrix(m) restricted to the free rows.  f_k is
+    dropped exactly when row k of the restriction is independent of the
+    rows of the later free columns.  Those k are the pivot columns of
+    one elimination of the restriction transposed, with the free
+    coordinates as columns in reverse order, built from the coboundaries
+    that meet a free row.  Its rank must be rank(m); CertificateError
+    otherwise.  No elimination runs where the ranks settle the choice:
+    rank(m) = 0 keeps every cocycle, and rank(m) = nullity(m+1) none."""
     cocycles = cocycle_basis(cx, m)
-    if not cocycles:
+    free = len(cocycles)
+    rank = cx.rank(m) if free else 0
+    if not rank:
+        return list(cocycles)
+    if rank == free:
         return []
-    cols = cx.matrix(m).cols
-    pivot_cols = set(_image_augmented_by(cx, m, cocycles).pivot_columns())
-    return [f for k, f in enumerate(cocycles) if cols + k in pivot_cols]
-
-
-def _image_augmented_by(cx: CochainComplex, m: int, cochains) -> RationalMatrix:
-    """The degree-m cochain map with one more column per cochain."""
-    im = cx.matrix(m)
-    aug = RationalMatrix(im.rows, im.cols + len(cochains))
-    for i, j, v in im.items():
-        aug.add_at(i, j, v)
-    for k, f in enumerate(cochains):
-        for i, v in f.coeffs.items():
-            aug.add_at(i, im.cols + k, v)
-    return aug
+    pivots = set(cx.echelon(m + 1).pivot_columns())
+    # free row c_k of matrix(m) -> column free - 1 - k of the elimination
+    at = {c: free - 1 - k for k, c in enumerate(
+        c for c in range(cx.matrix(m).rows) if c not in pivots)}
+    row_of: dict[int, int] = {}  # column of matrix(m) -> row it fills
+    entries = []
+    for i, j, v in cx.matrix(m).items():
+        k = at.get(i)
+        if k is not None:
+            entries.append((row_of.setdefault(j, len(row_of)), k, v))
+    restricted = RationalMatrix(len(row_of), free)
+    for r, k, v in entries:
+        restricted.add_at(r, k, v)
+    dropped = set(restricted.pivot_columns())
+    if len(dropped) != rank:
+        raise CertificateError(
+            f"the image restricted to the free coordinates has rank "
+            f"{len(dropped)}, not rank(m) = {rank}")
+    return [f for k, f in enumerate(cocycles) if free - 1 - k not in dropped]
 
 
 @memo

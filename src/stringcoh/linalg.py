@@ -23,19 +23,19 @@ Rank, pivot columns and kernel read one elimination, which
 one question.  Column-space membership eliminates [M | v | I] with pivots
 in M's columns: a row left without a pivot but with an entry under v is a
 left-null certificate, read off the identity columns.  Kernel vectors and
-preimages come from one back substitution, seeded with a free column set
-to 1 or with v's column set to -1; a kernel vector is solved over the
-pivots of its own block.  Vectors in and out are sparse dicts from index
-to nonzero value: v and certificates by row, kernel vectors and
-preimages by column.
+preimages come from one back substitution, seeded with the int 1 at a
+free column or -1 at v's column; a kernel vector is solved over the
+pivots of its own block.  The substitution stays in integers: each pivot
+coordinate is an exact ``divmod`` quotient, and a Fraction only where the
+pivot leaves a remainder, so every integral coordinate is an int.
+Vectors in and out are sparse dicts from index to nonzero value: v and
+certificates by row, kernel vectors and preimages by column.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-
-_ZERO = Fraction(0)
 
 
 class CertificateError(RuntimeError):
@@ -112,8 +112,9 @@ class RationalMatrix:
         span; a key outside 0..rows-1 raises ValueError.
 
         Returns ``(True, x)`` with the preimage {column: value} solving
-        M x = vec that is zero off the pivot columns, or ``(False, y)``
-        with a certifying functional {row: value}: y M = 0, y.vec != 0.
+        M x = vec that is zero off the pivot columns, ints where integral,
+        or ``(False, y)`` with a certifying functional {row: value}:
+        y M = 0, y.vec != 0.
 
         One elimination of [M | vec | I], pivoting in M's columns only,
         decides both: y is read off the identity columns of a row left
@@ -140,7 +141,7 @@ class RationalMatrix:
                         "a left-null certificate must clear every column")
                 return False, {c - n - 1: Fraction(v)
                                for c, v in row.items() if c > n}
-        x = _solve(rows, pivots, {n: Fraction(-1)})
+        x = _solve(rows, pivots, {n: -1})
         del x[n]
         return True, x
 
@@ -166,9 +167,10 @@ class Echelon:
         """Pivot columns of the row echelon form, in column order."""
         return [c for _, c in self.pivots]
 
-    def nullspace(self) -> list[dict[int, Fraction]]:
+    def nullspace(self) -> list[dict[int, int | Fraction]]:
         """Echelon-canonical kernel basis: one vector {column: value} per
-        free column, in column order, with a 1 in its free coordinate.
+        free column, in column order, with a 1 in its free coordinate and
+        ints wherever a value is integral.
         Each is solved over the pivots of its own block of the eliminated
         rows; a free column in no block is a unit vector."""
         n = self.cols
@@ -182,7 +184,7 @@ class Echelon:
                     if c < n:
                         block_pivots[c] = pivots
         pivot_cols = set(pivot_of.values())
-        return [_solve(self.rows, block_pivots.get(f, ()), {f: Fraction(1)})
+        return [_solve(self.rows, block_pivots.get(f, ()), {f: 1})
                 for f in range(n) if f not in pivot_cols]
 
 
@@ -205,21 +207,24 @@ def _integer_rows(rows) -> list[dict[int, int]]:
     return out
 
 
-def _solve(rows, pivots, seed: dict[int, Fraction]) -> dict[int, Fraction]:
+def _solve(rows, pivots, seed: dict[int, int]) -> dict[int, int | Fraction]:
     """Back substitution through the eliminated rows: start from the seed
     coordinates (a free column set to 1, or the right side set to -1) and
-    solve each pivot row for its pivot so the row is zero on x.  Returns
-    x's nonzero coordinates; columns outside the seed and the pivots stay
-    zero."""
+    solve each pivot row for its pivot so the row is zero on x.  Each
+    pivot coordinate is an exact integer quotient where the pivot divides,
+    and a Fraction only where it leaves a remainder.  Returns x's nonzero
+    coordinates; columns outside the seed and the pivots stay zero."""
     x = dict(seed)
     for r, c in reversed(pivots):
         row = rows[r]
-        s = _ZERO
+        s = 0
         for cc, v in row.items():
             if cc != c and cc in x:
                 s += v * x[cc]
         if s:
-            x[c] = -s / row[c]
+            p = row[c]
+            q, rem = divmod(-s, p)
+            x[c] = Fraction(-s, p) if rem else q
     return x
 
 

@@ -15,8 +15,9 @@ import stringcoh
 from conftest import a_n_text, build_tower
 from stringcoh import (CertificateError, PathBasis, Quiver, Resolution,
                        parse)
-from stringcoh.cup import (chain_map_audit, cocycle_basis, is_cocycle, phi,
-                           slides, splittings)
+from stringcoh.cup import (chain_map_audit, cocycle_basis, cohomology_basis,
+                           is_cocycle, phi, slides, splittings)
+from stringcoh.linalg import RationalMatrix
 from tests_support import occurrences, support, word_path
 
 
@@ -159,6 +160,21 @@ def lift_on_wrong_degree():
     chain_map_audit(cx, f)
 
 
+class _Emptied(RationalMatrix):
+    """A matrix that drops every entry it is given."""
+
+    def add_at(self, r, c, v):
+        pass
+
+
+def restricted_image_rank_differs():
+    _, _, cx = tower()
+    # degree 1 of a_n(3): rank 3 against 6 cocycles, so an elimination runs
+    with mock.patch.object(sys.modules["stringcoh.cup"], "RationalMatrix",
+                           _Emptied):
+        cohomology_basis(cx, 1)
+
+
 # site -> (forcing function, the message it must raise with)
 SITES = {
     "splitting outside the AP sets":
@@ -185,6 +201,9 @@ SITES = {
         (rewritten_pair_with_wrong_label, "expected \\+\\(0,1\\)"),
     "lift on the wrong degree":
         (lift_on_wrong_degree, "takes AP_1, not AP_2"),
+    "restricted image rank differs from rank(m)":
+        (restricted_image_rank_differs,
+         "restricted to the free coordinates has rank 0, not rank\\(m\\) = 3"),
 }
 
 

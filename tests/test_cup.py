@@ -27,6 +27,7 @@ from stringcoh.linalg import CertificateError, RationalMatrix
 from tests_support import (
     ap_label,
     apply,
+    augmented_cohomology_basis,
     basis_label,
     basis_path,
     bimodule_extension,
@@ -758,6 +759,25 @@ def test_cohomology_basis_sizes_match_dims(corpus):
         dims = cx.hh_matrix()
         for m in range(1, res.top + 1):
             assert len(cohomology_basis(cx, m)) == dims[m]
+
+
+def test_cohomology_basis_matches_the_augmented_oracle(corpus):
+    """The representatives read off the free coordinates are those of one
+    elimination of the degree-m cochain map augmented by every cocycle,
+    cochain by cochain, in the 337 degrees 1..top of a_n(1..10),
+    generate(0..99) and generate_dsl(0..12, 24, 48)."""
+    towers = [cx for _, _, _, _, cx in corpus]
+    towers += [build_tower(parse(generate_dsl(s, max_vertices=24,
+                                              max_arrows=48)))[2]
+               for s in range(13)]
+    towers += [build_tower(parse(a_n_text(n)))[2] for n in range(1, 11)]
+    degrees = 0
+    for cx in towers:
+        for m in range(1, cx.top + 1):
+            assert (cohomology_basis(cx, m)
+                    == augmented_cohomology_basis(cx, m)), m
+            degrees += 1
+    assert degrees == 337
 
 
 def _certified_cochains(cx) -> list:

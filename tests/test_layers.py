@@ -119,3 +119,19 @@ def test_one_tower_builder():
                         and c.func.id in ("Resolution", "CochainComplex")
                         for c in ast.walk(node))]
     assert builders == [("checks", "build_tower")]
+
+
+def test_cup_imports_no_private_name_from_linalg():
+    """cup.py reaches the elimination only through linalg's public names,
+    RationalMatrix and its Echelon: it imports no private name from
+    linalg and reads none off the module."""
+    tree = parsed("cup")
+    imported = [alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+                and (node.module or "").split(".")[-1] == "linalg"
+                for alias in node.names]
+    read = [node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "linalg"]
+    assert imported
+    assert [name for name in imported + read if name.startswith("_")] == []

@@ -72,6 +72,25 @@ def test_nullspace_line():
     assert vec[0] == -vec[1] != 0
 
 
+def test_integral_kernel_vector_is_int():
+    """The back substitution stays in integers where the pivot divides."""
+    (vec,) = from_rows([[1, 1]]).echelon().nullspace()
+    assert vec == {0: -1, 1: 1}
+    assert all(type(v) is int for v in vec.values())
+
+
+def test_kernel_vector_is_a_fraction_only_where_the_pivot_leaves_a_remainder():
+    (vec,) = from_rows([[2, 1]]).echelon().nullspace()
+    assert vec == {0: Fraction(-1, 2), 1: 1}
+    assert type(vec[0]) is Fraction and type(vec[1]) is int
+
+
+def test_fractional_preimage_stays_exact():
+    ok, x = from_rows([[2, 0], [0, 3]]).in_column_space({0: 1, 1: 6})
+    assert ok and x == {0: Fraction(1, 2), 1: 2}
+    assert type(x[0]) is Fraction and type(x[1]) is int
+
+
 def test_in_column_space_identity():
     ok, x = from_rows([[1, 0], [0, 1]]).in_column_space({0: 3, 1: 5})
     assert ok and dense(x, 2) == [3, 5]

@@ -501,6 +501,26 @@ def mirrored_phi_inv(cx, pair) -> int:
                                (alpha,) + gamma[:-1], target)[0]
 
 
+def augmented_cohomology_basis(cx, m: int) -> list:
+    """The oracle for cup.cohomology_basis: the cocycles of
+    cocycle_basis(cx, m) whose column is a pivot column of the degree-m
+    cochain map with every cocycle appended as a column, in kernel-basis
+    order.  So a cocycle is kept when it is independent of the
+    coboundaries and the cocycles before it."""
+    cocycles = cup_module.cocycle_basis(cx, m)
+    if not cocycles:
+        return []
+    im = cx.matrix(m)
+    aug = RationalMatrix(im.rows, im.cols + len(cocycles))
+    for i, j, v in im.items():
+        aug.add_at(i, j, v)
+    for k, f in enumerate(cocycles):
+        for i, v in f.coeffs.items():
+            aug.add_at(i, im.cols + k, v)
+    pivots = set(aug.pivot_columns())
+    return [f for k, f in enumerate(cocycles) if im.cols + k in pivots]
+
+
 def basis_label(res, i: int) -> str:
     """The label of the basis path with id i."""
     return fmt(res.pres, basis_path(res.basis, i))
