@@ -219,17 +219,15 @@ def cmd_ap(args) -> int:
     }
     # A mismatch of the two greedy runs exits 3 while the tower is built.
     payload["ap"]["matches_dual"] = True
-    shown = res.ap if args.max_degree is None else res.ap[: args.max_degree + 1]
     if not args.json:
-        fmt = pres.quiver.format_word
-        for n, layer in enumerate(shown):
-            print(f"degree {n}: {len(layer)} element(s)")
-            for e in layer:
-                chain = " ".join(map(fmt, e.chain))
-                op = " ".join(map(fmt, e.op_chain))
-                line = f"  {fmt(e.word, e.source)}"
-                if e.degree >= 2:
-                    line += f"  chain[{chain}]  dual[{op}]"
+        for layer in payload["ap"]["degrees"]:
+            n, elements = layer["degree"], layer["elements"]
+            print(f"degree {n}: {len(elements)} element(s)")
+            for e in elements:
+                line = f"  {e['support']}"
+                if n >= 2:
+                    line += (f"  chain[{' '.join(e['chain'])}]"
+                             f"  dual[{' '.join(e['op_chain'])}]")
                 print(line)
         print("dual construction matches: True")
     _emit(args, payload, started)

@@ -191,15 +191,14 @@ def lift_tails(cx: CochainComplex, n: int, m: int) -> dict[int, list[int]]:
     """Position s in AP_m -> the positions of the w in AP_{n+m} where a
     degree-n lift of a degree-m cocycle f reads f(s), so the only w where
     it can be nonzero: the w whose degree-m tail is s (splittings), and
-    for m = 1 and n >= 1 also the w carrying the arrow s strictly inside
-    their support, where the Leibniz terms of the lift sit (an arrow is
-    its own position in AP_1)."""
+    for m = 1 and n >= 1 also the w with a Leibniz slot at the arrow s
+    (leibniz_slots; an arrow is its own position in AP_1)."""
     out: dict[int, list[int]] = {}
     for i, (tail, _, _) in enumerate(splittings(cx, n, m)):
         out.setdefault(tail, []).append(i)
     if m == 1 and n >= 1:
-        for i, w in enumerate(cx.res.ap[n + 1]):
-            for a in w.word[1:-1]:
+        for i, slots in enumerate(leibniz_slots(cx, n)):
+            for a in {slot[2] for slot in slots}:
                 out.setdefault(a, []).append(i)
     return out
 
@@ -517,6 +516,8 @@ def slides(cx: CochainComplex, m: int) -> tuple[dict, dict]:
 def _normalize(cx: CochainComplex, f: Cochain, keep_classes, dead: str,
                slide: dict[int, int]) -> Cochain:
     m = f.degree
+    if m < 1:
+        raise ValueError("normalizations are defined in positive degrees")
     sign = -1 if m % 2 == 0 else 1  # (-1)^(m-1)
     out: dict[int, int | Fraction] = {}
 
@@ -598,10 +599,11 @@ def cohomology_basis(cx: CochainComplex, m: int) -> list[Cochain]:
     coordinates as columns in reverse order, built from the coboundaries
     that meet a free row.  Its rank must be rank(m); CertificateError
     otherwise.  No elimination runs where the ranks settle the choice:
-    rank(m) = 0 keeps every cocycle, and rank(m) = nullity(m+1) none."""
+    rank(m) = 0 keeps every cocycle, and rank(m) = nullity(m+1) none.
+    Degree 0 receives no coboundaries, so it keeps every cocycle."""
     cocycles = cocycle_basis(cx, m)
     free = len(cocycles)
-    rank = cx.rank(m) if free else 0
+    rank = cx.rank(m) if free and m else 0
     if not rank:
         return list(cocycles)
     if rank == free:

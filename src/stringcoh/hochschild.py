@@ -14,7 +14,8 @@ Pairs are built on ids: each is classified once, from its support's
 first and last arrows and a per-basis-path table (_pair_kinds), and
 carries its class and decorated label.  In degree >= 1 the labels are
 a function of five flags, shares_first (f), shares_last (l),
-left_dead (L), right_dead (R) and inner_dead (I), one table (_LABELS):
+left_dead (L), right_dead (R) and inner_dead (I), one case split
+(_kind):
 
     f l  class   label
     0 0  (0,0)   -(0,0)-, -(0,0)+, +(0,0)-, +(0,0)+: a sign per side,
@@ -46,8 +47,8 @@ class ParallelPair(NamedTuple):
     CochainComplex.pairs builds its degree.
 
     The flags and both labels are None in degree 0, where the partition
-    is not defined (the only pairs are (e_x, e_x)); from degree 1 on, the
-    labels are _LABELS of the five flags, e.g. ``-(0,0)+`` or ``(1,0)--``
+    is not defined (the only pairs are (e_x, e_x)); from degree 1 on, _kind
+    sets the labels from the five flags, e.g. ``-(0,0)+`` or ``(1,0)--``
     or ``+-(0,1)``.
     """
 
@@ -70,44 +71,33 @@ def _sign(dead: bool) -> str:
     return "-" if dead else "+"
 
 
-def _label_table() -> dict[tuple, tuple[str, str]]:
-    """(shares_first, shares_last, left_dead, right_dead, inner_dead) ->
-    (class_label, label), for every flag combination a pair of degree >= 1
-    can carry; x and y run over both values of a free flag."""
-    table = {}
-    for x in (False, True):
-        for y in (False, True):
-            table[(False, False, x, y, None)] = (
-                "(0,0)", f"{_sign(x)}(0,0){_sign(y)}")
-            table[(True, True, x, y, None)] = ("(1,1)", "(1,1)")
-            table[(True, False, x, False, None)] = ("(1,0)", "(1,0)+")
-            table[(True, False, x, True, y)] = ("(1,0)", f"(1,0)-{_sign(y)}")
-            table[(False, True, False, x, None)] = ("(0,1)", "+(0,1)")
-            table[(False, True, True, x, y)] = ("(0,1)", f"{_sign(y)}-(0,1)")
-    return table
-
-
-_LABELS = _label_table()
-
-
 def _kind(left: bool, right: bool, inner_left: bool,
           inner_right: bool) -> tuple[tuple, ...]:
     """The pair fields from shares_first on (the five flags, then both
     labels) of a gamma with these side decorations, for each way of
     sharing arrows with the support, indexed by 2 * shares_first +
-    shares_last.  A pair sharing exactly one end arrow, dead on the other
-    side, takes as inner decoration that side's decoration of gamma with
-    the shared arrow stripped."""
+    shares_last: the case split of the module docstring.  A pair sharing
+    exactly one end arrow, dead on the other side, takes as inner
+    decoration that side's decoration of gamma with the shared arrow
+    stripped."""
     out = []
     for first in (False, True):
         for last in (False, True):
+            cls = f"({first:d},{last:d})"
             inner = None
-            if first and not last and right:
-                inner = inner_right
-            elif last and not first and left:
-                inner = inner_left
-            flags = (first, last, left, right, inner)
-            out.append(flags + _LABELS[flags])
+            if first == last:
+                label = cls if first else f"{_sign(left)}{cls}{_sign(right)}"
+            elif first:
+                label = cls + "+"
+                if right:
+                    inner = inner_right
+                    label = f"{cls}-{_sign(inner)}"
+            else:
+                label = "+" + cls
+                if left:
+                    inner = inner_left
+                    label = f"{_sign(inner)}-{cls}"
+            out.append((first, last, left, right, inner, cls, label))
     return tuple(out)
 
 

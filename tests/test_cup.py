@@ -16,6 +16,7 @@ from stringcoh.cup import (
     cup_table,
     is_coboundary,
     is_cocycle,
+    leibniz_slots,
     lift_tails,
     normalize_geq,
     normalize_leq,
@@ -329,6 +330,29 @@ def test_sparse_lift_walk_matches_dense_oracle(corpus, a_n):
     assert red and witnesses  # failing squares were met too
 
 
+def test_lift_tails_lists_tails_and_slot_arrows(corpus, a_n):
+    """For m = 1 and n >= 1, lift_tails(n, 1) lists w under the arrow a,
+    once, exactly when a is w's tail or leibniz_slots(n)[w] has a slot
+    at a: an interior arrow without a slot carries no Leibniz term, and
+    some interior arrows have none.  On generate(0..99), the 24/48
+    corpus of seeds 0-12 and a_n(1..8)."""
+    unslotted = 0
+    for name, _, cx in walk_towers(corpus, a_n):
+        for n in range(1, cx.top):
+            tails = lift_tails(cx, n, 1)
+            listed = {(a, i) for a, ws in tails.items() for i in ws}
+            assert len(listed) == sum(map(len, tails.values())), name
+            want = {(tail, i)
+                    for i, (tail, _, _) in enumerate(splittings(cx, n, 1))}
+            want |= {(slot[2], i)
+                     for i, slots in enumerate(leibniz_slots(cx, n))
+                     for slot in slots}
+            assert listed == want, f"{name} n={n}"
+            unslotted += len({(a, i) for i, w in enumerate(cx.res.ap[n + 1])
+                              for a in w.word[1:-1]} - want)
+    assert unslotted
+
+
 @pytest.mark.parametrize("pres", [parse(a_n_text(5)), generate(19)],
                          ids=["a_n(5)", "19"])
 def test_only_the_leibniz_walk_returns_lifts(pres):
@@ -489,6 +513,16 @@ def test_cup_rejects_degree_zero(a_n):
     pres, basis, res, cx = a_n[3]
     with pytest.raises(ValueError):
         cup(cx, Cochain(0), Cochain(1))
+
+
+def test_normalize_rejects_degree_zero(a_n):
+    """Degree-0 pairs carry no label, so neither normalization is defined
+    there; both raise ValueError on the unit."""
+    cx = a_n[3][3]
+    (unit,) = cocycle_basis(cx, 0)
+    for norm in (normalize_leq, normalize_geq):
+        with pytest.raises(ValueError, match="positive degrees"):
+            norm(cx, unit)
 
 
 def test_cup_rejects_a_non_cocycle_on_either_side(a_n):
@@ -759,6 +793,18 @@ def test_cohomology_basis_sizes_match_dims(corpus):
         dims = cx.hh_matrix()
         for m in range(1, res.top + 1):
             assert len(cohomology_basis(cx, m)) == dims[m]
+
+
+def test_cohomology_basis_in_degree_zero(corpus):
+    """Degree 0 receives no coboundaries, so every degree-0 cocycle is a
+    representative, as many as hh_matrix counts: the unit on a connected
+    input.  On a_n(1..8) and generate(0..99)."""
+    towers = [cx for _, _, _, _, cx in corpus]
+    towers += [build_tower(parse(a_n_text(n)))[2] for n in range(1, 9)]
+    for cx in towers:
+        reps = cohomology_basis(cx, 0)
+        assert reps == cocycle_basis(cx, 0)
+        assert len(reps) == cx.hh_matrix()[0]
 
 
 def test_cohomology_basis_matches_the_augmented_oracle(corpus):

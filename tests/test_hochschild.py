@@ -1,4 +1,5 @@
 import json
+from itertools import product
 
 import pytest
 
@@ -7,9 +8,10 @@ from stringcoh import CochainComplex, Resolution, basis_P, parse
 from stringcoh.cli import main
 from stringcoh.cup import leibniz_slots, lift_tails, splittings
 from stringcoh.generate import generate
+from stringcoh.hochschild import _KINDS
 from tests_support import (ap_label, arrow_path, basis_id, basis_path,
-                           entry, fmt, path_class_counts, path_pairs, support,
-                           trivial_path)
+                           entry, fmt, path_class_counts, path_label,
+                           path_pairs, support, trivial_path)
 
 
 def tower(text):
@@ -111,6 +113,29 @@ def test_pairs_match_the_path_oracle(corpus):
             assert cx.class_counts(n) == path_class_counts(cx, n), n
             seen += len(want)
     assert seen == 3858
+
+
+def test_kinds_match_the_label_oracle():
+    """Every row of _KINDS, for all 16 side tuples (left, right, inner
+    left, inner right decoration) and all 4 ways of sharing end arrows,
+    holds the five flags, the class and the label that
+    tests_support.path_label spells out case by case.  The inner flag is
+    the inner decoration of the dead side opposite the one shared arrow,
+    None elsewhere."""
+    assert sorted(_KINDS) == sorted(product((False, True), repeat=4))
+    for sides, kinds in _KINDS.items():
+        left, right, inner_left, inner_right = sides
+        assert len(kinds) == 4
+        for first, last in product((False, True), repeat=2):
+            inner = None
+            if first and not last and right:
+                inner = inner_right
+            if last and not first and left:
+                inner = inner_left
+            flags = (first, last, left, right, inner)
+            assert kinds[2 * first + last] == flags + (
+                f"({int(first)},{int(last)})", path_label(*flags)), (
+                sides, first, last)
 
 
 def test_classify_fully_dead_off_diagonal(a_n):

@@ -135,3 +135,26 @@ def test_cup_imports_no_private_name_from_linalg():
             and isinstance(node.value, ast.Name) and node.value.id == "linalg"]
     assert imported
     assert [name for name in imported + read if name.startswith("_")] == []
+
+
+def test_one_label_case_split():
+    """The pair labels come from one case split, hochschild._kind: no
+    second table of them (_label_table, _LABELS) is defined."""
+    tree = parsed("hochschild")
+    names = defined_functions(tree) | {
+        target.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
+        for target in node.targets if isinstance(target, ast.Name)}
+    assert "_kind" in names
+    assert not names & {"_label_table", "_LABELS"}
+
+
+def test_ap_text_reads_the_ap_section():
+    """cli.cmd_ap prints the elements report.ap_section has formatted: it
+    reads no format_word of its own."""
+    (cmd_ap,) = [node for node in parsed("cli").body
+                 if isinstance(node, ast.FunctionDef)
+                 and node.name == "cmd_ap"]
+    read = {node.attr for node in ast.walk(cmd_ap)
+            if isinstance(node, ast.Attribute)}
+    assert "ap_section" in read
+    assert "format_word" not in read
