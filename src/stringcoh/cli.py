@@ -5,7 +5,9 @@ Exit codes: 0 success, 1 validation failure, 2 parse or usage failure
 guarantees failed to hold (a bug witness, never silent).
 
 hh, ap, cup and check pass one validation gate, _load_valid, and build
-their tower with checks.build_tower.
+their tower with checks.build_tower.  Each command but gen returns its
+exit code and one payload and prints its text from it; main alone reads
+the clock and writes the JSON.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import time
 
 from . import checks, generate, report
 from .cup import CertificateError, cup_table
-from .hochschild import HHTable
 from .presentation import ParseError, parse_file, validate
 from .resolution import ApConstructionError
 
@@ -30,8 +31,9 @@ EXIT_VIOLATION = 3
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    started = time.monotonic()
     try:
-        return args.func(args)
+        status, payload = args.func(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -57,6 +59,10 @@ def main(argv=None) -> int:
         reason = exc.strerror if isinstance(exc, OSError) else exc
         print(f"cannot read {path}: {reason}", file=sys.stderr)
         return EXIT_PARSE
+    if payload is not None and args.json:
+        payload["elapsed_ms"] = int(1000 * (time.monotonic() - started))
+        sys.stdout.write(report.to_json(payload))
+    return status
 
 
 @functools.cache
@@ -145,80 +151,62 @@ def _head(pres, basis, vreport) -> dict:
             "validation": report.verdict_section(vreport.checks)}
 
 
-def _print_verdicts(verdicts):
-    for name, ok, detail in verdicts:
-        print(f"{name}: {'ok' if ok else 'FAIL'}"
+def _print_verdicts(section: dict):
+    for check in section["checks"]:
+        detail = check["detail"]
+        print(f"{check['name']}: {'ok' if check['passed'] else 'FAIL'}"
               + (f" ({detail})" if detail else ""))
 
 
-def _emit(args, payload: dict, started: float):
-    if args.json:
-        payload["elapsed_ms"] = int(1000 * (time.monotonic() - started))
-        sys.stdout.write(report.to_json(payload))
-
-
-def cmd_validate(args) -> int:
-    started = time.monotonic()
+def cmd_validate(args):
     pres = parse_file(args.file)
     vreport = validate(pres)
     payload = _head(pres, None, vreport)
     if not args.json:
-        _print_verdicts(vreport.checks)
-    _emit(args, payload, started)
-    return EXIT_OK if vreport.passed else EXIT_INVALID
+        _print_verdicts(payload["validation"])
+    return EXIT_OK if vreport.passed else EXIT_INVALID, payload
 
 
-def cmd_hh(args) -> int:
-    started = time.monotonic()
+def cmd_hh(args):
     pres, vreport = _load_valid(args)
     basis, res, cx = checks.build_tower(pres, args.max_degree)
-    table = cx.hh_table()
-    if args.max_degree is not None:
-        table = HHTable([r for r in table.rows if r.degree <= args.max_degree],
-                        table.top)
     payload = _head(pres, basis, vreport) | {
         "ap": report.ap_section(res, max_degree=args.max_degree),
-        "hh": report.hh_section(table),
+        "hh": report.hh_section(cx.hh_table(), max_degree=args.max_degree),
     }
-    status = EXIT_OK
+    hh = payload["hh"]
     if not args.json:
-        dims = (table.dims_formula if args.method == "formula"
-                else table.dims_matrix)
+        dims = hh["dims_formula" if args.method == "formula" else "dims"]
         # the trailing 0 stands for all degrees above the top, so a table
         # capped below the top leaves it off
-        zero = [0] if len(dims) > table.top else []
+        zero = [0] if len(dims) > payload["ap"]["top"] else []
         print("HH: " + " ".join(str(d) for d in dims + zero))
         if args.method == "both":
-            for row in table.rows:
-                print(f"  degree {row.degree}: formula {row.dim_formula}, "
-                      f"matrix {row.dim_matrix}, "
-                      f"{'agree' if row.agree else 'DISAGREE'}")
-    if args.method == "both" and not table.agree:
-        status = EXIT_VIOLATION
-        for row in table.rows:
-            if not row.agree:
-                print(
-                    f"witness: degree {row.degree}, "
-                    f"formula {row.dim_formula} != matrix {row.dim_matrix}, "
-                    f"counts {row.counts}, "
-                    f"rank F_{row.degree} = {cx.rank(row.degree) if row.degree >= 1 else 0}, "
-                    f"nullity F_{row.degree + 1} = {cx.nullity(row.degree + 1)}",
-                    file=sys.stderr,
-                )
-    _emit(args, payload, started)
-    return status
+            for row in hh["rows"]:
+                print(f"  degree {row['degree']}: formula {row['formula']}, "
+                      f"matrix {row['matrix']}, "
+                      f"{'agree' if row['agree'] else 'DISAGREE'}")
+    if args.method != "both" or hh["agree"]:
+        return EXIT_OK, payload
+    for row in hh["rows"]:
+        if not row["agree"]:
+            n = row["degree"]
+            print(f"witness: degree {n}, "
+                  f"formula {row['formula']} != matrix {row['matrix']}, "
+                  f"counts {row['counts']}, "
+                  f"rank F_{n} = {cx.rank(n) if n >= 1 else 0}, "
+                  f"nullity F_{n + 1} = {cx.nullity(n + 1)}",
+                  file=sys.stderr)
+    return EXIT_VIOLATION, payload
 
 
-def cmd_ap(args) -> int:
-    started = time.monotonic()
+def cmd_ap(args):
     pres, vreport = _load_valid(args)
     basis, res, cx = checks.build_tower(pres, args.max_degree)
     payload = _head(pres, basis, vreport) | {
         "ap": report.ap_section(res, include_elements=True,
                                 max_degree=args.max_degree),
     }
-    # A mismatch of the two greedy runs exits 3 while the tower is built.
-    payload["ap"]["matches_dual"] = True
     if not args.json:
         for layer in payload["ap"]["degrees"]:
             n, elements = layer["degree"], layer["elements"]
@@ -229,37 +217,31 @@ def cmd_ap(args) -> int:
                     line += (f"  chain[{' '.join(e['chain'])}]"
                              f"  dual[{' '.join(e['op_chain'])}]")
                 print(line)
-        print("dual construction matches: True")
-    _emit(args, payload, started)
-    return EXIT_OK
+        print(f"dual construction matches: {payload['ap']['matches_dual']}")
+    return EXIT_OK, payload
 
 
-def cmd_cup(args) -> int:
-    started = time.monotonic()
+def cmd_cup(args):
     pres, vreport = _load_valid(args)
     basis, res, cx = checks.build_tower(pres)
-    cup_report = cup_table(cx)
     payload = _head(pres, basis, vreport) | {
-        "cup": report.cup_section(cup_report)}
+        "cup": report.cup_section(cup_table(cx))}
+    cup = payload["cup"]
     if not args.json:
-        if not cup_report.class_dims or all(
-            d == 0 for d in cup_report.class_dims.values()
-        ):
+        if not any(cup["positive_class_dims"].values()):
             print("no positive-degree classes")
-        elif cup_report.all_zero:
+        elif cup["all_zero"]:
             print("all cup products vanish "
-                  f"(pairs checked: {cup_report.pairs_checked})")
+                  f"(pairs checked: {cup['pairs_checked']})")
         else:
             print("cup product NOT zero in cohomology:")
-            for e in cup_report.failures():
-                print(f"  degrees ({e.deg_g},{e.deg_f}) "
-                      f"representatives ({e.idx_g},{e.idx_f})")
-    _emit(args, payload, started)
-    return EXIT_OK if cup_report.all_zero else EXIT_VIOLATION
+            for e in cup["failures"]:
+                print("  degrees ({},{}) representatives ({},{})".format(
+                    *e["degrees"], *e["representatives"]))
+    return EXIT_OK if cup["all_zero"] else EXIT_VIOLATION, payload
 
 
-def cmd_check(args) -> int:
-    started = time.monotonic()
+def cmd_check(args):
     pres, vreport = _load_valid(args)
     auditor = checks.Auditor(pres, report=vreport)
     results = auditor.run_all()
@@ -270,12 +252,12 @@ def cmd_check(args) -> int:
         "properties": report.verdict_section(results),
     }
     if not args.json:
-        _print_verdicts(results)
-    _emit(args, payload, started)
-    return EXIT_OK if payload["properties"]["passed"] else EXIT_VIOLATION
+        _print_verdicts(payload["properties"])
+    return (EXIT_OK if payload["properties"]["passed"] else EXIT_VIOLATION,
+            payload)
 
 
-def cmd_gen(args) -> int:
+def cmd_gen(args):
     text = generate.generate_dsl(
         args.seed,
         max_vertices=args.vertices,
@@ -284,7 +266,7 @@ def cmd_gen(args) -> int:
         quadratic=args.quadratic,
     )
     sys.stdout.write(text)
-    return EXIT_OK
+    return EXIT_OK, None
 
 
 if __name__ == "__main__":

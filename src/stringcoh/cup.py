@@ -513,7 +513,7 @@ def slides(cx: CochainComplex, m: int) -> tuple[dict, dict]:
     return forward, back
 
 
-def _normalize(cx: CochainComplex, f: Cochain, keep_classes, dead: str,
+def _normalize(cx: CochainComplex, f: Cochain, keep_classes,
                slide: dict[int, int]) -> Cochain:
     m = f.degree
     if m < 1:
@@ -536,7 +536,8 @@ def _normalize(cx: CochainComplex, f: Cochain, keep_classes, dead: str,
             # so they are kept; from degree 2 up they are coboundaries.
             if m == 1:
                 put(i, c)
-        elif pair.label != dead:
+        elif i in slide:
+            # off the table are the dead (1,0)-- or --(0,1) pairs
             put(slide[i], c * sign)
     return Cochain(m, out)
 
@@ -547,16 +548,14 @@ def normalize_leq(cx: CochainComplex, f: Cochain) -> Cochain:
     difference from the input is a coboundary termwise, so cocycles keep
     their class.  The (1,0)+ and (1,0)-+ pairs slide by phi's table, and
     the (1,0)-- pairs, which do not slide, are dropped."""
-    return _normalize(cx, f, ("(0,0)", "(0,1)"), "(1,0)--",
-                      slides(cx, f.degree)[0])
+    return _normalize(cx, f, ("(0,0)", "(0,1)"), slides(cx, f.degree)[0])
 
 
 def normalize_geq(cx: CochainComplex, f: Cochain) -> Cochain:
     """Rewrite a cochain, modulo coboundaries, to one supported away from
     the shared-last-arrow pairs.  Mirror image of normalize_leq, sliding
     back by the inverse of phi's table."""
-    return _normalize(cx, f, ("(0,0)", "(1,0)"), "--(0,1)",
-                      slides(cx, f.degree)[1])
+    return _normalize(cx, f, ("(0,0)", "(1,0)"), slides(cx, f.degree)[1])
 
 
 def is_coboundary(cx: CochainComplex, f: Cochain):
@@ -578,7 +577,7 @@ def is_coboundary(cx: CochainComplex, f: Cochain):
 def cocycle_basis(cx: CochainComplex, m: int) -> list[Cochain]:
     """The canonical kernel basis of the degree m+1 cochain map, cached
     on cx; do not change its cochains."""
-    vecs = cx.echelon(m + 1).nullspace() if m <= cx.top else []
+    vecs = cx.echelon(m + 1).nullspace() if 0 <= m <= cx.top else []
     return [Cochain(m, vec) for vec in vecs]
 
 

@@ -157,7 +157,6 @@ class HHRow:
 @dataclass
 class HHTable:
     rows: list[HHRow]
-    top: int
 
     @property
     def dims_formula(self) -> list[int]:
@@ -341,13 +340,13 @@ class CochainComplex:
 
     @memo
     def hh_table(self) -> HHTable:
-        """Both dimension columns and the class counts per degree, built
-        once; callers that trim rows build a new table."""
+        """Both dimension columns and the class counts in degrees 0..top,
+        built once; report.hh_section slices the rows a cap reports."""
         formula = self.hh_formula()
         matrix = self.hh_matrix()
         rows = [HHRow(n, formula[n], matrix[n], self.class_counts(n))
                 for n in range(self.top + 1)]
-        return HHTable(rows, self.top)
+        return HHTable(rows)
 
     # -- kernel/image audit --------------------------------------------------
 

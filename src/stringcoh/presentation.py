@@ -128,7 +128,7 @@ def parse(text: str) -> Presentation:
 
 
 def parse_file(path) -> Presentation:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:  # drops a BOM
         return parse(fh.read())
 
 

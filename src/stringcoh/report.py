@@ -6,7 +6,8 @@ and partition counts appear per degree so both summands of the counting
 formula stay visible.  "validation" and "properties" share one shape,
 written by verdict_section: "passed" and a list of {name, passed,
 detail} entries.  Identical input gives byte-identical JSON except
-for the elapsed_ms field.
+for the elapsed_ms field.  cli prints its text from these sections,
+and hh_section and ap_section slice themselves to a degree cap.
 
 to_json writes the document in one pass, byte for byte equal to
 json.dumps(obj, sort_keys=True, indent=2) plus a newline.  It takes the
@@ -62,14 +63,21 @@ def ap_section(res: Resolution, include_elements: bool = False,
                     for e in layer]
             degrees.append({"degree": n, "elements": rows})
         out["degrees"] = degrees
+        # a mismatch of the two greedy runs exits 3 while the tower is built
+        out["matches_dual"] = True
     return out
 
 
-def hh_section(table: HHTable) -> dict:
+def hh_section(table: HHTable, max_degree: int | None = None) -> dict:
+    """The rows of degree <= max_degree; dims, dims_formula and agree
+    cover the rows kept."""
+    rows = table.rows
+    if max_degree is not None:
+        rows = rows[: max_degree + 1]
     return {
-        "agree": table.agree,
-        "dims": table.dims_matrix,
-        "dims_formula": table.dims_formula,
+        "agree": all(r.agree for r in rows),
+        "dims": [r.dim_matrix for r in rows],
+        "dims_formula": [r.dim_formula for r in rows],
         "rows": [
             {
                 "degree": r.degree,
@@ -78,7 +86,7 @@ def hh_section(table: HHTable) -> dict:
                 "agree": r.agree,
                 "counts": {k: r.counts[k] for k in COUNT_KEYS},
             }
-            for r in table.rows
+            for r in rows
         ],
     }
 

@@ -17,7 +17,7 @@ from stringcoh import (
     checks,
     parse,
 )
-from stringcoh import cli, resolution
+from stringcoh import cli, report, resolution
 from stringcoh.cli import main
 from stringcoh.cup import cohomology_basis
 from stringcoh.generate import generate, generate_dsl
@@ -568,3 +568,98 @@ def test_json_roundtrip(a_file, capsys):
     assert json.loads(json.dumps(payload)) == payload
     assert set(payload) >= {"presentation", "validation", "ap", "hh", "cup",
                             "properties"}
+
+
+HH_WITNESS = (
+    "witness: degree 1, formula 4 != matrix 3, counts {'(0,0)': 6, "
+    "'(1,0)': 0, '(0,1)': 0, '(1,1)': 6, '-(0,0)-': 0, '-(0,0)+': 2, "
+    "'+(0,0)-': 2, '+(0,0)+': 2, '(1,0)+': 0, '(1,0)-': 0, '(1,0)--': 0, "
+    "'(1,0)-+': 0, '+(0,1)': 0, '-(0,1)': 0, '--(0,1)': 0, '+-(0,1)': 0}, "
+    "rank F_1 = 3, nullity F_2 = 6")
+
+
+def test_hh_disagreement_prints_row_and_witness(a_file, monkeypatch, capsys):
+    """A formula column one too high in degree 1 on a_n(3): hh exits 3,
+    marks the row DISAGREE and names the witness on stderr, in text and
+    under --json alike."""
+    real = CochainComplex.hh_formula
+
+    def bumped(self):
+        dims = real(self)
+        dims[1] += 1
+        return dims
+
+    monkeypatch.setattr(CochainComplex, "hh_formula", bumped)
+    assert main(["hh", a_file(3)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [
+        "HH: 1 3 0 2 0",
+        "  degree 0: formula 1, matrix 1, agree",
+        "  degree 1: formula 4, matrix 3, DISAGREE",
+        "  degree 2: formula 0, matrix 0, agree",
+        "  degree 3: formula 2, matrix 2, agree",
+    ]
+    assert captured.err.splitlines() == [HH_WITNESS]
+    assert main(["hh", a_file(3), "--json"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [HH_WITNESS]
+    hh = json.loads(captured.out)["hh"]
+    assert hh["agree"] is False
+    assert hh["dims_formula"] == [1, 4, 0, 2]
+
+
+def test_cup_failure_lists_every_failure(a_file, monkeypatch, capsys):
+    """With every coboundary refused, cup exits 3 and lists one line per
+    failure, in the order of the JSON failures."""
+    monkeypatch.setattr(sys.modules["stringcoh.cup"], "is_coboundary",
+                        lambda cx, f: (False, None))
+    assert main(["cup", a_file(3), "--json"]) == 3
+    failures = json.loads(capsys.readouterr().out)["cup"]["failures"]
+    assert len(failures) == 9
+    assert main(["cup", a_file(3)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [
+        "cup product NOT zero in cohomology:"] + [
+        "  degrees ({},{}) representatives ({},{})".format(
+            *e["degrees"], *e["representatives"]) for e in failures]
+    assert captured.err == ""
+
+
+def test_byte_order_mark_is_accepted(a_file, tmp_path, capsys):
+    """A file saved with a UTF-8 byte-order mark reads as the same
+    presentation: hh --json on a BOM-prefixed a_n(3) equals the plain
+    file's payload."""
+    plain = a_file(3)
+    marked = tmp_path / "bom.quiver"
+    marked.write_bytes(b"\xef\xbb\xbf" + a_n_text(3).encode())
+    expected = run_json(capsys, "hh", plain)
+    got = run_json(capsys, "hh", str(marked))
+    del expected["elapsed_ms"], got["elapsed_ms"]
+    assert got == expected
+
+
+def test_undecodable_file_keeps_its_message(tmp_path, capsys):
+    """Without a BOM, a file that is not UTF-8 names the byte it stops
+    at, as the plain UTF-8 decoder words it."""
+    path = tmp_path / "bytes.quiver"
+    path.write_bytes(b"vertex 0\n\xff\n")
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"cannot read {path}: 'utf-8' codec can't decode byte 0xff in "
+        "position 9: invalid start byte\n")
+
+
+SLICE_INPUTS = {"a_n(4)": a_n_text(4),
+                **{f"generate({s})": generate_dsl(s) for s in range(21)}}
+
+
+@pytest.mark.parametrize("name", SLICE_INPUTS)
+def test_hh_section_slices_the_rows(tmp_path, capsys, name):
+    """report.hh_section with a cap writes the hh section of hh
+    --max-degree 1 --json, on a_n(4) and generate(0..20)."""
+    text = SLICE_INPUTS[name]
+    path = tmp_path / "input.quiver"
+    path.write_text(text)
+    got = run_json(capsys, "hh", str(path), "--max-degree", "1")["hh"]
+    cx = checks.build_tower(parse(text))[2]
+    assert report.hh_section(cx.hh_table(), max_degree=1) == got

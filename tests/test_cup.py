@@ -807,6 +807,17 @@ def test_cohomology_basis_in_degree_zero(corpus):
         assert len(reps) == cx.hh_matrix()[0]
 
 
+def test_bases_are_empty_outside_the_degrees(a_n):
+    """The cochain space is zero outside degrees 0..top, so both bases
+    are empty there, as cx.pairs is; in degree -1 neither eliminates the
+    degree-0 map, which does not exist.  On a_n(3)."""
+    cx = a_n[3][3]
+    for m in (-2, -1, cx.top + 1, cx.top + 2):
+        assert cx.pairs(m) == []
+        assert cocycle_basis(cx, m) == []
+        assert cohomology_basis(cx, m) == []
+
+
 def test_cohomology_basis_matches_the_augmented_oracle(corpus):
     """The representatives read off the free coordinates are those of one
     elimination of the degree-m cochain map augmented by every cocycle,

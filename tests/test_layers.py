@@ -9,7 +9,7 @@ import os
 
 import pytest
 
-from stringcoh import hochschild
+from stringcoh import hochschild, report
 
 SRC = os.path.dirname(hochschild.__file__)
 
@@ -158,3 +158,30 @@ def test_ap_text_reads_the_ap_section():
             if isinstance(node, ast.Attribute)}
     assert "ap_section" in read
     assert "format_word" not in read
+
+
+def test_main_alone_writes_json_and_reads_the_clock():
+    """cli.main is the one place that reads time.monotonic and writes a
+    payload through to_json; no _emit helper is defined."""
+    tree = parsed("cli")
+    where = {getattr(top, "name", None) for top in tree.body
+             for node in ast.walk(top)
+             if isinstance(node, (ast.Name, ast.Attribute))
+             and getattr(node, "id", getattr(node, "attr", None))
+             in ("to_json", "monotonic")}
+    assert where == {"main"}
+    assert "_emit" not in defined_functions(tree)
+
+
+def test_cli_builds_no_hh_table():
+    """hh slices its rows in report.hh_section: cli.py names no
+    HHTable."""
+    with open(os.path.join(SRC, "cli.py")) as fh:
+        assert "HHTable" not in fh.read()
+
+
+def test_ap_section_writes_matches_dual(a_n):
+    """The ap section with elements carries the duality verdict itself."""
+    res = a_n[3][2]
+    assert report.ap_section(res, include_elements=True)["matches_dual"]
+    assert "matches_dual" not in report.ap_section(res)
